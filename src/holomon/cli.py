@@ -232,28 +232,37 @@ def verify_mutation(name, fmt, out):
               show_default=True)
 @click.option("--b2", default=None, help="deformation parameter as 're,im'")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--draws", type=int, default=20, show_default=True)
+@click.option("--draws", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--sites-csv", type=click.Path(), default=None,
               help="also write per-site residuals (site, relation, residual)")
 @_fmt_opt
 @_out_opt
 def verify_pants(name, b2, seed, draws, tol, sites_csv, fmt, out):
+    import dataclasses
     import random as _random
 
     from . import pantsrep as _pr
 
-    b2v = _complex(b2) if b2 else None
-    rep = checksuites.pants_checks(name, seed=seed, draws=draws, tol=tol, b2=b2v)
+    try:
+        b2v = _complex(b2) if b2 else None
+        rep = checksuites.pants_checks(name, seed=seed, draws=draws, tol=tol, b2=b2v)
+        if sites_csv:
+            p = _pr.random_params(name, _random.Random(seed))
+            if b2v is not None:
+                p = dataclasses.replace(p, b2=b2v)
+            table = _pr.residual_table(p, name)
+    except ValueError as exc:
+        # with the default b2 every draw is generic; a rejection is the user's b2
+        if not b2:
+            raise
+        click.echo(f"error: --b2 {b2}: {exc}", err=True)
+        sys.exit(BADINPUT)
     if sites_csv:
         import mpmath as mp
 
-        rng = _random.Random(seed)
-        p = _pr.random_params(name, rng)
-        if b2v is not None:
-            p.b2 = b2v
         rows = ["site,relation,residual"]
-        for site, degree, r in _pr.residual_table(p, name):
+        for site, degree, r in table:
             rows.append(f"{site},{degree},{mp.nstr(r, 6)}")
         with open(sites_csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")

@@ -2,11 +2,19 @@
 
 The length operator acts by multiplication with 2 cosh(l/2) and the
 conjugate shift moves l one step along the lattice l_n = l0 - 2 pi i b^2 n,
-so the generators become banded matrices on a finite window.  Square roots
-in coefficients are taken with one fixed principal branch per site and per
+so on a finite window of sites the generators Ls, Lt and Lu are banded
+matrices.  Each relation check builds them once per parameter draw as band
+tables (``BandMatrix``): q and every site x_n are evaluated once, then each
+per-site leaf factor (2 cosh, 2 sinh and its square root, the boundary
+square roots), and the table entries are products of those factors.  A
+relation is checked by applying each of its words in the generators to a
+basis vector as banded products, one generator at a time.  Square roots in
+coefficients are taken with one fixed principal branch per site and per
 factor; the relation residuals double as the branch-consistency check.
 
 Everything here is numeric (mpmath), at a configurable working precision.
+Tables live only as long as the call that builds them, so no value computed
+at one precision or deformation parameter is reused at another.
 """
 
 from __future__ import annotations
@@ -43,137 +51,73 @@ class RepParams:
     def site(self, n: int):
         """x at lattice site n: x_n = x0 q^(-n), i.e. l_n = l0 - 2 pi i b2 n."""
         with mp.workdps(self.digits):
-            return mp.mpmathify(self.x0) * self.q() ** (-n)
+            return mp.mpmathify(self.x0) * mp.exp(-1j * n * mp.pi * mp.mpmathify(self.b2))
 
-    def validate_window(self, lo: int, hi: int, tol: float = 1e-12):
-        """Reject base points that land on a zero of 2 sinh(l/2)."""
+    def validate_window(self, lo: int, hi: int, tol: float = 1e-12) -> dict:
+        """The sites {n: x_n} for lo <= n <= hi, each evaluated once.
+        Rejects base points that land on a zero of 2 sinh(l/2)."""
+        sites = {}
         for n in range(lo, hi + 1):
-            x = self.site(n)
+            x = sites[n] = self.site(n)
             if abs(x - 1 / x) < tol:
                 raise ValueError(f"lattice site {n} hits a zero of 2 sinh(l/2)")
+        return sites
 
 
-class DiffOperator:
-    """Finite sum of lattice shifts with per-site coefficient evaluators.
+class BandMatrix:
+    """Banded matrix of a shift operator on the window lo..hi.
 
-    ``terms`` maps the shift power m to a callable n -> coefficient; the
-    operator acts as (A psi)(n) = sum_m coeff_m(n) psi(n + m).
+    ``bands[m][n]`` is the coefficient of the shift by m at row n, i.e. the
+    entry (n, n + m); a band holds only the rows whose column lies inside the
+    window.  Rows whose full band fits inside the window are exact
+    (``interior``); the rest are boundary rows that lose their outside
+    entries.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("window", "bands")
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def zero(cls) -> "DiffOperator":
-        return cls({})
-
-    @classmethod
-    def identity(cls) -> "DiffOperator":
-        return cls({0: lambda n: mp.mpf(1)})
-
-    @classmethod
-    def diagonal(cls, f) -> "DiffOperator":
-        return cls({0: f})
-
-    @classmethod
-    def shift(cls, m: int, f=None) -> "DiffOperator":
-        if f is None:
-            f = lambda n: mp.mpf(1)
-        return cls({m: f})
+    def __init__(self, window: tuple, bands: dict):
+        self.window = window
+        self.bands = bands
 
     @property
     def bandwidth(self) -> int:
-        return max((abs(m) for m in self.terms), default=0)
+        return max((abs(m) for m in self.bands), default=0)
 
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        out = dict(self.terms)
-        for m, f in other.terms.items():
-            if m in out:
-                g = out[m]
-                out[m] = (lambda g=g, f=f: lambda n: g(n) + f(n))()
-            else:
-                out[m] = f
-        return DiffOperator(out)
+    @property
+    def interior(self) -> set:
+        lo, hi = self.window
+        return {n for n in range(lo, hi + 1)
+                if all(lo <= n + m <= hi for m in self.bands)}
 
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + other.scaled(-1)
+    def entry(self, row: int, col: int):
+        return self.bands.get(col - row, {}).get(row, mp.mpf(0))
 
-    def scaled(self, c) -> "DiffOperator":
-        return DiffOperator(
-            {m: (lambda f=f: lambda n: c * f(n))() for m, f in self.terms.items()})
-
-    def __mul__(self, other: "DiffOperator") -> "DiffOperator":
-        """Operator composition: (self о other), self applied second."""
-        out: dict = {}
-        for mA, fA in self.terms.items():
-            for mB, fB in other.terms.items():
-                m = mA + mB
-
-                def term(n, fA=fA, fB=fB, mA=mA):
-                    return fA(n) * fB(n + mA)
-
-                if m in out:
-                    g = out[m]
-                    out[m] = (lambda g=g, t=term: lambda n: g(n) + t(n))()
-                else:
-                    out[m] = (lambda t=term: lambda n: t(n))()
-        return DiffOperator(out)
-
-    def coefficient(self, m: int, n: int):
-        f = self.terms.get(m)
-        return f(n) if f is not None else mp.mpf(0)
-
-    def apply(self, vec: dict, window: tuple) -> tuple:
-        """Banded product on a vector given as {site: value}.
-
-        Returns (result dict, valid set): result[n] = sum_m c_m(n) v[n+m];
-        sites needing values outside the window are flagged invalid.
-        """
-        lo, hi = window
+    def matvec(self, vec: dict) -> dict:
+        """Banded product with a vector {site: value}; only rows the
+        vector's support reaches appear in the result."""
         out = {}
-        valid = set()
-        for n in range(lo, hi + 1):
-            total = mp.mpf(0)
-            ok = True
-            for m, f in self.terms.items():
-                src = n + m
-                if src < lo or src > hi:
-                    # the vector is unknown outside the window
-                    ok = False
-                    continue
-                v = vec.get(src, 0)
-                if v:
-                    total += f(n) * v
-            out[n] = total
-            if ok:
-                valid.add(n)
-        return out, valid
+        for col, v in vec.items():
+            for m, band in self.bands.items():
+                c = band.get(col - m)
+                if c is not None:
+                    out[col - m] = out.get(col - m, 0) + c * v
+        return out
+
+    def __matmul__(self, other: "BandMatrix") -> "BandMatrix":
+        """Table product on the same window: self applied after other."""
+        bands: dict = {}
+        for ma, a in self.bands.items():
+            for mb, b in other.bands.items():
+                out = bands.setdefault(ma + mb, {})
+                for n, v in a.items():
+                    w = b.get(n + ma)
+                    if w is not None:
+                        out[n] = out.get(n, 0) + v * w
+        return BandMatrix(self.window, bands)
 
 
-def operator_apply(op: DiffOperator, vec: dict, window: tuple) -> tuple:
-    return op.apply(vec, window)
-
-
-# -- generator operators -------------------------------------------------------
-
-
-def _two_sinh_half(x):
-    return x - 1 / x
-
-
-def _two_cosh_half(x):
-    return x + 1 / x
-
-
-def build_Ls(p: RepParams) -> DiffOperator:
-    """Multiplication by 2 cosh(l/2): the diagonal length operator."""
-
-    def f(n):
-        return _two_cosh_half(p.site(n))
-
-    return DiffOperator.diagonal(f)
+# -- generator tables ----------------------------------------------------------
 
 
 def c_factor(L, Li, Lj):
@@ -181,160 +125,165 @@ def c_factor(L, Li, Lj):
     return L * L + Li * Li + Lj * Lj + L * Li * Lj - 4
 
 
-def build_Lt(p: RepParams, kind: str = "c04") -> DiffOperator:
-    """The flip-channel length operator.
+def _band(window: tuple, m: int, f) -> dict:
+    """{n: f(n)} over the rows n whose column n + m lies in the window."""
+    lo, hi = window
+    return {n: f(n) for n in range(max(lo, lo - m), min(hi, hi - m) + 1)}
 
-    Sphere piece: diagonal part plus two double-shift terms whose sandwich
-    factors 1/sqrt(2sinh) . sqrt(c12 c34)/(2sinh) . 1/sqrt(2sinh) are
-    evaluated at their shifted arguments.  Torus piece: single shifts with
-    square-root coefficients of the one-step-displaced length function.
+
+def generator_tables(p: RepParams, kind: str, window: tuple) -> tuple:
+    """q and the band tables {"s": Ls, "t": Lt, "u": Lu} on ``window``.
+
+    Ls multiplies by 2 cosh(l/2).  Lt on the sphere piece is a diagonal part
+    plus two double-shift bands whose sandwich factors
+    1/sqrt(2sinh) . sqrt(c12 c34)/(2sinh) . 1/sqrt(2sinh) sit at the row, the
+    middle and the column site; on the torus piece it is two single-shift
+    bands with square-root coefficients of the one-step-displaced length
+    function.  Lu is solved from the quadratic relation by table products:
+    (q LsLt - LtLs/q - (q-1/q)(central)) / (q^2 - q^-2) on the sphere piece
+    and its single-bracket analogue on the torus piece.
     """
-    q = p.q()
-    if kind == "c04":
-        L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
-
-        def diag(n):
-            x = p.site(n)
-            num = (q + 1 / q) * (L2 * L3 + L1 * L4) + _two_cosh_half(x) * (L1 * L3 + L2 * L4)
-            den = x ** 2 + x ** -2 - q ** 2 - q ** -2
-            return num / den
-
-        def shift_coeff(eps):
-            def f(n, eps=eps):
-                x = p.site(n)
-                y = p.site(n + eps)
-                z = p.site(n + 2 * eps)
-                Ly = _two_cosh_half(y)
-                mid = mp.sqrt(c_factor(Ly, L1, L2)) * mp.sqrt(c_factor(Ly, L3, L4))
-                return (1 / mp.sqrt(_two_sinh_half(x))) * (mid / _two_sinh_half(y)) \
-                    * (1 / mp.sqrt(_two_sinh_half(z)))
-
-            return f
-
-        return DiffOperator({0: diag, 2: shift_coeff(1), -2: shift_coeff(-1)})
-
-    if kind == "c11":
-        L0 = mp.mpmathify(p.boundary["L0"])
-
-        def up(n):
-            x = p.site(n)
-            return mp.sqrt(L0 + x ** 2 / q + q / x ** 2) / _two_sinh_half(x)
-
-        def dn(n):
-            x = p.site(n)
-            return mp.sqrt(L0 + q * x ** 2 + 1 / (q * x ** 2)) / _two_sinh_half(x)
-
-        return DiffOperator({1: up, -1: dn})
-
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def build_Lu(p: RepParams, kind: str = "c04") -> DiffOperator:
-    """Third generator, solved from the quadratic relation by operator
-    arithmetic: (q LsLt - LtLs/q - (q-1/q)(central)) / (q^2 - q^-2) on the
-    sphere piece and its single-bracket analogue on the torus piece."""
-    q = p.q()
-    Ls, Lt = build_Ls(p), build_Lt(p, kind)
-    if kind == "c04":
-        if abs(q ** 4 - 1) < mp.mpf(10) ** (-p.digits // 2):
-            raise ValueError("q^4 = 1 makes the defining divisor degenerate")
-        L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
-        central = (L1 * L3 + L2 * L4) * (q - 1 / q)
-        core = (Ls * Lt).scaled(q) - (Lt * Ls).scaled(1 / q) - DiffOperator.identity().scaled(central)
-        return core.scaled(1 / (q ** 2 - q ** -2))
-    if kind == "c11":
-        core = (Ls * Lt).scaled(mp.sqrt(q)) - (Lt * Ls).scaled(1 / mp.sqrt(q))
-        return core.scaled(1 / (q - 1 / q))
-    raise ValueError(f"unknown kind {kind!r}")
+    with mp.workdps(p.digits):
+        q = p.q()
+        x = p.validate_window(*window)
+        inv = {n: 1 / v for n, v in x.items()}
+        ch = {n: x[n] + inv[n] for n in x}      # 2 cosh(l/2)
+        sh = {n: x[n] - inv[n] for n in x}      # 2 sinh(l/2)
+        Ls = BandMatrix(window, {0: ch})
+        if kind == "c04":
+            L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
+            num0, num1 = (q + 1 / q) * (L2 * L3 + L1 * L4), L1 * L3 + L2 * L4
+            qq = q ** 2 + q ** -2
+            root = {n: 1 / mp.sqrt(v) for n, v in sh.items()}
+            mid = {n: mp.sqrt(c_factor(ch[n], L1, L2)) * mp.sqrt(c_factor(ch[n], L3, L4))
+                   / sh[n] for n in x}
+            Lt = BandMatrix(window, {
+                0: {n: (num0 + ch[n] * num1) / (x[n] ** 2 + inv[n] ** 2 - qq) for n in x},
+                2: _band(window, 2, lambda n: root[n] * mid[n + 1] * root[n + 2]),
+                -2: _band(window, -2, lambda n: root[n] * mid[n - 1] * root[n - 2]),
+            })
+            a, b, central, d = q, 1 / q, num1 * (q - 1 / q), q ** 2 - q ** -2
+        elif kind == "c11":
+            L0 = mp.mpmathify(p.boundary["L0"])
+            Lt = BandMatrix(window, {
+                1: _band(window, 1, lambda n: mp.sqrt(L0 + x[n] ** 2 / q + q * inv[n] ** 2)
+                         / sh[n]),
+                -1: _band(window, -1, lambda n: mp.sqrt(L0 + q * x[n] ** 2 + inv[n] ** 2 / q)
+                          / sh[n]),
+            })
+            a, b, central, d = mp.sqrt(q), 1 / mp.sqrt(q), 0, q - 1 / q
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        if abs(d) < mp.mpf(10) ** (-p.digits // 2):
+            raise ValueError("q^4 = 1 (c04) or q^2 = 1 (c11) makes the defining divisor "
+                             "degenerate")
+        st, ts = Ls @ Lt, Lt @ Ls
+        Lu = BandMatrix(window, {
+            m: {n: (a * v - b * ts.bands[m][n] - (central if m == 0 else 0)) / d
+                for n, v in band.items()}
+            for m, band in st.bands.items()})
+        return q, {"s": Ls, "t": Lt, "u": Lu}
 
 
 # -- relation residuals -----------------------------------------------------------
 
+_LT_BANDWIDTH = {"c04": 2, "c11": 1}
 
-def _relation_terms(p: RepParams, kind: str, degree: int):
-    """The summands of the deformed relation, kept separate so residuals
-    can be normalized by the term-magnitude scale."""
-    q = p.q()
-    Ls, Lt = build_Ls(p), build_Lt(p, kind)
-    Lu = build_Lu(p, kind)
-    I = DiffOperator.identity()
+
+def _reach(kind: str, degree: int) -> int:
+    """Bandwidth of the widest word in the relation: degree - 1 generators
+    that each shift, Lt and Lu both having Lt's bandwidth."""
+    if kind not in _LT_BANDWIDTH or degree not in (2, 3):
+        raise ValueError(f"no relation for kind={kind!r} degree={degree}")
+    return (degree - 1) * _LT_BANDWIDTH[kind]
+
+
+def _relation_terms(p: RepParams, kind: str, degree: int, q) -> list:
+    """The summands of the deformed relation as (coefficient, word) pairs,
+    the word read as an operator product ("st" is Ls Lt, "" the identity);
+    kept separate so residuals can be normalized by the term-magnitude
+    scale."""
     if kind == "c11":
         L0 = mp.mpmathify(p.boundary["L0"])
         if degree == 2:
-            return [
-                (Ls * Lt).scaled(mp.sqrt(q)),
-                (Lt * Ls).scaled(-1 / mp.sqrt(q)),
-                Lu.scaled(-(q - 1 / q)),
-            ]
-        if degree == 3:
-            return [
-                (Ls * Ls).scaled(q),
-                (Lt * Lt).scaled(1 / q),
-                (Lu * Lu).scaled(q),
-                (Ls * Lt * Lu).scaled(-mp.sqrt(q)),
-                I.scaled(L0 - q - 1 / q),
-            ]
-    if kind == "c04":
-        L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
-        if degree == 2:
-            return [
-                (Ls * Lt).scaled(q),
-                (Lt * Ls).scaled(-1 / q),
-                Lu.scaled(-(q ** 2 - q ** -2)),
-                I.scaled(-(q - 1 / q) * (L1 * L3 + L2 * L4)),
-            ]
-        if degree == 3:
-            return [
-                I.scaled(L1 * L2 * L3 * L4 + L1 ** 2 + L2 ** 2 + L3 ** 2 + L4 ** 2
-                         - (q + 1 / q) ** 2),
-                (Ls * Lt * Lu).scaled(-q),
-                (Ls * Ls).scaled(q ** 2),
-                (Lt * Lt).scaled(q ** -2),
-                (Lu * Lu).scaled(q ** 2),
-                Ls.scaled(q * (L3 * L4 + L1 * L2)),
-                Lt.scaled((1 / q) * (L2 * L3 + L1 * L4)),
-                Lu.scaled(q * (L1 * L3 + L2 * L4)),
-            ]
-    raise ValueError(f"no relation for kind={kind!r} degree={degree}")
+            return [(mp.sqrt(q), "st"), (-1 / mp.sqrt(q), "ts"), (-(q - 1 / q), "u")]
+        return [(q, "ss"), (1 / q, "tt"), (q, "uu"), (-mp.sqrt(q), "stu"),
+                (L0 - q - 1 / q, "")]
+    L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
+    if degree == 2:
+        return [(q, "st"), (-1 / q, "ts"), (-(q ** 2 - q ** -2), "u"),
+                (-(q - 1 / q) * (L1 * L3 + L2 * L4), "")]
+    return [
+        (L1 * L2 * L3 * L4 + L1 ** 2 + L2 ** 2 + L3 ** 2 + L4 ** 2 - (q + 1 / q) ** 2, ""),
+        (-q, "stu"),
+        (q ** 2, "ss"),
+        (q ** -2, "tt"),
+        (q ** 2, "uu"),
+        (q * (L3 * L4 + L1 * L2), "s"),
+        ((1 / q) * (L2 * L3 + L1 * L4), "t"),
+        (q * (L1 * L3 + L2 * L4), "u"),
+    ]
+
+
+def _norm(values):
+    return mp.sqrt(sum(abs(v) ** 2 for v in values))
+
+
+def _residual(tables: dict, terms: list, site: int, window: tuple, reach: int):
+    """Relative residual of the relation applied to the basis vector at
+    ``site``: |P delta_n| over the rows whose widest word stays inside the
+    window, divided by the sum of the term magnitudes."""
+    total: dict = {}
+    scale = mp.mpf(0)
+    for coef, word in terms:
+        vec = {site: mp.mpf(1)}
+        for g in reversed(word):
+            vec = tables[g].matvec(vec)
+        vec = {n: coef * v for n, v in vec.items()}
+        scale += _norm(vec.values())
+        for n, v in vec.items():
+            total[n] = total.get(n, 0) + v
+    if scale == 0:
+        return mp.mpf("inf")
+    lo, hi = window
+    return _norm(v for n, v in total.items() if lo + reach <= n <= hi - reach) / scale
 
 
 def relation_residual(p: RepParams, kind: str, degree: int, site: int,
                       window: tuple | None = None):
-    """Relative residual of the relation applied to the basis vector at
-    ``site``: |P delta_n| / (term magnitude scale), over valid entries."""
+    """Relative residual of one relation at one site, from tables built on
+    ``window`` (default: the site padded by twice the relation's reach)."""
+    reach = _reach(kind, degree)
+    if window is None:
+        window = (site - 2 * reach - 2, site + 2 * reach + 2)
+    q, tables = generator_tables(p, kind, window)
     with mp.workdps(p.digits):
-        terms = _relation_terms(p, kind, degree)
-        bw = max(t.bandwidth for t in terms)
-        if window is None:
-            window = (site - 2 * bw - 2, site + 2 * bw + 2)
-        p.validate_window(*window)
-        delta = {site: mp.mpf(1)}
-        total = None
-        scale = mp.mpf(0)
-        valid_all = None
-        for t in terms:
-            vec, valid = t.apply(delta, window)
-            scale += mp.sqrt(sum(abs(v) ** 2 for v in vec.values()))
-            if total is None:
-                total, valid_all = vec, valid
-            else:
-                total = {n: total[n] + vec[n] for n in total}
-                valid_all &= valid
-        resid = mp.sqrt(sum(abs(total[n]) ** 2 for n in valid_all))
-        if scale == 0:
-            return mp.mpf("inf")
-        return resid / scale
+        return _residual(tables, _relation_terms(p, kind, degree, q), site, window, reach)
+
+
+def residual_table(p: RepParams, kind: str, sites=(-2, -1, 0, 1, 2)) -> list:
+    """Per-site residual rows [(site, degree, residual), ...] for both
+    relations, from one build of the generator tables."""
+    pad = 2 * _reach(kind, 3) + 2
+    window = (min(sites) - pad, max(sites) + pad)
+    q, tables = generator_tables(p, kind, window)
+    rows = []
+    with mp.workdps(p.digits):
+        for degree in (2, 3):
+            terms = _relation_terms(p, kind, degree, q)
+            reach = _reach(kind, degree)
+            rows += [(site, degree, _residual(tables, terms, site, window, reach))
+                     for site in sites]
+    return rows
 
 
 def verify_pants_relations(p: RepParams, kind: str, tol: float = 1e-9,
                            sites: tuple = (-2, 0, 3)) -> dict:
     """Residual report for both relations over several interior sites."""
+    rows = residual_table(p, kind, sites)
     report = {}
     for degree in (2, 3):
-        worst = mp.mpf(0)
-        for site in sites:
-            r = relation_residual(p, kind, degree, site)
-            worst = max(worst, r)
+        worst = max(r for _, d, r in rows if d == degree)
         report[degree] = {"residual": worst, "pass": bool(worst < tol)}
     return report
 
@@ -387,77 +336,12 @@ def b_move_phase(l3, l2, l1, b):
     return cmath.exp(1j * cmath.pi * (d3 - d2 - d1))
 
 
-def classical_symbol(op: DiffOperator, p: RepParams, site: int, k):
-    """Commutative symbol of the operator at a lattice site: shifts are
+def classical_symbol(table: BandMatrix, p: RepParams, site: int, k):
+    """Commutative symbol of a generator table at a lattice site: shifts are
     replaced by e^(m k / 2).  Used for small-b2 consistency probes against
     the classical trace relations."""
     with mp.workdps(p.digits):
         total = mp.mpf(0)
-        for m, f in op.terms.items():
-            total += f(site) * mp.exp(m * mp.mpmathify(k) / 2)
+        for m in table.bands:
+            total += table.entry(site, site + m) * mp.exp(m * mp.mpmathify(k) / 2)
         return total
-
-
-class BandMatrix:
-    """Materialized banded matrix of an operator on a finite window.
-
-    Entry (row, col) is nonzero only when |row - col| <= bandwidth; rows
-    whose full band fits inside the window are exact, the rest are
-    boundary rows (tracked in ``interior``).
-    """
-
-    __slots__ = ("lo", "hi", "bandwidth", "rows", "interior")
-
-    def __init__(self, lo: int, hi: int, bandwidth: int, rows: dict, interior: set):
-        self.lo, self.hi = lo, hi
-        self.bandwidth = bandwidth
-        self.rows = rows
-        self.interior = interior
-
-    @classmethod
-    def from_operator(cls, op: DiffOperator, p: RepParams, window: tuple) -> "BandMatrix":
-        lo, hi = window
-        bw = op.bandwidth
-        rows: dict = {}
-        interior = set()
-        with mp.workdps(p.digits):
-            for n in range(lo, hi + 1):
-                row = {}
-                ok = True
-                for m, f in op.terms.items():
-                    col = n + m
-                    if col < lo or col > hi:
-                        ok = False
-                        continue
-                    row[col] = f(n)
-                rows[n] = row
-                if ok:
-                    interior.add(n)
-        return cls(lo, hi, bw, rows, interior)
-
-    def entry(self, row: int, col: int):
-        if abs(row - col) > self.bandwidth:
-            return mp.mpf(0)
-        return self.rows.get(row, {}).get(col, mp.mpf(0))
-
-    def matvec(self, vec: dict) -> tuple:
-        """Product with {site: value}; returns (result, interior rows)."""
-        out = {}
-        for n in range(self.lo, self.hi + 1):
-            total = mp.mpf(0)
-            for col, val in self.rows[n].items():
-                v = vec.get(col, 0)
-                if v:
-                    total += val * v
-            out[n] = total
-        return out, set(self.interior)
-
-
-def residual_table(p: RepParams, kind: str, sites=(-2, -1, 0, 1, 2)) -> list:
-    """Per-site residual rows [(site, degree, residual), ...] for CSV
-    reports."""
-    out = []
-    for degree in (2, 3):
-        for site in sites:
-            out.append((site, degree, relation_residual(p, kind, degree, site)))
-    return out

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from holomon import checks as checksuites
 from holomon.cli import main
 from holomon.plotting import emit_plot
 from holomon.report import KNOWN_TAGS, CheckResult, Report
@@ -74,6 +75,34 @@ class TestVerifyCommands:
         r = runner.invoke(main, ["verify", "pants-rep", "--surface", "c11",
                                  "--draws", "2"])
         assert r.exit_code == 0
+
+    @pytest.mark.parametrize("args", [
+        ["--b2", "0,0"],                          # b2 = 0
+        ["--b2", "1,0"],                          # q^4 = 1 on c04
+        ["--surface", "c11", "--b2", "1,0"],      # q^2 = 1 on c11
+        ["--b2", "abc"],
+        ["--b2", "0,0", "--sites-csv", "{tmp}/sites.csv"],
+    ])
+    def test_pants_bad_b2_exits_2(self, runner, tmp_path, args):
+        args = [a.format(tmp=tmp_path) for a in args]
+        r = runner.invoke(main, ["verify", "pants-rep", "--draws", "1", *args])
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
+        assert r.output.startswith("error: --b2") and r.output.count("\n") == 1
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_pants_needs_a_draw(self, runner, draws):
+        r = runner.invoke(main, ["verify", "pants-rep", "--draws", draws])
+        assert r.exit_code == 2
+        assert "PASS" not in r.output
+        with pytest.raises(ValueError):
+            checksuites.pants_checks("c11", draws=int(draws))
+
+    def test_loop_rows_carry_runtime(self):
+        rows = checksuites.pants_checks("c11", draws=1).checks
+        rows += checksuites.tau_checks(draws=1, order=3, shifts=1).checks
+        assert len(rows) == 7
+        assert all(row.runtime > 0 for row in rows)
 
     def test_determinism(self, runner, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

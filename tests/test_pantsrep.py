@@ -7,16 +7,13 @@ import pytest
 
 from holomon.pantsrep import (
     B_MOVE_WEIGHT_NOTE,
-    DiffOperator,
+    BandMatrix,
     RepParams,
     b_move_phase,
-    build_Ls,
-    build_Lt,
-    build_Lu,
     c_factor,
     classical_symbol,
     conformal_weight_of_length,
-    operator_apply,
+    generator_tables,
     random_params,
     relation_residual,
     verify_pants_relations,
@@ -33,42 +30,46 @@ def params_c11(digits=30):
     return random_params("c11", rng, digits=digits)
 
 
+def tables(p, kind="c04", window=(-8, 8)):
+    return generator_tables(p, kind, window)[1]
+
+
 class TestBuildLs:
     def test_diagonal_only(self):
-        p = params_c04()
-        Ls = build_Ls(p)
-        assert set(Ls.terms) == {0}
+        assert set(tables(params_c04())["s"].bands) == {0}
 
     def test_eigenvalue_on_basis_vector(self):
         p = params_c04()
-        Ls = build_Ls(p)
-        for n in (-3, 0, 5):
-            x = p.site(n)
-            vec, valid = operator_apply(Ls, {n: mp.mpf(1)}, (n - 1, n + 1))
-            assert n in valid
-            assert abs(vec[n] - (x + 1 / x)) < 1e-25
+        Ls = tables(p)["s"]
+        with mp.workdps(p.digits):
+            for n in (-3, 0, 5):
+                x = p.site(n)
+                vec = Ls.matvec({n: mp.mpf(1)})
+                assert n in Ls.interior
+                assert abs(vec[n] - (x + 1 / x)) < 1e-25
 
     def test_value_two_at_zero_length(self):
-        # at l = 0 (x = 1) the multiplication value is 2cosh(0) = 2
+        # at l = 0 (x = 1) the multiplication value 2cosh(0) is 2, but
+        # 2 sinh(0) = 0 there, so no generator table may hold that site
         p = RepParams(b2=0.3 + 0.1j, boundary={}, x0=1.0)
-        Ls = build_Ls(p)
-        assert abs(Ls.coefficient(0, 0) - 2) < 1e-25
+        x = p.site(0)
+        assert abs(x + 1 / x - 2) < 1e-25
+        with pytest.raises(ValueError, match="site 0"):
+            generator_tables(p, "c04", (-1, 1))
 
 
 class TestBuildLt:
     def test_bandwidth_two(self):
-        p = params_c04()
-        Lt = build_Lt(p, "c04")
+        Lt = tables(params_c04())["t"]
         assert Lt.bandwidth == 2
-        assert set(Lt.terms) == {-2, 0, 2}
+        assert set(Lt.bands) == {-2, 0, 2}
 
     def test_c_factor_probe(self):
         assert c_factor(2, 2, 2) == 4 + 4 + 4 + 8 - 4 == 16
 
     def test_c11_bandwidth_one(self):
-        p = params_c11()
-        Lt = build_Lt(p, "c11")
-        assert set(Lt.terms) == {-1, 1}
+        Lt = tables(params_c11(), "c11")["t"]
+        assert set(Lt.bands) == {-1, 1}
 
     def test_relabel_symmetry(self):
         # swapping L1<->L2 and L3<->L4 simultaneously leaves every
@@ -79,23 +80,22 @@ class TestBuildLt:
             boundary={"L1": p.boundary["L2"], "L2": p.boundary["L1"],
                       "L3": p.boundary["L4"], "L4": p.boundary["L3"]},
             x0=p.x0, digits=p.digits)
-        Lt, Lt2 = build_Lt(p, "c04"), build_Lt(swapped, "c04")
+        Lt, Lt2 = tables(p)["t"], tables(swapped)["t"]
         with mp.workdps(p.digits):
             for m in (-2, 0, 2):
                 for n in (-2, 0, 3):
-                    assert abs(Lt.coefficient(m, n) - Lt2.coefficient(m, n)) < 1e-24
+                    assert abs(Lt.entry(n, n + m) - Lt2.entry(n, n + m)) < 1e-24
 
 
 class TestBuildLu:
     def test_bandwidth(self):
-        p = params_c04()
-        assert build_Lu(p, "c04").bandwidth <= 2
-        assert build_Lu(params_c11(), "c11").bandwidth <= 1
+        assert tables(params_c04())["u"].bandwidth <= 2
+        assert tables(params_c11(), "c11")["u"].bandwidth <= 1
 
     def test_degenerate_divisor_rejected(self):
         p = RepParams(b2=1.0, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.3 + 0.2j)
         with pytest.raises(ValueError):
-            build_Lu(p, "c04")
+            generator_tables(p, "c04", (-3, 3))
 
     def test_quadratic_residual_zero_by_construction(self):
         p = params_c04()
@@ -112,11 +112,8 @@ class TestBuildLu:
             p = RepParams(b2=scale * (0.3 + 0.1j), boundary=boundary,
                           x0=1.45 + 0.1j, digits=40)
             k = 0.37 + 0.11j
-            sym = {
-                "s": complex(classical_symbol(build_Ls(p), p, 0, k)),
-                "t": complex(classical_symbol(build_Lt(p, "c04"), p, 0, k)),
-                "u": complex(classical_symbol(build_Lu(p, "c04"), p, 0, k)),
-            }
+            T = tables(p, window=(-3, 3))
+            sym = {g: complex(classical_symbol(T[g], p, 0, k)) for g in ("s", "t", "u")}
             sym.update({kk: complex(v) for kk, v in boundary.items()})
             # relative to the cubic term, the dominant contribution
             scale_mag = abs(sym["s"] * sym["t"] * sym["u"])
@@ -128,32 +125,48 @@ class TestBuildLu:
 
 
 class TestOperatorApply:
+    """Banded products: tables applied to vectors and to each other."""
+
     def test_identity(self):
         v = {n: mp.mpf(n * n + 1) for n in range(-3, 4)}
-        out, valid = operator_apply(DiffOperator.identity(), v, (-3, 3))
-        assert valid == set(range(-3, 4))
+        identity = BandMatrix((-3, 3), {0: {n: mp.mpf(1) for n in range(-3, 4)}})
+        out = identity.matvec(v)
+        assert identity.interior == set(range(-3, 4))
         assert all(out[n] == v[n] for n in v)
 
     def test_composition_matches_sequential(self):
+        # the table product Ls @ Lt against Lt then Ls applied in turn
         p = params_c04()
-        Ls, Lt = build_Ls(p), build_Lt(p, "c04")
-        window = (-8, 8)
+        T = tables(p)
+        Ls, Lt = T["s"], T["t"]
         v = {n: mp.mpf(1) / (1 + n * n) for n in range(-8, 9)}
         with mp.workdps(p.digits):
-            ab, _ = operator_apply(Ls * Lt, v, window)
-            step1, _ = operator_apply(Lt, v, window)
-            ab2, valid2 = operator_apply(Ls, step1, window)
+            product = Ls @ Lt
+            ab = product.matvec(v)
+            ab2 = Ls.matvec(Lt.matvec(v))
+            assert set(range(-6, 7)) <= product.interior
             for n in range(-6, 7):
-                if n in valid2:
-                    assert abs(ab[n] - ab2[n]) < 1e-24
+                assert abs(ab[n] - ab2[n]) < 1e-24
 
     def test_boundary_flagged(self):
-        p = params_c04()
-        Lt = build_Lt(p, "c04")
-        v = {n: mp.mpf(1) for n in range(-2, 3)}
-        _, valid = operator_apply(Lt, v, (-2, 2))
-        assert 0 in valid
-        assert -2 not in valid and 2 not in valid
+        Lt = tables(params_c04(), window=(-2, 2))["t"]
+        assert 0 in Lt.interior
+        assert -2 not in Lt.interior and 2 not in Lt.interior
+
+
+def _manual_residual(gens, terms, site):
+    """|sum of terms applied to delta_site| over the sum of term norms,
+    written out independently of the library's residual."""
+    total, scale = {}, mp.mpf(0)
+    for coef, word in terms:
+        vec = {site: mp.mpf(1)}
+        for g in reversed(word):
+            vec = gens[g].matvec(vec)
+        vec = {n: coef * x for n, x in vec.items()}
+        scale += mp.sqrt(sum(abs(x) ** 2 for x in vec.values()))
+        for n, x in vec.items():
+            total[n] = total.get(n, 0) + x
+    return mp.sqrt(sum(abs(x) ** 2 for x in total.values())) / scale
 
 
 class TestRelations:
@@ -167,30 +180,21 @@ class TestRelations:
 
     def test_negative_control_perturbed_coefficient(self):
         p = params_c04()
-        Ls = build_Ls(p)
-        Lt = build_Lt(p, "c04")
-        Lu = build_Lu(p, "c04")
-        q = p.q()
-        bad = DiffOperator(dict(Lt.terms))
-        f = bad.terms[2]
-        bad.terms[2] = lambda n: f(n) * mp.mpf("1.01")
+        window = (-8, 8)
+        q, T = generator_tables(p, "c04", window)
+        Lt = T["t"]
+        bad = BandMatrix(window, dict(Lt.bands))
+        bad.bands[2] = {n: v * mp.mpf("1.01") for n, v in Lt.bands[2].items()}
         with mp.workdps(p.digits):
-            L1, L2, L3, L4 = (p.boundary[k] for k in ("L1", "L2", "L3", "L4"))
+            L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
             terms = [
-                (Ls * bad).scaled(q),
-                (bad * Ls).scaled(-1 / q),
-                Lu.scaled(-(q ** 2 - q ** -2)),
-                DiffOperator.identity().scaled(-(q - 1 / q) * (L1 * L3 + L2 * L4)),
+                (q, "st"),
+                (-1 / q, "ts"),
+                (-(q ** 2 - q ** -2), "u"),
+                (-(q - 1 / q) * (L1 * L3 + L2 * L4), ""),
             ]
-            window = (-8, 8)
-            delta = {0: mp.mpf(1)}
-            total, scale = None, mp.mpf(0)
-            for t in terms:
-                vec, _ = t.apply(delta, window)
-                scale += mp.sqrt(sum(abs(x) ** 2 for x in vec.values()))
-                total = vec if total is None else {n: total[n] + vec[n] for n in total}
-            resid = mp.sqrt(sum(abs(x) ** 2 for x in total.values())) / scale
-            assert resid > 1e-9
+            assert _manual_residual(T, terms, 0) < 1e-25
+            assert _manual_residual(dict(T, t=bad), terms, 0) > 1e-9
 
     def test_precision_scaling(self):
         p1 = params_c04(digits=25)
@@ -198,6 +202,28 @@ class TestRelations:
         r1 = relation_residual(p1, "c04", 3, 0)
         r2 = relation_residual(p2, "c04", 3, 0)
         assert r2 < r1 * mp.mpf(10) ** -20
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    @pytest.mark.parametrize("order", [(25, 55), (55, 25)])
+    def test_digits_keying(self, kind, order):
+        # one params object re-evaluated at another precision gives what a
+        # fresh object at that precision gives: nothing outlives a call
+        p = random_params(kind, random.Random(303), digits=order[0])
+        for digits in order:
+            p.digits = digits
+            fresh = RepParams(b2=p.b2, boundary=dict(p.boundary), x0=p.x0, digits=digits)
+            assert relation_residual(p, kind, 3, 0) == relation_residual(fresh, kind, 3, 0)
+            assert verify_pants_relations(p, kind) == verify_pants_relations(fresh, kind)
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_shared_tables_match_standalone(self, kind):
+        # one table build serves every site and both degrees
+        p = random_params(kind, random.Random(404))
+        sites = (-2, 0, 3)
+        rep = verify_pants_relations(p, kind, sites=sites)
+        for degree in (2, 3):
+            standalone = max(relation_residual(p, kind, degree, s) for s in sites)
+            assert rep[degree]["residual"] == standalone
 
     def test_window_independence(self):
         p = params_c04()
@@ -243,26 +269,22 @@ class TestBMovePhase:
         assert "Q^2/4" in B_MOVE_WEIGHT_NOTE
 
 
+
+
 class TestBandMatrix:
     def test_band_structure_and_agreement(self):
-        from holomon.pantsrep import BandMatrix
-
         p = params_c04()
-        Lt = build_Lt(p, "c04")
-        B = BandMatrix.from_operator(Lt, p, (-6, 6))
+        B = tables(p, window=(-6, 6))["t"]
         assert B.bandwidth == 2
         with mp.workdps(p.digits):
             assert B.entry(0, 5) == 0
             v = {n: mp.mpf(1) / (2 + n * n) for n in range(-6, 7)}
-            direct, valid = operator_apply(Lt, v, (-6, 6))
-            mat, interior = B.matvec(v)
-            assert interior == valid
-            for n in interior:
+            direct = {n: sum(B.entry(n, c) * v[c] for c in range(-6, 7)) for n in v}
+            mat = B.matvec(v)
+            assert B.interior == set(range(-4, 5))
+            for n in B.interior:
                 assert abs(direct[n] - mat[n]) < 1e-25
 
     def test_boundary_rows_flagged(self):
-        from holomon.pantsrep import BandMatrix
-
-        p = params_c04()
-        B = BandMatrix.from_operator(build_Lt(p, "c04"), p, (-3, 3))
+        B = tables(params_c04(), window=(-3, 3))["t"]
         assert -3 not in B.interior and 3 not in B.interior and 0 in B.interior
