@@ -144,9 +144,6 @@ class BlockSeries:
                 total += mp.mpmathify(_to_num(ck)) * mp.mpmathify(q) ** k
             return mp.mpmathify(q) ** mp.mpmathify(_to_num(self.leading_exponent)) * total
 
-    def sorted_items(self):
-        return list(enumerate(self.coeffs))
-
 
 def _to_num(v):
     if isinstance(v, Fraction):

@@ -277,8 +277,15 @@ def verify_pants(name, b2, seed, draws, tol, sites_csv, fmt, out):
 @_fmt_opt
 @_out_opt
 def verify_bpz(b2, order, fmt, out):
-    rep = checksuites.bpz_checks(_fraction(b2), order)
-    rep2 = checksuites.virasoro_checks(_fraction(b2) if "/" in b2 else Fraction(2, 5))
+    try:
+        b2v = _fraction(b2)
+        if b2v == 0:
+            raise ValueError("b2 must be nonzero")
+    except (ValueError, ZeroDivisionError) as exc:
+        click.echo(f"error: --b2 {b2}: {exc}", err=True)
+        sys.exit(BADINPUT)
+    rep = checksuites.bpz_checks(b2v, order)
+    rep2 = checksuites.virasoro_checks(b2v if "/" in b2 else Fraction(2, 5))
     sys.exit(_write_report([rep2, rep], fmt, out))
 
 
@@ -353,8 +360,8 @@ def block(kind, weights, cc, order, out, plot):
 @click.option("--kappa", required=True, help="conjugate angle (rational or float)")
 @click.option("--theta", default="1/3,2/7,3/11,5/13", show_default=True,
               help="external momenta th0,tht,th1,thinf")
-@click.option("--order", type=int, default=6, show_default=True)
-@click.option("--shifts", type=int, default=3, show_default=True)
+@click.option("--order", type=click.IntRange(min=0), default=6, show_default=True)
+@click.option("--shifts", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--digits", type=int, default=None)
 @click.option("--normalization", type=click.Choice(["isomonodromic", "plain"]),
               default="isomonodromic", show_default=True)
@@ -374,8 +381,12 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
         click.echo(f"error: {exc}", err=True)
         sys.exit(BADINPUT)
     digits = digits or default_digits()
-    ts = tau_series(thetas, lamv, kapv, N=order, M=shifts, digits=digits,
-                    normalization=normalization)
+    try:
+        ts = tau_series(thetas, lamv, kapv, N=order, M=shifts, digits=digits,
+                        normalization=normalization)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(BADINPUT)
     res = sigma_pvi_residual(ts) if normalization == "isomonodromic" else {}
     lines = [f"# mode={ts.mode} leading_exponent={ts.leading_exponent}"]
     for (m, j), v in sorted(ts.series.terms.items()):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -68,18 +69,17 @@ class BiSeries:
         if not isinstance(o, BiSeries):
             return BiSeries({k: v * o for k, v in self.terms.items()}, self.jmax)
         jmax = min(self.jmax, o.jmax)
+        # right operand by increasing j, so each row stops at the truncation;
+        # zero sums are dropped by the constructor
+        right = sorted(o.terms.items(), key=lambda kv: kv[0][1])
         out: dict = {}
         for (m1, j1), v1 in self.terms.items():
-            for (m2, j2), v2 in o.terms.items():
+            for (m2, j2), v2 in right:
                 j = j1 + j2
                 if j > jmax:
-                    continue
+                    break
                 k = (m1 + m2, j)
-                w = out.get(k, 0) + v1 * v2
-                if w == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = w
+                out[k] = out.get(k, 0) + v1 * v2
         return BiSeries(out, jmax)
 
     __rmul__ = __mul__
@@ -110,10 +110,6 @@ class BiSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def max_abs(self) -> float:
-        vals = [abs(v) for v in self.terms.values()]
-        return max(vals) if vals else 0
 
 
 def _exact_mode(lam, theta, kappa) -> bool:
@@ -152,7 +148,11 @@ class TauSeries:
 
 def structure_constant(theta, sigma, digits: int = 50):
     """Unit-central-charge three-point weight for internal momentum sigma,
-    as a product of Barnes double-gamma values (numeric)."""
+    as a product of Barnes double-gamma values (numeric).
+
+    The tau sum never evaluates it: it takes C(lam + m) / C(lam) from
+    ``weight_ratio``, and this direct form is the reference that the
+    ratios are tested against."""
     with mp.workdps(digits):
         th0, tht, th1, thinf = [mp.mpmathify(x) for x in theta]
         s = mp.mpmathify(sigma)
@@ -163,6 +163,65 @@ def structure_constant(theta, sigma, digits: int = 50):
                 out *= mp.barnesg(1 + th1 + e * thinf + e2 * s)
         out /= mp.barnesg(1 + 2 * s) * mp.barnesg(1 - 2 * s)
         return out
+
+
+def _gamma_step(theta, s):
+    """C(s + 1) / C(s) from G(z + 1) = Gamma(z) G(z): twelve Gamma values.
+
+    Rational arguments stay exact until mpmath sees them, so a pole is
+    hit exactly.  A pole of a reciprocal Gamma gives 0; a pole of a Gamma
+    raises ValueError."""
+    th0, tht, th1, thinf = (x if isinstance(x, (int, Fraction)) else mp.mpmathify(x)
+                            for x in theta)
+    out = (mp.gamma(-2 * s) * mp.gamma(-1 - 2 * s)
+           * mp.rgamma(1 + 2 * s) * mp.rgamma(2 + 2 * s))
+    for a in (tht + th0, tht - th0, th1 + thinf, th1 - thinf):
+        out *= mp.gamma(1 + a + s) * mp.rgamma(a - s)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _up_ratio(theta: tuple, s, n: int, digits: int):
+    """C(s + n) / C(s) for n >= 0, one gamma step per unit of n.
+
+    The chain runs ten digits above the working precision, so its
+    rounding errors (a dozen per step) stay below the working ulp."""
+    with mp.workdps(digits + 10):
+        if n == 0:
+            return mp.mpf(1)
+        return _up_ratio(theta, s, n - 1, digits) * _gamma_step(theta, s + n - 1)
+
+
+def weight_ratio(theta, lam, m: int, digits: int):
+    """Weight C(lam + m) / C(lam) of shift m relative to shift 0.
+
+    Memoized per (theta, lam, m, digits), so growing the shift range
+    extends the chains instead of restarting them.  Returns 0 where a
+    Gamma pole sends the weight to zero; raises ValueError where the
+    weight is infinite or undefined (2 lam an integer, or C(lam) = 0)."""
+    if not isinstance(lam, (int, Fraction)):
+        lam = mp.mpmathify(lam)
+    # C(sigma) = C(-sigma), so shifts down are shifts up from -lam
+    s, n = (lam, m) if m >= 0 else (-lam, -m)
+    try:
+        return _up_ratio(tuple(theta), s, n, digits)
+    except ValueError:
+        raise ValueError(f"the weight of shift m={m} is infinite at "
+                         f"lambda={lam} (a Gamma pole)") from None
+
+
+@lru_cache(maxsize=256)
+def _shift_block(theta: tuple, lam, m: int, N: int, digits: int, mode: str) -> tuple:
+    """Coefficients of the four-point series with internal momentum
+    lam + m, memoized per (theta, lam, m, N, digits, mode)."""
+    th0, tht, th1, thinf = theta
+    exact = mode == "exact"
+    with mp.workdps(digits):
+        beta = lam + m if exact else mp.mpmathify(lam) + m
+        blk = sphere4_block(
+            th0 * th0, tht * tht, th1 * th1, thinf * thinf, beta * beta,
+            Fraction(1) if exact else 1, N=N, digits=digits)
+    return tuple(blk.coeffs)
 
 
 def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
@@ -179,26 +238,32 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
     the sum solve the deformation equation; 'plain' drops the weights
     (and runs exactly for rational data with kappa=None), giving the bare
     normalized-block sum.
+
+    Shifts whose Gram matrices are singular or whose weight vanishes are
+    skipped with a warning; an infinite weight raises ValueError.
     """
     digits = digits or default_digits()
     if normalization not in ("isomonodromic", "plain"):
         raise ValueError(f"unknown normalization {normalization!r}")
     exact = _exact_mode(lam, theta, kappa) and normalization == "plain"
-    th0, tht, th1, thinf = theta
+    mode = "exact" if exact else "float"
+    theta = tuple(theta)
+    weighted = normalization == "isomonodromic"
     jmax = N
     terms: dict = {}
     skipped = []
     with mp.workdps(digits):
-        base_weight = None
-        if normalization == "isomonodromic":
-            base_weight = structure_constant(theta, lam, digits)
-        for m in range(-M, M + 1):
-            beta_m = lam + m if exact else mp.mpmathify(lam) + m
-            d_beta = beta_m * beta_m
+        shifts = range(-M, M + 1)
+        # nearest shifts first, so an infinite weight is reported where
+        # its chain first breaks
+        weights = {m: weight_ratio(theta, lam, m, digits)
+                   for m in sorted(shifts, key=abs)} if weighted else {}
+        for m in shifts:
+            if weighted and weights[m] == 0:
+                skipped.append(m)
+                continue
             try:
-                blk = sphere4_block(
-                    th0 * th0, tht * tht, th1 * th1, thinf * thinf, d_beta,
-                    Fraction(1) if exact else 1, N=N, digits=digits)
+                coeffs = _shift_block(theta, lam, m, N, digits, mode)
             except GramSingularError:
                 skipped.append(m)
                 continue
@@ -208,9 +273,9 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
                 phase = Fraction(1)
             else:
                 phase = mp.exp(1j * mp.mpmathify(kappa or 0) * kappa_multiplier * m)
-                if normalization == "isomonodromic":
-                    phase *= structure_constant(theta, beta_m, digits) / base_weight
-            for k, ck in enumerate(blk.coeffs):
+                if weighted:
+                    phase *= weights[m]
+            for k, ck in enumerate(coeffs):
                 j = m * m + k
                 if j > jmax:
                     continue
@@ -225,10 +290,9 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
 
         warnings.warn(f"skipped degenerate shifts {skipped} (non-generic momentum)")
     return TauSeries(
-        lam=lam, kappa=kappa, theta=tuple(theta),
+        lam=lam, kappa=kappa, theta=theta,
         series=BiSeries(terms, jmax), M=M, N=N,
-        mode="exact" if exact else "float",
-        digits=0 if exact else digits)
+        mode=mode, digits=0 if exact else digits)
 
 
 def coefficient_difference(a: TauSeries, b: TauSeries):
@@ -309,52 +373,10 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
 
         a, b, c, d, e, f = sigma_equation_coefficients(tau.theta)
         quarter = Fraction(1, 4) if tau.mode == "exact" else mp.mpf(1) / 4
-        resid = (Z * Z * quarter + Y * (U * U) + (Y * Y) * U
-                 + a * (U * U) + b * (Y * U) + c * (Y * Y)
+        UU, YY = U * U, Y * Y
+        resid = (Z * Z * quarter + Y * UU + YY * U
+                 + a * UU + b * (Y * U) + c * YY
                  + d * Y + e * U + f * one)
         # sigma'' is exact only through j <= jmax - 2
         cutoff = (tau.series.jmax if order is None else order) - 2
         return {k: v for k, v in resid.terms.items() if k[1] <= cutoff}
-
-
-def _sigma_residual_with(tau: TauSeries, A, B, vs, order: int | None = None) -> dict:
-    """Residual of the quartic identity for explicit affine constants and
-    root parameters (the calibration entry point)."""
-    jmax = tau.series.jmax if order is None else order
-    R = tau.t_derivative_over_tau()
-    lam2 = 2 * tau.lam
-
-    def d_dt(S: BiSeries) -> BiSeries:
-        # negative integer offsets are fine: the true exponent of a term
-        # is 2 lam m + j, and only the upper truncation matters
-        out: dict = {}
-        for (m, j), v in S.terms.items():
-            w = v * (lam2 * m + j)
-            if w != 0:
-                out[(m, j - 1)] = out.get((m, j - 1), 0) + w
-        return BiSeries(out, S.jmax)
-
-    def tmul(S: BiSeries, power: int = 1) -> BiSeries:
-        return BiSeries({(m, j + power): v for (m, j), v in S.terms.items()
-                         if j + power <= S.jmax}, S.jmax)
-
-    one_v = Fraction(1) if tau.mode == "exact" else 1
-    one = BiSeries.const(one_v, jmax)
-    t = BiSeries({(0, 1): one_v}, jmax)
-
-    sigma = tmul(R) - R + A * t + B * one
-    sp = d_dt(sigma)
-    spp = d_dt(sp)
-
-    v1, v2, v3, v4 = vs
-    prod4 = v1 * v2 * v3 * v4
-    # sigma' (t(1-t) sigma'')^2 + [sigma'(2 sigma - (2t-1) sigma') + v1v2v3v4]^2
-    #   - prod_i (sigma' + vi^2) = 0
-    w = tmul(spp) - tmul(spp, 2)
-    lhs1 = sp * (w * w)
-    inner = sp * (2 * sigma - (tmul(sp, 1) * 2 - sp)) + prod4 * one
-    lhs2 = inner * inner
-    rhs = (sp + v1 * v1 * one) * (sp + v2 * v2 * one) \
-        * (sp + v3 * v3 * one) * (sp + v4 * v4 * one)
-    resid = lhs1 + lhs2 - rhs
-    return dict(resid.terms)

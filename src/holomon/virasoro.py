@@ -118,8 +118,14 @@ class VermaModule:
         return state.get((), 0)
 
     def gram(self, level: int) -> list:
+        """Level Gram matrix; the pairing is symmetric, so each entry
+        above the diagonal is computed once and mirrored."""
         basis = partitions(level)
-        return [[self.pairing(lam, mu) for mu in basis] for lam in basis]
+        G = [[0] * len(basis) for _ in basis]
+        for i, lam in enumerate(basis):
+            for j in range(i, len(basis)):
+                G[i][j] = G[j][i] = self.pairing(lam, basis[j])
+        return G
 
 
 class GramSingularError(ValueError):

@@ -113,6 +113,14 @@ class TestVerifyCommands:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("b2", ["0", "0/5", "abc", "1/0"])
+    def test_bpz_bad_b2_exits_2(self, runner, b2):
+        r = runner.invoke(main, ["verify", "bpz", "--b2", b2, "--order", "2"])
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
+        assert r.output.startswith("error: --b2") and r.output.count("\n") == 1
+
+
 class TestSeriesCommands:
     def test_block_sphere4(self, runner):
         r = runner.invoke(main, ["block", "sphere4", "--weights",
@@ -131,6 +139,21 @@ class TestSeriesCommands:
         assert r.exit_code == 0
         assert "residual" in r.output
         assert out.exists()
+
+    @pytest.mark.parametrize("lam", ["0", "1/2"])
+    def test_tau_infinite_weight_exits_2(self, runner, lam):
+        r = runner.invoke(main, ["tau", "--lam", lam, "--kappa", "13/10",
+                                 "--order", "2", "--shifts", "1"])
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
+        assert r.output.startswith("error: ") and r.output.count("\n") == 1
+        assert f"lambda={lam}" in r.output
+
+    @pytest.mark.parametrize("opt", ["--shifts", "--order"])
+    def test_tau_negative_sizes_exit_2(self, runner, opt):
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10", opt, "-1"])
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
 
     def test_report_rerender(self, runner, tmp_path):
         out = tmp_path / "rep.json"

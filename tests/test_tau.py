@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from holomon import tau as tau_module
 from holomon.tau import (
     BiSeries,
     coefficient_difference,
@@ -11,9 +12,26 @@ from holomon.tau import (
     sigma_pvi_residual,
     structure_constant,
     tau_series,
+    weight_ratio,
 )
 
 THETA = (F(1, 4), F(2, 9), F(4, 13), F(3, 8))
+
+
+def _clear_memo():
+    tau_module._shift_block.cache_clear()
+    tau_module._up_ratio.cache_clear()
+
+
+def _double_loop(a: BiSeries, b: BiSeries) -> dict:
+    jmax = min(a.jmax, b.jmax)
+    out: dict = {}
+    for (m1, j1), v1 in a.terms.items():
+        for (m2, j2), v2 in b.terms.items():
+            if j1 + j2 <= jmax:
+                k = (m1 + m2, j1 + j2)
+                out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v != 0}
 
 
 class TestBiSeries:
@@ -38,6 +56,24 @@ class TestBiSeries:
     def test_inverse_needs_unit(self):
         with pytest.raises(ZeroDivisionError):
             BiSeries({(1, 1): F(1)}, jmax=3).inverse()
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_product_matches_double_loop(self, numeric):
+        rng = random.Random(7)
+
+        def draw():
+            terms = {}
+            for _ in range(12):
+                # j down to -1, as after a t-derivative
+                key = (rng.randint(-3, 3), rng.randint(-1, 6))
+                v = F(rng.randint(-4, 4), rng.randint(1, 3))
+                terms[key] = mp.mpc(mp.mpmathify(v), rng.randint(-2, 2)) if numeric else v
+            return BiSeries(terms, jmax=rng.randint(3, 6))
+
+        with mp.workdps(30):
+            for _ in range(30):
+                a, b = draw(), draw()
+                assert (a * b).terms == _double_loop(a, b)
 
 
 class TestTauSeries:
@@ -75,6 +111,56 @@ class TestTauSeries:
         b = structure_constant(flipped, F(3, 8), digits=30)
         with mp.workdps(30):
             assert abs(a - b) < 1e-25
+
+
+class TestWeightChain:
+    def test_matches_barnes_form(self):
+        rng = random.Random(31)
+        cases = [(THETA, F(3, 8))] + [
+            (tuple(F(rng.randint(1, 9), rng.randint(10, 29)) for _ in range(4)),
+             F(rng.randint(8, 17), 40)) for _ in range(3)]
+        with mp.workdps(50):
+            for theta, lam in cases:
+                base = structure_constant(theta, lam, digits=50)
+                for m in range(-4, 5):
+                    want = structure_constant(theta, lam + m, digits=50) / base
+                    got = weight_ratio(theta, lam, m, 50)
+                    assert abs(got / want - 1) <= 1e-45, (theta, lam, m)
+
+    def test_zero_weight_shift_skipped(self):
+        # lam = tht + th0 puts G(0) = 0 into C(lam + m) for every m >= 1
+        lam = THETA[1] + THETA[0]
+        assert weight_ratio(THETA, lam, 1, 30) == 0
+        with pytest.warns(UserWarning, match=r"\[1, 2\]"):
+            ts = tau_series(THETA, lam, F(7, 10), N=4, M=2, digits=30)
+        assert {m for (m, _) in ts.series.terms} == {-2, -1, 0}
+
+    @pytest.mark.parametrize("lam", [F(0), F(1, 2), F(1), F(-3, 2)])
+    def test_infinite_weight_raises(self, lam):
+        with pytest.raises(ValueError, match=f"shift m=-?1 .* lambda={lam}"):
+            tau_series(THETA, lam, F(7, 10), N=2, M=2, digits=30)
+
+
+class TestShiftMemo:
+    def test_keyed_by_precision(self):
+        args = (THETA, F(3, 8), F(7, 10))
+        _clear_memo()
+        tau_series(*args, N=4, M=2, digits=30)
+        after = tau_series(*args, N=4, M=2, digits=50)
+        _clear_memo()
+        fresh = tau_series(*args, N=4, M=2, digits=50)
+        assert after.series.terms == fresh.series.terms
+
+    def test_more_shifts_reuse_the_smaller_sum(self):
+        args = (THETA, F(3, 8), F(7, 10))
+        _clear_memo()
+        tau_series(*args, N=6, M=3, digits=50)
+        grown = tau_series(*args, N=6, M=4, digits=50)
+        info = tau_module._shift_block.cache_info()
+        assert (info.hits, info.misses) == (7, 9)
+        _clear_memo()
+        fresh = tau_series(*args, N=6, M=4, digits=50)
+        assert grown.series.terms == fresh.series.terms
 
 
 class TestSigmaEquation:

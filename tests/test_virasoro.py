@@ -57,6 +57,22 @@ class TestVerma:
         # cross-level pairings vanish
         assert V.pairing((2,), (1, 1, 1)) == 0
 
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_gram_equals_full_pairing_matrix(self, numeric):
+        with mp.workdps(50):
+            V = VermaModule(mp.mpf(3) / 7, mp.mpf(1)) if numeric \
+                else VermaModule(F(3, 7), F(1))
+            for k in range(7):
+                basis = partitions(k)
+                G = V.gram(k)
+                for i, lam in enumerate(basis):
+                    for j, mu in enumerate(basis):
+                        full = V.pairing(lam, mu)
+                        if i <= j or not numeric:
+                            assert G[i][j] == full
+                        else:  # mirrored: the pairing rounds in another order
+                            assert abs(G[i][j] - full) <= 1e-45 * abs(full)
+
     def test_level0(self):
         V = VermaModule(F(1, 2), F(1))
         assert V.gram(0) == [[1]]
