@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import blocks, holonomy, pantsrep, qmutation, qtorus, tau, virasoro
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, LaurentRational
 from .reference import (
     LOOP_BRACKET_CONSTANT,
     boundary_names,
@@ -117,22 +117,19 @@ def mutation_checks(surfaces=("c11", "c04")) -> Report:
             E = tri.n_edges
             for e in range(E):
                 n2 = exchange_matrix(flip(tri, e))
+                inner = [holonomy.mutate_coordinate(n, e, i) for i in range(E)]
+
+                def ev(p):
+                    total = LaurentRational.from_const(E, 0)
+                    for exps, c in p.terms.items():
+                        term = LaurentRational.from_const(E, c)
+                        for i, d2 in enumerate(exps):
+                            term = term * inner[i] ** (d2 // 2)
+                        total = total + term
+                    return total
+
                 for target in range(E):
                     outer = holonomy.mutate_coordinate(n2, e, target)
-
-                    def ev(p):
-                        from .laurent import LaurentRational
-
-                        total = LaurentRational.from_const(E, 0)
-                        for exps, c in p.terms.items():
-                            term = LaurentRational.from_const(E, c)
-                            for i, d2 in enumerate(exps):
-                                term = term * holonomy.mutate_coordinate(n, e, i) ** (d2 // 2)
-                            total = total + term
-                        return total
-
-                    from .laurent import LaurentRational
-
                     composed = ev(outer.num) / ev(outer.den)
                     if composed != LaurentRational(LaurentPoly.variable(E, target)):
                         return False, f"edge {e} target {target}"

@@ -1,9 +1,10 @@
-"""Exact coefficients for the quantum torus: rational functions of s.
+"""Exact coefficients for the quantum torus: Laurent polynomials in s.
 
 The single formal variable s carries a quarter power of the deformation
 parameter, q = s^4; half-integer exponent pairings then land on integer
-powers of s, so every printed coefficient is an exact Laurent polynomial
-and inverses stay inside one rational-function field over Q.
+powers of s.  Every coefficient the Weyl product and quantum mutation
+build is a Laurent polynomial in s, so the coefficients form a ring and
+nothing divides by them.
 """
 
 from __future__ import annotations
@@ -12,213 +13,81 @@ from fractions import Fraction
 
 
 class SPoly:
-    """Sparse univariate Laurent polynomial in s over Q."""
+    """Sparse univariate Laurent polynomial in s.
+
+    Coefficients are kept as given: rationals for coefficients of the
+    torus, or SPolys themselves when quantum mutation uses an SPoly as a
+    polynomial in X_e over the s-coefficients.  Zero terms are dropped by
+    truthiness.  int and Fraction operands act as constants.
+    """
 
     __slots__ = ("c",)
 
     def __init__(self, c: dict | None = None):
-        self.c = {int(k): Fraction(v) for k, v in (c or {}).items() if v != 0}
+        self.c = {int(k): v for k, v in (c or {}).items() if v}
 
     @classmethod
     def const(cls, v) -> "SPoly":
-        return cls({0: Fraction(v)})
+        return cls({0: v})
+
+    @classmethod
+    def one(cls) -> "SPoly":
+        return cls({0: 1})
 
     @classmethod
     def s_power(cls, k: int, coeff=1) -> "SPoly":
-        return cls({k: Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __add__(self, o):
-        out = dict(self.c)
-        for k, v in o.c.items():
-            w = out.get(k, Fraction(0)) + v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return SPoly(out)
-
-    def __neg__(self):
-        return SPoly({k: -v for k, v in self.c.items()})
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        out: dict = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in o.c.items():
-                k = k1 + k2
-                w = out.get(k, Fraction(0)) + v1 * v2
-                if w == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = w
-        return SPoly(out)
-
-    def __eq__(self, o):
-        return isinstance(o, SPoly) and self.c == o.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def min_exp(self) -> int:
-        return min(self.c) if self.c else 0
-
-    def max_exp(self) -> int:
-        return max(self.c) if self.c else 0
-
-    def shifted(self, k: int) -> "SPoly":
-        return SPoly({e + k: v for e, v in self.c.items()})
-
-    def conj(self) -> "SPoly":
-        """Substitute s -> 1/s."""
-        return SPoly({-e: v for e, v in self.c.items()})
-
-    def at_one(self) -> Fraction:
-        return sum(self.c.values(), Fraction(0))
-
-    def evaluate(self, s):
-        total = 0
-        for e, v in self.c.items():
-            total = total + (s ** e) * v.numerator / v.denominator
-        return total
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(f"{v}*s^{e}" if e else f"{v}" for e, v in sorted(self.c.items()))
-
-
-def _divmod_poly(a: SPoly, b: SPoly):
-    """Polynomial divmod for non-negative-exponent SPolys."""
-    r = dict(a.c)
-    q: dict = {}
-    db = b.max_exp()
-    lb = b.c[db]
-    while r and max(r) >= db:
-        da = max(r)
-        f = r[da] / lb
-        q[da - db] = f
-        for e, v in b.c.items():
-            k = da - db + e
-            w = r.get(k, Fraction(0)) - f * v
-            if w == 0:
-                r.pop(k, None)
-            else:
-                r[k] = w
-    return SPoly(q), SPoly(r)
-
-
-def _gcd_poly(a: SPoly, b: SPoly) -> SPoly:
-    while not b.is_zero():
-        _, r = _divmod_poly(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return SPoly.const(1)
-    return SPoly({e: v / a.c[a.max_exp()] for e, v in a.c.items()})
-
-
-class QCoeff:
-    """Reduced fraction of SPolys; the denominator is a true polynomial with
-    nonzero constant term and leading coefficient 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: SPoly, den: SPoly | None = None):
-        if den is None:
-            den = SPoly.const(1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in QCoeff")
-        if num.is_zero():
-            self.num, self.den = SPoly(), SPoly.const(1)
-            return
-        # drop s-power units into the numerator
-        shift = den.min_exp()
-        den = den.shifted(-shift)
-        num = num.shifted(-shift)
-        g = _gcd_poly(den, num.shifted(-num.min_exp()))
-        if g.max_exp() > 0:
-            nshift = num.min_exp()
-            num, _ = _divmod_poly(num.shifted(-nshift), g)
-            num = num.shifted(nshift)
-            den, _ = _divmod_poly(den, g)
-        lead = den.c[den.max_exp()]
-        if lead != 1:
-            num = SPoly({e: v / lead for e, v in num.c.items()})
-            den = SPoly({e: v / lead for e, v in den.c.items()})
-        self.num, self.den = num, den
-
-    # -- constructors --------------------------------------------------
+        return cls({k: coeff})
 
     @classmethod
-    def zero(cls) -> "QCoeff":
-        return cls(SPoly())
-
-    @classmethod
-    def one(cls) -> "QCoeff":
-        return cls(SPoly.const(1))
-
-    @classmethod
-    def const(cls, v) -> "QCoeff":
-        return cls(SPoly.const(v))
-
-    @classmethod
-    def s_power(cls, k: int, coeff=1) -> "QCoeff":
-        return cls(SPoly.s_power(k, coeff))
-
-    @classmethod
-    def q_power(cls, j) -> "QCoeff":
+    def q_power(cls, j) -> "SPoly":
         """q^j for j in (1/4)Z, i.e. s^(4j)."""
         k = Fraction(j) * 4
         if k.denominator != 1:
             raise ValueError(f"q^{j} is not a power of s")
         return cls.s_power(int(k))
 
-    # -- arithmetic -----------------------------------------------------
+    def __bool__(self):
+        return bool(self.c)
 
-    def _c(self, o) -> "QCoeff":
-        if isinstance(o, QCoeff):
+    def _c(self, o) -> "SPoly":
+        if isinstance(o, SPoly):
             return o
         if isinstance(o, (int, Fraction)):
-            return QCoeff.const(o)
-        raise TypeError(f"cannot coerce {type(o).__name__} to QCoeff")
+            return SPoly.const(o)
+        raise TypeError(f"cannot coerce {type(o).__name__} to SPoly")
 
     def __add__(self, o):
-        o = self._c(o)
-        return QCoeff(self.num * o.den + o.num * self.den, self.den * o.den)
+        out = dict(self.c)
+        for k, v in self._c(o).c.items():
+            out[k] = out[k] + v if k in out else v
+        return SPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QCoeff(-self.num, self.den)
+        return SPoly({k: -v for k, v in self.c.items()})
 
     def __sub__(self, o):
         return self + (-self._c(o))
 
     def __rsub__(self, o):
-        return (-self) + self._c(o)
+        return (-self) + o
 
     def __mul__(self, o):
         o = self._c(o)
-        return QCoeff(self.num * o.num, self.den * o.den)
+        out: dict = {}
+        for k1, v1 in self.c.items():
+            for k2, v2 in o.c.items():
+                k = k1 + k2
+                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
+        return SPoly(out)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QCoeff":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero QCoeff")
-        return QCoeff(self.den, self.num)
-
-    def __truediv__(self, o):
-        return self * self._c(o).inverse()
-
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
-        out = QCoeff.one()
+            raise ValueError("negative power of an SPoly")
+        out = SPoly.one()
         base = self
         while k:
             if k & 1:
@@ -232,40 +101,31 @@ class QCoeff:
             o = self._c(o)
         except TypeError:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.c == o.c
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(frozenset(self.c.items()))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    def conj(self) -> "SPoly":
+        """Substitute s -> 1/s."""
+        return SPoly({-e: v for e, v in self.c.items()})
 
-    def conj(self) -> "QCoeff":
-        """The involution s -> 1/s."""
-        return QCoeff(self.num.conj(), self.den.conj())
-
-    def at_one(self) -> Fraction:
+    def at_one(self):
         """Classical specialization s -> 1."""
-        d = self.den.at_one()
-        if d == 0:
-            raise ZeroDivisionError("pole at s = 1")
-        return self.num.at_one() / d
-
-    def evaluate(self, s):
-        return self.num.evaluate(s) / self.den.evaluate(s)
+        return sum(self.c.values(), Fraction(0))
 
     def __repr__(self):
-        if self.den == SPoly.const(1):
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+        if not self.c:
+            return "0"
+        return " + ".join(f"{v}*s^{e}" if e else f"{v}" for e, v in sorted(self.c.items()))
 
 
 # frequently used values
-def q_int_bracket(k: int) -> QCoeff:
+def q_int_bracket(k: int) -> SPoly:
     """q^k - q^-k as an exact coefficient."""
-    return QCoeff.s_power(4 * k) - QCoeff.s_power(-4 * k)
+    return SPoly.s_power(4 * k) - SPoly.s_power(-4 * k)
 
 
-def two_cos_pi_b2() -> QCoeff:
+def two_cos_pi_b2() -> SPoly:
     """q + 1/q, the exact stand-in for 2 cos(pi b^2)."""
-    return QCoeff.s_power(4) + QCoeff.s_power(-4)
+    return SPoly.s_power(4) + SPoly.s_power(-4)

@@ -1,7 +1,8 @@
 """Quantum cluster mutation in its restricted normal form.
 
 Images of coordinate mutation are kept as c(s) * (Weyl monomial) * R(X_e)
-with R a rational function of the single flipped variable.  Moving R past
+with R a rational function of the single flipped variable: a quotient of
+SPolys in X_e whose coefficients are SPolys in s.  Moving R past
 a Weyl monomial only rescales its argument by an integer power of q, so
 this form is closed under the products needed to verify the flipped
 commutation relations and the double-flip identity; no general skew-field
@@ -10,102 +11,39 @@ arithmetic is required.
 
 from __future__ import annotations
 
-from .qcoeff import QCoeff
+from .qcoeff import SPoly
 from .surfaces import mutate_exchange_matrix
 
 
-class XPoly:
-    """Laurent polynomial in one variable with QCoeff coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: dict | None = None):
-        clean = {}
-        for k, v in (c or {}).items():
-            if not isinstance(v, QCoeff):
-                v = QCoeff.const(v)
-            if not v.is_zero():
-                clean[int(k)] = v
-        self.c = clean
-
-    @classmethod
-    def const(cls, v) -> "XPoly":
-        return cls({0: v})
-
-    @classmethod
-    def x_power(cls, k: int, coeff=None) -> "XPoly":
-        return cls({k: coeff if coeff is not None else QCoeff.one()})
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __add__(self, o):
-        out = dict(self.c)
-        for k, v in o.c.items():
-            s = out.get(k, QCoeff.zero()) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return XPoly(out)
-
-    def __mul__(self, o):
-        if isinstance(o, QCoeff):
-            return XPoly({k: v * o for k, v in self.c.items()})
-        out: dict = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in o.c.items():
-                k = k1 + k2
-                s = out.get(k, QCoeff.zero()) + v1 * v2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return XPoly(out)
-
-    def __eq__(self, o):
-        return isinstance(o, XPoly) and self.c == o.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def scale_arg(self, s_exp: int) -> "XPoly":
-        """Substitute X -> s^(s_exp) X."""
-        return XPoly({k: v * QCoeff.s_power(s_exp * k) for k, v in self.c.items()})
-
-    def subst_inverse_arg(self) -> "XPoly":
-        """Substitute X -> X^(-1)."""
-        return XPoly({-k: v for k, v in self.c.items()})
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(f"({v!r})*X^{k}" for k, v in sorted(self.c.items()))
+def _scale_arg(p: SPoly, s_exp: int) -> SPoly:
+    """Substitute X -> s^(s_exp) X in a polynomial in X."""
+    return SPoly({k: v * SPoly.s_power(s_exp * k) for k, v in p.c.items()})
 
 
 class XRat:
-    """Quotient of XPolys; equality decided by cross-multiplication."""
+    """Quotient of polynomials in X_e; equality decided by cross-multiplication."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: XPoly, den: XPoly | None = None):
+    def __init__(self, num: SPoly, den: SPoly | None = None):
         if den is None:
-            den = XPoly.const(QCoeff.one())
-        if den.is_zero():
+            den = SPoly.const(SPoly.one())
+        if not den:
             raise ZeroDivisionError("zero denominator in XRat")
         self.num, self.den = num, den
 
     @classmethod
     def one(cls) -> "XRat":
-        return cls(XPoly.const(QCoeff.one()))
+        return cls(SPoly.const(SPoly.one()))
 
     def __mul__(self, o):
-        if isinstance(o, QCoeff):
-            return XRat(self.num * o, self.den)
+        if isinstance(o, SPoly):
+            # a coefficient in s, constant in X_e
+            return XRat(self.num * SPoly.const(o), self.den)
         return XRat(self.num * o.num, self.den * o.den)
 
     def inverse(self) -> "XRat":
-        if self.num.is_zero():
+        if not self.num:
             raise ZeroDivisionError("inverse of zero XRat")
         return XRat(self.den, self.num)
 
@@ -118,10 +56,12 @@ class XRat:
         raise TypeError("XRat is unhashable")
 
     def scale_arg(self, s_exp: int) -> "XRat":
-        return XRat(self.num.scale_arg(s_exp), self.den.scale_arg(s_exp))
+        """Substitute X -> s^(s_exp) X."""
+        return XRat(_scale_arg(self.num, s_exp), _scale_arg(self.den, s_exp))
 
-    def subst_inverse_arg(self) -> "XRat":
-        return XRat(self.num.subst_inverse_arg(), self.den.subst_inverse_arg())
+    def conj(self) -> "XRat":
+        """Substitute X -> X^(-1)."""
+        return XRat(self.num.conj(), self.den.conj())
 
     def is_one(self) -> bool:
         return self.num == self.den
@@ -135,7 +75,7 @@ class QMutationImage:
 
     __slots__ = ("context", "e", "coeff", "mono", "rat")
 
-    def __init__(self, context, e: int, coeff: QCoeff, mono, rat: XRat):
+    def __init__(self, context, e: int, coeff: SPoly, mono, rat: XRat):
         self.context = tuple(tuple(row) for row in context)
         self.e = e
         self.coeff = coeff
@@ -165,12 +105,12 @@ class QMutationImage:
         moved = self.rat.scale_arg(-4 * self._weight(other.mono))
         return QMutationImage(
             self.context, self.e,
-            self.coeff * other.coeff * QCoeff.s_power(s_pair),
+            self.coeff * other.coeff * SPoly.s_power(s_pair),
             mono,
             moved * other.rat,
         )
 
-    def scaled(self, c: QCoeff) -> "QMutationImage":
+    def scaled(self, c: SPoly) -> "QMutationImage":
         return QMutationImage(self.context, self.e, self.coeff * c, self.mono, self.rat)
 
     def __eq__(self, other):
@@ -203,19 +143,19 @@ def quantum_mutation(n, e: int, target: int) -> QMutationImage:
     if target == e:
         mono = [0] * E
         mono[e] = -2
-        return QMutationImage(n, e, QCoeff.one(), mono, XRat.one())
+        return QMutationImage(n, e, SPoly.one(), mono, XRat.one())
     k = n[target][e]
     mono = [0] * E
     mono[target] = 2
     if k == 0:
-        return QMutationImage(n, e, QCoeff.one(), mono, XRat.one())
+        return QMutationImage(n, e, SPoly.one(), mono, XRat.one())
     sgn = 1 if k > 0 else -1
     rat = XRat.one()
     for a in range(1, abs(k) + 1):
-        factor = XPoly({0: QCoeff.one(), -sgn: QCoeff.s_power(4 * (2 * a - 1))})
+        factor = SPoly({0: SPoly.one(), -sgn: SPoly.s_power(4 * (2 * a - 1))})
         fr = XRat(factor)
         rat = rat * (fr.inverse() if sgn > 0 else fr)
-    return QMutationImage(n, e, QCoeff.one(), mono, rat)
+    return QMutationImage(n, e, SPoly.one(), mono, rat)
 
 
 def verify_q_mutation_relations(n, e: int) -> dict:
@@ -228,7 +168,7 @@ def verify_q_mutation_relations(n, e: int) -> dict:
     for a in range(E):
         for b in range(E):
             lhs = images[a] * images[b]
-            rhs = (images[b] * images[a]).scaled(QCoeff.s_power(8 * n2[a][b]))
+            rhs = (images[b] * images[a]).scaled(SPoly.s_power(8 * n2[a][b]))
             report[(a, b)] = lhs == rhs
     return report
 
@@ -241,14 +181,19 @@ def double_mutation_is_identity(n, e: int) -> bool:
     first = [quantum_mutation(n, e, t) for t in range(E)]
     for target in range(E):
         second = quantum_mutation(n2, e, target)
+        # X''_t = c'' :X'^d'': R''(X'_e) with X'_e = first[e] = X_e^(-1)
+        dressing = second.rat.conj()
         if target == e:
-            # (X'_e)^(-1) = X_e directly
+            # :X'^d'': must be a power k of X'_e, which maps to first[e]^k
+            k = second.mono[e] // 2
+            if second.mono != tuple(2 * k if a == e else 0 for a in range(E)):
+                return False
             composed = QMutationImage(
-                n, e, QCoeff.one(),
-                tuple(2 if a == e else 0 for a in range(E)), XRat.one())
+                n, e, second.coeff, tuple(k * x for x in first[e].mono), dressing)
         else:
-            # X''_t = X'_t * R'(X'_e) with X'_e = X_e^(-1)
-            dressing = second.rat.subst_inverse_arg()
+            # :X'^d'': must be X'_t, which maps to first[target]
+            if second.mono != tuple(2 if a == target else 0 for a in range(E)):
+                return False
             base = first[target]
             composed = QMutationImage(
                 n, e, base.coeff * second.coeff, base.mono, base.rat * dressing)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .qcoeff import QCoeff, q_int_bracket, two_cos_pi_b2
+from .qcoeff import SPoly, q_int_bracket, two_cos_pi_b2
 
 
 def _pairing_s_exponent(d1, d2, n) -> int:
@@ -29,7 +29,7 @@ def _pairing_s_exponent(d1, d2, n) -> int:
 
 
 class QuantumTorusElement:
-    """Finite QCoeff-combination of Weyl-ordered monomials."""
+    """Finite SPoly-combination of Weyl-ordered monomials."""
 
     __slots__ = ("context", "terms")
 
@@ -37,9 +37,9 @@ class QuantumTorusElement:
         self.context = tuple(tuple(row) for row in context)
         clean = {}
         for d, c in (terms or {}).items():
-            if not isinstance(c, QCoeff):
-                c = QCoeff.const(c)
-            if not c.is_zero():
+            if not isinstance(c, SPoly):
+                c = SPoly.const(c)
+            if c:
                 clean[tuple(int(x) for x in d)] = c
         self.terms = clean
 
@@ -60,7 +60,7 @@ class QuantumTorusElement:
 
     @classmethod
     def monomial(cls, context, d, coeff=None) -> "QuantumTorusElement":
-        return cls(context, {tuple(d): coeff if coeff is not None else QCoeff.one()})
+        return cls(context, {tuple(d): coeff if coeff is not None else SPoly.one()})
 
     @classmethod
     def generator(cls, context, i: int, power2: int = 2) -> "QuantumTorusElement":
@@ -77,16 +77,12 @@ class QuantumTorusElement:
             raise ValueError("quantum torus context mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QCoeff)):
+        if isinstance(other, (int, Fraction, SPoly)):
             other = QuantumTorusElement.const(self.context, other)
         self._check(other)
         out = dict(self.terms)
         for d, c in other.terms.items():
-            s = out.get(d, QCoeff.zero()) + c
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
+            out[d] = out[d] + c if d in out else c
         return QuantumTorusElement(self.context, out)
 
     __radd__ = __add__
@@ -95,12 +91,12 @@ class QuantumTorusElement:
         return QuantumTorusElement(self.context, {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QCoeff)):
+        if isinstance(other, (int, Fraction, SPoly)):
             other = QuantumTorusElement.const(self.context, other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QCoeff)):
+        if isinstance(other, (int, Fraction, SPoly)):
             return QuantumTorusElement(
                 self.context, {d: c * other for d, c in self.terms.items()})
         self._check(other)
@@ -110,21 +106,17 @@ class QuantumTorusElement:
             for d2, c2 in other.terms.items():
                 k = _pairing_s_exponent(d1, d2, n)
                 d = tuple(a + b for a, b in zip(d1, d2))
-                c = c1 * c2 * QCoeff.s_power(k)
-                s = out.get(d, QCoeff.zero()) + c
-                if s.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = s
+                c = c1 * c2 * SPoly.s_power(k)
+                out[d] = out[d] + c if d in out else c
         return QuantumTorusElement(self.context, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QCoeff)):
+        if isinstance(other, (int, Fraction, SPoly)):
             return self * other
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QCoeff)):
+        if isinstance(other, (int, Fraction, SPoly)):
             other = QuantumTorusElement.const(self.context, other)
         if not isinstance(other, QuantumTorusElement):
             return NotImplemented
@@ -139,7 +131,7 @@ class QuantumTorusElement:
     def commutator_ratio_holds(self, other, power: int) -> bool:
         """True when self * other == q^power * other * self."""
         lhs = self * other
-        rhs = (other * self) * QCoeff.q_power(power)
+        rhs = (other * self) * SPoly.q_power(power)
         return lhs == rhs
 
     # -- structure maps -----------------------------------------------------
@@ -172,16 +164,12 @@ class QuantumTorusElement:
         return " + ".join(bits)
 
 
-def weyl_product(a: QuantumTorusElement, b: QuantumTorusElement) -> QuantumTorusElement:
-    return a * b
-
-
 def quantize_trace(p: LaurentPoly, n) -> QuantumTorusElement:
     """Coefficient-preserving Weyl quantization of a classical trace
     polynomial: each monomial goes to its Weyl-ordered counterpart."""
     if p.nvars != len(n):
         raise ValueError("matrix size does not match variable count")
-    return QuantumTorusElement(n, {d: QCoeff.const(c) for d, c in p.terms.items()})
+    return QuantumTorusElement(n, dict(p.terms))
 
 
 def q_relation(kind: str, degree: int, operands: dict, conj: bool = False) -> QuantumTorusElement:
@@ -195,10 +183,10 @@ def q_relation(kind: str, degree: int, operands: dict, conj: bool = False) -> Qu
     involution on the identity.
     """
     C = lambda x: x.conj() if conj else x
-    q1 = C(QCoeff.s_power(4))     # q
-    qm1 = C(QCoeff.s_power(-4))   # 1/q
-    qh = C(QCoeff.s_power(2))     # q^(1/2)
-    qmh = C(QCoeff.s_power(-2))
+    q1 = C(SPoly.s_power(4))    # q
+    qm1 = C(SPoly.s_power(-4))  # 1/q
+    qh = C(SPoly.s_power(2))    # q^(1/2)
+    qmh = C(SPoly.s_power(-2))
     s, t, u = operands["s"], operands["t"], operands["u"]
     if kind == "c11":
         L0 = operands["L0"]
@@ -259,12 +247,7 @@ def find_simple_triangulation(kind: str, tri, walks: dict, depth: int = 2):
             if relations_hold(kind, cur, cur_walks):
                 return cur, cur_walks, path
             for e in flippable_edges(cur):
-                try:
-                    carried = {
-                        k: find_covariant_walk(cur, e, w) for k, w in cur_walks.items()
-                    }
-                except Exception:
-                    continue
+                carried = {k: find_covariant_walk(cur, e, w) for k, w in cur_walks.items()}
                 if any(w is None for w in carried.values()):
                     continue
                 nxt = flip(cur, e)
@@ -283,13 +266,15 @@ def commutator_classical_limit(a: QuantumTorusElement,
                                b: QuantumTorusElement) -> LaurentPoly:
     """(a b - b a) / (q - 1/q) specialized to s -> 1.
 
-    This is the classical bracket the deformation came from; dividing the
-    commutator coefficients by s^4 - s^-4 stays exact in the coefficient
-    field, so the limit is computed without any epsilon games.
+    This is the classical bracket the deformation came from.  Each
+    commutator coefficient c(s) vanishes at s = 1, where the product is
+    commutative, and so does q - 1/q = s^4 - s^-4, whose derivative there
+    is 8.  The limit is therefore c'(1)/8 by L'Hopital, exact and without
+    any division of polynomials: s^4 - s^-4 need not divide c(s) in the
+    Laurent ring (on c11 one coefficient is s^2 - s^-2).
     """
     comm = a * b - b * a
-    divisor = QCoeff.s_power(4) - QCoeff.s_power(-4)
     out = {}
     for d, c in comm.terms.items():
-        out[d] = (c / divisor).at_one()
+        out[d] = Fraction(sum(k * v for k, v in c.c.items())) / 8
     return LaurentPoly(a.nvars, out)

@@ -486,12 +486,6 @@ class CurvePath:
             raise ValueError("walk does not close up")
         return out
 
-    def edge_multiplicities(self, n_edges: int) -> list:
-        m = [0] * n_edges
-        for e, _ in self.steps:
-            m[e] += 1
-        return m
-
     def __repr__(self):
         body = ",".join(f"{e}{t}" for e, t in self.steps)
         return f"CurvePath[{body}; start={self.start}]"

@@ -2,10 +2,10 @@ import pytest
 
 from holomon.holonomy import mutate_coordinate
 from holomon.laurent import LaurentPoly, LaurentRational
-from holomon.qcoeff import QCoeff
+from holomon import qmutation
+from holomon.qcoeff import SPoly
 from holomon.qmutation import (
     QMutationImage,
-    XPoly,
     XRat,
     double_mutation_is_identity,
     quantum_mutation,
@@ -23,7 +23,7 @@ class TestImages:
         n = _n("c11")
         img = quantum_mutation(n, 0, 0)
         assert img.mono == (-2, 0, 0)
-        assert img.rat.is_one() and img.coeff == QCoeff.one()
+        assert img.rat.is_one() and img.coeff == SPoly.one()
 
     def test_zero_coupling_identity_image(self):
         n = _n("c04")
@@ -36,9 +36,9 @@ class TestImages:
         n = _n("c11")
         assert n[1][0] == -2
         img = quantum_mutation(n, 0, 1)
-        want = XPoly({0: QCoeff.one()})
+        want = SPoly({0: SPoly.one()})
         for a in (1, 2):
-            want = want * XPoly({0: QCoeff.one(), 1: QCoeff.s_power(4 * (2 * a - 1))})
+            want = want * SPoly({0: SPoly.one(), 1: SPoly.s_power(4 * (2 * a - 1))})
         assert img.rat == XRat(want)
 
     def test_classical_limit_matches_classical_mutation(self):
@@ -55,7 +55,7 @@ class TestImages:
 def _classical_of_image(img: QMutationImage, e: int) -> LaurentRational:
     E = len(img.context)
 
-    def xpoly_to_laurent(xp: XPoly) -> LaurentPoly:
+    def xpoly_to_laurent(xp: SPoly) -> LaurentPoly:
         out = LaurentPoly.zero(E)
         for k, c in xp.c.items():
             exps = [0] * E
@@ -89,8 +89,8 @@ class TestFlippedRelations:
         images = [quantum_mutation(n, 0, t) for t in range(3)]
         a, b = 1, 2
         lhs = images[a] * images[b]
-        wrong = (images[b] * images[a]).scaled(QCoeff.s_power(8 * n[a][b]))
-        right = (images[b] * images[a]).scaled(QCoeff.s_power(8 * n2[a][b]))
+        wrong = (images[b] * images[a]).scaled(SPoly.s_power(8 * n[a][b]))
+        right = (images[b] * images[a]).scaled(SPoly.s_power(8 * n2[a][b]))
         assert lhs == right and lhs != wrong
 
 
@@ -100,3 +100,24 @@ class TestDoubleMutation:
         n = _n(name)
         for e in range(len(n)):
             assert double_mutation_is_identity(n, e)
+
+    @pytest.mark.parametrize("wrong", [
+        lambda img: img.scaled(img.coeff * 2),
+        lambda img: QMutationImage(img.context, img.e, img.coeff,
+                                   tuple(-x for x in img.mono), img.rat),
+    ], ids=["coefficient", "monomial"])
+    @pytest.mark.parametrize("target", [0, 1], ids=["flipped-edge", "other-generator"])
+    def test_detects_wrong_second_image(self, monkeypatch, wrong, target):
+        # the second mutation's image is composed with the first, not assumed
+        n = _n("c11")
+        e = 0
+        n2 = tuple(tuple(row) for row in mutate_exchange_matrix(n, e))
+        assert n2 != tuple(tuple(row) for row in n)
+        real = qmutation.quantum_mutation
+
+        def patched(m, edge, t):
+            img = real(m, edge, t)
+            return wrong(img) if t == target and img.context == n2 else img
+
+        monkeypatch.setattr(qmutation, "quantum_mutation", patched)
+        assert double_mutation_is_identity(n, e) is False

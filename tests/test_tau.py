@@ -222,8 +222,10 @@ class TestSigmaEquation:
         ra = sigma_pvi_residual(ts)
         rb = sigma_pvi_residual(scaled)
         with mp.workdps(40):
-            for k in ra:
-                assert abs(ra[k] - rb[k]) < 1e-30
+            # a slot of rounding noise that sums to exactly 0 is dropped
+            # from one series, so compare over the union of slots
+            for k in ra.keys() | rb.keys():
+                assert abs(ra.get(k, 0) - rb.get(k, 0)) < 1e-30
 
 
 class TestTruncationStability:
