@@ -20,12 +20,20 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .virasoro import (GramSingularError, VermaModule, invert_matrix,
-                       partitions, solve_contraction)
+from .virasoro import (GramSingularError, VermaModule, contract, partitions,
+                       solve_contraction)
 
 
 def default_digits() -> int:
-    return int(os.environ.get("HOLOMON_PRECISION", "50"))
+    """Working digits: HOLOMON_PRECISION, an integer >= 1, else 50."""
+    text = os.environ.get("HOLOMON_PRECISION", "50")
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if digits < 1:
+        raise ValueError(f"HOLOMON_PRECISION must be an integer >= 1, got {text!r}")
+    return digits
 
 
 def _is_exact(*vals) -> bool:
@@ -158,9 +166,7 @@ def _contract(module: VermaModule, k: int, left: list, right: list, exact: bool 
         raise GramSingularError(
             f"level-{k} contraction failed at internal weight "
             f"{module.delta}: {exc}") from exc
-    if not exact and isinstance(val, (int, Fraction)):
-        val = mp.mpf(int(val)) if int(val) == val else mp.mpf(val.numerator) / val.denominator
-    return val
+    return val if exact else _to_num(val)
 
 
 def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
@@ -205,15 +211,13 @@ def torus1_block(d0, d_beta, c, N: int = 8, digits: int | None = None) -> BlockS
         elements = PrimaryMatrixElements(module, d0)
         coeffs = []
         for k in range(N + 1):
+            # trace(G^-1 E) with E[i][j] = <lam_i| primary |lam_j>
             basis = partitions(k)
-            Ginv = invert_matrix(module.gram(k))
-            total = 0
-            for i, lam in enumerate(basis):
-                for j, mu in enumerate(basis):
-                    total = total + Ginv[j][i] * elements.element(mu, lam)
-            if not exact and isinstance(total, (int, Fraction)):
-                total = mp.mpf(total.numerator) / total.denominator if isinstance(total, Fraction) else mp.mpf(total)
-            coeffs.append(total)
+            E = [[elements.element(lam, mu) for mu in basis] for lam in basis]
+            unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+            GinvE = contract(module.gram(k), unit, E)
+            total = sum(GinvE[i][i] for i in range(len(basis)))
+            coeffs.append(total if exact else _to_num(total))
     c24 = c * (Fraction(1, 24) if exact else mp.mpf(1) / 24)
     return BlockSeries(
         leading_exponent=d_beta - c24,

@@ -380,8 +380,8 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(BADINPUT)
-    digits = digits or default_digits()
     try:
+        digits = digits or default_digits()
         ts = tau_series(thetas, lamv, kapv, N=order, M=shifts, digits=digits,
                         normalization=normalization)
     except ValueError as exc:

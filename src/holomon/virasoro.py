@@ -5,7 +5,9 @@ States are dictionaries mapping ordered partitions (lambda_1 >= ... >=
 lambda_k, entries the indices of lowering generators) to coefficients.
 The commutator algebra reduces every generator action to this basis.
 Coefficients are duck-typed: exact Fractions and mpmath complexes both
-work; matrix inversion picks pivoting accordingly.
+work.  One elimination routine, ``contract``, takes every contraction
+through a (possibly singular) Gram matrix: exact first-nonzero pivots for
+Fractions, partial pivoting by magnitude for mpmath.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class VermaModule:
         self.delta = delta
         self.c = c
         self._memo: dict = {}
+        self._grams: list = [[[1]]]
 
     # -- generator action ---------------------------------------------------
 
@@ -118,119 +121,88 @@ class VermaModule:
         return state.get((), 0)
 
     def gram(self, level: int) -> list:
-        """Level Gram matrix; the pairing is symmetric, so each entry
-        above the diagonal is computed once and mirrored."""
-        basis = partitions(level)
-        G = [[0] * len(basis) for _ in basis]
-        for i, lam in enumerate(basis):
-            for j in range(i, len(basis)):
-                G[i][j] = G[j][i] = self.pairing(lam, basis[j])
-        return G
+        """Level Gram matrix, memoized on the module.  Missing levels are
+        built bottom-up from the levels below: <lam|mu> is the sum over nu
+        of (L_{lam_1} mu)_nu times <lam'|nu>, where lam' drops the first
+        part lam_1.  The upper triangle is computed and mirrored."""
+        grams = self._grams
+        while len(grams) <= level:
+            k = len(grams)
+            basis = partitions(k)
+            G = [[0] * len(basis) for _ in basis]
+            for i, lam in enumerate(basis):
+                index = _index(k - lam[0])
+                below = grams[k - lam[0]][index[lam[1:]]]
+                for j in range(i, len(basis)):
+                    val = 0
+                    for nu, a in self._apply_basis(lam[0], basis[j]).items():
+                        val = val + a * below[index[nu]]
+                    G[i][j] = G[j][i] = val
+            grams.append(G)
+        return grams[level]
+
+
+@lru_cache(maxsize=None)
+def _index(k: int) -> dict:
+    """Position of each partition of k in the level-k basis."""
+    return {lam: i for i, lam in enumerate(partitions(k))}
 
 
 class GramSingularError(ValueError):
     """Raised when a needed level Gram matrix is not invertible."""
 
 
-def invert_matrix(G: list) -> list:
-    """Gaussian elimination with partial pivoting; exact when entries are
-    Fractions.  Raises GramSingularError on singular input."""
+def contract(G: list, left: list, right: list) -> list:
+    """The matrix left . G^(-1) . right, defined also for singular G when
+    the data factors through the quotient by the kernel.
+
+    Forward elimination of the bordered matrix [[G, right], [left, 0]]
+    updates only the columns right of each pivot; afterwards the border
+    block holds -left . G^(-1) . right, the Schur complement.  A G-row
+    that eliminates to zero with a nonzero right part is inconsistent, and
+    a left row with a nonzero entry in a pivot-free column lies outside
+    the row space of G; both raise GramSingularError.  Ints and Fractions
+    are computed as Fractions with the first nonzero pivot, anything else
+    (mpmath) with the largest pivot by magnitude.  The inputs are copied.
+    """
     n = len(G)
-    A = [[G[i][j] for j in range(n)] + [1 if j == i else 0 for j in range(n)]
-         for i in range(n)]
+    q = len(right[0]) if right else 0
+    rows = [list(g) + list(r) for g, r in zip(G, right, strict=True)] + \
+        [list(l) + [0] * q for l in left]
+    exact = all(isinstance(v, (int, Fraction)) for row in rows for v in row)
+    if exact:
+        rows = [[Fraction(v) for v in row] for row in rows]
+    free = []
+    rank = 0
     for col in range(n):
-        pivot = None
-        best = None
-        for r in range(col, n):
-            v = A[r][col]
-            if v == 0:
-                continue
-            mag = abs(v) if not isinstance(v, Fraction) else None
-            if pivot is None:
-                pivot, best = r, mag
-            elif mag is not None and best is not None and mag > best:
-                pivot, best = r, mag
-            if isinstance(v, Fraction):
-                break  # any exact nonzero pivot will do
-        if pivot is None:
-            raise GramSingularError(f"singular matrix at column {col}")
-        A[col], A[pivot] = A[pivot], A[col]
-        inv = A[col][col]
-        A[col] = [v / inv for v in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+        nonzero = [r for r in range(rank, n) if rows[r][col] != 0]
+        if not nonzero:
+            free.append(col)
+            continue
+        pivot = nonzero[0] if exact else \
+            max(nonzero, key=lambda r: abs(rows[r][col]))
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        inv = prow[col]
+        tail = [t for t in range(col + 1, n + q) if prow[t] != 0]
+        for row in rows[rank + 1:]:
+            if row[col] != 0:
+                f = row[col] / inv
+                for t in tail:
+                    row[t] -= f * prow[t]
+        rank += 1
+    if any(v != 0 for row in rows[rank:n] for v in row[n:]):
+        raise GramSingularError("inconsistent contraction through a "
+                                "singular Gram matrix")
+    if any(row[col] != 0 for row in rows[n:] for col in free):
+        raise GramSingularError("contraction does not factor through "
+                                "the singular Gram matrix")
+    return [[-v for v in row[n:]] for row in rows[n:]]
 
 
 def solve_contraction(G: list, left: list, right: list):
-    """Value of left . G^(-1) . right, defined also for singular G when the
-    data factors through the quotient by the kernel.
-
-    Solves G x = right; when G is singular the system must be consistent
-    and ``left`` must annihilate the kernel, otherwise the contraction is
-    genuinely ill-defined and GramSingularError is raised.
-    """
-    n = len(G)
-    if n == 0:
-        return 0
-    exact = all(isinstance(v, (int, Fraction))
-                for row_ in G for v in row_) and \
-        all(isinstance(v, (int, Fraction)) for v in list(left) + list(right))
-
-    def wrap(v):
-        return Fraction(v) if exact and isinstance(v, int) else v
-
-    A = [[wrap(G[i][j]) for j in range(n)] + [wrap(right[i])] for i in range(n)]
-    left = [wrap(v) for v in left]
-    where = [-1] * n
-    row = 0
-    for col in range(n):
-        pivot = None
-        best = None
-        for r in range(row, n):
-            v = A[r][col]
-            if v == 0:
-                continue
-            if exact:
-                pivot = r
-                break
-            if pivot is None or abs(v) > best:
-                pivot, best = r, abs(v)
-        if pivot is None:
-            continue
-        A[row], A[pivot] = A[pivot], A[row]
-        inv = A[row][col]
-        A[row] = [v / inv for v in A[row]]
-        for r in range(n):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[row])]
-        where[col] = row
-        row += 1
-    for r in range(row, n):
-        if A[r][n] != 0:
-            raise GramSingularError("inconsistent contraction through a "
-                                    "singular Gram matrix")
-    x = [0] * n
-    for col in range(n):
-        if where[col] >= 0:
-            x[col] = A[where[col]][n]
-    free = [col for col in range(n) if where[col] < 0]
-    if free:
-        # left must be orthogonal to every kernel direction
-        for col in free:
-            kvec = [0] * n
-            kvec[col] = 1
-            for c2 in range(n):
-                if where[c2] >= 0:
-                    kvec[c2] = -A[where[c2]][col]
-            pairing = sum(l * k for l, k in zip(left, kvec))
-            if pairing != 0:
-                raise GramSingularError("contraction does not factor through "
-                                        "the singular Gram matrix")
-    return sum(l * v for l, v in zip(left, x))
+    """Value of the vector contraction left . G^(-1) . right (see contract)."""
+    return contract(G, [left], [[v] for v in right])[0][0]
 
 
 def kac_determinant_level2(delta, c):

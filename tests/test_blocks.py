@@ -101,6 +101,12 @@ class TestSphere4:
         with pytest.raises(GramSingularError):
             sphere4_block(F(3, 5), F(1, 3), F(7, 11), F(2, 9), d_deg, c, N=3)
 
+    def test_exact_coefficients_are_fractions(self):
+        blk = sphere4_block(F(3, 5), F(1, 3), F(7, 11), F(2, 9), F(5, 4), CC, N=5)
+        assert all(type(ck) is F for ck in blk.coeffs)
+        blk = sphere4_block(0, 0, 0, 0, 0, 1, N=2)
+        assert all(type(ck) is F for ck in blk.coeffs)
+
     def test_float_mode(self):
         with mp.workdps(40):
             vals = [mp.mpf(3) / 10, mp.mpf(1) / 5, mp.mpf(7) / 10, mp.mpf(2) / 5,
@@ -130,6 +136,27 @@ class TestTorus1:
     def test_level0_normalization(self):
         blk = torus1_block(F(1, 3), F(7, 5), CC, N=0)
         assert blk.coeffs == [1]
+
+    def test_exact_coefficients_are_fractions(self):
+        for d0 in (F(0), F(1, 3)):
+            blk = torus1_block(d0, F(7, 5), CC, N=5)
+            assert all(type(ck) is F for ck in blk.coeffs)
+
+    def test_float_mode_matches_exact(self):
+        exact = torus1_block(F(1, 3), F(7, 5), CC, N=5)
+        with mp.workdps(40):
+            blk = torus1_block(mp.mpf(1) / 3, mp.mpf(7) / 5, mp.mpf(CC.numerator) / CC.denominator,
+                               N=5, digits=40)
+            assert blk.mode == "float"
+            for a, b in zip(blk.coeffs, exact.coeffs):
+                assert isinstance(a, mp.mpf)
+                assert abs(a - mp.mpf(b.numerator) / b.denominator) < 1e-30 * abs(b)
+
+    def test_degenerate_channel_raises(self):
+        from holomon.virasoro import central_charge, degenerate_weight
+
+        with pytest.raises(GramSingularError):
+            torus1_block(F(1, 3), degenerate_weight(B2), central_charge(B2), N=2)
 
     def test_prefactor_exponent(self):
         blk = torus1_block(F(1, 3), F(7, 5), CC, N=0)

@@ -128,6 +128,14 @@ class TestSeriesCommands:
         assert r.exit_code == 0
         assert "leading_exponent=19/60" in r.output
 
+    def test_block_torus1_exact_level0(self, runner):
+        r = runner.invoke(main, ["block", "torus1", "--weights", "1/3,7/5",
+                                 "--order", "2"])
+        assert r.exit_code == 0
+        lines = r.output.splitlines()
+        assert "mode=exact" in lines[0]
+        assert lines[1] == "0 1/1"
+
     def test_block_bad_weights(self, runner):
         r = runner.invoke(main, ["block", "sphere4", "--weights", "1,2", "--order", "2"])
         assert r.exit_code == 2
@@ -154,6 +162,14 @@ class TestSeriesCommands:
         r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10", opt, "-1"])
         assert r.exit_code == 2
         assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_tau_bad_precision_exits_2(self, runner, monkeypatch, value):
+        monkeypatch.setenv("HOLOMON_PRECISION", value)
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "1"])
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
+        assert r.output.startswith("error: HOLOMON_PRECISION") and r.output.count("\n") == 1
 
     def test_report_rerender(self, runner, tmp_path):
         out = tmp_path / "rep.json"

@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+import sympy
 
 from holomon.virasoro import (
     GramSingularError,
     VermaModule,
     central_charge,
+    contract,
     degenerate_weight,
-    invert_matrix,
     kac_determinant_level2,
     null_vector_level2,
     partition_count,
@@ -68,10 +70,10 @@ class TestVerma:
                 for i, lam in enumerate(basis):
                     for j, mu in enumerate(basis):
                         full = V.pairing(lam, mu)
-                        if i <= j or not numeric:
-                            assert G[i][j] == full
-                        else:  # mirrored: the pairing rounds in another order
+                        if numeric:  # built from the level below: another rounding order
                             assert abs(G[i][j] - full) <= 1e-45 * abs(full)
+                        else:
+                            assert G[i][j] == full
 
     def test_level0(self):
         V = VermaModule(F(1, 2), F(1))
@@ -113,20 +115,23 @@ class TestDegenerate:
     def test_generic_weight_invertible(self):
         b2 = F(2, 5)
         V = VermaModule(F(9, 8), central_charge(b2))
-        invert_matrix(V.gram(2))
+        G = V.gram(2)
+        Ginv = contract(G, _unit(2), _unit(2))
+        assert _matmul(G, Ginv) == _unit(2)
 
     def test_inverse_fails_at_degenerate(self):
         b2 = F(2, 5)
         V = VermaModule(degenerate_weight(b2), central_charge(b2))
         with pytest.raises(GramSingularError):
-            invert_matrix(V.gram(2))
+            contract(V.gram(2), _unit(2), _unit(2))
 
 
 class TestSolveContraction:
     def test_regular_case_matches_inverse(self):
         G = [[F(2), F(1)], [F(1), F(3)]]
         left, right = [F(1), F(2)], [F(3), F(4)]
-        Ginv = invert_matrix(G)
+        Ginv = [[F(3, 5), F(-1, 5)], [F(-1, 5), F(2, 5)]]  # adjugate over det 5
+        assert contract(G, _unit(2), _unit(2)) == Ginv
         want = sum(left[i] * Ginv[i][j] * right[j] for i in range(2) for j in range(2))
         assert solve_contraction(G, left, right) == want
 
@@ -150,3 +155,130 @@ class TestSolveContraction:
         G = [[mp.mpf(2), mp.mpf(1)], [mp.mpf(1), mp.mpf(3)]]
         v = solve_contraction(G, [mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)])
         assert abs(v - (-mp.mpf(1) / 5)) < 1e-20
+
+
+def _unit(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _rand_matrix(rng, rows, cols):
+    return [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _sym(M):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                         for row in M])
+
+
+def _frac(M):
+    return [[F(int(v.p), int(v.q)) for v in M.row(i)] for i in range(M.rows)]
+
+
+class TestContract:
+    """The bordered-elimination kernel against sympy's rational algebra."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nonsingular_matches_sympy(self, seed):
+        rng = random.Random(seed)
+        n, p, q = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 3)
+        G = _rand_matrix(rng, n, n)
+        if _sym(G).det() == 0:
+            pytest.skip("random draw is singular")
+        L, R = _rand_matrix(rng, p, n), _rand_matrix(rng, n, q)
+        want = _frac(_sym(L) * _sym(G).inv() * _sym(R))
+        got = contract(G, L, R)
+        assert got == want
+        assert all(type(v) is F for row in got for v in row)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_deficient_symmetric(self, seed):
+        # G = B B^T of rank r < n; data in the row/column space factors
+        rng = random.Random(100 + seed)
+        n = rng.randint(2, 6)
+        r = rng.randint(1, n - 1)
+        B = _rand_matrix(rng, n, r)
+        G = _matmul(B, [list(col) for col in zip(*B)])
+        assert _sym(G).rank() == r
+        X, Y = _rand_matrix(rng, n, 2), _rand_matrix(rng, 2, n)
+        R, L = _matmul(G, X), _matmul(Y, G)
+        # for L = Y G and R = G X the contraction is Y G X for any inverse
+        want = _frac(_sym(Y) * _sym(G) * _sym(X))
+        assert contract(G, L, R) == want
+        # a right side outside the column space is inconsistent
+        bad_R = [row[:] for row in R]
+        kernel = _frac(_sym(G).nullspace()[0].T)[0]
+        for i in range(n):
+            bad_R[i][0] += kernel[i]
+        with pytest.raises(GramSingularError, match="inconsistent"):
+            contract(G, L, bad_R)
+        # a left side outside the row space does not factor
+        bad_L = [row[:] for row in L]
+        bad_L[1] = [a + b for a, b in zip(bad_L[1], kernel)]
+        with pytest.raises(GramSingularError, match="does not factor"):
+            contract(G, bad_L, R)
+
+    def test_zero_rows_inconsistent_before_kernel(self):
+        G = [[F(0), F(0)], [F(0), F(0)]]
+        with pytest.raises(GramSingularError, match="inconsistent"):
+            contract(G, [[F(1), F(0)]], [[F(1)], [F(0)]])
+        assert contract(G, [[F(0), F(0)]], [[F(0)], [F(0)]]) == [[0]]
+
+    def test_int_input_gives_fractions(self):
+        got = contract([[1]], [[1]], [[1]])
+        assert got == [[1]] and type(got[0][0]) is F
+        assert type(solve_contraction([[2, 1], [1, 3]], [1, 0], [0, 1])) is F
+
+    def test_inputs_not_mutated(self):
+        V = VermaModule(F(9, 8), F(3, 2))
+        G = V.gram(4)
+        before = [row[:] for row in G]
+        L, R = _rand_matrix(random.Random(7), 1, 5), _rand_matrix(random.Random(8), 5, 1)
+        L0, R0 = [row[:] for row in L], [row[:] for row in R]
+        contract(G, L, R)
+        assert V.gram(4) is G and G == before and L == L0 and R == R0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mpmath_path_at_50_digits(self, seed):
+        rng = random.Random(200 + seed)
+        n = 6
+        G = _rand_matrix(rng, n, n)
+        L, R = _rand_matrix(rng, 2, n), _rand_matrix(rng, n, 2)
+        want = _frac(_sym(L) * _sym(G).inv() * _sym(R))
+        with mp.workdps(50):
+            def conv(M):
+                return [[mp.mpf(v.numerator) / v.denominator for v in row] for row in M]
+            got = contract(conv(G), conv(L), conv(R))
+            for grow, wrow in zip(got, want):
+                for g, w in zip(grow, wrow):
+                    w = mp.mpf(w.numerator) / w.denominator
+                    assert abs(g - w) <= 1e-45 * max(abs(w), 1)
+
+    def test_mpmath_partial_pivoting(self):
+        # a tiny leading pivot loses every digit without a row swap
+        with mp.workdps(30):
+            eps = mp.mpf(10) ** -40
+            G = [[eps, mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]]
+            v = solve_contraction(G, [mp.mpf(1), mp.mpf(0)], [mp.mpf(1), mp.mpf(2)])
+            # x = G^-1 (1, 2): x_0 = (1 - 2) / (eps - 1)
+            assert abs(v - 1 / (1 - eps)) < 1e-25
+
+
+class TestRecursiveGram:
+    @pytest.mark.parametrize("delta", [F(3, 7), degenerate_weight(F(2, 5))],
+                             ids=["generic", "degenerate"])
+    def test_equals_pairing_matrix(self, delta):
+        V = VermaModule(delta, central_charge(F(2, 5)))
+        for k in range(9):
+            basis = partitions(k)
+            assert V.gram(k) == [[V.pairing(lam, mu) for mu in basis] for lam in basis]
+
+    def test_levels_out_of_order(self):
+        V, W = VermaModule(F(5, 3), F(1, 2)), VermaModule(F(5, 3), F(1, 2))
+        high = V.gram(7)
+        assert [V.gram(k) for k in range(8)] == [W.gram(k) for k in range(8)]
+        assert V.gram(7) is high
