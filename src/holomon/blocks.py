@@ -178,8 +178,9 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
     d_beta - d1 - d2; coefficient k contracts the level-k descendant
     three-point rows through the inverse Gram matrix.
     """
-    digits = digits or default_digits()
     exact = _is_exact(d1, d2, d3, d4, d_beta, c)
+    # exact weights use no floating digit, so they never read the default
+    digits = digits or (mp.mp.dps if exact else default_digits())
     with mp.workdps(digits):
         d1, d2, d3, d4, d_beta, c = _coerce_all(exact, digits, d1, d2, d3, d4, d_beta, c)
         module = VermaModule(d_beta, c)
@@ -203,8 +204,8 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
 def torus1_block(d0, d_beta, c, N: int = 8, digits: int | None = None) -> BlockSeries:
     """Self-glued one-point series: graded trace of the primary insertion
     weighted by q^(L_0 - c/24)."""
-    digits = digits or default_digits()
     exact = _is_exact(d0, d_beta, c)
+    digits = digits or (mp.mp.dps if exact else default_digits())
     with mp.workdps(digits):
         d0, d_beta, c = _coerce_all(exact, digits, d0, d_beta, c)
         module = VermaModule(d_beta, c)

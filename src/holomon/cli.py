@@ -173,6 +173,10 @@ def dehn_cmd(name, params):
     except ValueError:
         click.echo("error: params must look like '2:0' or '2:0,1:1'", err=True)
         sys.exit(BADINPUT)
+    if len(dp) > pd.n_curves:
+        click.echo(f"error: {name} has {pd.n_curves} cut curve(s), got {len(dp)} "
+                   "r:s pairs", err=True)
+        sys.exit(BADINPUT)
     violations = validate_dehn(pd, dp)
     if violations:
         for v in violations:
@@ -431,11 +435,16 @@ def report_cmd(path, fmt):
     except json.JSONDecodeError as exc:
         click.echo(f"error: bad report file: {exc}", err=True)
         sys.exit(BADINPUT)
-    rep = Report(doc.get("title", "report"))
     from .report import CheckResult
 
-    for c in doc.get("checks", []):
-        rep.add(CheckResult(c["name"], c["tag"], c["status"], c.get("witness", "")))
+    try:
+        rep = Report(doc.get("title", "report"))
+        for c in doc.get("checks", []):
+            rep.add(CheckResult(c["name"], c["tag"], c["status"], c.get("witness", "")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # not an object, a missing field, an unregistered tag or a bad status
+        click.echo(f"error: bad report file: {exc}", err=True)
+        sys.exit(BADINPUT)
     for n in doc.get("notes", []):
         rep.note(n)
     click.echo(rep.render(fmt), nl=False)

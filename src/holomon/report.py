@@ -105,11 +105,14 @@ class Report:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        rows = ["name,tag,status,witness"]
-        for c in self.checks:
-            witness = c.witness.replace('"', "'")
-            rows.append(f'{c.name},{c.tag},{c.status},"{witness}"')
-        return "\n".join(rows) + "\n"
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["name", "tag", "status", "witness"])
+        writer.writerows([c.name, c.tag, c.status, c.witness] for c in self.checks)
+        return buf.getvalue()
 
     def render(self, fmt: str) -> str:
         if fmt == "text":

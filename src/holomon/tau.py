@@ -14,6 +14,7 @@ e^(i kappa m) into mpmath coefficients at the working precision.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -62,9 +63,6 @@ class BiSeries:
             o = BiSeries.const(o, self.jmax)
         return self + (-o)
 
-    def __rsub__(self, o):
-        return (-self) + o
-
     def __mul__(self, o):
         if not isinstance(o, BiSeries):
             return BiSeries({k: v * o for k, v in self.terms.items()}, self.jmax)
@@ -84,29 +82,36 @@ class BiSeries:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, o: "BiSeries") -> "BiSeries":
+        """Quotient solved grade by grade, q_j = (a_j - sum_{i>=1} s_i
+        q_(j-i)) / s_0, with s_i the divisor's terms of grade i; s_0 must
+        be a nonzero constant."""
+        lead = o.terms.get((0, 0), 0)
+        if lead == 0 or any(j < 0 or (j == 0 and m) for (m, j) in o.terms):
+            raise ZeroDivisionError("the divisor's grade-0 part is not a "
+                                    "nonzero constant")
+        rows: dict = {}
+        for (m, j), v in o.terms.items():
+            if j > 0:
+                rows.setdefault(j, []).append((m, v))
+        # grade -> {shift: coefficient}: the numerator, solved in place
+        quot: dict = {}
+        for (m, j), v in self.terms.items():
+            quot.setdefault(j, {})[m] = v
+        jmax = min(self.jmax, o.jmax)
+        for j in range(min(quot, default=0), jmax + 1):
+            acc = quot.setdefault(j, {})
+            for i, row in rows.items():
+                for m2, v2 in quot.get(j - i, {}).items():
+                    for m1, v1 in row:
+                        acc[m1 + m2] = acc.get(m1 + m2, 0) - v1 * v2
+            quot[j] = {m: v / lead for m, v in acc.items()}
+        return BiSeries({(m, j): v for j, row in quot.items() for m, v in row.items()},
+                        jmax)
+
     def inverse(self) -> "BiSeries":
         """Multiplicative inverse; needs an invertible (0,0) coefficient."""
-        lead = self.terms.get((0, 0), 0)
-        if lead == 0:
-            raise ZeroDivisionError("series has no constant term")
-        rest = BiSeries({k: v for k, v in self.terms.items() if k != (0, 0)}, self.jmax)
-        if any(j == 0 for (_, j) in rest.terms):
-            raise ZeroDivisionError("series is not invertible within the "
-                                    "truncation grading (j = 0 tail)")
-        inv_lead = 1 / lead if not isinstance(lead, Fraction) else Fraction(1) / lead
-        # geometric series in (-rest/lead), truncated by the j-grading
-        out = BiSeries.const(inv_lead, self.jmax)
-        power = BiSeries.const(inv_lead, self.jmax)
-        # terms with j = 0 can persist under powers only at m != 0; bound
-        # the number of rounds by jmax plus the shift spread
-        spread = max((abs(m) for (m, _) in rest.terms), default=0)
-        rounds = self.jmax + 1 if spread == 0 else (self.jmax + 1) * (2 * spread + 1)
-        for _ in range(rounds):
-            power = power * rest * (-inv_lead)
-            if not power.terms:
-                break
-            out = out + power
-        return out
+        return BiSeries.const(1, self.jmax) / self
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -133,17 +138,6 @@ class TauSeries:
     def leading_exponent(self):
         th0, tht = self.theta[0], self.theta[1]
         return self.lam * self.lam - th0 * th0 - tht * tht
-
-    def t_derivative_over_tau(self) -> BiSeries:
-        """t d/dt log tau as a bigraded series (prefactor included)."""
-        with mp.workdps(max(self.digits, mp.mp.dps)):
-            E0 = self.leading_exponent
-            lam2 = 2 * self.lam
-            D = BiSeries(
-                {(m, j): v * (E0 + lam2 * m + j)
-                 for (m, j), v in self.series.terms.items()},
-                self.series.jmax)
-            return D * self.series.inverse()
 
 
 def structure_constant(theta, sigma, digits: int = 50):
@@ -211,16 +205,16 @@ def weight_ratio(theta, lam, m: int, digits: int):
 
 
 @lru_cache(maxsize=256)
-def _shift_block(theta: tuple, lam, m: int, N: int, digits: int, mode: str) -> tuple:
-    """Coefficients of the four-point series with internal momentum
-    lam + m, memoized per (theta, lam, m, N, digits, mode)."""
+def _shift_block(theta: tuple, lam, m: int, order: int, digits: int, mode: str) -> tuple:
+    """Coefficients 0..order of the four-point series with internal
+    momentum lam + m, memoized per (theta, lam, m, order, digits, mode)."""
     th0, tht, th1, thinf = theta
     exact = mode == "exact"
     with mp.workdps(digits):
         beta = lam + m if exact else mp.mpmathify(lam) + m
         blk = sphere4_block(
             th0 * th0, tht * tht, th1 * th1, thinf * thinf, beta * beta,
-            Fraction(1) if exact else 1, N=N, digits=digits)
+            Fraction(1) if exact else 1, N=order, digits=digits)
     return tuple(blk.coeffs)
 
 
@@ -239,17 +233,18 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
     (and runs exactly for rational data with kappa=None), giving the bare
     normalized-block sum.
 
-    Shifts whose Gram matrices are singular or whose weight vanishes are
-    skipped with a warning; an infinite weight raises ValueError.
+    Shift m enters at t^(m^2), so its block is computed only to order
+    N - m^2, and not at all when m^2 > N.  Shifts whose weight vanishes,
+    or whose Gram matrices are singular at a level the truncation keeps,
+    are skipped with a warning; an infinite weight raises ValueError.
     """
-    digits = digits or default_digits()
     if normalization not in ("isomonodromic", "plain"):
         raise ValueError(f"unknown normalization {normalization!r}")
     exact = _exact_mode(lam, theta, kappa) and normalization == "plain"
+    digits = digits or (mp.mp.dps if exact else default_digits())
     mode = "exact" if exact else "float"
     theta = tuple(theta)
     weighted = normalization == "isomonodromic"
-    jmax = N
     terms: dict = {}
     skipped = []
     with mp.workdps(digits):
@@ -262,8 +257,10 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
             if weighted and weights[m] == 0:
                 skipped.append(m)
                 continue
+            if m * m > N:
+                continue
             try:
-                coeffs = _shift_block(theta, lam, m, N, digits, mode)
+                coeffs = _shift_block(theta, lam, m, N - m * m, digits, mode)
             except GramSingularError:
                 skipped.append(m)
                 continue
@@ -276,22 +273,17 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
                 if weighted:
                     phase *= weights[m]
             for k, ck in enumerate(coeffs):
-                j = m * m + k
-                if j > jmax:
-                    continue
-                key = (m, j)
+                key = (m, m * m + k)
                 v = terms.get(key, 0) + phase * ck
                 if v == 0:
                     terms.pop(key, None)
                 else:
                     terms[key] = v
     if skipped:
-        import warnings
-
         warnings.warn(f"skipped degenerate shifts {skipped} (non-generic momentum)")
     return TauSeries(
         lam=lam, kappa=kappa, theta=theta,
-        series=BiSeries(terms, jmax), M=M, N=N,
+        series=BiSeries(terms, N), M=M, N=N,
         mode=mode, digits=0 if exact else digits)
 
 
@@ -340,15 +332,24 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
     """Residual coefficients of the scalar deformation equation.
 
     Substitutes sigma(t) = t(t-1) d/dt log tau into the second-order
-    identity above and returns the bigraded residual terms; slots beyond
-    the trustworthy truncation order are dropped.  The weighted
-    (isomonodromic) normalization drives every coefficient to zero at
-    working precision; the plain sum does not satisfy the equation.
+    identity above and returns the bigraded residual terms through the
+    trustworthy grade, min(order, N) - 2; no series is computed past the
+    grade its kept slots read.  The weighted (isomonodromic) normalization
+    drives every coefficient to zero at working precision; the plain sum
+    does not satisfy the equation.
     """
     with mp.workdps(max(tau.digits, mp.mp.dps)):
-        jmax = tau.series.jmax if order is None else order
-        R = tau.t_derivative_over_tau()
+        # sigma'' is exact only through grade min(order, N) - 2, the last
+        # kept slot; every product operand has grades >= 0, so none needs more
+        jmax = min(tau.series.jmax, tau.series.jmax if order is None else order) - 2
+        if jmax < 0:
+            return {}
         lam2 = 2 * tau.lam
+        # t d/dt log tau (prefactor included), to jmax + 1 for sigma'
+        S = BiSeries(tau.series.terms, jmax + 1)
+        E0 = tau.leading_exponent
+        R = BiSeries({(m, j): v * (E0 + lam2 * m + j) for (m, j), v in S.terms.items()},
+                     jmax + 1) / S
 
         def d_dt(S: BiSeries) -> BiSeries:
             out: dict = {}
@@ -356,7 +357,7 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
                 w = v * (lam2 * m + j)
                 if w != 0:
                     out[(m, j - 1)] = out.get((m, j - 1), 0) + w
-            return BiSeries(out, S.jmax)
+            return BiSeries(out, jmax)
 
         def tmul(S: BiSeries, power: int = 1) -> BiSeries:
             return BiSeries({(m, j + power): v for (m, j), v in S.terms.items()
@@ -365,7 +366,7 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
         one_v = Fraction(1) if tau.mode == "exact" else mp.mpf(1)
         one = BiSeries.const(one_v, jmax)
 
-        sigma = tmul(R) - R                 # t(t-1) dlog(tau)/dt
+        sigma = tmul(R) - R                 # t(t-1) dlog(tau)/dt, to jmax + 1
         Y = d_dt(sigma)
         U = sigma - tmul(Y)
         Z0 = d_dt(Y)
@@ -377,6 +378,4 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
         resid = (Z * Z * quarter + Y * UU + YY * U
                  + a * UU + b * (Y * U) + c * YY
                  + d * Y + e * U + f * one)
-        # sigma'' is exact only through j <= jmax - 2
-        cutoff = (tau.series.jmax if order is None else order) - 2
-        return {k: v for k, v in resid.terms.items() if k[1] <= cutoff}
+        return resid.terms

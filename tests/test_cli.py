@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
 from holomon import checks as checksuites
+from holomon.blocks import sphere4_block
 from holomon.cli import main
 from holomon.plotting import emit_plot
 from holomon.report import KNOWN_TAGS, CheckResult, Report
@@ -54,6 +58,14 @@ class TestSurfaceCommands:
         bad = runner.invoke(main, ["dehn", "--surface", "c04", "--params", "0:-1"])
         assert bad.exit_code == 1
         assert "(ii)" in bad.output
+
+    @pytest.mark.parametrize("name, params", [("c04", "2:0,3:1,4:4"), ("c11", "2:0,0:1")])
+    def test_dehn_extra_pairs_exit_2(self, runner, name, params):
+        # each reference decomposition has one cut curve
+        r = runner.invoke(main, ["dehn", "--surface", name, "--params", params])
+        assert r.exit_code == 2
+        assert "valid" not in r.output
+        assert r.output.startswith("error: ") and r.output.count("\n") == 1
 
 
 class TestVerifyCommands:
@@ -171,6 +183,33 @@ class TestSeriesCommands:
         assert "Traceback" not in r.output
         assert r.output.startswith("error: HOLOMON_PRECISION") and r.output.count("\n") == 1
 
+    def test_exact_blocks_ignore_bad_precision(self, runner, monkeypatch):
+        monkeypatch.setenv("HOLOMON_PRECISION", "abc")
+        r = runner.invoke(main, ["verify", "bpz", "--order", "4"])
+        assert r.exit_code == 0 and "ERROR" not in r.output
+        r = runner.invoke(main, ["block", "sphere4", "--weights",
+                                 "3/5,1/3,7/11,2/9,5/4", "--order", "3"])
+        assert r.exit_code == 0 and "mode=exact" in r.output
+        # a floating block still reads it and refuses the value
+        with pytest.raises(ValueError, match="HOLOMON_PRECISION"):
+            sphere4_block(mp.mpf(0.6), 1, 1, 1, 1, 1, N=2)
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "1"])
+        assert r.exit_code == 2 and r.output.startswith("error: HOLOMON_PRECISION")
+
+    @pytest.mark.parametrize("doc", [
+        {"checks": [{"name": "a", "tag": "no-such-tag", "status": "pass"}]},
+        {"checks": [{"name": "a", "tag": "cubic-relation", "status": "maybe"}]},
+        {"checks": [{"tag": "cubic-relation", "status": "pass"}]},
+        [{"name": "a", "tag": "cubic-relation", "status": "pass"}],
+    ], ids=["tag", "status", "missing-name", "not-an-object"])
+    def test_report_bad_check_exits_2(self, runner, tmp_path, doc):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["report", str(path)])
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
+        assert r.output.startswith("error: bad report file") and r.output.count("\n") == 1
+
     def test_report_rerender(self, runner, tmp_path):
         out = tmp_path / "rep.json"
         runner.invoke(main, ["verify", "quantum-relations", "--surface", "c11",
@@ -192,6 +231,20 @@ class TestReportObjects:
         assert "PASS" in rep.to_text()
         assert json.loads(rep.to_json())["passed"] is True
         assert rep.to_csv().count("\n") == 2
+
+    def test_csv_rows_round_trip(self, runner):
+        # witnesses and names with commas and quotes parse back unchanged
+        header = ["name", "tag", "status", "witness"]
+        tricky = Report("demo")
+        tricky.add(CheckResult('comma, "quote"', "cubic-relation", "fail", 'a,b "c"'))
+        reps = [checksuites.classical_checks(), checksuites.mutation_checks()]
+        r = runner.invoke(main, ["verify", "classical-relations", "--format", "csv"])
+        assert r.exit_code == 0 and "s,t product" in r.output
+        for text, reports in ((r.output, reps), (tricky.to_csv(), [tricky])):
+            want = [row for rep in reports for row in
+                    [header] + [[c.name, c.tag, c.status, c.witness] for c in rep.checks]]
+            rows = list(csv.reader(io.StringIO(text)))
+            assert all(len(row) == 4 for row in rows) and rows == want
 
     def test_runtime_not_serialized(self):
         rep = Report("demo")

@@ -5,6 +5,8 @@ import mpmath as mp
 import pytest
 
 from holomon import tau as tau_module
+from holomon.blocks import sphere4_block
+from holomon.checks import shift_changes, shrink_ratio
 from holomon.tau import (
     BiSeries,
     coefficient_difference,
@@ -34,6 +36,55 @@ def _double_loop(a: BiSeries, b: BiSeries) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _series_inverse(s: BiSeries) -> BiSeries:
+    """Reference inverse: the geometric series in -(s - s00)/s00."""
+    lead = s.terms[(0, 0)]
+    rest = BiSeries({k: v for k, v in s.terms.items() if k != (0, 0)}, s.jmax)
+    out = power = BiSeries.const(1 / lead, s.jmax)
+    for _ in range(s.jmax):
+        power = power * rest * (-1 / lead)
+        out = out + power
+    return out
+
+
+def _reference_tau(theta, lam, N, M):
+    """Exact plain sum from full-order blocks, cut at N afterwards."""
+    terms: dict = {}
+    for m in range(-M, M + 1):
+        beta = lam + m
+        blk = sphere4_block(*(x * x for x in theta), beta * beta, F(1), N=N)
+        for k, ck in enumerate(blk.coeffs):
+            if m * m + k <= N and ck != 0:
+                terms[(m, m * m + k)] = ck
+    return BiSeries(terms, N)
+
+
+def _reference_residual(ts, order=None):
+    """The residual with untruncated products, the series inverse, and the
+    untrusted slots dropped only at the end."""
+    series, lam2 = ts.series, 2 * ts.lam
+    E0 = ts.leading_exponent
+    R = BiSeries({(m, j): v * (E0 + lam2 * m + j) for (m, j), v in series.terms.items()},
+                 series.jmax) * _series_inverse(series)
+
+    def d_dt(S):
+        return BiSeries({(m, j - 1): v * (lam2 * m + j) for (m, j), v in S.terms.items()},
+                        S.jmax)
+
+    def tmul(S, p=1):
+        return BiSeries({(m, j + p): v for (m, j), v in S.terms.items()}, S.jmax)
+
+    sigma = tmul(R) - R
+    Y = d_dt(sigma)
+    U = sigma - tmul(Y)
+    Z = tmul(d_dt(Y)) - tmul(d_dt(Y), 2)
+    a, b, c, d, e, f = sigma_equation_coefficients(ts.theta)
+    resid = (Z * Z * F(1, 4) + Y * U * U + Y * Y * U + a * U * U + b * (Y * U)
+             + c * Y * Y + d * Y + e * U + BiSeries.const(f, series.jmax))
+    cutoff = min(series.jmax, series.jmax if order is None else order) - 2
+    return {k: v for k, v in resid.terms.items() if k[1] <= cutoff}
+
+
 class TestBiSeries:
     def test_ring_ops(self):
         a = BiSeries({(0, 0): F(1), (1, 1): F(2)}, jmax=4)
@@ -56,6 +107,29 @@ class TestBiSeries:
     def test_inverse_needs_unit(self):
         with pytest.raises(ZeroDivisionError):
             BiSeries({(1, 1): F(1)}, jmax=3).inverse()
+
+    def test_division_needs_constant_grade_zero(self):
+        a = BiSeries({(0, 0): F(1)}, jmax=3)
+        with pytest.raises(ZeroDivisionError):
+            a / BiSeries({(0, 0): F(1), (1, 0): F(2)}, jmax=3)
+
+    def test_division_matches_fraction_reference(self):
+        rng = random.Random(11)
+
+        def draw(unit):
+            terms = {(0, 0): F(rng.randint(1, 5), rng.randint(1, 4))} if unit else {}
+            for _ in range(10):
+                m = rng.randint(-2, 2)
+                # shift m sits at grade >= m^2, as in a tau series
+                key = (m, rng.randint(max(m * m, 1 if unit else 0), 6))
+                terms[key] = F(rng.randint(-4, 4), rng.randint(1, 3))
+            return BiSeries(terms, jmax=rng.randint(3, 6))
+
+        for _ in range(20):
+            a, b = draw(False), draw(True)
+            q = a / b
+            assert q.terms == (a * _series_inverse(b)).terms
+            assert (q * b).terms == BiSeries(a.terms, q.jmax).terms
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_product_matches_double_loop(self, numeric):
@@ -157,10 +231,31 @@ class TestShiftMemo:
         tau_series(*args, N=6, M=3, digits=50)
         grown = tau_series(*args, N=6, M=4, digits=50)
         info = tau_module._shift_block.cache_info()
-        assert (info.hits, info.misses) == (7, 9)
+        # only |m| <= 2 has m^2 <= N = 6: five blocks, reused by M = 4
+        assert (info.hits, info.misses) == (5, 5)
         _clear_memo()
         fresh = tau_series(*args, N=6, M=4, digits=50)
         assert grown.series.terms == fresh.series.terms
+
+
+class TestTruncatedPipeline:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_shift_block_is_prefix_of_full_order(self, mode):
+        N = 7
+        for m in range(-2, 3):
+            full = tau_module._shift_block(THETA, F(3, 8), m, N, 30, mode)
+            cut = tau_module._shift_block(THETA, F(3, 8), m, N - m * m, 30, mode)
+            assert cut == full[:N - m * m + 1]
+
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_exact_pipeline_matches_untruncated_reference(self, N):
+        ts = tau_series(THETA, F(3, 8), None, N=N, M=3, normalization="plain")
+        ref = _reference_tau(THETA, F(3, 8), N, 3)
+        assert ts.mode == "exact" and ts.series.terms == ref.terms
+        res = sigma_pvi_residual(ts)
+        assert res and res == _reference_residual(ts)
+        for order in (N - 1, N - 2):
+            assert sigma_pvi_residual(ts, order=order) == _reference_residual(ts, order)
 
 
 class TestSigmaEquation:
@@ -233,6 +328,16 @@ class TestTruncationStability:
         ts3 = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=40)
         ts4 = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=4, digits=40)
         assert coefficient_difference(ts3, ts4) < 1e-35
+
+    def test_shift_contributions_shrink(self):
+        changes = shift_changes(THETA, F(3, 8), F(7, 10), 6, 40)
+        assert len(changes) == 2 and changes[0] > changes[1] > 0
+        assert shrink_ratio(changes) < 1
+
+    def test_plain_sum_contributions_grow(self):
+        # the unweighted sum is the negative control of the shrink check
+        changes = shift_changes(THETA, F(3, 8), F(7, 10), 6, 40, normalization="plain")
+        assert shrink_ratio(changes) > 1
 
     def test_degenerate_shift_reported(self):
         # integer internal momentum makes a shifted Gram singular
