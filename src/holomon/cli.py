@@ -8,6 +8,7 @@ HOLOMON_PRECISION overrides the default floating digits.
 
 from __future__ import annotations
 
+import cmath
 import sys
 from fractions import Fraction
 
@@ -33,7 +34,10 @@ PASS, FAIL, BADINPUT = 0, 1, 2
 
 def _write_report(rep_or_list, fmt: str, out):
     reports = rep_or_list if isinstance(rep_or_list, list) else [rep_or_list]
-    text = "".join(r.render(fmt) for r in reports)
+    if fmt == "csv":  # one header for the whole output, so it parses as one table
+        text = "".join(r.to_csv(header=i == 0) for i, r in enumerate(reports))
+    else:
+        text = "".join(r.render(fmt) for r in reports)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -250,6 +254,8 @@ def verify_pants(name, b2, seed, draws, tol, sites_csv, fmt, out):
 
     try:
         b2v = _complex(b2) if b2 else None
+        if b2v is not None and not cmath.isfinite(b2v):
+            raise ValueError("b2 must be finite")
         rep = checksuites.pants_checks(name, seed=seed, draws=draws, tol=tol, b2=b2v)
         if sites_csv:
             p = _pr.random_params(name, _random.Random(seed))
@@ -277,7 +283,7 @@ def verify_pants(name, b2, seed, draws, tol, sites_csv, fmt, out):
 @verify.command("bpz")
 @click.option("--b2", default="2/7", show_default=True,
               help="rational deformation parameter")
-@click.option("--order", type=int, default=8, show_default=True)
+@click.option("--order", type=click.IntRange(min=0), default=8, show_default=True)
 @_fmt_opt
 @_out_opt
 def verify_bpz(b2, order, fmt, out):
@@ -310,7 +316,7 @@ def verify_all(seed, fmt, out):
               help="comma-separated weights: sphere4 wants d1,d2,d3,d4,dbeta; "
                    "torus1 wants d0,dbeta (rationals)")
 @click.option("--central-charge", "-c", "cc", default="25/2", show_default=True)
-@click.option("--order", type=int, default=8, show_default=True)
+@click.option("--order", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--plot", type=click.Path(), default=None)
 def block(kind, weights, cc, order, out, plot):

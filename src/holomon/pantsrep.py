@@ -283,9 +283,17 @@ def verify_pants_relations(p: RepParams, kind: str, tol: float = 1e-9,
     rows = residual_table(p, kind, sites)
     report = {}
     for degree in (2, 3):
-        worst = max(r for _, d, r in rows if d == degree)
+        worst = worst_residual(r for _, d, r in rows if d == degree)
         report[degree] = {"residual": worst, "pass": bool(worst < tol)}
     return report
+
+
+def worst_residual(residuals):
+    """The largest residual, or a NaN among them: max would keep whichever
+    side of a NaN comparison came first, and a NaN must never pass."""
+    residuals = list(residuals)
+    nans = [r for r in residuals if mp.isnan(r)]
+    return nans[0] if nans else max(residuals)
 
 
 def random_params(kind: str, rng, digits: int = 30) -> RepParams:

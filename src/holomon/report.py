@@ -104,13 +104,14 @@ class Report:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def to_csv(self) -> str:
+    def to_csv(self, header: bool = True) -> str:
         import csv
         import io
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "tag", "status", "witness"])
+        if header:
+            writer.writerow(["name", "tag", "status", "witness"])
         writer.writerows([c.name, c.tag, c.status, c.witness] for c in self.checks)
         return buf.getvalue()
 

@@ -94,6 +94,11 @@ class TestVerifyCommands:
         ["--surface", "c11", "--b2", "1,0"],      # q^2 = 1 on c11
         ["--b2", "abc"],
         ["--b2", "0,0", "--sites-csv", "{tmp}/sites.csv"],
+        ["--b2", "nan,0"],
+        ["--b2", "inf,0"],
+        ["--b2", "0.3,-inf"],
+        ["--surface", "c11", "--b2", "nan,0"],
+        ["--surface", "c11", "--b2", "inf,0"],
     ])
     def test_pants_bad_b2_exits_2(self, runner, tmp_path, args):
         args = [a.format(tmp=tmp_path) for a in args]
@@ -110,6 +115,14 @@ class TestVerifyCommands:
         with pytest.raises(ValueError):
             checksuites.pants_checks("c11", draws=int(draws))
 
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_nan_residual_fails_its_row(self, kind):
+        rep = checksuites.pants_checks(kind, draws=1, b2=complex(float("nan"), 0))
+        rows = [c for c in rep.checks if "relation degree" in c.name]
+        assert len(rows) == 2
+        assert all(c.status == "fail" and c.witness == "worst residual nan" for c in rows)
+        assert not rep.passed
+
     def test_loop_rows_carry_runtime(self):
         rows = checksuites.pants_checks("c11", draws=1).checks
         rows += checksuites.tau_checks(draws=1, order=3, shifts=1).checks
@@ -123,6 +136,39 @@ class TestVerifyCommands:
                                      "--out", str(path)])
             assert r.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bpz_builds_each_channel_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args[4])
+            return sphere4_block(*args, **kw)
+
+        monkeypatch.setattr(checksuites.blocks, "sphere4_block", counting)
+        rep = checksuites.bpz_checks(order=4)
+        assert rep.passed
+        # two fused channels, the generic control and the vacuum row
+        assert len(calls) == len(set(calls)) == 4
+
+    def test_bpz_channel_failure_is_an_error_row(self, monkeypatch):
+        def failing(*args, **kw):
+            raise ArithmeticError("no block")
+
+        monkeypatch.setattr(checksuites.blocks, "sphere4_block", failing)
+        rep = checksuites.bpz_checks(order=4)
+        assert [c.status for c in rep.checks] == ["error"] * 5
+        assert all(c.witness == "ArithmeticError: no block" for c in rep.checks)
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "bpz", "--order", "-1"],
+        ["block", "sphere4", "--weights", "1,2,3,4,0", "--order", "-1"],
+        ["block", "torus1", "--weights", "1,2", "--order", "-1"],
+    ])
+    def test_negative_order_exits_2(self, runner, args):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output and "PASS" not in r.output
+        assert "--order" in r.output
 
 
     @pytest.mark.parametrize("b2", ["0", "0/5", "abc", "1/0"])
@@ -241,10 +287,16 @@ class TestReportObjects:
         r = runner.invoke(main, ["verify", "classical-relations", "--format", "csv"])
         assert r.exit_code == 0 and "s,t product" in r.output
         for text, reports in ((r.output, reps), (tricky.to_csv(), [tricky])):
-            want = [row for rep in reports for row in
-                    [header] + [[c.name, c.tag, c.status, c.witness] for c in rep.checks]]
+            want = [header] + [[c.name, c.tag, c.status, c.witness]
+                               for rep in reports for c in rep.checks]
             rows = list(csv.reader(io.StringIO(text)))
             assert all(len(row) == 4 for row in rows) and rows == want
+
+    def test_verify_all_csv_is_one_table(self, runner):
+        r = runner.invoke(main, ["verify", "all", "--format", "csv"])
+        assert r.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(r.output)))
+        assert rows and all(row["tag"] in KNOWN_TAGS and row["status"] == "pass" for row in rows)
 
     def test_runtime_not_serialized(self):
         rep = Report("demo")

@@ -17,6 +17,7 @@ from holomon.pantsrep import (
     random_params,
     relation_residual,
     verify_pants_relations,
+    worst_residual,
 )
 
 
@@ -224,6 +225,13 @@ class TestRelations:
         for degree in (2, 3):
             standalone = max(relation_residual(p, kind, degree, s) for s in sites)
             assert rep[degree]["residual"] == standalone
+
+    def test_worst_residual_keeps_nan(self):
+        # max drops a NaN that comes after a number; the fold must not
+        for values in ([mp.mpf(1), mp.nan, mp.mpf(0)], [mp.mpf(0), mp.mpf(2), mp.nan],
+                       [mp.nan, mp.mpf(3)]):
+            assert mp.isnan(worst_residual(values))
+        assert worst_residual([mp.mpf(1), mp.mpf(3), mp.mpf(2)]) == 3
 
     def test_window_independence(self):
         p = params_c04()

@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 import sympy
 
+from holomon import blocks
 from holomon.virasoro import (
     GramSingularError,
     VermaModule,
@@ -282,3 +283,135 @@ class TestRecursiveGram:
         high = V.gram(7)
         assert [V.gram(k) for k in range(8)] == [W.gram(k) for k in range(8)]
         assert V.gram(7) is high
+
+
+def fraction_contract(G, left, right):
+    """Reference for the exact branch of contract: the same bordered
+    elimination with the first nonzero pivot, in Fractions throughout."""
+    n = len(G)
+    q = len(right[0]) if right else 0
+    rows = [[F(v) for v in list(g) + list(r)] for g, r in zip(G, right)] + \
+        [[F(v) for v in list(l) + [0] * q] for l in left]
+    free, rank = [], 0
+    for col in range(n):
+        nonzero = [r for r in range(rank, n) if rows[r][col] != 0]
+        if not nonzero:
+            free.append(col)
+            continue
+        rows[rank], rows[nonzero[0]] = rows[nonzero[0]], rows[rank]
+        prow = rows[rank]
+        for row in rows[rank + 1:]:
+            if row[col] != 0:
+                f = row[col] / prow[col]
+                for t in range(col + 1, n + q):
+                    row[t] -= f * prow[t]
+        rank += 1
+    if any(v != 0 for row in rows[rank:n] for v in row[n:]):
+        raise GramSingularError("inconsistent contraction through a "
+                                "singular Gram matrix")
+    if any(row[col] != 0 for row in rows[n:] for col in free):
+        raise GramSingularError("contraction does not factor through "
+                                "the singular Gram matrix")
+    return [[-v for v in row[n:]] for row in rows[n:]]
+
+
+def _momentum_weight(p, r, b2):
+    return (p * b2 + p + r + r / b2) - (p * p * b2 + 2 * p * r + r * r / b2)
+
+
+B2 = F(2, 7)
+CC = central_charge(B2)
+INCONSISTENT = "inconsistent contraction through a singular Gram matrix"
+NO_FACTOR = "contraction does not factor through the singular Gram matrix"
+
+
+class TestFractionFreeKernel:
+    """The exact branch of contract eliminates in integers after clearing
+    row denominators; sympy and the Fraction elimination are its oracles."""
+
+    @pytest.mark.parametrize("d_beta", [F(9, 4), F(17, 4),
+                                        _momentum_weight(F(1, 3) - F(1, 2), F(2, 5), B2)],
+                             ids=["generic-9/4", "generic-17/4", "fused"])
+    def test_block_rows_match_sympy(self, d_beta):
+        V = VermaModule(d_beta, CC)
+        d1, d2 = _momentum_weight(F(2, 3), F(3, 5), B2), blocks.degenerate_weight_of(B2)
+        d3, d4 = _momentum_weight(F(1, 5), F(2, 7), B2), _momentum_weight(F(3, 7), F(4, 11), B2)
+        for k in range(8):
+            basis = partitions(k)
+            G = V.gram(k)
+            L = [[blocks.three_point_descendant(d4, d3, d_beta, lam) for lam in basis],
+                 [blocks.three_point_descendant(d1, d2, d_beta, lam) for lam in basis]]
+            R = [[blocks.three_point_descendant(d1, d2, d_beta, mu), F(int(i == 0))]
+                 for i, mu in enumerate(basis)]
+            want = _frac(_sym(L) * _sym(G).LUsolve(_sym(R)))
+            got = contract(G, L, R)
+            assert got == want, k
+            assert all(type(v) is F for row in got for v in row)
+
+    def test_coprime_row_denominators(self):
+        # every G-row, right part and left row has its own prime denominator,
+        # and zero entries leave rows with nothing to eliminate at a pivot
+        G = [[F(1, 2), F(1, 2), F(0), F(3, 2)],
+             [F(0), F(2, 3), F(1, 3), F(0)],
+             [F(4, 5), F(0), F(0), F(1, 5)],
+             [F(0), F(0), F(6, 7), F(5, 7)]]
+        R = [[F(1, 11), F(0)], [F(0), F(2, 13)], [F(3, 17), F(1)], [F(0), F(0)]]
+        L = [[F(1, 19), F(0), F(0), F(0)], [F(0), F(0), F(2, 23), F(1, 29)],
+             [F(0), F(0), F(0), F(0)]]
+        want = _frac(_sym(L) * _sym(G).inv() * _sym(R))
+        assert contract(G, L, R) == want == fraction_contract(G, L, R)
+        assert want[0][0] != 0 and want[1][1] != 0
+
+    def test_degenerate_weight_singular_gram(self):
+        V = VermaModule(degenerate_weight(B2), CC)
+        rng = random.Random(5)
+        for k in (2, 3, 4):
+            G = V.gram(k)
+            n = len(G)
+            assert _sym(G).rank() < n
+            Y, X = _rand_matrix(rng, 2, n), _rand_matrix(rng, n, 2)
+            L, R = _matmul(Y, G), _matmul(G, X)
+            assert contract(G, L, R) == fraction_contract(G, L, R) \
+                == _frac(_sym(Y) * _sym(G) * _sym(X))
+            kernel = _frac(_sym(G).nullspace()[0].T)[0]
+            bad_R = [[r[0] + e, r[1]] for r, e in zip(R, kernel)]
+            bad_L = [L[0], [a + e for a, e in zip(L[1], kernel)]]
+            for fn in (contract, fraction_contract):
+                with pytest.raises(GramSingularError) as exc:
+                    fn(G, L, bad_R)
+                assert str(exc.value) == INCONSISTENT
+                with pytest.raises(GramSingularError) as exc:
+                    fn(G, bad_L, R)
+                assert str(exc.value) == NO_FACTOR
+
+    def test_int_input_matches_sympy(self):
+        G = [[4, 2, 0], [2, 5, 3], [0, 3, 7]]
+        L, R = [[1, 0, 2], [0, 3, 0]], [[1, 1], [0, 2], [5, 0]]
+        got = contract(G, L, R)
+        assert got == _frac(_sym(L) * _sym(G).inv() * _sym(R))
+        assert all(type(v) is F for row in got for v in row)
+
+    @pytest.fixture
+    def fraction_blocks(self, monkeypatch):
+        """Build blocks through the Fraction reference instead of contract."""
+        def with_reference(build, *args, **kw):
+            with monkeypatch.context() as m:
+                m.setattr(blocks, "contract", fraction_contract)
+                m.setattr(blocks, "solve_contraction",
+                          lambda G, l, r: fraction_contract(G, [l], [[v] for v in r])[0][0])
+                return build(*args, **kw)
+        return with_reference
+
+    def test_sphere4_order10_matches_fraction_elimination(self, fraction_blocks):
+        d1 = _momentum_weight(F(2, 3), F(3, 5), B2)
+        d3, d4 = _momentum_weight(F(1, 5), F(2, 7), B2), _momentum_weight(F(3, 7), F(4, 11), B2)
+        args = (d1, blocks.degenerate_weight_of(B2), d3, d4, F(13, 4), CC)
+        got = blocks.sphere4_block(*args, N=10).coeffs
+        assert got == fraction_blocks(blocks.sphere4_block, *args, N=10).coeffs
+        assert all(type(v) is F for v in got)
+
+    def test_torus1_order8_matches_fraction_elimination(self, fraction_blocks):
+        args = (F(2, 3), F(7, 5), CC)
+        got = blocks.torus1_block(*args, N=8).coeffs
+        assert got == fraction_blocks(blocks.torus1_block, *args, N=8).coeffs
+        assert all(type(v) is F for v in got)
