@@ -372,7 +372,7 @@ def block(kind, weights, cc, order, out, plot):
               help="external momenta th0,tht,th1,thinf")
 @click.option("--order", type=click.IntRange(min=0), default=6, show_default=True)
 @click.option("--shifts", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--digits", type=int, default=None)
+@click.option("--digits", type=click.IntRange(min=1), default=None)
 @click.option("--normalization", type=click.Choice(["isomonodromic", "plain"]),
               default="isomonodromic", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -429,32 +429,41 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 def report_cmd(path, fmt):
-    """Re-render a JSON report in another format."""
+    """Re-render JSON reports in another format.  The file may hold several
+    reports back to back, as `verify all --format json` writes them."""
     import json
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        click.echo(f"error: cannot read {path}", err=True)
-        sys.exit(BADINPUT)
-    except json.JSONDecodeError as exc:
-        click.echo(f"error: bad report file: {exc}", err=True)
-        sys.exit(BADINPUT)
     from .report import CheckResult
 
     try:
-        rep = Report(doc.get("title", "report"))
-        for c in doc.get("checks", []):
-            rep.add(CheckResult(c["name"], c["tag"], c["status"], c.get("witness", "")))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # not an object, a missing field, an unregistered tag or a bad status
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().lstrip()
+    except FileNotFoundError:
+        click.echo(f"error: cannot read {path}", err=True)
+        sys.exit(BADINPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file or bytes that are not UTF-8
         click.echo(f"error: bad report file: {exc}", err=True)
         sys.exit(BADINPUT)
-    for n in doc.get("notes", []):
-        rep.note(n)
-    click.echo(rep.render(fmt), nl=False)
-    sys.exit(PASS if rep.passed else FAIL)
+    decode, reports = json.JSONDecoder().raw_decode, []
+    try:
+        while True:
+            doc, end = decode(text)
+            rep = Report(doc.get("title", "report"))
+            for c in doc.get("checks", []):
+                rep.add(CheckResult(c["name"], c["tag"], c["status"], c.get("witness", "")))
+            for n in doc.get("notes", []):
+                rep.note(n)
+            reports.append(rep)
+            text = text[end:].lstrip()
+            if not text:
+                break
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # bad JSON, not an object, a missing field, an unregistered tag,
+        # a bad status or notes that are not a list
+        click.echo(f"error: bad report file: {exc}", err=True)
+        sys.exit(BADINPUT)
+    sys.exit(_write_report(reports, fmt, None))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPoly, LaurentRational
+from .sparse import convolve, pairing, vec_add
 from .surfaces import LEFT, RIGHT, CurvePath, FatGraph, Triangulation, dual_fat_graph
 
 # turn matrices as integer 2x2 tuples
@@ -32,16 +33,9 @@ def _edge_matrix(nvars: int, e: int):
 
 
 def _mat_mul(A, B):
+    # 2x2 product; B may be an integer turn matrix
     return tuple(
         tuple(A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2))
-        for i in range(2)
-    )
-
-
-def _mat_scale_turn(A, T):
-    # multiply on the right by an integer turn matrix
-    return tuple(
-        tuple(A[i][0] * T[0][j] + A[i][1] * T[1][j] for j in range(2))
         for i in range(2)
     )
 
@@ -54,7 +48,7 @@ def holonomy_matrix(tri: Triangulation, curve: CurvePath, fg: FatGraph | None = 
     nvars = tri.n_edges
     acc = None
     for _, e, turn in resolved:
-        M = _mat_scale_turn(_edge_matrix(nvars, e), _TURN[turn])
+        M = _mat_mul(_edge_matrix(nvars, e), _TURN[turn])
         acc = M if acc is None else _mat_mul(acc, M)
     return acc
 
@@ -72,38 +66,14 @@ def trace_function(tri: Triangulation, curve: CurvePath,
 
 # -- Poisson bracket -----------------------------------------------------------
 
-def pairing(d1, d2, n) -> Fraction:
-    """Symplectic pairing of doubled exponent vectors: sum mu_a n_ab nu_b."""
-    total = 0
-    for a, da in enumerate(d1):
-        if not da:
-            continue
-        row = n[a]
-        for b, db in enumerate(d2):
-            if db:
-                total += da * row[b] * db
-    return Fraction(total, 4)
-
-
 def poisson_bracket(p: LaurentPoly, q: LaurentPoly, n) -> LaurentPoly:
     """Log-canonical bracket {X^mu, X^nu} = <mu, nu> X^(mu+nu), extended
     bilinearly (which is exactly the Leibniz extension)."""
     if p.nvars != q.nvars or len(n) != p.nvars:
         raise ValueError("variable index sets differ")
-    out = LaurentPoly.zero(p.nvars)
-    acc: dict = {}
-    for d1, c1 in p.terms.items():
-        for d2, c2 in q.terms.items():
-            w = pairing(d1, d2, n)
-            if w == 0:
-                continue
-            e = tuple(a + b for a, b in zip(d1, d2))
-            s = acc.get(e, Fraction(0)) + w * c1 * c2
-            if s == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-    return LaurentPoly(p.nvars, acc)
+    # <mu, nu> is a quarter of the pairing of doubled exponent vectors
+    return LaurentPoly(p.nvars, convolve(
+        p.terms, q.terms, vec_add, lambda d1, d2: Fraction(pairing(d1, d2, n), 4)))
 
 
 # -- cluster mutation -----------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .sparse import add, convolve, vec_add
+
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -98,14 +100,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -113,10 +108,6 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.nvars, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -131,16 +122,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, convolve(self.terms, other.terms, vec_add))
 
     __rmul__ = __mul__
 

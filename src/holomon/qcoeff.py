@@ -10,6 +10,9 @@ nothing divides by them.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add
+
+from .sparse import add, convolve
 
 
 class SPoly:
@@ -57,10 +60,7 @@ class SPoly:
         raise TypeError(f"cannot coerce {type(o).__name__} to SPoly")
 
     def __add__(self, o):
-        out = dict(self.c)
-        for k, v in self._c(o).c.items():
-            out[k] = out[k] + v if k in out else v
-        return SPoly(out)
+        return SPoly(add(self.c, self._c(o).c))
 
     __radd__ = __add__
 
@@ -74,13 +74,7 @@ class SPoly:
         return (-self) + o
 
     def __mul__(self, o):
-        o = self._c(o)
-        out: dict = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in o.c.items():
-                k = k1 + k2
-                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
-        return SPoly(out)
+        return SPoly(convolve(self.c, self._c(o).c, _add))
 
     __rmul__ = __mul__
 

@@ -12,6 +12,7 @@ arithmetic is required.
 from __future__ import annotations
 
 from .qcoeff import SPoly
+from .sparse import pairing, vec_add
 from .surfaces import mutate_exchange_matrix
 
 
@@ -86,21 +87,11 @@ class QMutationImage:
         """w(d) = sum_a d_a n_{a,e}; X_e^m :X^d: = s^(-4 m w) :X^d: X_e^m."""
         return sum(da * self.context[a][self.e] for a, da in enumerate(d))
 
-    def _pair(self, d1, d2) -> int:
-        total = 0
-        for a, da in enumerate(d1):
-            if da:
-                row = self.context[a]
-                for b, db in enumerate(d2):
-                    if db:
-                        total += da * row[b] * db
-        return total
-
     def __mul__(self, other: "QMutationImage") -> "QMutationImage":
         if self.context != other.context or self.e != other.e:
             raise ValueError("images live over different mutations")
-        s_pair = self._pair(self.mono, other.mono)
-        mono = tuple(a + b for a, b in zip(self.mono, other.mono))
+        s_pair = pairing(self.mono, other.mono, self.context)
+        mono = vec_add(self.mono, other.mono)
         # commute self.rat(X_e) past :X^(other.mono):
         moved = self.rat.scale_arg(-4 * self._weight(other.mono))
         return QMutationImage(

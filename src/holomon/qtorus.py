@@ -12,20 +12,7 @@ from fractions import Fraction
 
 from .laurent import LaurentPoly
 from .qcoeff import SPoly, q_int_bracket, two_cos_pi_b2
-
-
-def _pairing_s_exponent(d1, d2, n) -> int:
-    """s-exponent of q^<mu,nu> for doubled exponent vectors: since
-    <mu,nu> = (1/4) d1.n.d2 and q = s^4, this is just d1.n.d2."""
-    total = 0
-    for a, da in enumerate(d1):
-        if not da:
-            continue
-        row = n[a]
-        for b, db in enumerate(d2):
-            if db:
-                total += da * row[b] * db
-    return total
+from .sparse import add, convolve, pairing, vec_add
 
 
 class QuantumTorusElement:
@@ -80,10 +67,7 @@ class QuantumTorusElement:
         if isinstance(other, (int, Fraction, SPoly)):
             other = QuantumTorusElement.const(self.context, other)
         self._check(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out[d] + c if d in out else c
-        return QuantumTorusElement(self.context, out)
+        return QuantumTorusElement(self.context, add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -91,8 +75,6 @@ class QuantumTorusElement:
         return QuantumTorusElement(self.context, {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            other = QuantumTorusElement.const(self.context, other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -101,14 +83,10 @@ class QuantumTorusElement:
                 self.context, {d: c * other for d, c in self.terms.items()})
         self._check(other)
         n = self.context
-        out: dict = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                k = _pairing_s_exponent(d1, d2, n)
-                d = tuple(a + b for a, b in zip(d1, d2))
-                c = c1 * c2 * SPoly.s_power(k)
-                out[d] = out[d] + c if d in out else c
-        return QuantumTorusElement(self.context, out)
+        # Weyl twist: q^<mu,nu> = s^(d1.n.d2)
+        return QuantumTorusElement(self.context, convolve(
+            self.terms, other.terms, vec_add,
+            lambda d1, d2: SPoly.s_power(pairing(d1, d2, n))))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, SPoly)):

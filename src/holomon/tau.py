@@ -22,6 +22,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .blocks import default_digits, sphere4_block
+from .sparse import add, add_into, convolve
 from .virasoro import GramSingularError
 
 
@@ -44,14 +45,7 @@ class BiSeries:
     def __add__(self, o):
         if not isinstance(o, BiSeries):
             o = BiSeries.const(o, self.jmax)
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            w = out.get(k, 0) + v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return BiSeries(out, min(self.jmax, o.jmax))
+        return BiSeries(add(self.terms, o.terms), min(self.jmax, o.jmax))
 
     __radd__ = __add__
 
@@ -59,26 +53,20 @@ class BiSeries:
         return BiSeries({k: -v for k, v in self.terms.items()}, self.jmax)
 
     def __sub__(self, o):
-        if not isinstance(o, BiSeries):
-            o = BiSeries.const(o, self.jmax)
         return self + (-o)
 
     def __mul__(self, o):
         if not isinstance(o, BiSeries):
             return BiSeries({k: v * o for k, v in self.terms.items()}, self.jmax)
         jmax = min(self.jmax, o.jmax)
-        # right operand by increasing j, so each row stops at the truncation;
-        # zero sums are dropped by the constructor
+
+        def keyadd(k1, k2):
+            j = k1[1] + k2[1]
+            return (k1[0] + k2[0], j) if j <= jmax else None
+
+        # right operand by increasing j, so each row stops at the truncation
         right = sorted(o.terms.items(), key=lambda kv: kv[0][1])
-        out: dict = {}
-        for (m1, j1), v1 in self.terms.items():
-            for (m2, j2), v2 in right:
-                j = j1 + j2
-                if j > jmax:
-                    break
-                k = (m1 + m2, j)
-                out[k] = out.get(k, 0) + v1 * v2
-        return BiSeries(out, jmax)
+        return BiSeries(convolve(self.terms, right, keyadd), jmax)
 
     __rmul__ = __mul__
 
@@ -272,13 +260,7 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
                 phase = mp.exp(1j * mp.mpmathify(kappa or 0) * kappa_multiplier * m)
                 if weighted:
                     phase *= weights[m]
-            for k, ck in enumerate(coeffs):
-                key = (m, m * m + k)
-                v = terms.get(key, 0) + phase * ck
-                if v == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = v
+            add_into(terms, {(m, m * m + k): ck for k, ck in enumerate(coeffs)}, phase)
     if skipped:
         warnings.warn(f"skipped degenerate shifts {skipped} (non-generic momentum)")
     return TauSeries(
@@ -352,12 +334,8 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
                      jmax + 1) / S
 
         def d_dt(S: BiSeries) -> BiSeries:
-            out: dict = {}
-            for (m, j), v in S.terms.items():
-                w = v * (lam2 * m + j)
-                if w != 0:
-                    out[(m, j - 1)] = out.get((m, j - 1), 0) + w
-            return BiSeries(out, jmax)
+            return BiSeries({(m, j - 1): v * (lam2 * m + j)
+                             for (m, j), v in S.terms.items()}, jmax)
 
         def tmul(S: BiSeries, power: int = 1) -> BiSeries:
             return BiSeries({(m, j + power): v for (m, j), v in S.terms.items()

@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .sparse import add_into
+
 
 @lru_cache(maxsize=None)
 def partitions(k: int, max_part: int | None = None) -> tuple:
@@ -51,12 +53,7 @@ class VermaModule:
         """Act with the n-th generator on a basis-combination state."""
         out: dict = {}
         for lam, coeff in state.items():
-            for mu, v in self._apply_basis(n, lam).items():
-                w = out.get(mu, 0) + coeff * v
-                if w == 0:
-                    out.pop(mu, None)
-                else:
-                    out[mu] = w
+            add_into(out, self._apply_basis(n, lam), coeff)
         return out
 
     def _apply_basis(self, n: int, lam: tuple) -> dict:
@@ -82,32 +79,20 @@ class VermaModule:
             if m >= head:
                 return {(m,) + lam: 1}
             # L_{-m} L_{-head} = L_{-head} L_{-m} + (head - m) L_{-(m+head)}
-            out: dict = {}
-            for mu, v in self._apply_basis(n, rest).items():
-                for nu, w in self._prepend(head, mu).items():
-                    _acc(out, nu, v * w)
-            for nu, w in self._apply_basis(-(m + head), rest).items():
-                _acc(out, nu, (head - m) * w)
-            return out
+            out = self.apply_L(-head, self._apply_basis(n, rest))
+            return add_into(out, self._apply_basis(-(m + head), rest), head - m)
         # n > 0: commute through the first lowering generator
         # [L_n, L_{-head}] = (n + head) L_{n-head} + c/12 n(n^2-1) delta_{n,head}
-        out: dict = {}
-        for mu, v in self._apply_basis(n - head, rest).items():
-            _acc(out, mu, (n + head) * v)
+        out = add_into({}, self._apply_basis(n - head, rest), n + head)
         if n == head:
-            _acc(out, rest, self._central(n))
+            add_into(out, {rest: self._central(n)})
         for mu, v in self._apply_basis(n, rest).items():
-            for nu, w in self._prepend(head, mu).items():
-                _acc(out, nu, v * w)
+            add_into(out, self._apply_basis(-head, mu), v)
         return out
 
     def _central(self, n: int):
         return self.c * Fraction(n * (n * n - 1), 12) if isinstance(self.c, Fraction) \
             else self.c * n * (n * n - 1) / 12
-
-    def _prepend(self, m: int, lam: tuple) -> dict:
-        """L_{-m} applied to a basis partition, re-sorted into the basis."""
-        return self._apply_basis(-m, lam)
 
     # -- pairing -----------------------------------------------------------
 
@@ -256,12 +241,3 @@ def null_vector_level2(b2: Fraction) -> dict:
     """(L_{-1}^2 + b^2 L_{-2}) e as a state dictionary."""
     return {(1, 1): Fraction(1), (2,): Fraction(b2)}
 
-
-def _acc(out: dict, key, val):
-    if val == 0:
-        return
-    w = out.get(key, 0) + val
-    if w == 0:
-        out.pop(key, None)
-    else:
-        out[key] = w

@@ -215,9 +215,11 @@ class TestSeriesCommands:
         assert r.output.startswith("error: ") and r.output.count("\n") == 1
         assert f"lambda={lam}" in r.output
 
-    @pytest.mark.parametrize("opt", ["--shifts", "--order"])
-    def test_tau_negative_sizes_exit_2(self, runner, opt):
-        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10", opt, "-1"])
+    @pytest.mark.parametrize("opt,value", [
+        ("--shifts", "-1"), ("--order", "-1"), ("--digits", "0"), ("--digits", "-1"),
+    ], ids=["--shifts", "--order", "--digits-0", "--digits--1"])
+    def test_tau_negative_sizes_exit_2(self, runner, opt, value):
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10", opt, value])
         assert r.exit_code == 2
         assert "Traceback" not in r.output
 
@@ -247,7 +249,8 @@ class TestSeriesCommands:
         {"checks": [{"name": "a", "tag": "cubic-relation", "status": "maybe"}]},
         {"checks": [{"tag": "cubic-relation", "status": "pass"}]},
         [{"name": "a", "tag": "cubic-relation", "status": "pass"}],
-    ], ids=["tag", "status", "missing-name", "not-an-object"])
+        {"checks": [], "notes": 5},
+    ], ids=["tag", "status", "missing-name", "not-an-object", "notes-not-a-list"])
     def test_report_bad_check_exits_2(self, runner, tmp_path, doc):
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(doc))
@@ -255,6 +258,28 @@ class TestSeriesCommands:
         assert r.exit_code == 2
         assert "Traceback" not in r.output
         assert r.output.startswith("error: bad report file") and r.output.count("\n") == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda p: p.mkdir(),
+        lambda p: p.write_bytes(b'{"title": "\xff"}'),
+    ], ids=["directory", "not-utf8"])
+    def test_report_unreadable_file_exits_2(self, runner, tmp_path, make):
+        path = tmp_path / "rep.json"
+        make(path)
+        r = runner.invoke(main, ["report", str(path)])
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
+        assert r.output.startswith("error: bad report file") and r.output.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_report_rerenders_multi_report_json(self, runner, tmp_path, fmt):
+        # classical-relations writes two reports, so its JSON is two documents
+        path = tmp_path / "rep.json"
+        args = ["verify", "classical-relations", "--format"]
+        path.write_text(runner.invoke(main, args + ["json"]).output)
+        r = runner.invoke(main, ["report", str(path), "--format", fmt])
+        assert r.exit_code == 0
+        assert r.output == runner.invoke(main, args + [fmt]).output
 
     def test_report_rerender(self, runner, tmp_path):
         out = tmp_path / "rep.json"
