@@ -295,7 +295,7 @@ def verify_bpz(b2, order, fmt, out):
         click.echo(f"error: --b2 {b2}: {exc}", err=True)
         sys.exit(BADINPUT)
     rep = checksuites.bpz_checks(b2v, order)
-    rep2 = checksuites.virasoro_checks(b2v if "/" in b2 else Fraction(2, 5))
+    rep2 = checksuites.virasoro_checks(b2v)
     sys.exit(_write_report([rep2, rep], fmt, out))
 
 
@@ -452,7 +452,10 @@ def report_cmd(path, fmt):
             rep = Report(doc.get("title", "report"))
             for c in doc.get("checks", []):
                 rep.add(CheckResult(c["name"], c["tag"], c["status"], c.get("witness", "")))
-            for n in doc.get("notes", []):
+            notes = doc.get("notes", [])
+            if not isinstance(notes, list):
+                raise TypeError(f"notes must be a list, not {type(notes).__name__}")
+            for n in notes:
                 rep.note(n)
             reports.append(rep)
             text = text[end:].lstrip()

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .laurent import LaurentPoly, LaurentRational
 from .sparse import convolve, pairing, vec_add
-from .surfaces import LEFT, RIGHT, CurvePath, FatGraph, Triangulation, dual_fat_graph
+from .surfaces import (LEFT, RIGHT, CurvePath, FatGraph, Triangulation, dual_fat_graph,
+                       exchange_matrix, flip)
 
 # turn matrices as integer 2x2 tuples
 _TURN = {
@@ -146,20 +147,12 @@ def verify_mutation_covariance(tri: Triangulation, e: int, curve: CurvePath,
                                curve_in_flipped: CurvePath) -> bool:
     """Exact check that the flipped-triangulation trace, pushed through the
     coordinate mutation, reproduces the original trace."""
-    from .surfaces import flip
-
-    n = [row[:] for row in _exchange(tri)]
+    n = exchange_matrix(tri)
     orig = trace_function(tri, curve)
     tri2 = flip(tri, e)
     flipped = trace_function(tri2, curve_in_flipped)
     pushed = substitute_flip(flipped, n, e)
     return pushed == LaurentRational(orig)
-
-
-def _exchange(tri: Triangulation):
-    from .surfaces import exchange_matrix
-
-    return exchange_matrix(tri)
 
 
 def enumerate_closed_walks(fg: FatGraph, length: int) -> list:
@@ -194,9 +187,7 @@ def find_covariant_walk(tri: Triangulation, e: int, curve: CurvePath,
     Returns the first closed walk whose trace, pushed through the mutation,
     equals the original trace; None when no walk up to ``max_len`` matches.
     """
-    from .surfaces import flip
-
-    n = _exchange(tri)
+    n = exchange_matrix(tri)
     orig = LaurentRational(trace_function(tri, curve))
     tri2 = flip(tri, e)
     fg2 = dual_fat_graph(tri2)
@@ -312,7 +303,7 @@ def goldman_vs_dp(kind: str, n, values: dict):
     lead = max(rhs.terms)
     if lead not in lhs.terms:
         return False, None
-    ratio = lhs.terms[lead] / rhs.terms[lead]
+    ratio = Fraction(lhs.terms[lead], rhs.terms[lead])
     if lhs == rhs * ratio:
         return False, ratio
     return False, None

@@ -1,8 +1,10 @@
 """Sparse multivariate Laurent polynomials with half-integer exponents.
 
 Exponent vectors are stored doubled (units of 1/2), so all bookkeeping is
-integer arithmetic; coefficients are exact ``fractions.Fraction`` values.
-Zero coefficients are never stored.
+integer arithmetic.  Coefficients are kept as given, in a ring: trace
+polynomials stay over the integers, and a Fraction appears only where a
+bracket, a ratio or a monomial inverse divides.  Zero coefficients are
+never stored.
 """
 
 from __future__ import annotations
@@ -13,34 +15,32 @@ from typing import Iterable, Mapping
 from .sparse import add, convolve, vec_add
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
 class LaurentPoly:
     """A Laurent polynomial in ``nvars`` variables with exponents in (1/2)Z.
 
-    ``terms`` maps doubled exponent tuples to nonzero Fractions, i.e. the
-    key ``(1, -2, 0)`` stands for ``x0^(1/2) * x1^(-1)``.
+    ``terms`` maps doubled exponent tuples to nonzero coefficients, i.e.
+    the key ``(1, -2, 0)`` stands for ``x0^(1/2) * x1^(-1)``.  int and
+    Fraction operands act as constants; nothing else mixes in.
     """
 
     __slots__ = ("nvars", "terms")
 
+    _SCALARS = (int, Fraction)
+
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _as_fraction(c)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent vector {exps} has wrong length (want {nvars})")
-                if c != 0:
-                    clean[tuple(int(e) for e in exps)] = c
-        self.terms = clean
+        self.terms = {e: c for e, c in terms.items() if c} if terms else {}
+
+    @property
+    def _space(self):
+        """What two operands must share to be added or multiplied."""
+        return self.nvars
+
+    def _new(self, terms: dict):
+        return type(self)(self._space, terms)
+
+    def _const(self, c):
+        return type(self).const(self._space, c)
 
     # -- constructors ------------------------------------------------------
 
@@ -50,12 +50,15 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def monomial(cls, nvars: int, exps2: Iterable[int], coeff=1) -> "LaurentPoly":
         """Monomial with doubled exponents ``exps2`` (units of 1/2)."""
-        return cls(nvars, {tuple(int(e) for e in exps2): _as_fraction(coeff)})
+        exps = tuple(int(e) for e in exps2)
+        if len(exps) != nvars:
+            raise ValueError(f"exponent vector {exps} has wrong length (want {nvars})")
+        return cls(nvars, {exps: coeff})
 
     @classmethod
     def variable(cls, nvars: int, i: int, half: bool = False) -> "LaurentPoly":
@@ -72,7 +75,7 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
@@ -82,7 +85,7 @@ class LaurentPoly:
     def all_coefficients_positive(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self):
         """Coefficient of the lexicographically largest exponent vector."""
         if self.is_zero():
             return Fraction(0)
@@ -91,21 +94,21 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "LaurentPoly"):
-        if self.nvars != other.nvars:
-            raise ValueError("variable index sets differ")
+        if type(other) is not type(self) or self._space != other._space:
+            raise ValueError("operands belong to different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.nvars, other)
+        if isinstance(other, self._SCALARS):
+            other = self._const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        return LaurentPoly(self.nvars, add(self.terms, other.terms))
+        return self._new(add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._new({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -114,15 +117,12 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return LaurentPoly.zero(self.nvars)
-            return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if isinstance(other, self._SCALARS):
+            return self._new({e: other * v for e, v in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        return LaurentPoly(self.nvars, convolve(self.terms, other.terms, vec_add))
+        return self._new(convolve(self.terms, other.terms, vec_add))
 
     __rmul__ = __mul__
 
@@ -132,7 +132,7 @@ class LaurentPoly:
         if k < 0:
             inv = self.monomial_inverse()
             return inv ** (-k)
-        result = LaurentPoly.const(self.nvars, 1)
+        result = self._const(1)
         base = self
         while k:
             if k & 1:
@@ -146,17 +146,18 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in the Laurent ring")
         ((e, c),) = self.terms.items()
-        return LaurentPoly(self.nvars, {tuple(-x for x in e): Fraction(1) / c})
+        return self._new({tuple(-x for x in e): Fraction(1) / c})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.nvars, other)
+        if isinstance(other, self._SCALARS):
+            other = self._const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (type(other) is type(self) and self._space == other._space
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self._space, frozenset(self.terms.items())))
 
     # -- utilities ---------------------------------------------------------
 

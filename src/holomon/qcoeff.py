@@ -52,7 +52,9 @@ class SPoly:
     def __bool__(self):
         return bool(self.c)
 
-    def _c(self, o) -> "SPoly":
+    @staticmethod
+    def coerce(o) -> "SPoly":
+        """o itself if an SPoly, the constant o if an int or Fraction."""
         if isinstance(o, SPoly):
             return o
         if isinstance(o, (int, Fraction)):
@@ -60,7 +62,7 @@ class SPoly:
         raise TypeError(f"cannot coerce {type(o).__name__} to SPoly")
 
     def __add__(self, o):
-        return SPoly(add(self.c, self._c(o).c))
+        return SPoly(add(self.c, self.coerce(o).c))
 
     __radd__ = __add__
 
@@ -68,13 +70,13 @@ class SPoly:
         return SPoly({k: -v for k, v in self.c.items()})
 
     def __sub__(self, o):
-        return self + (-self._c(o))
+        return self + (-self.coerce(o))
 
     def __rsub__(self, o):
         return (-self) + o
 
     def __mul__(self, o):
-        return SPoly(convolve(self.c, self._c(o).c, _add))
+        return SPoly(convolve(self.c, self.coerce(o).c, _add))
 
     __rmul__ = __mul__
 
@@ -92,7 +94,7 @@ class SPoly:
 
     def __eq__(self, o):
         try:
-            o = self._c(o)
+            o = self.coerce(o)
         except TypeError:
             return NotImplemented
         return self.c == o.c

@@ -10,29 +10,33 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .holonomy import find_covariant_walk, trace_function
 from .laurent import LaurentPoly
 from .qcoeff import SPoly, q_int_bracket, two_cos_pi_b2
-from .sparse import add, convolve, pairing, vec_add
+from .sparse import convolve, pairing, vec_add
+from .surfaces import dual_fat_graph, exchange_matrix, flip, flippable_edges
 
 
-class QuantumTorusElement:
-    """Finite SPoly-combination of Weyl-ordered monomials."""
+class QuantumTorusElement(LaurentPoly):
+    """A LaurentPoly over SPoly coefficients whose product is twisted by
+    q^<mu,nu>; sums, negation, equality and hashing are the Laurent ones.
 
-    __slots__ = ("context", "terms")
+    ``context`` is the exchange matrix.  Coefficients must already be
+    SPolys: the constructors below wrap scalars once, and nothing is
+    coerced term by term.
+    """
+
+    __slots__ = ("context",)
+
+    _SCALARS = (int, Fraction, SPoly)
 
     def __init__(self, context, terms: dict | None = None):
         self.context = tuple(tuple(row) for row in context)
-        clean = {}
-        for d, c in (terms or {}).items():
-            if not isinstance(c, SPoly):
-                c = SPoly.const(c)
-            if c:
-                clean[tuple(int(x) for x in d)] = c
-        self.terms = clean
+        super().__init__(len(self.context), terms)
 
     @property
-    def nvars(self) -> int:
-        return len(self.context)
+    def _space(self):
+        return self.context
 
     # -- constructors --------------------------------------------------
 
@@ -43,11 +47,11 @@ class QuantumTorusElement:
     @classmethod
     def const(cls, context, c) -> "QuantumTorusElement":
         E = len(context)
-        return cls(context, {(0,) * E: c})
+        return cls(context, {(0,) * E: SPoly.coerce(c)})
 
     @classmethod
-    def monomial(cls, context, d, coeff=None) -> "QuantumTorusElement":
-        return cls(context, {tuple(d): coeff if coeff is not None else SPoly.one()})
+    def monomial(cls, context, d, coeff=1) -> "QuantumTorusElement":
+        return cls(context, {tuple(d): SPoly.coerce(coeff)})
 
     @classmethod
     def generator(cls, context, i: int, power2: int = 2) -> "QuantumTorusElement":
@@ -59,52 +63,22 @@ class QuantumTorusElement:
 
     # -- ring operations --------------------------------------------------
 
-    def _check(self, other):
-        if self.context != other.context:
-            raise ValueError("quantum torus context mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            other = QuantumTorusElement.const(self.context, other)
-        self._check(other)
-        return QuantumTorusElement(self.context, add(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuantumTorusElement(self.context, {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            return QuantumTorusElement(
-                self.context, {d: c * other for d, c in self.terms.items()})
+        if isinstance(other, self._SCALARS):
+            return self._new({d: c * other for d, c in self.terms.items()})
+        if not isinstance(other, QuantumTorusElement):
+            return NotImplemented
         self._check(other)
         n = self.context
         # Weyl twist: q^<mu,nu> = s^(d1.n.d2)
-        return QuantumTorusElement(self.context, convolve(
+        return self._new(convolve(
             self.terms, other.terms, vec_add,
             lambda d1, d2: SPoly.s_power(pairing(d1, d2, n))))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
+        if isinstance(other, self._SCALARS):
             return self * other
         return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            other = QuantumTorusElement.const(self.context, other)
-        if not isinstance(other, QuantumTorusElement):
-            return NotImplemented
-        return self.context == other.context and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.context, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def commutator_ratio_holds(self, other, power: int) -> bool:
         """True when self * other == q^power * other * self."""
@@ -127,9 +101,6 @@ class QuantumTorusElement:
         neg = tuple(tuple(-v for v in row) for row in self.context)
         return QuantumTorusElement(neg, {d: c.conj() for d, c in self.terms.items()})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __repr__(self):
         if self.is_zero():
             return "0"
@@ -147,7 +118,7 @@ def quantize_trace(p: LaurentPoly, n) -> QuantumTorusElement:
     polynomial: each monomial goes to its Weyl-ordered counterpart."""
     if p.nvars != len(n):
         raise ValueError("matrix size does not match variable count")
-    return QuantumTorusElement(n, dict(p.terms))
+    return QuantumTorusElement(n, {d: SPoly.const(c) for d, c in p.terms.items()})
 
 
 def q_relation(kind: str, degree: int, operands: dict, conj: bool = False) -> QuantumTorusElement:
@@ -192,9 +163,6 @@ def q_relation(kind: str, degree: int, operands: dict, conj: bool = False) -> Qu
 
 def relations_hold(kind: str, tri, walks: dict) -> bool:
     """Quantize the given walks on ``tri`` and test both deformed relations."""
-    from .holonomy import trace_function
-    from .surfaces import dual_fat_graph, exchange_matrix
-
     n = exchange_matrix(tri)
     fg = dual_fat_graph(tri)
     ops = {k: quantize_trace(trace_function(tri, w, fg), n) for k, w in walks.items()}
@@ -210,9 +178,6 @@ def find_simple_triangulation(kind: str, tri, walks: dict, depth: int = 2):
     carried through each flip by the exact covariance search.  Returns
     (triangulation, walks, flip sequence) or None within ``depth``.
     """
-    from .holonomy import find_covariant_walk
-    from .surfaces import flip, flippable_edges
-
     def node_key(t, ws):
         # concrete labels matter for simplicity, so no canonical collapsing
         return (t.triangles, tuple(sorted((k, w.steps, w.start) for k, w in ws.items())))

@@ -128,25 +128,6 @@ class TauSeries:
         return self.lam * self.lam - th0 * th0 - tht * tht
 
 
-def structure_constant(theta, sigma, digits: int = 50):
-    """Unit-central-charge three-point weight for internal momentum sigma,
-    as a product of Barnes double-gamma values (numeric).
-
-    The tau sum never evaluates it: it takes C(lam + m) / C(lam) from
-    ``weight_ratio``, and this direct form is the reference that the
-    ratios are tested against."""
-    with mp.workdps(digits):
-        th0, tht, th1, thinf = [mp.mpmathify(x) for x in theta]
-        s = mp.mpmathify(sigma)
-        out = mp.mpf(1)
-        for e in (1, -1):
-            for e2 in (1, -1):
-                out *= mp.barnesg(1 + tht + e * th0 + e2 * s)
-                out *= mp.barnesg(1 + th1 + e * thinf + e2 * s)
-        out /= mp.barnesg(1 + 2 * s) * mp.barnesg(1 - 2 * s)
-        return out
-
-
 def _gamma_step(theta, s):
     """C(s + 1) / C(s) from G(z + 1) = Gamma(z) G(z): twelve Gamma values.
 
@@ -176,6 +157,11 @@ def _up_ratio(theta: tuple, s, n: int, digits: int):
 
 def weight_ratio(theta, lam, m: int, digits: int):
     """Weight C(lam + m) / C(lam) of shift m relative to shift 0.
+
+    C is the unit-central-charge three-point weight: the product over
+    signs e, e' of G(1 + th_t + e th_0 + e' sigma) G(1 + th_1 + e th_inf
+    + e' sigma), over G(1 + 2 sigma) G(1 - 2 sigma), with G the Barnes
+    function.  Its ratios never call G: see ``_gamma_step``.
 
     Memoized per (theta, lam, m, digits), so growing the shift range
     extends the chains instead of restarting them.  Returns 0 where a

@@ -93,6 +93,14 @@ class TestTraceFunction:
             for cp in curves.values():
                 assert trace_function(tri, cp).all_coefficients_positive()
 
+    @pytest.mark.parametrize("name", ["c11", "c04"])
+    def test_int_coefficients_on_corpus(self, name):
+        # holonomies multiply integer matrices, so no Fraction appears
+        tri, curves = reference_setup(name)
+        for k, cp in curves.items():
+            coeffs = trace_function(tri, cp).terms.values()
+            assert all(type(c) is int for c in coeffs), k
+
     def test_broken_walk_rejected(self):
         tri, _ = reference_setup("c11")
         with pytest.raises(ValueError):
@@ -322,6 +330,12 @@ class TestBracketVsRelationDerivative:
         equal, const = goldman_vs_dp(name, n, vals)
         assert const == Fraction(1, LOOP_BRACKET_CONSTANT[name])
         assert equal == (LOOP_BRACKET_CONSTANT[name] == 1)
+
+    def test_goldman_vs_dp_ratio_is_exact(self):
+        tri, curves = reference_setup("c11")
+        vals = _trace_values("c11", tri, curves)
+        _, const = goldman_vs_dp("c11", exchange_matrix(tri), vals)
+        assert type(const) is Fraction
 
     def test_self_bracket_consistency(self):
         tri, curves = reference_setup("c11")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -178,6 +179,19 @@ class TestVerifyCommands:
         assert "Traceback" not in r.output
         assert r.output.startswith("error: --b2") and r.output.count("\n") == 1
 
+    @pytest.mark.parametrize("b2, want", [("0.3", Fraction(3, 10)), ("3", Fraction(3))])
+    def test_bpz_degenerate_checks_use_given_b2(self, runner, monkeypatch, b2, want):
+        seen = []
+
+        def spy(b2v):
+            seen.append(b2v)
+            return Report("degenerate-module structure")
+
+        monkeypatch.setattr(checksuites, "virasoro_checks", spy)
+        r = runner.invoke(main, ["verify", "bpz", "--b2", b2, "--order", "2"])
+        assert "Traceback" not in r.output
+        assert seen == [want] and type(seen[0]) is Fraction
+
 
 class TestSeriesCommands:
     def test_block_sphere4(self, runner):
@@ -250,7 +264,9 @@ class TestSeriesCommands:
         {"checks": [{"tag": "cubic-relation", "status": "pass"}]},
         [{"name": "a", "tag": "cubic-relation", "status": "pass"}],
         {"checks": [], "notes": 5},
-    ], ids=["tag", "status", "missing-name", "not-an-object", "notes-not-a-list"])
+        {"checks": [], "notes": "abc"},
+    ], ids=["tag", "status", "missing-name", "not-an-object", "notes-not-a-list",
+            "notes-a-string"])
     def test_report_bad_check_exits_2(self, runner, tmp_path, doc):
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(doc))

@@ -52,6 +52,13 @@ class TestLaurentPoly:
         p = poly(1, {(2,): 1, (-2,): 1})  # x + 1/x
         assert p.evaluate([2.0]) == pytest.approx(2.5)
 
+    def test_float_scalar_rejected(self):
+        x = LaurentPoly.variable(1, 0)
+        with pytest.raises(TypeError):
+            x * 0.5
+        with pytest.raises(TypeError):
+            x + 0.5
+
     def test_sorted_terms_deterministic(self):
         p = poly(2, {(1, 0): 1, (0, 1): 2, (-1, 0): 3})
         assert [e for e, _ in p.sorted_terms()] == [(-1, 0), (0, 1), (1, 0)]

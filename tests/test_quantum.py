@@ -90,6 +90,20 @@ class TestWeylProduct:
         with pytest.raises(ValueError):
             QuantumTorusElement.const(n1, 1) * QuantumTorusElement.const(n2, 1)
 
+    def test_classical_operand_rejected(self):
+        tri, curves, n = _context("c11")
+        p = trace_function(tri, curves["s"])
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(quantize_trace(p, n), p)
+            with pytest.raises(ValueError):
+                op(p, quantize_trace(p, n))
+
+    def test_float_scalar_rejected(self):
+        _, _, n = _context("c11")
+        with pytest.raises(TypeError):
+            QuantumTorusElement.generator(n, 0) * 0.5
+
 
 def _quantized_operands(name):
     tri, curves, n = _context(name)
@@ -111,6 +125,12 @@ class TestQuantizeTrace:
         q = quantize_trace(p, n)
         assert list(q.terms) == [(1, -1, 0)]
         assert q.classical_limit() == p
+
+    def test_const_equals_quantized_constant(self):
+        _, _, n = _context("c11")
+        a = QuantumTorusElement.const(n, 2)
+        b = quantize_trace(LaurentPoly.const(3, 2), n)
+        assert a == b and hash(a) == hash(b)
 
     def test_classical_limit_is_identity(self):
         tri, curves, n = _context("c04")

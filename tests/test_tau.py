@@ -12,12 +12,30 @@ from holomon.tau import (
     coefficient_difference,
     sigma_equation_coefficients,
     sigma_pvi_residual,
-    structure_constant,
     tau_series,
     weight_ratio,
 )
 
 THETA = (F(1, 4), F(2, 9), F(4, 13), F(3, 8))
+
+
+def structure_constant(theta, sigma, digits: int = 50):
+    """Unit-central-charge three-point weight for internal momentum sigma,
+    as a product of Barnes double-gamma values (numeric).
+
+    The tau sum never evaluates it: it takes C(lam + m) / C(lam) from
+    ``weight_ratio``, and this direct form is the reference that the
+    ratios are tested against here."""
+    with mp.workdps(digits):
+        th0, tht, th1, thinf = [mp.mpmathify(x) for x in theta]
+        s = mp.mpmathify(sigma)
+        out = mp.mpf(1)
+        for e in (1, -1):
+            for e2 in (1, -1):
+                out *= mp.barnesg(1 + tht + e * th0 + e2 * s)
+                out *= mp.barnesg(1 + th1 + e * thinf + e2 * s)
+        out /= mp.barnesg(1 + 2 * s) * mp.barnesg(1 - 2 * s)
+        return out
 
 
 def _clear_memo():
