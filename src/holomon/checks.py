@@ -289,7 +289,7 @@ def bpz_checks(b2=Fraction(2, 7), order: int = 8) -> Report:
     def w(p, r):
         return (p * b2 + p + r + r / b2) - (p * p * b2 + 2 * p * r + r * r / b2)
 
-    cc = 13 + 6 * b2 + 6 / b2
+    cc = virasoro.central_charge(b2)
     d1, d3, d4 = w(p1, r1), w(p3, r3), w(p4, r4)
     dd = blocks.degenerate_weight_of(b2)
 

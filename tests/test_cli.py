@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holomon import checks as checksuites
 from holomon.blocks import sphere4_block
@@ -208,9 +210,15 @@ class TestSeriesCommands:
         assert "mode=exact" in lines[0]
         assert lines[1] == "0 1/1"
 
-    def test_block_bad_weights(self, runner):
-        r = runner.invoke(main, ["block", "sphere4", "--weights", "1,2", "--order", "2"])
+    @pytest.mark.parametrize("args", [
+        ["--weights", "1,2"],
+        ["--weights", "1/0,1,1,1,1"],
+        ["--weights", "1,1,1,1,1", "-c", "1/0"],
+    ], ids=["arity", "weight-1/0", "c-1/0"])
+    def test_block_bad_weights(self, runner, args):
+        r = runner.invoke(main, ["block", "sphere4", *args, "--order", "2"])
         assert r.exit_code == 2
+        assert r.output.startswith("error: ") and r.output.count("\n") == 1
 
     def test_tau_runs(self, runner, tmp_path):
         out = tmp_path / "tau.txt"
@@ -231,7 +239,10 @@ class TestSeriesCommands:
 
     @pytest.mark.parametrize("opt,value", [
         ("--shifts", "-1"), ("--order", "-1"), ("--digits", "0"), ("--digits", "-1"),
-    ], ids=["--shifts", "--order", "--digits-0", "--digits--1"])
+        ("--lam", "1/0"), ("--theta", "1/0,2/7,3/11,5/13"), ("--kappa", "inf"),
+        ("--kappa", "nan"),
+    ], ids=["--shifts", "--order", "--digits-0", "--digits--1", "--lam-1/0",
+            "--theta-1/0", "--kappa-inf", "--kappa-nan"])
     def test_tau_negative_sizes_exit_2(self, runner, opt, value):
         r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10", opt, value])
         assert r.exit_code == 2
@@ -265,8 +276,12 @@ class TestSeriesCommands:
         [{"name": "a", "tag": "cubic-relation", "status": "pass"}],
         {"checks": [], "notes": 5},
         {"checks": [], "notes": "abc"},
+        {"checks": [], "notes": [5]},
+        {"checks": [{"name": 1, "tag": "q-cubic", "status": "pass"}]},
+        {"checks": [{"name": "a", "tag": "q-cubic", "status": "pass", "witness": 1}]},
     ], ids=["tag", "status", "missing-name", "not-an-object", "notes-not-a-list",
-            "notes-a-string"])
+            "notes-a-string", "notes-not-strings", "name-not-a-string",
+            "witness-not-a-string"])
     def test_report_bad_check_exits_2(self, runner, tmp_path, doc):
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(doc))
@@ -338,12 +353,91 @@ class TestReportObjects:
         assert r.exit_code == 0
         rows = list(csv.DictReader(io.StringIO(r.output)))
         assert rows and all(row["tag"] in KNOWN_TAGS and row["status"] == "pass" for row in rows)
+        # the registry holds no tag that no suite emits
+        assert {row["tag"] for row in rows} == KNOWN_TAGS
 
     def test_runtime_not_serialized(self):
         rep = Report("demo")
         rep.add(CheckResult("a", "cubic-relation", "pass", runtime=1.23))
         assert "1.23" not in rep.to_json()
         assert "1.23" not in rep.to_text()
+
+
+def _error_lines(output):
+    # ours read "error: ", click's usage errors "Error: "
+    return [line for line in output.splitlines() if line.lower().startswith("error: ")]
+
+
+_numbers = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 3)),
+    st.sampled_from(["0.5", "-1.5", "inf", "nan", "", "abc"]),
+)
+_lists = st.lists(_numbers, min_size=1, max_size=6).map(",".join)
+_orders = st.sampled_from(["-1", "0", "1", "2"])
+_surfaces = st.sampled_from(["c04", "c11"])
+_commands = st.one_of(
+    st.tuples(st.just("block"), st.sampled_from(["sphere4", "torus1"]), st.just("--weights"),
+              _lists, st.just("-c"), _numbers, st.just("--order"), _orders),
+    st.tuples(st.just("tau"), st.just("--lam"), _numbers, st.just("--kappa"), _numbers,
+              st.just("--theta"), _lists, st.just("--order"), _orders,
+              st.just("--shifts"), st.sampled_from(["0", "1"])),
+    st.tuples(st.just("verify"), st.just("bpz"), st.just("--b2"), _numbers,
+              st.just("--order"), _orders),
+    st.tuples(st.just("dehn"), st.just("--surface"), _surfaces, st.just("--params"),
+              st.lists(st.builds("{}:{}".format, _numbers, _numbers), min_size=1,
+                       max_size=3).map(",".join)),
+    st.tuples(st.just("verify"), st.just("pants-rep"), st.just("--surface"), _surfaces,
+              st.just("--draws"), st.just("1"), st.just("--b2"),
+              st.builds("{},{}".format, _numbers, _numbers), st.just("--tol"), _numbers),
+)
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_pants_bad_tol_exits_2(self, runner, tol):
+        r = runner.invoke(main, ["verify", "pants-rep", "--draws", "1", "--tol", tol])
+        assert r.exit_code == 2
+        assert r.output.startswith(f"error: --tol {tol}") and r.output.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "bpz", "--order", "2", "--out"],
+        ["verify", "pants-rep", "--draws", "1", "--sites-csv"],
+        ["surface", "export", "--out"],
+        ["block", "torus1", "--weights", "1,2", "--order", "2", "--out"],
+        ["block", "torus1", "--weights", "1,2", "--order", "2", "--plot"],
+        ["tau", "--lam", "2/5", "--kappa", "1", "--order", "2", "--shifts", "1", "--out"],
+        ["tau", "--lam", "2/5", "--kappa", "1", "--order", "2", "--shifts", "1", "--plot"],
+    ], ids=["verify-out", "sites-csv", "export-out", "block-out", "block-plot",
+            "tau-out", "tau-plot"])
+    def test_output_in_missing_directory_exits_2(self, runner, tmp_path, args):
+        r = runner.invoke(main, [*args, str(tmp_path / "missing" / "file")])
+        assert r.exit_code == 2
+        assert len(_error_lines(r.output)) == 1
+
+    @pytest.mark.parametrize("args, suite, exc", [
+        (["verify", "all"], "all_checks", RuntimeError("boom")),
+        # with the default --b2 a rejected draw is a bug, not bad input
+        (["verify", "pants-rep", "--draws", "1"], "pants_checks", ValueError("boom")),
+    ], ids=["runtime-error", "default-b2-value-error"])
+    def test_internal_error_exits_3(self, runner, monkeypatch, args, suite, exc):
+        def broken(*args, **kw):
+            raise exc
+
+        monkeypatch.setattr(checksuites, suite, broken)
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3
+        assert r.output == f"internal error: {type(exc).__name__}: boom\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_commands)
+    def test_fuzz_keeps_exit_contract(self, args):
+        r = CliRunner().invoke(main, list(args))
+        # CliRunner keeps an escaped exception in r.exception, not in the output
+        assert r.exception is None or isinstance(r.exception, SystemExit), args
+        assert r.exit_code in (0, 1, 2), args
+        if r.exit_code == 2:
+            assert len(_error_lines(r.output)) == 1, (args, r.output)
 
 
 class TestPlot:
