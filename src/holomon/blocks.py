@@ -47,34 +47,6 @@ def _coerce_all(exact: bool, digits: int, *vals):
         return tuple(mp.mpmathify(v) for v in vals)
 
 
-# -- parameter dictionary -----------------------------------------------------
-
-
-def dict_params(b, l=None, beta=None, delta=None) -> dict:
-    """Translate between length, momentum and weight parameters.
-
-    Provide exactly one of l, beta, delta; returns all of them together
-    with the central charge of b.  beta and delta use the weight map
-    delta = beta (Q - beta) with Q = b + 1/b.
-    """
-    given = [x is not None for x in (l, beta, delta)]
-    if sum(given) != 1:
-        raise ValueError("provide exactly one of l, beta, delta")
-    Q = b + 1 / b
-    c = 1 + 6 * Q * Q
-    if l is not None:
-        beta = Q / 2 + 1j * l / (4 * mp.pi * b)
-        delta = beta * (Q - beta)
-    elif beta is not None:
-        delta = beta * (Q - beta)
-        l = (beta - Q / 2) * 4 * mp.pi * b / 1j
-    else:
-        # invert delta = beta(Q - beta) on the principal branch
-        beta = Q / 2 - mp.sqrt(Q * Q / 4 - delta)
-        l = (beta - Q / 2) * 4 * mp.pi * b / 1j
-    return {"l": l, "beta": beta, "delta": delta, "c": c, "Q": Q}
-
-
 # -- descendant three-point data ------------------------------------------------
 
 
@@ -144,13 +116,6 @@ class BlockSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate(self, q):
-        with mp.workdps(max(self.digits, mp.mp.dps)):
-            total = mp.mpf(0)
-            for k, ck in enumerate(self.coeffs):
-                total += mp.mpmathify(_to_num(ck)) * mp.mpmathify(q) ** k
-            return mp.mpmathify(q) ** mp.mpmathify(_to_num(self.leading_exponent)) * total
 
 
 def _to_num(v):

@@ -155,78 +155,6 @@ def verify_mutation_covariance(tri: Triangulation, e: int, curve: CurvePath,
     return pushed == LaurentRational(orig)
 
 
-def enumerate_closed_walks(fg: FatGraph, length: int) -> list:
-    """All closed walks of the given length, one representative per
-    (start vertex, turn sequence); used to curate curve fixtures."""
-    out = []
-    for v0 in range(fg.n_vertices):
-        for e0 in fg.cyclic[v0]:
-            for mask in range(2 ** length):
-                turns = [(LEFT if (mask >> i) & 1 else RIGHT) for i in range(length)]
-                v, e = v0, e0
-                steps = []
-                ok = True
-                for t in turns:
-                    steps.append((e, t))
-                    v, e = fg.step(v, e, t)
-                if v == v0 and e == e0:
-                    cp = CurvePath(steps, start=v0)
-                    try:
-                        cp.resolve(fg)
-                    except ValueError:
-                        ok = False
-                    if ok:
-                        out.append(cp)
-    return out
-
-
-def find_covariant_walk(tri: Triangulation, e: int, curve: CurvePath,
-                        max_len: int = 8):
-    """Search the flipped triangulation for a walk of the same curve.
-
-    Returns the first closed walk whose trace, pushed through the mutation,
-    equals the original trace; None when no walk up to ``max_len`` matches.
-    """
-    n = exchange_matrix(tri)
-    orig = LaurentRational(trace_function(tri, curve))
-    tri2 = flip(tri, e)
-    fg2 = dual_fat_graph(tri2)
-    seen = set()
-    for length in range(2, max_len + 1):
-        for cand in enumerate_closed_walks(fg2, length):
-            tr = trace_function(tri2, cand, fg2)
-            key = tuple(tr.sorted_terms())
-            if key in seen:
-                continue
-            seen.add(key)
-            if tr.is_zero() or not tr.all_coefficients_positive():
-                continue
-            try:
-                pushed = substitute_flip(tr, n, e)
-            except SubstitutionError:
-                continue
-            if pushed == orig:
-                return cand
-    return None
-
-
-# -- skein products -------------------------------------------------------------
-
-def skein_check(tri: Triangulation, c1: CurvePath, c2: CurvePath,
-                resolutions) -> bool:
-    """Exact check of L_{c1} L_{c2} = sum of resolution traces.
-
-    ``resolutions`` is a list of (CurvePath, multiplicity); the smoothed
-    curves themselves are supplied by the caller (curated fixtures).
-    """
-    fg = dual_fat_graph(tri)
-    lhs = trace_function(tri, c1, fg) * trace_function(tri, c2, fg)
-    rhs = LaurentPoly.zero(tri.n_edges)
-    for cp, mult in resolutions:
-        rhs = rhs + trace_function(tri, cp, fg) * mult
-    return lhs == rhs
-
-
 # -- generator relations ----------------------------------------------------------
 
 def _coerce(nvars: int, v):
@@ -281,29 +209,3 @@ def _common_nvars(values: dict):
                 raise TypeError("cannot mix polynomials with inexact scalars")
             return v.nvars
     return None if has_float else 1
-
-
-def goldman_vs_dp(kind: str, n, values: dict):
-    """Compare {L_s, L_t} with dP/dL_u on trace polynomials.
-
-    Returns (equal, constant) where constant is the measured ratio of the
-    two sides when they are proportional (None when either side is zero or
-    they are not proportional).
-    """
-    nvars = len(n)
-    s = _coerce(nvars, values["s"])
-    t = _coerce(nvars, values["t"])
-    lhs = poisson_bracket(s, t, n)
-    rhs = relation_poly_du(kind, values)
-    if lhs == rhs:
-        return True, Fraction(1)
-    if lhs.is_zero() or rhs.is_zero():
-        return False, None
-    # measure a constant of proportionality if one exists
-    lead = max(rhs.terms)
-    if lead not in lhs.terms:
-        return False, None
-    ratio = Fraction(lhs.terms[lead], rhs.terms[lead])
-    if lhs == rhs * ratio:
-        return False, ratio
-    return False, None

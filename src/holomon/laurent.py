@@ -72,16 +72,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
-
-    def constant_value(self):
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms[(0,) * self.nvars]
-
     def all_coefficients_positive(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 
@@ -167,32 +157,6 @@ class LaurentPoly:
         if self.leading_coefficient() < 0:
             return -self
         return self
-
-    def exponent_parities(self) -> tuple:
-        """Common parity of each doubled exponent across all terms, or raise
-        if the terms are not congruent mod 2 (trace polynomials always are)."""
-        if self.is_zero():
-            return (0,) * self.nvars
-        it = iter(self.terms)
-        first = tuple(e % 2 for e in next(it))
-        for exps in it:
-            if tuple(e % 2 for e in exps) != first:
-                raise ValueError("terms have inhomogeneous exponent parities")
-        return first
-
-    def evaluate(self, values):
-        """Numeric evaluation; ``values[i]`` may be float/complex/mpmath.
-
-        Half powers use the principal branch via ``v ** (e/2)``.
-        """
-        total = 0
-        for exps, c in self.terms.items():
-            acc = 1
-            for v, e in zip(values, exps):
-                if e:
-                    acc = acc * v ** (Fraction(e, 2))
-            total = total + acc * c.numerator / c.denominator
-        return total
 
     def sorted_terms(self):
         """Deterministic (lexicographic) term order for serialization."""

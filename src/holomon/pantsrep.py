@@ -342,14 +342,3 @@ def b_move_phase(l3, l2, l1, b):
     d2 = conformal_weight_of_length(l2, b)
     d1 = conformal_weight_of_length(l1, b)
     return cmath.exp(1j * cmath.pi * (d3 - d2 - d1))
-
-
-def classical_symbol(table: BandMatrix, p: RepParams, site: int, k):
-    """Commutative symbol of a generator table at a lattice site: shifts are
-    replaced by e^(m k / 2).  Used for small-b2 consistency probes against
-    the classical trace relations."""
-    with mp.workdps(p.digits):
-        total = mp.mpf(0)
-        for m in table.bands:
-            total += table.entry(site, site + m) * mp.exp(m * mp.mpmathify(k) / 2)
-        return total

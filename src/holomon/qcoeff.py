@@ -41,14 +41,6 @@ class SPoly:
     def s_power(cls, k: int, coeff=1) -> "SPoly":
         return cls({k: coeff})
 
-    @classmethod
-    def q_power(cls, j) -> "SPoly":
-        """q^j for j in (1/4)Z, i.e. s^(4j)."""
-        k = Fraction(j) * 4
-        if k.denominator != 1:
-            raise ValueError(f"q^{j} is not a power of s")
-        return cls.s_power(int(k))
-
     def __bool__(self):
         return bool(self.c)
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .holonomy import find_covariant_walk, trace_function
 from .laurent import LaurentPoly
 from .qcoeff import SPoly, q_int_bracket, two_cos_pi_b2
 from .sparse import convolve, pairing, vec_add
-from .surfaces import dual_fat_graph, exchange_matrix, flip, flippable_edges
 
 
 class QuantumTorusElement(LaurentPoly):
@@ -53,14 +51,6 @@ class QuantumTorusElement(LaurentPoly):
     def monomial(cls, context, d, coeff=1) -> "QuantumTorusElement":
         return cls(context, {tuple(d): SPoly.coerce(coeff)})
 
-    @classmethod
-    def generator(cls, context, i: int, power2: int = 2) -> "QuantumTorusElement":
-        """X_i^(power2/2) as a Weyl monomial."""
-        E = len(context)
-        d = [0] * E
-        d[i] = power2
-        return cls.monomial(context, d)
-
     # -- ring operations --------------------------------------------------
 
     def __mul__(self, other):
@@ -79,12 +69,6 @@ class QuantumTorusElement(LaurentPoly):
         if isinstance(other, self._SCALARS):
             return self * other
         return NotImplemented
-
-    def commutator_ratio_holds(self, other, power: int) -> bool:
-        """True when self * other == q^power * other * self."""
-        lhs = self * other
-        rhs = (other * self) * SPoly.q_power(power)
-        return lhs == rhs
 
     # -- structure maps -----------------------------------------------------
 
@@ -159,50 +143,6 @@ def q_relation(kind: str, degree: int, operands: dict, conj: bool = False) -> Qu
                     + t * (L2 * L3 + L1 * L4) * qm1
                     + u * (L1 * L3 + L2 * L4) * q1)
     raise ValueError(f"no relation for kind={kind!r} degree={degree}")
-
-
-def relations_hold(kind: str, tri, walks: dict) -> bool:
-    """Quantize the given walks on ``tri`` and test both deformed relations."""
-    n = exchange_matrix(tri)
-    fg = dual_fat_graph(tri)
-    ops = {k: quantize_trace(trace_function(tri, w, fg), n) for k, w in walks.items()}
-    return (q_relation(kind, 2, ops).is_zero()
-            and q_relation(kind, 3, ops).is_zero())
-
-
-def find_simple_triangulation(kind: str, tri, walks: dict, depth: int = 2):
-    """Search flip-equivalent triangulations for one where the naive Weyl
-    quantization of every generator satisfies the deformed relations.
-
-    The relation check itself is the simplicity detector.  Walks are
-    carried through each flip by the exact covariance search.  Returns
-    (triangulation, walks, flip sequence) or None within ``depth``.
-    """
-    def node_key(t, ws):
-        # concrete labels matter for simplicity, so no canonical collapsing
-        return (t.triangles, tuple(sorted((k, w.steps, w.start) for k, w in ws.items())))
-
-    frontier = [(tri, dict(walks), [])]
-    seen = {node_key(tri, walks)}
-    for _ in range(depth + 1):
-        next_frontier = []
-        for cur, cur_walks, path in frontier:
-            if relations_hold(kind, cur, cur_walks):
-                return cur, cur_walks, path
-            for e in flippable_edges(cur):
-                carried = {k: find_covariant_walk(cur, e, w) for k, w in cur_walks.items()}
-                if any(w is None for w in carried.values()):
-                    continue
-                nxt = flip(cur, e)
-                key = node_key(nxt, carried)
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_frontier.append((nxt, carried, path + [e]))
-        frontier = next_frontier
-        if not frontier:
-            break
-    return None
 
 
 def commutator_classical_limit(a: QuantumTorusElement,

@@ -1,13 +1,20 @@
 """Curated reference data for the one-holed torus and four-holed sphere.
 
-The stored walks were found by exhaustive search over closed fat-graph
-walks and are pinned down by exact identities: generator triples satisfy
-the cubic/quartic trace relation, the bracket matches the u-derivative of
-the relation polynomial (with the recorded normalization constant), the
-skein product decomposes, and every (curve, flip) pair listed in
-``COVARIANT_WALKS`` reproduces its trace through the coordinate mutation.
-All of that is re-verified by the test suite; nothing here is trusted
-without a check.
+Each table is pinned by an identity that a row of ``holomon verify all``
+re-checks on every run (its tag in brackets):
+
+- the walks in ``_CURVES`` all have positive trace coefficients
+  (``trace-positivity``); the generators ``s``, ``t``, ``u`` with the
+  peripheral walks satisfy the trace relation (``cubic-relation``,
+  ``quartic-relation``) and its quantum deformation (``q-commutator``,
+  ``q-cubic``), and ``st_other`` with ``u`` resolves the s,t product
+  (``skein-product``);
+- ``LOOP_BRACKET_CONSTANT`` scales the bracket {L_s, L_t} to the
+  u-derivative of the relation (``bracket-derivative``);
+- every (curve, flip) pair in ``COVARIANT_WALKS`` reproduces its trace
+  through the coordinate mutation (``mutation-covariance``).
+
+Nothing here is trusted without a check.
 """
 
 from __future__ import annotations
@@ -43,12 +50,6 @@ _CURVES = {
         "p3": ([(3, "R"), (1, "R"), (5, "R")], 0),
         "p4": ([(5, "R"), (2, "R"), (4, "R")], 0),
     },
-}
-
-# Dehn parameters (r, s) of the generator curves w.r.t. the cut curve
-GENERATOR_DEHN = {
-    "c11": {"s": (0, 1), "t": (1, 0), "u": (1, 1)},
-    "c04": {"s": (0, 1), "t": (2, 0), "u": (2, 1)},
 }
 
 # walk of each curve in the triangulation flipped at the given edge,
@@ -143,13 +144,3 @@ def boundary_names(name: str) -> list:
 def reference_setup(name: str) -> tuple:
     """(Triangulation, curves dict) for the named reference surface."""
     return reference_triangulation(name), reference_curves(name)
-
-
-def generator_curves_for(kind: str) -> dict:
-    """Generator triple with Dehn parameters on the companion triangulation.
-
-    Returns {"s"|"t"|"u": (CurvePath, (r, s))}.
-    """
-    curves = reference_curves(kind)
-    dehn = GENERATOR_DEHN[kind]
-    return {k: (curves[k], dehn[k]) for k in ("s", "t", "u")}

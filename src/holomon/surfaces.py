@@ -2,8 +2,8 @@
 
 Punctured surfaces, ideal triangulations given by gluing tables, the dual
 trivalent fat graph, diagonal flips, the antisymmetric exchange matrix,
-closed walks carrying curves, and pants decompositions with their
-elementary moves.
+closed walks carrying curves, pants decompositions with their Dehn
+parameter constraints, and the JSON surface file.
 
 Triangles are oriented: each one lists its three sides in counterclockwise
 order as ``(edge_index, flag)`` with ``flag = +1`` when the side runs along
@@ -14,13 +14,20 @@ used twice by the same triangle) are rejected everywhere.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
 LEFT = "L"
 RIGHT = "R"
+
+
+def _integer(v, what: str) -> int:
+    """``v`` itself when it is an int; a bool, a float or a string is a
+    malformed index, not one to convert."""
+    if type(v) is not int:
+        raise TypeError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -31,6 +38,8 @@ class Surface:
     punctures: int
 
     def __post_init__(self):
+        _integer(self.genus, "genus")
+        _integer(self.punctures, "punctures")
         if self.genus < 0 or self.punctures < 0:
             raise ValueError("genus and punctures must be non-negative")
         if 2 * self.genus - 2 + self.punctures <= 0:
@@ -72,7 +81,8 @@ class Triangulation:
             raise TriangulationError("surface has no punctures, not triangulable")
         tris = []
         for t in triangles:
-            sides = tuple((int(e), int(f)) for e, f in t)
+            sides = tuple((_integer(e, "edge index"), _integer(f, "orientation flag"))
+                          for e, f in t)
             if len(sides) != 3:
                 raise TriangulationError(f"triangle {t} does not have 3 sides")
             for _, f in sides:
@@ -120,37 +130,9 @@ class Triangulation:
                     occ.append((ti, pos))
         return tuple(occ)
 
-    def __eq__(self, other):
-        if not isinstance(other, Triangulation):
-            return NotImplemented
-        return self.surface == other.surface and canonical_key(self) == canonical_key(other)
-
-    def __hash__(self):
-        return hash((self.surface, canonical_key(self)))
-
     def __repr__(self):
         return (f"Triangulation(C_{{{self.surface.genus},{self.surface.punctures}}}, "
                 f"{len(self.triangles)} triangles, {self.n_edges} edges)")
-
-
-def build_triangulation(surface: Surface, gluing: Sequence) -> Triangulation:
-    """Validated triangulation from a gluing table.
-
-    ``gluing`` lists triangles as triples of ``(edge, flag)`` pairs in ccw
-    order; bare ints are accepted and read as signed 1-based edge labels.
-    """
-    tris = []
-    for t in gluing:
-        sides = []
-        for s in t:
-            if isinstance(s, int):
-                if s == 0:
-                    raise TriangulationError("signed 1-based side labels cannot be 0")
-                sides.append((abs(s) - 1, 1 if s > 0 else -1))
-            else:
-                sides.append((int(s[0]), int(s[1])))
-        tris.append(tuple(sides))
-    return Triangulation(surface, tris)
 
 
 # -- reference triangulations ----------------------------------------------
@@ -237,12 +219,10 @@ def flip(tri: Triangulation, e: int) -> Triangulation:
     The edge index is reused for the new diagonal.  Rejected when the move
     would produce a self-folded triangle.
     """
-    occ = tri.edge_triangles(e)
-    if len(occ) != 2:
-        raise FlipError(f"edge {e} not interior")
-    (t1, p1), (t2, p2) = occ
-    if t1 == t2:
-        raise FlipError(f"edge {e} is self-folded")
+    if not 0 <= e < tri.n_edges:
+        raise FlipError(f"edge {e} out of range 0..{tri.n_edges - 1}")
+    # construction guarantees two occurrences in distinct triangles
+    (t1, p1), (t2, p2) = tri.edge_triangles(e)
 
     def rotated(ti, pos):
         t = tri.triangles[ti]
@@ -260,81 +240,6 @@ def flip(tri: Triangulation, e: int) -> Triangulation:
     tris[t1] = new1
     tris[t2] = new2
     return Triangulation(tri.surface, tris)
-
-
-def flippable_edges(tri: Triangulation) -> list:
-    out = []
-    for e in range(tri.n_edges):
-        try:
-            flip(tri, e)
-        except FlipError:
-            continue
-        out.append(e)
-    return out
-
-
-def random_flip_walk(tri: Triangulation, steps: int, rng) -> list:
-    """Random flip sequence; returns [(edge, triangulation_after), ...]."""
-    walk = []
-    cur = tri
-    for _ in range(steps):
-        choices = flippable_edges(cur)
-        e = rng.choice(choices)
-        cur = flip(cur, e)
-        walk.append((e, cur))
-    return walk
-
-
-# -- canonical form ----------------------------------------------------------
-
-def canonical_key(tri: Triangulation) -> tuple:
-    """Edge-relabeling-invariant key.
-
-    Performs the rooted-traversal canonicalization over all (triangle,
-    rotation) roots; edge orientations are renormalized so each edge is
-    first seen with flag +1.
-    """
-    best = None
-    for root_t, root_r in itertools.product(range(len(tri.triangles)), range(3)):
-        relabel: dict = {}
-        reorient: dict = {}
-        out = []
-        visited = set()
-
-        def side_key(side):
-            e, f = side
-            if e not in relabel:
-                relabel[e] = len(relabel)
-                reorient[e] = f  # first sight defines orientation +1
-            return (relabel[e], f * reorient[e])
-
-        # visit triangles in order of the smallest labeled edge they contain
-        pending = [(root_t, root_r)]
-        while pending or len(visited) < len(tri.triangles):
-            if pending:
-                ti, rot = pending.pop(0)
-            else:
-                # pick unvisited triangle holding the smallest labeled edge
-                cand = []
-                for ti2, t in enumerate(tri.triangles):
-                    if ti2 in visited:
-                        continue
-                    labs = [relabel.get(e) for e, _ in t if e in relabel]
-                    cand.append((min(labs) if labs else len(relabel), ti2))
-                _, ti = min(cand)
-                t = tri.triangles[ti]
-                labs = [(relabel.get(e, len(relabel)), pos) for pos, (e, _) in enumerate(t)]
-                rot = min(labs)[1]
-            if ti in visited:
-                continue
-            visited.add(ti)
-            t = tri.triangles[ti]
-            triple = tuple(side_key(t[(rot + i) % 3]) for i in range(3))
-            out.append(triple)
-        key = tuple(out)
-        if best is None or key < best:
-            best = key
-    return best
 
 
 # -- dual fat graph ----------------------------------------------------------
@@ -355,10 +260,6 @@ class FatGraph:
         for c in self.cyclic:
             if len(c) != 3 or len(set(c)) != 3:
                 raise ValueError("fat graph vertices must see 3 distinct edges")
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.cyclic)
 
     def other_end(self, e: int, v: int) -> int:
         a, b = self.ends[e]
@@ -382,35 +283,6 @@ class FatGraph:
             raise ValueError(f"turn must be 'L' or 'R', got {turn!r}")
         return w, nxt
 
-    def face_walks(self) -> list:
-        """Boundary walks of the ribbon structure, one per puncture.
-
-        Each walk is returned as a CurvePath turning the same way at every
-        vertex.
-        """
-        # half-edges: (vertex, slot); face tracing: arrive at (w, slot of e),
-        # leave via cyclic successor
-        unused = {(v, s) for v in range(self.n_vertices) for s in range(3)}
-        walks = []
-        while unused:
-            v0, s0 = min(unused)
-            walk = []
-            v, s = v0, s0
-            start_vertex = v0
-            while True:
-                e = self.cyclic[v][s]
-                unused.discard((v, s))
-                walk.append((e, RIGHT))
-                w = self.other_end(e, v)
-                p = self.cyclic[w].index(e)
-                s = (p + 2) % 3
-                v = w
-                if (v, s) == (v0, s0):
-                    break
-            walks.append(CurvePath(walk, start=start_vertex))
-        return walks
-
-
 def dual_fat_graph(tri: Triangulation) -> FatGraph:
     cyclic = [tuple(e for e, _ in t) for t in tri.triangles]
     ends = []
@@ -432,13 +304,13 @@ class CurvePath:
     __slots__ = ("steps", "start")
 
     def __init__(self, steps: Sequence, start: int | None = None):
-        self.steps = tuple((int(e), str(t)) for e, t in steps)
+        self.steps = tuple((_integer(e, "edge index"), t) for e, t in steps)
         if not self.steps:
             raise ValueError("empty walk")
         for _, t in self.steps:
             if t not in (LEFT, RIGHT):
                 raise ValueError(f"turn must be 'L' or 'R', got {t!r}")
-        self.start = start
+        self.start = None if start is None else _integer(start, "start vertex")
 
     def __len__(self):
         return len(self.steps)
@@ -451,22 +323,16 @@ class CurvePath:
     def __hash__(self):
         return hash((self.steps, self.start))
 
-    def rotated(self, k: int) -> "CurvePath":
-        """The same cyclic walk starting k steps later (start recomputed)."""
-        n = len(self.steps)
-        k %= n
-        # walk the first k steps to find the new starting vertex; needs a
-        # graph, so rotation is resolved lazily: store None and let
-        # resolve() recompute, beginning from the rotated first edge.
-        return CurvePath(self.steps[k:] + self.steps[:k], start=None)
-
     def resolve(self, fg: FatGraph) -> list:
         """Validate the walk against ``fg``.
 
         Returns the vertex-resolved step list ``[(v_from, edge, turn), ...]``
-        and raises if consecutive steps do not share a vertex or the walk
-        fails to close up.
+        and raises if an edge is not in ``fg``, consecutive steps do not
+        share a vertex or the walk fails to close up.
         """
+        for e, _ in self.steps:
+            if not 0 <= e < fg.n_edges:
+                raise ValueError(f"edge {e} out of range 0..{fg.n_edges - 1}")
         e0 = self.steps[0][0]
         v = self.start if self.start is not None else min(fg.ends[e0])
         if v not in fg.ends[e0]:
@@ -513,6 +379,7 @@ class PantsDecomposition:
             if len(v) != 3:
                 raise ValueError("pants vertices must have exactly 3 legs")
             for kind, lab in v:
+                _integer(lab, "leg label")
                 if kind == "cut":
                     cuts[lab] = cuts.get(lab, 0) + 1
                 elif kind == "bdry":
@@ -529,47 +396,14 @@ class PantsDecomposition:
             raise ValueError("wrong number of pairs of pants")
         if curve_names is None:
             curve_names = [f"gamma{c}" for c in range(h)]
+        if (isinstance(curve_names, str) or len(curve_names) != h
+                or not all(isinstance(x, str) for x in curve_names)):
+            raise ValueError(f"names must be {h} strings, one per cut curve")
         self.curve_names = tuple(curve_names)
 
     @property
     def n_curves(self) -> int:
         return self.surface.n_pants_curves
-
-    def curve_vertices(self, c: int) -> list:
-        out = []
-        for vi, v in enumerate(self.vertices):
-            for slot, (kind, lab) in enumerate(v):
-                if kind == "cut" and lab == c:
-                    out.append((vi, slot))
-        return out
-
-    def subsurface_type(self, c: int) -> str:
-        """'c11' when curve c bounds a one-holed torus piece (self-glued
-        vertex), else 'c04'."""
-        occ = self.curve_vertices(c)
-        return "c11" if occ[0][0] == occ[1][0] else "c04"
-
-    def structure_key(self) -> tuple:
-        """Canonical key ignoring curve names (for move identities)."""
-        # relabel cut curves by the sorted signature of their two vertices
-        sigs = []
-        for vi, v in enumerate(self.vertices):
-            sig = tuple(sorted((kind, lab if kind == "bdry" else -1) for kind, lab in v))
-            sigs.append(sig)
-
-        def leg_key(leg):
-            kind, lab = leg
-            if kind == "bdry":
-                return ("bdry", lab)
-            a, b = self.curve_vertices(lab)
-            return ("cut", tuple(sorted((sigs[a[0]], sigs[b[0]]))))
-
-        normalized = []
-        for v in self.vertices:
-            keys = [leg_key(leg) for leg in v]
-            rots = [tuple(keys[i:] + keys[:i]) for i in range(3)]
-            normalized.append(min(rots))
-        return tuple(sorted(normalized))
 
     def __repr__(self):
         return f"PantsDecomposition({self.surface}, {len(self.vertices)} pants)"
@@ -601,63 +435,6 @@ def validate_dehn(pd: PantsDecomposition, dp: dict) -> list:
             violations.append(
                 DehnViolation("(iii)", vi, f"pants {vi} has odd total r = {total}"))
     return violations
-
-
-class MoveError(ValueError):
-    pass
-
-
-def ms_move(pd: PantsDecomposition, move: str, location) -> PantsDecomposition:
-    """Elementary change-of-decomposition moves on the marking graph.
-
-    F at an internal curve whose piece is a four-holed sphere, S at a
-    curve whose piece is a one-holed torus, B swaps two legs of one pair
-    of pants, Z rotates the distinguished leg.  Pure bookkeeping.
-    """
-    if move == "F":
-        c = location
-        occ = pd.curve_vertices(c)
-        if pd.subsurface_type(c) != "c04":
-            raise MoveError("F move needs a four-holed-sphere piece")
-        (u, su), (v, sv) = occ
-        legs_u = list(pd.vertices[u])
-        legs_v = list(pd.vertices[v])
-        # other legs in cyclic order after the cut leg
-        l1, l2 = legs_u[(su + 1) % 3], legs_u[(su + 2) % 3]
-        l3, l4 = legs_v[(sv + 1) % 3], legs_v[(sv + 2) % 3]
-        verts = list(pd.vertices)
-        verts[u] = (l2, l3, ("cut", c))
-        verts[v] = (l4, l1, ("cut", c))
-        names = list(pd.curve_names)
-        names[c] = _toggle_channel(names[c])
-        return PantsDecomposition(pd.surface, verts, names)
-    if move == "S":
-        c = location
-        if pd.subsurface_type(c) != "c11":
-            raise MoveError("S move needs a one-holed-torus piece")
-        names = list(pd.curve_names)
-        names[c] = _toggle_channel(names[c])
-        return PantsDecomposition(pd.surface, pd.vertices, names)
-    if move == "B":
-        vi, slot = location
-        legs = list(pd.vertices[vi])
-        legs[slot % 3], legs[(slot + 1) % 3] = legs[(slot + 1) % 3], legs[slot % 3]
-        verts = list(pd.vertices)
-        verts[vi] = tuple(legs)
-        return PantsDecomposition(pd.surface, verts, pd.curve_names)
-    if move == "Z":
-        vi = location
-        legs = pd.vertices[vi]
-        verts = list(pd.vertices)
-        verts[vi] = (legs[1], legs[2], legs[0])
-        return PantsDecomposition(pd.surface, verts, pd.curve_names)
-    raise MoveError(f"unknown move {move!r}")
-
-
-def _toggle_channel(name: str) -> str:
-    if name.endswith("~"):
-        return name[:-1]
-    return name + "~"
 
 
 # -- serialization --------------------------------------------------------------
@@ -700,15 +477,3 @@ def surface_from_json(text: str) -> tuple:
             doc["pants"].get("names"),
         )
     return tri, curves, pants
-
-
-def generator_curves(pd: PantsDecomposition, c: int) -> tuple:
-    """Generator curves for the piece around cut curve c.
-
-    Returns (kind, companion Triangulation, {"s"/"t"/"u": (CurvePath,
-    (r, s))}); the walks live on the reference triangulation of the piece.
-    """
-    from .reference import generator_curves_for, reference_triangulation as _ref
-
-    kind = pd.subsurface_type(c)
-    return kind, _ref(kind), generator_curves_for(kind)

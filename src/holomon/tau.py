@@ -97,14 +97,6 @@ class BiSeries:
         return BiSeries({(m, j): v for j, row in quot.items() for m, v in row.items()},
                         jmax)
 
-    def inverse(self) -> "BiSeries":
-        """Multiplicative inverse; needs an invertible (0,0) coefficient."""
-        return BiSeries.const(1, self.jmax) / self
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
 def _exact_mode(lam, theta, kappa) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in [lam, *theta]) and kappa is None
 

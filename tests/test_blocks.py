@@ -7,7 +7,6 @@ from holomon.blocks import (
     BlockSeries,
     bpz_residual,
     degenerate_weight_of,
-    dict_params,
     frobenius_solution,
     sphere4_block,
     three_point_descendant,
@@ -24,38 +23,6 @@ def weight(p, r, b2):
 
 B2 = F(2, 7)
 CC = 13 + 6 * B2 + 6 / B2
-
-
-class TestDictParams:
-    def test_zero_length(self):
-        b = 0.77
-        Q = b + 1 / b
-        out = dict_params(b, l=0.0)
-        assert abs(out["beta"] - Q / 2) < 1e-14
-        assert abs(out["delta"] - Q * Q / 4) < 1e-14
-
-    def test_b_one(self):
-        out = dict_params(1.0, l=0.0)
-        assert abs(out["Q"] - 2) < 1e-14 and abs(out["c"] - 25) < 1e-14
-
-    def test_reflection_symmetry(self):
-        b = 0.9
-        Q = b + 1 / b
-        beta = 0.4 + 0.2j
-        d1 = dict_params(b, beta=beta)["delta"]
-        d2 = dict_params(b, beta=Q - beta)["delta"]
-        assert abs(d1 - d2) < 1e-14
-
-    def test_roundtrip(self):
-        out = dict_params(0.8, l=1.7)
-        back = dict_params(0.8, beta=out["beta"])
-        assert abs(complex(back["l"]) - 1.7) < 1e-12
-
-    def test_exactly_one_input(self):
-        with pytest.raises(ValueError):
-            dict_params(0.8)
-        with pytest.raises(ValueError):
-            dict_params(0.8, l=1, beta=2)
 
 
 class TestThreePointDescendant:

@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holomon.holonomy import (
-    enumerate_closed_walks,
-    find_covariant_walk,
-    goldman_vs_dp,
     mutate_coordinate,
     poisson_bracket,
     relation_poly,
     relation_poly_du,
-    skein_check,
     substitute_flip,
     trace_function,
     verify_mutation_covariance,
@@ -24,7 +20,6 @@ from holomon.reference import (
     boundary_names,
     covariance_corpus,
     covariant_walk,
-    reference_curves,
     reference_setup,
 )
 from holomon.surfaces import (
@@ -80,11 +75,10 @@ class TestTraceFunction:
         fg = dual_fat_graph(tri)
         cp = curves["s"]
         base = trace_function(tri, cp)
+        resolved = cp.resolve(fg)
         for k in range(1, len(cp)):
-            rot = cp.rotated(k)
-            # recover a valid start vertex for the rotated walk
-            resolved = cp.resolve(fg)
-            rot = CurvePath(rot.steps, start=resolved[k][0])
+            # the same closed walk entered at its k-th step
+            rot = CurvePath(cp.steps[k:] + cp.steps[:k], start=resolved[k][0])
             assert trace_function(tri, rot) == base
 
     def test_positive_coefficients_on_corpus(self):
@@ -230,12 +224,6 @@ class TestMutationCovariance:
                 tri, e, curves[cname], covariant_walk(name, e, cname)
             ), (name, e, cname)
 
-    def test_search_agrees_with_fixture(self):
-        tri, curves = reference_setup("c11")
-        found = find_covariant_walk(tri, 0, curves["s"])
-        assert found is not None
-        assert verify_mutation_covariance(tri, 0, curves["s"], found)
-
     def test_wrong_walk_fails(self):
         tri, curves = reference_setup("c11")
         wrong = covariant_walk("c11", 0, "t")
@@ -255,15 +243,13 @@ class TestMutationCovariance:
 class TestSkein:
     def test_c11_once_intersecting(self):
         tri, curves = reference_setup("c11")
-        assert skein_check(
-            tri, curves["s"], curves["t"],
-            [(curves["u"], 1), (curves["st_other"], 1)],
-        )
+        lhs = trace_function(tri, curves["s"]) * trace_function(tri, curves["t"])
+        rhs = trace_function(tri, curves["u"]) + trace_function(tri, curves["st_other"])
+        assert lhs == rhs
 
     def test_c04_twice_intersecting(self):
         # both resolutions plus the central terms L1 L3 + L2 L4
         tri, curves = reference_setup("c04")
-        fg = dual_fat_graph(tri)
         lhs = trace_function(tri, curves["s"]) * trace_function(tri, curves["t"])
         rhs = (trace_function(tri, curves["u"])
                + trace_function(tri, curves["st_other"])
@@ -279,17 +265,10 @@ class TestSkein:
         s = trace_function(tri, curves["s"])
         assert p1 * s == s * p1
 
-    def test_wrong_resolution_list_fails(self):
-        tri, curves = reference_setup("c11")
-        assert not skein_check(
-            tri, curves["s"], curves["t"], [(curves["u"], 1), (curves["u"], 1)]
-        )
-
-
 class TestRelations:
     def test_scalar_probe_c11(self):
         val = relation_poly("c11", {"s": 2, "t": 2, "u": 2, "L0": 2})
-        assert val.constant_value() == 4
+        assert val == 4
 
     @pytest.mark.parametrize("name", ["c11", "c04"])
     def test_relation_vanishes_on_traces(self, name):
@@ -321,21 +300,6 @@ class TestBracketVsRelationDerivative:
         vals = _trace_values(name, tri, curves)
         lhs = poisson_bracket(vals["s"], vals["t"], n) * LOOP_BRACKET_CONSTANT[name]
         assert lhs == relation_poly_du(name, vals)
-
-    @pytest.mark.parametrize("name", ["c11", "c04"])
-    def test_goldman_vs_dp_reports_constant(self, name):
-        tri, curves = reference_setup(name)
-        n = exchange_matrix(tri)
-        vals = _trace_values(name, tri, curves)
-        equal, const = goldman_vs_dp(name, n, vals)
-        assert const == Fraction(1, LOOP_BRACKET_CONSTANT[name])
-        assert equal == (LOOP_BRACKET_CONSTANT[name] == 1)
-
-    def test_goldman_vs_dp_ratio_is_exact(self):
-        tri, curves = reference_setup("c11")
-        vals = _trace_values("c11", tri, curves)
-        _, const = goldman_vs_dp("c11", exchange_matrix(tri), vals)
-        assert type(const) is Fraction
 
     def test_self_bracket_consistency(self):
         tri, curves = reference_setup("c11")

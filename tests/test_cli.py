@@ -41,6 +41,57 @@ class TestSurfaceCommands:
         r = runner.invoke(main, ["surface", "validate", str(path)])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("name, field, value", [
+        ("c04", ("triangles", 0, 0, 1), 1.5),
+        ("c04", ("triangles", 3, 0, 0), True),
+        ("c04", ("curves", "p1", "steps", 1, 0), 0.9),
+        ("c04", ("curves", "p1", "start"), 1.0),
+        ("c11", ("genus",), True),
+        ("c04", ("punctures",), 4.0),
+        ("c04", ("pants", "vertices", 0, 2, 1), 0.0),
+        ("c04", ("pants", "names"), [1]),
+        ("c04", ("pants", "names"), "ab"),
+        ("c04", ("pants", "names"), "a"),
+    ], ids=["flag-1.5", "edge-true", "step-edge-0.9", "start-1.0", "genus-true",
+            "punctures-4.0", "leg-0.0", "names-int", "names-ab", "names-bare-string"])
+    def test_malformed_field_exits_2(self, runner, tmp_path, name, field, value):
+        # int() used to truncate or coerce each of these values, and the
+        # file passed as valid
+        doc = json.loads(runner.invoke(main, ["surface", "export", "--surface", name]).output)
+        if name == "c04":
+            doc["pants"] = {"vertices": [[["bdry", 0], ["bdry", 1], ["cut", 0]],
+                                         [["cut", 0], ["bdry", 2], ["bdry", 3]]],
+                            "names": ["s"]}
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(doc))
+        assert runner.invoke(main, ["surface", "validate", str(path)]).exit_code == 0
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        path.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["surface", "validate", str(path)])
+        assert r.exit_code == 2
+        assert r.output.startswith("error: invalid surface file: ")
+        assert r.output.count("\n") == 1
+
+    @pytest.mark.parametrize("edge", [99, -1, 6])
+    def test_curve_edge_out_of_range(self, runner, tmp_path, edge):
+        # 99 was an IndexError (exit 3), -1 indexed the last edge
+        doc = json.loads(runner.invoke(main, ["surface", "export", "--surface", "c04"]).output)
+        doc["curves"]["p1"]["steps"][0][0] = edge
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["surface", "validate", str(path)])
+        assert r.exit_code == 2
+        assert r.output == f"error: curve 'p1' invalid: edge {edge} out of range 0..5\n"
+
+    @pytest.mark.parametrize("edge", ["99", "-1", "6"])
+    def test_flip_edge_out_of_range(self, runner, edge):
+        r = runner.invoke(main, ["flip", "--surface", "c04", "--edge", edge])
+        assert r.exit_code == 2
+        assert r.output == f"error: edge {edge} out of range 0..5\n"
+
     def test_trace(self, runner):
         r = runner.invoke(main, ["trace", "--surface", "c11", "--curve", "u"])
         assert r.exit_code == 0

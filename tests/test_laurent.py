@@ -41,17 +41,6 @@ class TestLaurentPoly:
         p = poly(1, {(2,): -1, (0,): -1})
         assert p.normalize_sign().all_coefficients_positive()
 
-    def test_exponent_parities(self):
-        p = poly(2, {(1, 2): 1, (3, 0): 5, (-1, 4): 2})
-        assert p.exponent_parities() == (1, 0)
-        bad = poly(2, {(1, 0): 1, (0, 0): 1})
-        with pytest.raises(ValueError):
-            bad.exponent_parities()
-
-    def test_evaluate(self):
-        p = poly(1, {(2,): 1, (-2,): 1})  # x + 1/x
-        assert p.evaluate([2.0]) == pytest.approx(2.5)
-
     def test_float_scalar_rejected(self):
         x = LaurentPoly.variable(1, 0)
         with pytest.raises(TypeError):

@@ -11,7 +11,6 @@ from holomon.pantsrep import (
     RepParams,
     b_move_phase,
     c_factor,
-    classical_symbol,
     conformal_weight_of_length,
     generator_tables,
     random_params,
@@ -33,6 +32,14 @@ def params_c11(digits=30):
 
 def tables(p, kind="c04", window=(-8, 8)):
     return generator_tables(p, kind, window)[1]
+
+
+def symbol(table, p, site, k):
+    """Commutative symbol of a table at a lattice site: the shift by m
+    becomes e^(m k / 2)."""
+    with mp.workdps(p.digits):
+        return sum((table.entry(site, site + m) * mp.exp(m * mp.mpmathify(k) / 2)
+                    for m in table.bands), mp.mpf(0))
 
 
 class TestBuildLs:
@@ -114,7 +121,7 @@ class TestBuildLu:
                           x0=1.45 + 0.1j, digits=40)
             k = 0.37 + 0.11j
             T = tables(p, window=(-3, 3))
-            sym = {g: complex(classical_symbol(T[g], p, 0, k)) for g in ("s", "t", "u")}
+            sym = {g: complex(symbol(T[g], p, 0, k)) for g in ("s", "t", "u")}
             sym.update({kk: complex(v) for kk, v in boundary.items()})
             # relative to the cubic term, the dominant contribution
             scale_mag = abs(sym["s"] * sym["t"] * sym["u"])

@@ -4,28 +4,66 @@ import pytest
 
 from holomon.surfaces import (
     CurvePath,
-    DehnViolation,
     FlipError,
-    MoveError,
     PantsDecomposition,
     Surface,
     Triangulation,
     TriangulationError,
-    build_triangulation,
-    canonical_key,
     dual_fat_graph,
     exchange_matrix,
     flip,
-    flippable_edges,
-    generator_curves,
-    ms_move,
     mutate_exchange_matrix,
-    random_flip_walk,
     reference_triangulation,
     surface_from_json,
     surface_to_json,
     validate_dehn,
 )
+
+
+def flippable(tri):
+    """The edges whose flip makes no self-folded triangle."""
+    out = []
+    for e in range(tri.n_edges):
+        try:
+            flip(tri, e)
+        except FlipError:
+            continue
+        out.append(e)
+    return out
+
+
+def random_flips(tri, steps, rng):
+    """The triangulations after each of ``steps`` random flips."""
+    for _ in range(steps):
+        tri = flip(tri, rng.choice(flippable(tri)))
+        yield tri
+
+
+def gluing(tri, e, sign=1):
+    """The gluing table up to the rotation of each triangle and their order,
+    with edge e's orientation multiplied by ``sign``."""
+    def least_rotation(t):
+        return min(t[i:] + t[:i] for i in range(3))
+    return sorted(least_rotation(tuple((x, f * sign if x == e else f) for x, f in t))
+                  for t in tri.triangles)
+
+
+def face_count(fg):
+    """Boundary cycles of the ribbon graph: from each vertex slot, cross the
+    edge and leave the far vertex by the next edge clockwise."""
+    unused = {(v, s) for v in range(len(fg.cyclic)) for s in range(3)}
+    faces = 0
+    while unused:
+        v, s = start = min(unused)
+        faces += 1
+        while True:
+            unused.discard((v, s))
+            e = fg.cyclic[v][s]
+            v = fg.other_end(e, v)
+            s = (fg.cyclic[v].index(e) + 2) % 3
+            if (v, s) == start:
+                break
+    return faces
 
 
 class TestSurface:
@@ -55,7 +93,7 @@ class TestTriangulation:
 
     def test_unpaired_side_rejected(self):
         with pytest.raises(TriangulationError):
-            build_triangulation(
+            Triangulation(
                 Surface(1, 1),
                 [[(0, 1), (1, 1), (2, -1)], [(2, 1), (0, -1), (0, -1)]],
             )
@@ -63,14 +101,14 @@ class TestTriangulation:
     def test_self_folded_rejected(self):
         # edge 2 twice in the same triangle
         with pytest.raises(TriangulationError):
-            build_triangulation(
+            Triangulation(
                 Surface(1, 1),
                 [[(0, 1), (1, 1), (1, -1)], [(2, 1), (0, -1), (2, -1)]],
             )
 
     def test_same_flag_gluing_rejected(self):
         with pytest.raises(TriangulationError):
-            build_triangulation(
+            Triangulation(
                 Surface(1, 1),
                 [[(0, 1), (1, 1), (2, -1)], [(2, 1), (0, 1), (1, -1)]],
             )
@@ -101,7 +139,7 @@ class TestExchangeMatrix:
         rng = random.Random(11)
         for name in ("c04", "c05"):
             tri = reference_triangulation(name)
-            for _, cur in random_flip_walk(tri, 12, rng):
+            for cur in random_flips(tri, 12, rng):
                 n = exchange_matrix(cur)
                 for i, row in enumerate(n):
                     for j, v in enumerate(row):
@@ -117,10 +155,13 @@ class TestExchangeMatrix:
 
 class TestFlip:
     def test_involution(self):
+        # the second flip puts the two triangles back in swapped slots and
+        # may reverse the flipped edge's reference orientation
         for name in ("c11", "c04"):
             tri = reference_triangulation(name)
-            for e in flippable_edges(tri):
-                assert flip(flip(tri, e), e) == tri
+            for e in flippable(tri):
+                assert gluing(flip(flip(tri, e), e), e) in (gluing(tri, e), gluing(tri, e, -1))
+                assert gluing(flip(tri, e), e) not in (gluing(tri, e), gluing(tri, e, -1))
 
     def test_counts_preserved(self):
         tri = reference_triangulation("c04")
@@ -145,46 +186,21 @@ class TestFlip:
         rng = random.Random(5)
         cur = tri
         for _ in range(10):
-            e = rng.choice(flippable_edges(cur))
+            e = rng.choice(flippable(cur))
             n = exchange_matrix(cur)
             cur = flip(cur, e)
             assert exchange_matrix(cur) == mutate_exchange_matrix(n, e)
 
-    def test_replay(self):
-        rng = random.Random(3)
-        tri = reference_triangulation("c05")
-        walk = random_flip_walk(tri, 8, rng)
-        cur = tri
-        for e, recorded in walk:
-            cur = flip(cur, e)
-            assert cur == recorded
-
-
-class TestCanonicalKey:
-    def test_relabeling_invariance(self):
-        tri = reference_triangulation("c04")
-        # relabel edges by a permutation
-        perm = [3, 4, 5, 0, 2, 1]
-        tris = [[(perm[e], f) for e, f in t] for t in tri.triangles]
-        tri2 = Triangulation(tri.surface, tris)
-        assert canonical_key(tri) == canonical_key(tri2)
-        assert tri == tri2
-
-    def test_distinguishes_flip(self):
-        tri = reference_triangulation("c04")
-        assert canonical_key(tri) != canonical_key(flip(tri, 0))
-
-
 class TestFatGraph:
     def test_c11_dual(self):
         fg = dual_fat_graph(reference_triangulation("c11"))
-        assert fg.n_vertices == 2 and fg.n_edges == 3
+        assert len(fg.cyclic) == 2 and fg.n_edges == 3
         assert set(fg.cyclic[0]) == {0, 1, 2} == set(fg.cyclic[1])
 
     @pytest.mark.parametrize("name,npunct", [("c11", 1), ("c04", 4), ("c05", 5)])
     def test_face_walk_count(self, name, npunct):
         fg = dual_fat_graph(reference_triangulation(name))
-        assert len(fg.face_walks()) == npunct
+        assert face_count(fg) == npunct
 
     def test_walk_validation(self):
         fg = dual_fat_graph(reference_triangulation("c11"))
@@ -252,66 +268,6 @@ class TestDehn:
             assert got == want
 
 
-class TestMoves:
-    def test_f_twice_restores(self):
-        pd = c04_pants()
-        pd2 = ms_move(pd, "F", 0)
-        assert pd2.structure_key() != pd.structure_key() or True  # graph may match
-        pd3 = ms_move(pd2, "F", 0)
-        assert pd3.structure_key() == pd.structure_key()
-
-    def test_f_exchanges_channel_grouping(self):
-        pd = c04_pants()  # s-channel: (0,1 | 2,3)
-        pd2 = ms_move(pd, "F", 0)
-        groups = set()
-        for v in pd2.vertices:
-            groups.add(frozenset(lab for kind, lab in v if kind == "bdry"))
-        assert groups == {frozenset({1, 2}), frozenset({3, 0})}
-
-    def test_f_needs_c04_piece(self):
-        with pytest.raises(MoveError):
-            ms_move(c11_pants(), "F", 0)
-
-    def test_s_move_toggles_channel(self):
-        pd = c11_pants()
-        pd2 = ms_move(pd, "S", 0)
-        assert pd2.curve_names != pd.curve_names
-        assert ms_move(pd2, "S", 0).curve_names == pd.curve_names
-        assert pd2.structure_key() == pd.structure_key()
-
-    def test_b_and_z_moves(self):
-        pd = c04_pants()
-        pd2 = ms_move(pd, "B", (0, 0))
-        assert pd2.vertices[0][0] == pd.vertices[0][1]
-        pd3 = ms_move(pd, "Z", 0)
-        assert pd3.vertices[0] == (pd.vertices[0][1], pd.vertices[0][2], pd.vertices[0][0])
-
-
-class TestGeneratorCurves:
-    def test_c11_t_curve_r(self):
-        kind, tri, gens = generator_curves(c11_pants(), 0)
-        assert kind == "c11"
-        _, (r, s) = gens["t"]
-        assert r == 1
-        assert gens["u"][1] == (1, 1)
-
-    def test_c04_t_curve_r(self):
-        kind, tri, gens = generator_curves(c04_pants(), 0)
-        assert kind == "c04"
-        assert gens["t"][1] == (2, 0)
-
-    def test_s_is_cut_curve(self):
-        _, _, gens = generator_curves(c04_pants(), 0)
-        assert gens["s"][1] == (0, 1)
-
-    def test_walks_resolve(self):
-        for pants in (c11_pants(), c04_pants()):
-            kind, tri, gens = generator_curves(pants, 0)
-            fg = dual_fat_graph(tri)
-            for cp, _ in gens.values():
-                cp.resolve(fg)
-
-
 class TestSerialization:
     def test_roundtrip(self):
         tri = reference_triangulation("c04")
@@ -319,6 +275,6 @@ class TestSerialization:
         pants = c04_pants()
         text = surface_to_json(tri, curves, pants)
         tri2, curves2, pants2 = surface_from_json(text)
-        assert tri2 == tri
+        assert (tri2.surface, tri2.triangles) == (tri.surface, tri.triangles)
         assert curves2["s"] == curves["s"]
-        assert pants2.structure_key() == pants.structure_key()
+        assert (pants2.vertices, pants2.curve_names) == (pants.vertices, pants.curve_names)

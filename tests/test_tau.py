@@ -115,16 +115,16 @@ class TestBiSeries:
     def test_truncation(self):
         a = BiSeries({(0, 3): F(1)}, jmax=4)
         b = BiSeries({(0, 2): F(1)}, jmax=4)
-        assert (a * b).is_zero()
+        assert not (a * b).terms
 
     def test_inverse(self):
         a = BiSeries({(0, 0): F(2), (1, 1): F(3), (-1, 2): F(1)}, jmax=5)
-        prod = a * a.inverse()
+        prod = a * (BiSeries.const(1, a.jmax) / a)
         assert prod.terms == {(0, 0): F(1)}
 
     def test_inverse_needs_unit(self):
         with pytest.raises(ZeroDivisionError):
-            BiSeries({(1, 1): F(1)}, jmax=3).inverse()
+            BiSeries.const(1, 3) / BiSeries({(1, 1): F(1)}, jmax=3)
 
     def test_division_needs_constant_grade_zero(self):
         a = BiSeries({(0, 0): F(1)}, jmax=3)
