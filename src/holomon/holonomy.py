@@ -4,8 +4,9 @@ Holonomies of fat-graph walks are products of per-edge matrices
 ``[[0, X^(1/2)], [-X^(-1/2), 0]]`` with constant turn matrices
 ``L = [[1,1],[-1,0]]`` and ``R = [[0,1],[-1,-1]]`` (so ``L^3 = -1``,
 matching the trivalent vertices).  Traces are sign-normalized Laurent
-polynomials; the log-canonical bracket, coordinate mutation and the
-cubic/quartic generator relations live here as well.
+polynomials; the log-canonical bracket and coordinate mutation live here
+as well, and the cubic/quartic trace relations as the s = 1 value of the
+relation table in ``reference``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPoly, LaurentRational
+from .qcoeff import SPoly
+from .reference import relation_terms, word_sum
 from .sparse import convolve, pairing, vec_add
 from .surfaces import (LEFT, RIGHT, CurvePath, FatGraph, Triangulation, dual_fat_graph,
                        exchange_matrix, flip)
@@ -157,55 +160,19 @@ def verify_mutation_covariance(tri: Triangulation, e: int, curve: CurvePath,
 
 # -- generator relations ----------------------------------------------------------
 
-def _coerce(nvars: int, v):
-    if isinstance(v, LaurentPoly) or nvars is None:
-        return v
-    return LaurentPoly.const(nvars, v)
-
-
 def relation_poly(kind: str, values: dict):
-    """Evaluate the generator relation polynomial on trace data.
+    """The trace relation of ``reference.RELATIONS[(kind, 3)]`` at s = 1,
+    evaluated on trace data.
 
     kind 'c11' needs keys s, t, u, L0; kind 'c04' needs s, t, u, L1..L4.
     Exact polynomials give an exact polynomial back; plain numeric inputs
     are evaluated numerically.
     """
-    nvars = _common_nvars(values)
-    g = lambda k: _coerce(nvars, values[k])
-    if kind == "c11":
-        s, t, u, L0 = g("s"), g("t"), g("u"), g("L0")
-        return s * s + t * t + u * u - s * t * u + L0 - 2
-    if kind == "c04":
-        s, t, u = g("s"), g("t"), g("u")
-        L1, L2, L3, L4 = g("L1"), g("L2"), g("L3"), g("L4")
-        return (L1 * L2 * L3 * L4 + s * s + t * t + u * u
-                + L1 * L1 + L2 * L2 + L3 * L3 + L4 * L4 - 4
-                + s * (L3 * L4 + L1 * L2)
-                + t * (L2 * L3 + L1 * L4)
-                + u * (L1 * L3 + L2 * L4)
-                - s * t * u)
-    raise ValueError(f"unknown relation kind {kind!r}")
+    return word_sum(relation_terms(kind, 3, values, SPoly.at_one), values)
 
 
 def relation_poly_du(kind: str, values: dict):
-    """Partial derivative of the relation polynomial in the u-generator."""
-    nvars = _common_nvars(values)
-    g = lambda k: _coerce(nvars, values[k])
-    if kind == "c11":
-        s, t, u = g("s"), g("t"), g("u")
-        return 2 * u - s * t
-    if kind == "c04":
-        s, t, u = g("s"), g("t"), g("u")
-        L1, L2, L3, L4 = g("L1"), g("L2"), g("L3"), g("L4")
-        return 2 * u + (L1 * L3 + L2 * L4) - s * t
-    raise ValueError(f"unknown relation kind {kind!r}")
-
-
-def _common_nvars(values: dict):
-    has_float = any(isinstance(v, (float, complex)) for v in values.values())
-    for v in values.values():
-        if isinstance(v, LaurentPoly):
-            if has_float:
-                raise TypeError("cannot mix polynomials with inexact scalars")
-            return v.nvars
-    return None if has_float else 1
+    """Partial derivative of the relation polynomial in the u-generator:
+    each word's u-degree times the word with one u removed."""
+    terms = relation_terms(kind, 3, values, SPoly.at_one, keep=lambda w: "u" in w)
+    return word_sum([(c * w.count("u"), w.replace("u", "", 1)) for c, w in terms], values)

@@ -53,8 +53,14 @@ class SPoly:
             return SPoly.const(o)
         raise TypeError(f"cannot coerce {type(o).__name__} to SPoly")
 
+    # any other operand type gets NotImplemented, so that its reflected
+    # method runs: a quantum-torus element takes SPolys as scalars
     def __add__(self, o):
-        return SPoly(add(self.c, self.coerce(o).c))
+        try:
+            o = self.coerce(o)
+        except TypeError:
+            return NotImplemented
+        return SPoly(add(self.c, o.c))
 
     __radd__ = __add__
 
@@ -62,13 +68,17 @@ class SPoly:
         return SPoly({k: -v for k, v in self.c.items()})
 
     def __sub__(self, o):
-        return self + (-self.coerce(o))
+        return self + (-o)
 
     def __rsub__(self, o):
         return (-self) + o
 
     def __mul__(self, o):
-        return SPoly(convolve(self.c, self.coerce(o).c, _add))
+        try:
+            o = self.coerce(o)
+        except TypeError:
+            return NotImplemented
+        return SPoly(convolve(self.c, o.c, _add))
 
     __rmul__ = __mul__
 
@@ -99,21 +109,12 @@ class SPoly:
         return SPoly({-e: v for e, v in self.c.items()})
 
     def at_one(self):
-        """Classical specialization s -> 1."""
-        return sum(self.c.values(), Fraction(0))
+        """Classical specialization s -> 1, in the coefficients' own ring
+        (an int for int coefficients)."""
+        return sum(self.c.values())
 
     def __repr__(self):
         if not self.c:
             return "0"
         return " + ".join(f"{v}*s^{e}" if e else f"{v}" for e, v in sorted(self.c.items()))
 
-
-# frequently used values
-def q_int_bracket(k: int) -> SPoly:
-    """q^k - q^-k as an exact coefficient."""
-    return SPoly.s_power(4 * k) - SPoly.s_power(-4 * k)
-
-
-def two_cos_pi_b2() -> SPoly:
-    """q + 1/q, the exact stand-in for 2 cos(pi b^2)."""
-    return SPoly.s_power(4) + SPoly.s_power(-4)

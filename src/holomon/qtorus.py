@@ -3,7 +3,8 @@
 Basis monomials are indexed by half-integer exponent vectors (stored
 doubled); the product rule multiplies exponents additively and picks up
 q to the symplectic pairing, q = s^4.  Specializing s -> 1 recovers the
-commutative Laurent ring.
+commutative Laurent ring.  The deformed relations are read from the
+relation table in ``reference``, as they stand.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .qcoeff import SPoly, q_int_bracket, two_cos_pi_b2
+from .qcoeff import SPoly
+from .reference import relation_terms, word_sum
 from .sparse import convolve, pairing, vec_add
 
 
@@ -106,8 +108,8 @@ def quantize_trace(p: LaurentPoly, n) -> QuantumTorusElement:
 
 
 def q_relation(kind: str, degree: int, operands: dict, conj: bool = False) -> QuantumTorusElement:
-    """Evaluate the deformed generator relation, preserving the printed
-    operator ordering.
+    """Evaluate the deformed generator relation ``reference.RELATIONS[(kind,
+    degree)]``, preserving its operator ordering.
 
     ``operands`` maps 's','t','u' plus 'L0' (torus piece) or 'L1'..'L4'
     (sphere piece) to QuantumTorusElements; boundary operands must be
@@ -115,34 +117,8 @@ def q_relation(kind: str, degree: int, operands: dict, conj: bool = False) -> Qu
     which together with bar-transformed operands realizes the coefficient
     involution on the identity.
     """
-    C = lambda x: x.conj() if conj else x
-    q1 = C(SPoly.s_power(4))    # q
-    qm1 = C(SPoly.s_power(-4))  # 1/q
-    qh = C(SPoly.s_power(2))    # q^(1/2)
-    qmh = C(SPoly.s_power(-2))
-    s, t, u = operands["s"], operands["t"], operands["u"]
-    if kind == "c11":
-        L0 = operands["L0"]
-        if degree == 2:
-            return s * t * qh - t * s * qmh - u * C(q_int_bracket(1))
-        if degree == 3:
-            return (s * s * q1 + t * t * qm1 + u * u * q1
-                    - s * t * u * qh + L0 - C(two_cos_pi_b2()))
-    if kind == "c04":
-        L1, L2, L3, L4 = (operands[k] for k in ("L1", "L2", "L3", "L4"))
-        if degree == 2:
-            return (s * t * q1 - t * s * qm1 - u * C(q_int_bracket(2))
-                    - (L1 * L3 + L2 * L4) * C(q_int_bracket(1)))
-        if degree == 3:
-            c2 = C(two_cos_pi_b2())
-            return (L1 * L2 * L3 * L4 + L1 * L1 + L2 * L2 + L3 * L3 + L4 * L4
-                    - s * t * u * q1
-                    + s * s * q1 ** 2 + t * t * qm1 ** 2 + u * u * q1 ** 2
-                    - c2 * c2
-                    + s * (L3 * L4 + L1 * L2) * q1
-                    + t * (L2 * L3 + L1 * L4) * qm1
-                    + u * (L1 * L3 + L2 * L4) * q1)
-    raise ValueError(f"no relation for kind={kind!r} degree={degree}")
+    scalar = SPoly.conj if conj else (lambda c: c)
+    return word_sum(relation_terms(kind, degree, operands, scalar), operands)
 
 
 def commutator_classical_limit(a: QuantumTorusElement,

@@ -264,35 +264,34 @@ def coefficient_difference(a: TauSeries, b: TauSeries):
 
 # -- the scalar deformation equation -------------------------------------------
 
-# scalar-equation coefficients for sigma = t(t-1) dlog(tau)/dt, with
-# U = sigma - t sigma' and Z = t(1-t) sigma'':
+# The Jimbo-Miwa-Okamoto sigma-form of Painleve VI, as Gamayun, Iorgov and
+# Lisovyy write it (arXiv:1207.0787), for sigma = t(t-1) dlog(tau)/dt:
 #
-#   Z^2/4 + sigma' U^2 + sigma'^2 U + a U^2 + b sigma' U + c sigma'^2
-#        + d sigma' + e U + f  =  0
+#   (t(t-1) sigma'')^2 + 2 det M = 0,
+#   M = [[2 q0,             t sigma' - sigma,        sigma' + k      ],
+#        [t sigma' - sigma, 2 qt,                    (t-1) sigma' - sigma],
+#        [sigma' + k,       (t-1) sigma' - sigma,    2 q1            ]],
 #
-# The coefficient functions of the external momenta were calibrated once
-# against the weighted series construction (exact least squares over many
-# independent draws, every fit residual at working precision) and are
-# re-verified order-by-order on fresh draws by the test suite.
-def sigma_equation_coefficients(theta):
-    """(a, b, c, d, e, f) of the scalar deformation equation."""
+# with q_i = theta_i^2 and k = q0 + qt + q1 - qinf.  In U = sigma - t sigma',
+# Y = sigma' and Z = t(1-t) sigma'', a quarter of the left side is
+#
+#   Z^2/4 + 4 q0 qt q1 + U (U+Y) (Y+k) - q0 (U+Y)^2 - qt (Y+k)^2 - q1 U^2.
+def _sigma_form(U, Y, Z, theta):
+    """A quarter of the sigma-form's left side, in any commutative ring
+    that takes the squared thetas and Fractions as scalars."""
     q0, qt, q1, qi = (x * x for x in theta)
-    a = qt - qi
-    b = -q0 + qt + q1 - qi
-    c = -(q0 + qt)
-    d = -2 * qt * (q0 + qt + q1 - qi)
-    e = 0 * q0
-    inner = ((q0 + qt) ** 2 + (q1 - qi) ** 2
-             - 2 * q0 * (q1 + qi) + 2 * qt * (q1 - qi))
-    f = -qt * inner
-    return a, b, c, d, e, f
+    k = q0 + qt + q1 - qi
+    UU, UY, YY = U * U, U * Y, Y * Y
+    W = UU + UY                     # U (U+Y), so U (U+Y) (Y+k) = W Y + k W
+    return (Z * Z * Fraction(1, 4) + W * Y + W * k - (UU + UY * 2 + YY) * q0
+            - (YY + Y * (2 * k)) * qt - UU * q1 + (4 * q0 * q1 - k * k) * qt)
 
 
 def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
     """Residual coefficients of the scalar deformation equation.
 
-    Substitutes sigma(t) = t(t-1) d/dt log tau into the second-order
-    identity above and returns the bigraded residual terms through the
+    Substitutes sigma(t) = t(t-1) d/dt log tau into the sigma-form above
+    and returns the bigraded residual terms through the
     trustworthy grade, min(order, N) - 2; no series is computed past the
     grade its kept slots read.  The weighted (isomonodromic) normalization
     drives every coefficient to zero at working precision; the plain sum
@@ -319,19 +318,10 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
             return BiSeries({(m, j + power): v for (m, j), v in S.terms.items()
                              if j + power <= S.jmax}, S.jmax)
 
-        one_v = Fraction(1) if tau.mode == "exact" else mp.mpf(1)
-        one = BiSeries.const(one_v, jmax)
-
         sigma = tmul(R) - R                 # t(t-1) dlog(tau)/dt, to jmax + 1
         Y = d_dt(sigma)
         U = sigma - tmul(Y)
         Z0 = d_dt(Y)
         Z = tmul(Z0) - tmul(Z0, 2)          # t(1-t) sigma''
 
-        a, b, c, d, e, f = sigma_equation_coefficients(tau.theta)
-        quarter = Fraction(1, 4) if tau.mode == "exact" else mp.mpf(1) / 4
-        UU, YY = U * U, Y * Y
-        resid = (Z * Z * quarter + Y * UU + YY * U
-                 + a * UU + b * (Y * U) + c * YY
-                 + d * Y + e * U + f * one)
-        return resid.terms
+        return _sigma_form(U, Y, Z, tau.theta).terms

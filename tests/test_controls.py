@@ -1,14 +1,22 @@
 """Negative controls: a perturbation that must turn a live check row to FAIL.
 
 A row that no perturbation can fail checks nothing.  Each entry names the
-tag of the row, the suite that emits it, and a perturbation applied through
-pytest's monkeypatch; the row must pass as it stands and fail perturbed.
+tag of the rows, a run of the suite that emits them on the torus piece,
+and a perturbation applied through pytest's monkeypatch; every row of the
+tag must pass as it stands and fail perturbed.
 """
+
+import functools
 
 import pytest
 
-from holomon import checks, reference
+from holomon import checks, qtorus, reference, sparse
+from holomon.qcoeff import SPoly
 from holomon.surfaces import flip
+
+CLASSICAL = functools.partial(checks.classical_checks, ("c11",))
+QUANTUM = functools.partial(checks.quantum_checks, ("c11",))
+SHIFT = functools.partial(checks.pants_checks, "c11", draws=1)
 
 
 def skein_other_is_u(monkeypatch):
@@ -38,26 +46,52 @@ def naive_quantization_after_flip(monkeypatch):
     monkeypatch.setattr(checks, "reference_setup", setup)
 
 
+def relation_sign_flipped(monkeypatch):
+    """One coefficient of the relation table with the wrong sign: +q^(1/2)
+    stu in the torus piece's cubic relation.  Every layer reads the table,
+    so the classical, quantum and shift-operator rows all fail."""
+    monkeypatch.setitem(reference.RELATIONS[("c11", 3)], "stu", {"": SPoly({2: 1})})
+
+
+def pairing_doubled(monkeypatch):
+    """The Weyl twist taken as q^(2<mu,nu>): the commutator's classical
+    limit comes out twice the bracket."""
+    monkeypatch.setattr(qtorus, "pairing", lambda d1, d2, n: 2 * sparse.pairing(d1, d2, n))
+
+
 CONTROLS = [
-    ("skein-product", checks.classical_checks, skein_other_is_u),
-    ("bracket-derivative", checks.classical_checks, bracket_constant_one),
-    ("q-commutator", checks.quantum_checks, naive_quantization_after_flip),
-    ("q-cubic", checks.quantum_checks, naive_quantization_after_flip),
+    ("skein-product", CLASSICAL, skein_other_is_u),
+    ("bracket-derivative", CLASSICAL, bracket_constant_one),
+    ("q-commutator", QUANTUM, naive_quantization_after_flip),
+    ("q-cubic", QUANTUM, naive_quantization_after_flip),
+    ("q-classical-limit", QUANTUM, pairing_doubled),
+    ("cubic-relation", CLASSICAL, relation_sign_flipped),
+    ("q-cubic", QUANTUM, relation_sign_flipped),
+    ("shift-residual-cubic", SHIFT, relation_sign_flipped),
 ]
 
 
-def _statuses(suite, tag):
-    return [c.status for c in suite(("c11",)).checks if c.tag == tag]
+def _ids():
+    """A tag's first control is named by the tag, later ones also by
+    their perturbation."""
+    seen = set()
+    for tag, _, perturb in CONTROLS:
+        yield f"{tag}/{perturb.__name__}" if tag in seen else tag
+        seen.add(tag)
 
 
-@pytest.mark.parametrize("tag, suite, perturb", CONTROLS, ids=[c[0] for c in CONTROLS])
-def test_control_fails_its_row(monkeypatch, tag, suite, perturb):
-    assert _statuses(suite, tag) == ["pass"]
+def _statuses(run, tag):
+    return {c.status for c in run().checks if c.tag == tag}
+
+
+@pytest.mark.parametrize("tag, run, perturb", CONTROLS, ids=list(_ids()))
+def test_control_fails_its_row(monkeypatch, tag, run, perturb):
+    assert _statuses(run, tag) == {"pass"}
     perturb(monkeypatch)
-    assert _statuses(suite, tag) == ["fail"]
+    assert _statuses(run, tag) == {"fail"}
 
 
 def test_flipped_curves_keep_the_classical_relation(monkeypatch):
     # so the q-relation control fails the quantization, not the input
     naive_quantization_after_flip(monkeypatch)
-    assert _statuses(checks.classical_checks, "cubic-relation") == ["pass"]
+    assert _statuses(CLASSICAL, "cubic-relation") == {"pass"}

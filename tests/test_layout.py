@@ -17,9 +17,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "holomon").glob("*.py"))
 BENCH = sorted((ROOT / "benchmarks").glob("*.py"))
 
-# tests read the live shift-operator tables through these accessors
-ALLOWED = {"BandMatrix.bandwidth", "BandMatrix.interior", "BandMatrix.entry"}
-
 
 def _registered(node) -> bool:
     """Whether a ``@<group>.command(...)`` or ``.group(...)`` decorator
@@ -71,6 +68,4 @@ def test_every_public_name_has_a_caller():
         name = qual.rsplit(".", 1)[-1]
         if not any(p != path or not first <= line <= last for p, line in uses.get(name, ())):
             unused.append(qual)
-    assert sorted(set(unused) - ALLOWED) == []
-    # an allowlisted name that gains a caller leaves the list
-    assert ALLOWED <= set(unused)
+    assert sorted(set(unused)) == []

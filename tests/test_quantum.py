@@ -5,7 +5,7 @@ import pytest
 
 from holomon.holonomy import relation_poly, trace_function
 from holomon.laurent import LaurentPoly
-from holomon.qcoeff import SPoly, q_int_bracket, two_cos_pi_b2
+from holomon.qcoeff import SPoly
 from holomon.qtorus import QuantumTorusElement, q_relation, quantize_trace
 from holomon.reference import boundary_names, reference_setup
 from holomon.surfaces import dual_fat_graph, exchange_matrix
@@ -19,8 +19,12 @@ class TestQCoeff:
         assert a.conj().conj() == a
 
     def test_at_one(self):
-        assert q_int_bracket(1).at_one() == 0
-        assert two_cos_pi_b2().at_one() == 2
+        q, qinv = SPoly.s_power(4), SPoly.s_power(-4)
+        assert (q - qinv).at_one() == 0
+        # int coefficients stay ints, so trace polynomials stay over Z
+        two = (q + qinv).at_one()
+        assert two == 2 and type(two) is int
+        assert SPoly({1: Fraction(1, 2), 0: Fraction(1, 2)}).at_one() == 1
 
     def test_arithmetic_field_axioms(self):
         # the ring axioms that remain once the field's inverse is gone
@@ -134,7 +138,7 @@ class TestQuantizeTrace:
         # q^(1/2) Ls Lt - q^(-1/2) Lt Ls = (q - 1/q) Lu
         _, _, n, ops = _quantized_operands("c11")
         lhs = ops["s"] * ops["t"] * SPoly.s_power(2) - ops["t"] * ops["s"] * SPoly.s_power(-2)
-        rhs = ops["u"] * q_int_bracket(1)
+        rhs = ops["u"] * (SPoly.s_power(4) - SPoly.s_power(-4))
         assert lhs == rhs
 
 

@@ -10,7 +10,6 @@ from holomon.checks import shift_changes, shrink_ratio
 from holomon.tau import (
     BiSeries,
     coefficient_difference,
-    sigma_equation_coefficients,
     sigma_pvi_residual,
     tau_series,
     weight_ratio,
@@ -77,6 +76,20 @@ def _reference_tau(theta, lam, N, M):
     return BiSeries(terms, N)
 
 
+def _expanded_form(U, Y, Z, theta):
+    """The deformation equation expanded in U, Y and Z, its coefficients
+    polynomials in the squared thetas; written out independently of the
+    library's sigma-form."""
+    q0, qt, q1, qi = (x * x for x in theta)
+    a = qt - qi
+    b = -q0 + qt + q1 - qi
+    c = -(q0 + qt)
+    d = -2 * qt * (q0 + qt + q1 - qi)
+    f = -qt * ((q0 + qt) ** 2 + (q1 - qi) ** 2 - 2 * q0 * (q1 + qi) + 2 * qt * (q1 - qi))
+    return (Z * Z * F(1, 4) + Y * U * U + Y * Y * U + U * U * a + (Y * U) * b
+            + Y * Y * c + Y * d + f)
+
+
 def _reference_residual(ts, order=None):
     """The residual with untruncated products, the series inverse, and the
     untrusted slots dropped only at the end."""
@@ -96,9 +109,7 @@ def _reference_residual(ts, order=None):
     Y = d_dt(sigma)
     U = sigma - tmul(Y)
     Z = tmul(d_dt(Y)) - tmul(d_dt(Y), 2)
-    a, b, c, d, e, f = sigma_equation_coefficients(ts.theta)
-    resid = (Z * Z * F(1, 4) + Y * U * U + Y * Y * U + a * U * U + b * (Y * U)
-             + c * Y * Y + d * Y + e * U + BiSeries.const(f, series.jmax))
+    resid = _expanded_form(U, Y, Z, ts.theta)
     cutoff = min(series.jmax, series.jmax if order is None else order) - 2
     return {k: v for k, v in resid.terms.items() if k[1] <= cutoff}
 
@@ -278,13 +289,19 @@ class TestTruncatedPipeline:
 
 class TestSigmaEquation:
     def test_coefficients_closed_form(self):
-        q0, qt, q1, qi = (x * x for x in THETA)
-        a, b, c, d, e, f = sigma_equation_coefficients(THETA)
-        assert a == qt - qi
-        assert b == -q0 + qt + q1 - qi
-        assert c == -(q0 + qt)
-        assert d == -2 * qt * (q0 + qt + q1 - qi)
-        assert e == 0
+        # the residual's polynomial is the Jimbo-Miwa-Okamoto sigma-form,
+        # (t(t-1) sigma'')^2 + 2 det M over 4, and equals the expansion above
+        sp = pytest.importorskip("sympy")
+        t, s0, s1, s2 = sp.symbols("t sigma sigma1 sigma2")
+        theta = sp.symbols("th0 tht th1 thinf")
+        q0, qt, q1, qi = (x * x for x in theta)
+        U, Y, Z = s0 - t * s1, s1, t * (1 - t) * s2
+        M = sp.Matrix([[2 * q0, t * s1 - s0, s1 + q0 + qt + q1 - qi],
+                       [t * s1 - s0, 2 * qt, (t - 1) * s1 - s0],
+                       [s1 + q0 + qt + q1 - qi, (t - 1) * s1 - s0, 2 * q1]])
+        form = tau_module._sigma_form(U, Y, Z, theta)
+        assert sp.expand(4 * form - (t * (t - 1) * s2) ** 2 - 2 * M.det()) == 0
+        assert sp.expand(form - _expanded_form(U, Y, Z, theta)) == 0
 
     def test_residual_vanishes_fresh_draw(self):
         ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=50)
