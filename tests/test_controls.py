@@ -1,22 +1,24 @@
 """Negative controls: a perturbation that must turn a live check row to FAIL.
 
 A row that no perturbation can fail checks nothing.  Each entry names the
-tag of the rows, a run of the suite that emits them on the torus piece,
-and a perturbation applied through pytest's monkeypatch; every row of the
-tag must pass as it stands and fail perturbed.
+tag of the rows, a run of the suite that emits them (on the torus piece
+unless the perturbation is the sphere piece's), and a perturbation applied
+through pytest's monkeypatch; every row of the tag must pass as it stands
+and fail perturbed.
 """
 
 import functools
 
 import pytest
 
-from holomon import checks, qtorus, reference, sparse
+from holomon import checks, pantsrep, qtorus, reference, sparse
 from holomon.qcoeff import SPoly
 from holomon.surfaces import flip
 
 CLASSICAL = functools.partial(checks.classical_checks, ("c11",))
 QUANTUM = functools.partial(checks.quantum_checks, ("c11",))
 SHIFT = functools.partial(checks.pants_checks, "c11", draws=1)
+SHIFT_C04 = functools.partial(checks.pants_checks, "c04", draws=1)
 
 
 def skein_other_is_u(monkeypatch):
@@ -59,6 +61,14 @@ def pairing_doubled(monkeypatch):
     monkeypatch.setattr(qtorus, "pairing", lambda d1, d2, n: 2 * sparse.pairing(d1, d2, n))
 
 
+def cubic_term_sign_flipped(monkeypatch):
+    """The sphere piece's boundary quadratic c_ij(L) with -L Li Lj: Lt's
+    double-shift bands change, and Lu, solved from the quadratic relation,
+    follows them, so only the cubic relation can see it."""
+    monkeypatch.setattr(pantsrep, "c_factor",
+                        lambda L, Li, Lj: L * L + Li * Li + Lj * Lj - L * Li * Lj - 4)
+
+
 CONTROLS = [
     ("skein-product", CLASSICAL, skein_other_is_u),
     ("bracket-derivative", CLASSICAL, bracket_constant_one),
@@ -68,6 +78,7 @@ CONTROLS = [
     ("cubic-relation", CLASSICAL, relation_sign_flipped),
     ("q-cubic", QUANTUM, relation_sign_flipped),
     ("shift-residual-cubic", SHIFT, relation_sign_flipped),
+    ("shift-residual-cubic", SHIFT_C04, cubic_term_sign_flipped),
 ]
 
 

@@ -9,15 +9,18 @@ from holomon.pantsrep import (
     B_MOVE_WEIGHT_NOTE,
     BandMatrix,
     RepParams,
+    _reach,
     b_move_phase,
     c_factor,
     conformal_weight_of_length,
     generator_tables,
     random_params,
     relation_residual,
+    residual_table,
     verify_pants_relations,
     worst_residual,
 )
+from holomon.reference import RELATIONS
 
 
 def params_c04(digits=30):
@@ -28,6 +31,14 @@ def params_c04(digits=30):
 def params_c11(digits=30):
     rng = random.Random(202)
     return random_params("c11", rng, digits=digits)
+
+
+def params(kind):
+    return params_c04() if kind == "c04" else params_c11()
+
+
+# the sites the verifier checks
+SITES = (-2, 0, 3)
 
 
 def tables(p, kind="c04", window=(-8, 8)):
@@ -255,15 +266,73 @@ class TestRelations:
         assert worst_residual([mp.mpf(1), mp.mpf(3), mp.mpf(2)]) == 3
 
     def test_window_independence(self):
-        p = params_c04()
-        r_small = relation_residual(p, "c04", 3, 0, window=(-10, 10))
-        r_big = relation_residual(p, "c04", 3, 0, window=(-20, 20))
-        assert abs(r_small - r_big) < 1e-24
+        # the default window, the site plus or minus the reach, reads only
+        # exact entries, so a wider one gives the same residual to the bit
+        for kind in ("c04", "c11"):
+            p = params(kind)
+            for degree in (2, 3):
+                for site in SITES:
+                    assert (relation_residual(p, kind, degree, site)
+                            == relation_residual(p, kind, degree, site, window=(-20, 20)))
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_lu_exact_inside_minimal_window(self, kind):
+        p = params(kind)
+        for degree in (2, 3):
+            for site in SITES:
+                reach = _reach(kind, degree)
+                lo, hi = site - reach, site + reach
+                small = tables(p, kind, (lo, hi))["u"]
+                wide = tables(p, kind, (lo - 2, hi + 2))["u"]
+                for row in range(lo, hi + 1):
+                    for col in range(lo, hi + 1):
+                        assert entry(small, row, col) == entry(wide, row, col)
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_narrow_window_rejected(self, kind):
+        p = params(kind)
+        for degree in (2, 3):
+            for site in SITES:
+                reach = _reach(kind, degree)
+                for window in ((site - reach + 1, site + reach),
+                               (site - reach, site + reach - 1)):
+                    with pytest.raises(ValueError, match="does not hold"):
+                        relation_residual(p, kind, degree, site, window=window)
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_work_per_residual_table(self, kind, monkeypatch):
+        # one matvec per distinct word suffix of the two relations and
+        # per site, on tables built on the sites plus or minus the reach
+        calls, windows = [], []
+        matvec, validate = BandMatrix.matvec, RepParams.validate_window
+        monkeypatch.setattr(BandMatrix, "matvec",
+                            lambda self, vec: calls.append(1) or matvec(self, vec))
+        monkeypatch.setattr(RepParams, "validate_window",
+                            lambda self, lo, hi: windows.append((lo, hi))
+                            or validate(self, lo, hi))
+        p = params(kind)
+        residual_table(p, kind, SITES)
+        suffixes = {word[i:] for degree in (2, 3) for word in RELATIONS[(kind, degree)]
+                    for i in range(len(word))}
+        assert len(calls) == len(suffixes) * len(SITES)
+        reach = _reach(kind, 3)
+        assert windows == [(min(SITES) - reach, max(SITES) + reach)]
 
     def test_singular_site_reported(self):
         p = RepParams(b2=0.3 + 0.1j, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.0)
         with pytest.raises(ValueError):
             relation_residual(p, "c04", 2, 0)
+
+    def test_singular_site_outside_read_sites_ignored(self):
+        # x0 = q^8 puts the zero of 2 sinh(l/2) at site 8, which the
+        # relations at sites (-2, 0, 3) do not read
+        b2 = 0.3 + 0.1j
+        p = RepParams(b2=b2, boundary={f"L{i}": 2.5 for i in range(1, 5)},
+                      x0=cmath.exp(8j * cmath.pi * b2))
+        with pytest.raises(ValueError, match="lattice site 8"):
+            relation_residual(p, "c04", 3, 3, window=(-1, 8))
+        rep = verify_pants_relations(p, "c04", sites=SITES)
+        assert all(rep[d]["pass"] and rep[d]["residual"] < 1e-30 for d in (2, 3)), rep
 
 
 class TestBMovePhase:
