@@ -405,17 +405,6 @@ def tau_checks(seed: int = 0, draws: int = 5, order: int = 6, shifts: int = 3,
                         f"worst ratio of successive changes {fmt_residual(worst_ratio)}",
                         stab_s))
 
-    def periodicity():
-        theta = (Fraction(1, 3), Fraction(2, 7), Fraction(3, 11), Fraction(5, 13))
-        with mp.workdps(30):
-            kap = mp.mpf("1.3")
-            kap2 = kap + 2 * mp.pi
-        a = tau.tau_series(theta, Fraction(2, 5), kap, N=4, M=2, digits=30)
-        b = tau.tau_series(theta, Fraction(2, 5), kap2, N=4, M=2, digits=30)
-        return tau.coefficient_difference(a, b) < 1e-25, ""
-
-    _timed(rep, "full-turn periodicity of the weighting", "tau-truncation", periodicity)
-
     def negative():
         # dropping the structure-constant weights breaks the equation
         # (rescaling kappa does not: it reparametrizes the solution family)

@@ -7,9 +7,19 @@ the shift index m doubles as the power of e^(i kappa).  For generic
 lambda the exponents 2 lambda m + j are pairwise distinct, so identities
 of functions are checked coefficient-by-coefficient in the bigrading.
 
-Exact mode (rational lambda, theta) keeps every coefficient a Fraction
-and drops the kappa phases into the bigrading; numeric mode folds
-e^(i kappa m) into mpmath coefficients at the working precision.
+Multiplying term (m, j) by chi^m is a ring automorphism of the bigraded
+ring: it commutes with products, the grade-wise division, d/dt and
+multiplication by t.  So a ``TauSeries`` stores its coefficients without
+the kappa phase, real for real data, and holds the phase
+chi = e^(i kappa) once; ``TauSeries.series`` and the deformation-equation
+residual put chi^m back on the way out.  Exact mode (rational lambda,
+theta, no kappa) keeps every coefficient a Fraction with chi = 1;
+numeric mode works in mpmath at the working precision.
+
+The shift weights C(lambda + m) / C(lambda) are products of steps
+C(u + 1) / C(u).  Each chain takes its first step from twelve Gamma
+values and every later one from the step before, times an exact
+rational factor.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ class BiSeries:
         self.jmax = jmax
         self.terms = {}
         for (m, j), v in (terms or {}).items():
-            if j <= jmax and v != 0:
+            if j <= jmax and v:
                 self.terms[(int(m), int(j))] = v
 
     @classmethod
@@ -97,18 +107,26 @@ class BiSeries:
         return BiSeries({(m, j): v for j, row in quot.items() for m, v in row.items()},
                         jmax)
 
+
+def _rational(x) -> bool:
+    return isinstance(x, (int, Fraction))
+
+
 def _exact_mode(lam, theta, kappa) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in [lam, *theta]) and kappa is None
+    return all(_rational(v) for v in [lam, *theta]) and kappa is None
 
 
 @dataclass
 class TauSeries:
-    """Shift-summed series with its grading data."""
+    """Shift-summed series with its grading data.
+
+    Term (m, j) of the sum is ``unphased.terms[(m, j)] * phase ** m``."""
 
     lam: object
     kappa: object            # None in exact mode (phases kept in the grading)
     theta: tuple             # (th0, tht, th1, thinf)
-    series: BiSeries
+    unphased: BiSeries       # the coefficients without the kappa phase
+    phase: object            # e^(i kappa kappa_multiplier); Fraction(1) in exact mode
     M: int
     N: int
     mode: str
@@ -119,6 +137,27 @@ class TauSeries:
         th0, tht = self.theta[0], self.theta[1]
         return self.lam * self.lam - th0 * th0 - tht * tht
 
+    def phased(self, terms: dict) -> dict:
+        """Bigraded terms with the phase of each shift m, phase^m, put back."""
+        powers: dict = {}
+        out = {}
+        with mp.workdps(max(self.digits, mp.mp.dps)):
+            for (m, j), v in terms.items():
+                if m not in powers:
+                    powers[m] = self.phase ** m
+                out[(m, j)] = v * powers[m]
+        return out
+
+    @property
+    def series(self) -> BiSeries:
+        """The sum with its phases, built anew on each read."""
+        return BiSeries(self.phased(self.unphased.terms), self.unphased.jmax)
+
+
+def _pair_sums(theta) -> tuple:
+    th0, tht, th1, thinf = theta
+    return (tht + th0, tht - th0, th1 + thinf, th1 - thinf)
+
 
 def _gamma_step(theta, s):
     """C(s + 1) / C(s) from G(z + 1) = Gamma(z) G(z): twelve Gamma values.
@@ -126,25 +165,49 @@ def _gamma_step(theta, s):
     Rational arguments stay exact until mpmath sees them, so a pole is
     hit exactly.  A pole of a reciprocal Gamma gives 0; a pole of a Gamma
     raises ValueError."""
-    th0, tht, th1, thinf = (x if isinstance(x, (int, Fraction)) else mp.mpmathify(x)
-                            for x in theta)
     out = (mp.gamma(-2 * s) * mp.gamma(-1 - 2 * s)
            * mp.rgamma(1 + 2 * s) * mp.rgamma(2 + 2 * s))
-    for a in (tht + th0, tht - th0, th1 + thinf, th1 - thinf):
+    for a in _pair_sums(theta):
         out *= mp.gamma(1 + a + s) * mp.rgamma(a - s)
     return out
 
 
-@lru_cache(maxsize=256)
-def _up_ratio(theta: tuple, s, n: int, digits: int):
-    """C(s + n) / C(s) for n >= 0, one gamma step per unit of n.
+def _step_factor(theta, u) -> tuple:
+    """Numerator and denominator of step(u + 1) / step(u), where step is
+    ``_gamma_step``: Gamma(z + 1) = z Gamma(z) on each of its twelve
+    Gamma values gives prod_a (a^2 - (u+1)^2) over
+    (2u+1)^2 (2u+2)^4 (2u+3)^2, a over the pair sums.  Exact for rational
+    data."""
+    v = u + 1
+    num = 1
+    for a in _pair_sums(theta):
+        num *= a * a - v * v
+    return num, ((2 * u + 1) * (2 * u + 2) ** 2 * (2 * u + 3)) ** 2
 
-    The chain runs ten digits above the working precision, so its
-    rounding errors (a dozen per step) stay below the working ulp."""
+
+@lru_cache(maxsize=256)
+def _up_chain(theta: tuple, s, n: int, digits: int) -> tuple:
+    """(C(s + n) / C(s), C(s + n) / C(s + n - 1)) for n >= 1.
+
+    The first step is ``_gamma_step``; each later one is the step before
+    times ``_step_factor``.  Where that factor has a zero numerator or
+    denominator, or the step before is zero, a Gamma pole lies between
+    the two steps, so the step comes from ``_gamma_step`` again: a zero
+    weight stays exactly 0 and an infinite one raises ValueError.  The
+    chain runs ten digits above the working precision, so its rounding
+    errors (a few per step) stay below the working ulp."""
     with mp.workdps(digits + 10):
-        if n == 0:
-            return mp.mpf(1)
-        return _up_ratio(theta, s, n - 1, digits) * _gamma_step(theta, s + n - 1)
+        if n == 1:
+            step = _gamma_step(theta, s)
+            return step, step
+        ratio, step = _up_chain(theta, s, n - 1, digits)
+        u = s + n - 2
+        num, den = _step_factor(theta, u)
+        if num and den and step:
+            step = step * mp.mpmathify(num / den)
+        else:
+            step = _gamma_step(theta, u + 1)
+        return ratio * step, step
 
 
 def weight_ratio(theta, lam, m: int, digits: int):
@@ -153,18 +216,23 @@ def weight_ratio(theta, lam, m: int, digits: int):
     C is the unit-central-charge three-point weight: the product over
     signs e, e' of G(1 + th_t + e th_0 + e' sigma) G(1 + th_1 + e th_inf
     + e' sigma), over G(1 + 2 sigma) G(1 - 2 sigma), with G the Barnes
-    function.  Its ratios never call G: see ``_gamma_step``.
+    function.  Its ratios never call G: see ``_up_chain``.
 
     Memoized per (theta, lam, m, digits), so growing the shift range
     extends the chains instead of restarting them.  Returns 0 where a
     Gamma pole sends the weight to zero; raises ValueError where the
     weight is infinite or undefined (2 lam an integer, or C(lam) = 0)."""
-    if not isinstance(lam, (int, Fraction)):
-        lam = mp.mpmathify(lam)
+    if m == 0:
+        return mp.mpf(1)
+    theta = tuple(theta)
+    if not all(_rational(x) for x in (lam, *theta)):
+        # mpmath does not take Fraction - mpf, so mixed data goes numeric
+        with mp.workdps(digits + 10):
+            lam, theta = mp.mpmathify(lam), tuple(mp.mpmathify(x) for x in theta)
     # C(sigma) = C(-sigma), so shifts down are shifts up from -lam
-    s, n = (lam, m) if m >= 0 else (-lam, -m)
+    s, n = (lam, m) if m > 0 else (-lam, -m)
     try:
-        return _up_ratio(tuple(theta), s, n, digits)
+        return _up_chain(theta, s, n, digits)[0]
     except ValueError:
         raise ValueError(f"the weight of shift m={m} is infinite at "
                          f"lambda={lam} (a Gamma pole)") from None
@@ -184,6 +252,10 @@ def _shift_block(theta: tuple, lam, m: int, order: int, digits: int, mode: str) 
     return tuple(blk.coeffs)
 
 
+def _numeric(x):
+    return x if x is None or _rational(x) else mp.mpmathify(x)
+
+
 def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
                digits: int | None = None, normalization: str = "isomonodromic",
                kappa_multiplier: int = 1) -> TauSeries:
@@ -191,7 +263,8 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
 
     theta = (th0, tht, th1, thinf) are the external momenta (weights are
     their squares, central charge is 1); term m carries weight
-    (lam + m)^2 and the phase e^(i kappa m).
+    (lam + m)^2 and the phase e^(i kappa m), held apart as
+    ``TauSeries.phase``.
 
     normalization 'isomonodromic' (default) weighs each shift with the
     ratio of unit-central-charge structure constants, which is what makes
@@ -209,11 +282,16 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
     exact = _exact_mode(lam, theta, kappa) and normalization == "plain"
     digits = digits or (mp.mp.dps if exact else default_digits())
     mode = "exact" if exact else "float"
-    theta = tuple(theta)
     weighted = normalization == "isomonodromic"
     terms: dict = {}
     skipped = []
     with mp.workdps(digits):
+        # floats become mpf once, here, so no later step squares one in
+        # double precision
+        lam, kappa = _numeric(lam), _numeric(kappa)
+        theta = tuple(_numeric(x) for x in theta)
+        phase = (Fraction(1) if exact
+                 else mp.exp(1j * mp.mpmathify(kappa or 0) * kappa_multiplier))
         shifts = range(-M, M + 1)
         # nearest shifts first, so an infinite weight is reported where
         # its chain first breaks
@@ -232,31 +310,27 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
                 continue
             # exponent offset relative to the m = 0 block:
             # (lam+m)^2 - lam^2 = 2 lam m + m^2 -> grading (m, m^2 + k)
-            if exact:
-                phase = Fraction(1)
-            else:
-                phase = mp.exp(1j * mp.mpmathify(kappa or 0) * kappa_multiplier * m)
-                if weighted:
-                    phase *= weights[m]
-            add_into(terms, {(m, m * m + k): ck for k, ck in enumerate(coeffs)}, phase)
+            add_into(terms, {(m, m * m + k): ck for k, ck in enumerate(coeffs)},
+                     weights.get(m))
     if skipped:
         warnings.warn(f"skipped degenerate shifts {skipped} (non-generic momentum)")
     return TauSeries(
-        lam=lam, kappa=kappa, theta=theta,
-        series=BiSeries(terms, N), M=M, N=N,
-        mode=mode, digits=0 if exact else digits)
+        lam=lam, kappa=kappa, theta=theta, unphased=BiSeries(terms, N), phase=phase,
+        M=M, N=N, mode=mode, digits=0 if exact else digits)
 
 
 def coefficient_difference(a: TauSeries, b: TauSeries):
-    """Largest change of shared bigraded coefficients between two
-    truncations (the stability measure for growing the shift range)."""
-    keys = set(a.series.terms) | set(b.series.terms)
+    """Largest change of shared bigraded coefficients, phases included,
+    between two truncations (the stability measure for growing the shift
+    range)."""
+    sa, sb = a.series, b.series
+    jmax = min(sa.jmax, sb.jmax)
     worst = mp.mpf(0)
-    for k in keys:
-        if k[1] > min(a.series.jmax, b.series.jmax):
+    for k in set(sa.terms) | set(sb.terms):
+        if k[1] > jmax:
             continue
-        va = a.series.terms.get(k, 0)
-        vb = b.series.terms.get(k, 0)
+        va = sa.terms.get(k, 0)
+        vb = sb.terms.get(k, 0)
         d = abs(mp.mpmathify(va) - mp.mpmathify(vb))
         worst = max(worst, d)
     return worst
@@ -295,17 +369,20 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
     trustworthy grade, min(order, N) - 2; no series is computed past the
     grade its kept slots read.  The weighted (isomonodromic) normalization
     drives every coefficient to zero at working precision; the plain sum
-    does not satisfy the equation.
+    does not satisfy the equation.  It runs on the coefficients without
+    the phase, and multiplies residual term (m, j) by phase^m on the way
+    out (see the module docstring).
     """
     with mp.workdps(max(tau.digits, mp.mp.dps)):
         # sigma'' is exact only through grade min(order, N) - 2, the last
         # kept slot; every product operand has grades >= 0, so none needs more
-        jmax = min(tau.series.jmax, tau.series.jmax if order is None else order) - 2
+        top = tau.unphased.jmax
+        jmax = (top if order is None else min(top, order)) - 2
         if jmax < 0:
             return {}
         lam2 = 2 * tau.lam
         # t d/dt log tau (prefactor included), to jmax + 1 for sigma'
-        S = BiSeries(tau.series.terms, jmax + 1)
+        S = BiSeries(tau.unphased.terms, jmax + 1)
         E0 = tau.leading_exponent
         R = BiSeries({(m, j): v * (E0 + lam2 * m + j) for (m, j), v in S.terms.items()},
                      jmax + 1) / S
@@ -324,4 +401,4 @@ def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
         Z0 = d_dt(Y)
         Z = tmul(Z0) - tmul(Z0, 2)          # t(1-t) sigma''
 
-        return _sigma_form(U, Y, Z, tau.theta).terms
+        return tau.phased(_sigma_form(U, Y, Z, tau.theta).terms)

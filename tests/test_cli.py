@@ -180,7 +180,7 @@ class TestVerifyCommands:
     def test_loop_rows_carry_runtime(self):
         rows = checksuites.pants_checks("c11", draws=1).checks
         rows += checksuites.tau_checks(draws=1, order=3, shifts=1).checks
-        assert len(rows) == 7
+        assert len(rows) == 6
         assert all(row.runtime > 0 for row in rows)
 
     def test_determinism(self, runner, tmp_path):

@@ -4,14 +4,17 @@ A row that no perturbation can fail checks nothing.  Each entry names the
 tag of the rows, a run of the suite that emits them (on the torus piece
 unless the perturbation is the sphere piece's), and a perturbation applied
 through pytest's monkeypatch; every row of the tag must pass as it stands
-and fail perturbed.
+and fail perturbed.  An entry may end with the start of a row's name, and
+then targets that row of the tag alone.
 """
 
 import functools
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from holomon import checks, pantsrep, qtorus, reference, sparse
+from holomon import checks, pantsrep, qtorus, reference, sparse, tau
 from holomon.qcoeff import SPoly
 from holomon.surfaces import flip
 
@@ -19,6 +22,8 @@ CLASSICAL = functools.partial(checks.classical_checks, ("c11",))
 QUANTUM = functools.partial(checks.quantum_checks, ("c11",))
 SHIFT = functools.partial(checks.pants_checks, "c11", draws=1)
 SHIFT_C04 = functools.partial(checks.pants_checks, "c04", draws=1)
+TAU = functools.partial(checks.tau_checks, draws=1)
+WEIGHTED = "deformation-equation residual"
 
 
 def skein_other_is_u(monkeypatch):
@@ -69,6 +74,38 @@ def cubic_term_sign_flipped(monkeypatch):
                         lambda L, Li, Lj: L * L + Li * Li + Lj * Lj - L * Li * Lj - 4)
 
 
+def _fresh_weight_memo(monkeypatch):
+    """An empty memo of weight chains for the perturbed run; the real one,
+    filled unperturbed, comes back with the monkeypatch."""
+    monkeypatch.setattr(tau, "_up_chain", functools.lru_cache(tau._up_chain.__wrapped__))
+
+
+def step_factor_off(monkeypatch):
+    """Every weight step after a chain's first taken 1% too large."""
+    real = tau._step_factor
+
+    def factor(theta, u):
+        num, den = real(theta, u)
+        return num * Fraction(101, 100), den
+
+    _fresh_weight_memo(monkeypatch)
+    monkeypatch.setattr(tau, "_step_factor", factor)
+
+
+def gamma_pair_deleted(monkeypatch):
+    """The first step of each weight chain without the Gamma pair of
+    th1 - thinf."""
+    def step(theta, s):
+        out = (mp.gamma(-2 * s) * mp.gamma(-1 - 2 * s)
+               * mp.rgamma(1 + 2 * s) * mp.rgamma(2 + 2 * s))
+        for a in tau._pair_sums(theta)[:3]:
+            out *= mp.gamma(1 + a + s) * mp.rgamma(a - s)
+        return out
+
+    _fresh_weight_memo(monkeypatch)
+    monkeypatch.setattr(tau, "_gamma_step", step)
+
+
 CONTROLS = [
     ("skein-product", CLASSICAL, skein_other_is_u),
     ("bracket-derivative", CLASSICAL, bracket_constant_one),
@@ -79,6 +116,8 @@ CONTROLS = [
     ("q-cubic", QUANTUM, relation_sign_flipped),
     ("shift-residual-cubic", SHIFT, relation_sign_flipped),
     ("shift-residual-cubic", SHIFT_C04, cubic_term_sign_flipped),
+    ("tau-deformation", TAU, step_factor_off, WEIGHTED),
+    ("tau-deformation", TAU, gamma_pair_deleted, WEIGHTED),
 ]
 
 
@@ -86,20 +125,21 @@ def _ids():
     """A tag's first control is named by the tag, later ones also by
     their perturbation."""
     seen = set()
-    for tag, _, perturb in CONTROLS:
+    for tag, _, perturb, *_ in CONTROLS:
         yield f"{tag}/{perturb.__name__}" if tag in seen else tag
         seen.add(tag)
 
 
-def _statuses(run, tag):
-    return {c.status for c in run().checks if c.tag == tag}
+def _statuses(run, tag, row=""):
+    return {c.status for c in run().checks if c.tag == tag and c.name.startswith(row)}
 
 
-@pytest.mark.parametrize("tag, run, perturb", CONTROLS, ids=list(_ids()))
-def test_control_fails_its_row(monkeypatch, tag, run, perturb):
-    assert _statuses(run, tag) == {"pass"}
+@pytest.mark.parametrize("control", CONTROLS, ids=list(_ids()))
+def test_control_fails_its_row(monkeypatch, control):
+    tag, run, perturb, *row = control
+    assert _statuses(run, tag, *row) == {"pass"}
     perturb(monkeypatch)
-    assert _statuses(run, tag) == {"fail"}
+    assert _statuses(run, tag, *row) == {"fail"}
 
 
 def test_flipped_curves_keep_the_classical_relation(monkeypatch):

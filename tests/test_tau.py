@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -39,7 +40,7 @@ def structure_constant(theta, sigma, digits: int = 50):
 
 def _clear_memo():
     tau_module._shift_block.cache_clear()
-    tau_module._up_ratio.cache_clear()
+    tau_module._up_chain.cache_clear()
 
 
 def _double_loop(a: BiSeries, b: BiSeries) -> dict:
@@ -244,6 +245,108 @@ class TestWeightChain:
             tau_series(THETA, lam, F(7, 10), N=2, M=2, digits=30)
 
 
+def _gamma_chain(theta, lam, m, digits):
+    """C(lam + m) / C(lam) with every step from the twelve Gamma values."""
+    s, n = (lam, m) if m >= 0 else (-lam, -m)
+    with mp.workdps(digits + 10):
+        out = mp.mpf(1)
+        for k in range(n):
+            out *= tau_module._gamma_step(theta, s + k)
+        return out
+
+
+def _outcome(weight, *args):
+    try:
+        return weight(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestRationalStep:
+    def test_matches_gamma_chain(self):
+        rng = random.Random(41)
+        cases = [(THETA, F(3, 8))] + [
+            (tuple(F(rng.randint(1, 9), rng.randint(10, 29)) for _ in range(4)),
+             F(rng.randint(8, 17), 40)) for _ in range(4)]
+        _clear_memo()
+        with mp.workdps(50):
+            for theta, lam in cases:
+                for m in range(-5, 6):
+                    want = _gamma_chain(theta, lam, m, 50)
+                    got = weight_ratio(theta, lam, m, 50)
+                    assert abs(got / want - 1) <= 1e-45, (theta, lam, m)
+
+    @pytest.mark.parametrize("lam", [
+        THETA[1] + THETA[0],         # a zero weight from the first step on
+        THETA[1] + THETA[0] - 2,     # a zero numerator at the third step
+        F(-3, 2), F(-5, 2),          # a zero step, then a Gamma pole
+        F(1, 2), F(0)])              # a Gamma pole at the first step
+    def test_zero_and_pole_outcomes_kept(self, lam):
+        _clear_memo()
+        for m in range(-5, 6):
+            want = _outcome(_gamma_chain, THETA, lam, m, 30)
+            got = _outcome(weight_ratio, THETA, lam, m, 30)
+            if want is ValueError or not want:
+                assert got == want, (lam, m)
+            else:
+                assert abs(got / want - 1) <= 1e-25, (lam, m)
+
+    def test_two_gamma_steps_per_chain_pair(self, monkeypatch):
+        calls = []
+        real = tau_module._gamma_step
+
+        def counted(theta, s):
+            calls.append((theta, s))
+            return real(theta, s)
+
+        monkeypatch.setattr(tau_module, "_gamma_step", counted)
+        _clear_memo()
+        for digits in (30, 50):
+            tau_series(THETA, F(3, 8), F(7, 10), N=6, M=4, digits=digits)
+            tau_series(THETA, F(3, 8), F(13, 10), N=6, M=3, digits=digits)
+            assert sorted(s for _, s in calls) == [F(-3, 8), F(3, 8)]
+            calls.clear()
+
+
+class TestPhaseApart:
+    def test_real_data_stays_real(self):
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=30)
+        assert ts.unphased.terms
+        assert all(type(v) is mp.mpf for v in ts.unphased.terms.values())
+        assert all(type(v) is mp.mpc for v in ts.series.terms.values())
+
+    def test_residual_carries_the_phase(self):
+        at = {kappa: sigma_pvi_residual(tau_series(THETA, F(3, 8), kappa, N=6, M=3,
+                                                   digits=50, normalization="plain"))
+              for kappa in (0, F(7, 10))}
+        with mp.workdps(50):
+            chi = mp.exp(1j * mp.mpf(7) / 10)
+            assert at[0].keys() == at[F(7, 10)].keys()
+            for (m, j), v in at[0].items():
+                want = chi ** m * v
+                assert abs(at[F(7, 10)][(m, j)] - want) <= 1e-45 * abs(want)
+
+    def test_residual_matches_folded_phases(self):
+        # the phase folded into the coefficients, as one complex series
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=50,
+                        normalization="plain")
+        folded = dataclasses.replace(ts, unphased=ts.series, phase=mp.mpf(1))
+        got, want = sigma_pvi_residual(ts), sigma_pvi_residual(folded)
+        with mp.workdps(50):
+            # some slots are rounding noise, so relative to the largest
+            scale = max(abs(v) for v in want.values())
+            assert got.keys() == want.keys() and scale > 1
+            for k, v in want.items():
+                assert abs(got[k] - v) <= 1e-45 * scale
+
+    @pytest.mark.parametrize("theta", [tuple(map(float, THETA)), THETA],
+                             ids=["float-theta", "rational-theta"])
+    def test_float_lambda(self, theta):
+        ts = tau_series(theta, 0.3141, 0.7, N=6, M=3, digits=30)
+        res = sigma_pvi_residual(ts)
+        assert res and max(abs(v) for v in res.values()) < 1e-28
+
+
 class TestShiftMemo:
     def test_keyed_by_precision(self):
         args = (THETA, F(3, 8), F(7, 10))
@@ -348,7 +451,7 @@ class TestSigmaEquation:
         scaled = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=40)
         with mp.workdps(40):
             c = mp.mpf("2.7") + mp.mpf("0.4") * 1j
-            scaled.series.terms = {k: c * v for k, v in scaled.series.terms.items()}
+            scaled.unphased.terms = {k: c * v for k, v in scaled.unphased.terms.items()}
         ra = sigma_pvi_residual(ts)
         rb = sigma_pvi_residual(scaled)
         with mp.workdps(40):
