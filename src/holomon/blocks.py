@@ -8,14 +8,13 @@ carries the extra central-charge shift -c/24 in its prefactor exponent
 (a recorded convention).
 
 Arithmetic follows the inputs: exact rational weights give exact rational
-coefficients, anything else runs in mpmath at a configurable precision
-(default 50 digits, HOLOMON_PRECISION overrides).
+coefficients, anything else runs in mpmath at ``digits`` decimal digits
+(default ``DIGITS``).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,17 +22,8 @@ import mpmath as mp
 from .virasoro import (GramSingularError, VermaModule, contract, partitions,
                        solve_contraction)
 
-
-def default_digits() -> int:
-    """Working digits: HOLOMON_PRECISION, an integer >= 1, else 50."""
-    text = os.environ.get("HOLOMON_PRECISION", "50")
-    try:
-        digits = int(text)
-    except ValueError:
-        digits = 0
-    if digits < 1:
-        raise ValueError(f"HOLOMON_PRECISION must be an integer >= 1, got {text!r}")
-    return digits
+# working decimal digits of numeric series where the caller passes none
+DIGITS = 50
 
 
 def _is_exact(*vals) -> bool:
@@ -109,9 +99,7 @@ class BlockSeries:
     coeffs: list
     channel: str
     weights: dict
-    c: object
     mode: str
-    digits: int = field(default=0)
 
     @property
     def order(self) -> int:
@@ -135,7 +123,7 @@ def _contract(module: VermaModule, k: int, left: list, right: list, exact: bool 
 
 
 def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
-                  digits: int | None = None) -> BlockSeries:
+                  digits: int = DIGITS) -> BlockSeries:
     """Four-point series in the position of the second puncture.
 
     Punctures sit at 0, q, 1 and infinity with weights d1, d2, d3, d4; the
@@ -144,8 +132,6 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
     three-point rows through the inverse Gram matrix.
     """
     exact = _is_exact(d1, d2, d3, d4, d_beta, c)
-    # exact weights use no floating digit, so they never read the default
-    digits = digits or (mp.mp.dps if exact else default_digits())
     with mp.workdps(digits):
         d1, d2, d3, d4, d_beta, c = _coerce_all(exact, digits, d1, d2, d3, d4, d_beta, c)
         module = VermaModule(d_beta, c)
@@ -160,17 +146,14 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
         coeffs=coeffs,
         channel="sphere4",
         weights={"d1": d1, "d2": d2, "d3": d3, "d4": d4, "d_beta": d_beta},
-        c=c,
         mode="exact" if exact else "float",
-        digits=0 if exact else digits,
     )
 
 
-def torus1_block(d0, d_beta, c, N: int = 8, digits: int | None = None) -> BlockSeries:
+def torus1_block(d0, d_beta, c, N: int = 8, digits: int = DIGITS) -> BlockSeries:
     """Self-glued one-point series: graded trace of the primary insertion
     weighted by q^(L_0 - c/24)."""
     exact = _is_exact(d0, d_beta, c)
-    digits = digits or (mp.mp.dps if exact else default_digits())
     with mp.workdps(digits):
         d0, d_beta, c = _coerce_all(exact, digits, d0, d_beta, c)
         module = VermaModule(d_beta, c)
@@ -190,9 +173,7 @@ def torus1_block(d0, d_beta, c, N: int = 8, digits: int | None = None) -> BlockS
         coeffs=coeffs,
         channel="torus1",
         weights={"d0": d0, "d_beta": d_beta},
-        c=c,
         mode="exact" if exact else "float",
-        digits=0 if exact else digits,
     )
 
 
@@ -249,16 +230,16 @@ def bpz_residual(series: BlockSeries, b2, which: str = "b") -> list:
     return out
 
 
-def frobenius_solution(d1, dd, d3, d4, b2, rho, N: int, which: str = "b") -> list:
+def frobenius_solution(d1, dd, d3, d4, b2, rho, N: int) -> list:
     """Independent power-series solution of the same null-vector equation
-    by the recursion on coefficients, normalized to c_0 = 1.
+    on the 'b' branch (B = b^2) by the recursion on coefficients,
+    normalized to c_0 = 1.
 
     Valid when the indicial roots do not differ by a positive integer
-    along the chosen branch (generic weights).
+    (generic weights).
     """
     exact = _is_exact(d1, dd, d3, d4, b2, rho)
-    B = (Fraction(b2) if which == "b" else 1 / Fraction(b2)) if exact else \
-        (b2 if which == "b" else 1 / b2)
+    B = Fraction(b2) if exact else b2
     delta_sum = d1 + dd + d3 - d4
     cs = [Fraction(1) if exact else mp.mpf(1)]
     for j in range(1, N + 1):

@@ -7,7 +7,6 @@ output file could not be written; 3 an unexpected error, which is a bug.
 Commands report bad input by raising `BadInput`, option values are read
 by `_Parsed` types, and the group's `invoke` is the one place where any
 other exception becomes an exit status.
-HOLOMON_PRECISION overrides the default floating digits.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import mpmath as mp
 
 from . import checks as checksuites
 from . import holonomy, pantsrep
-from .blocks import default_digits, sphere4_block, torus1_block
+from .blocks import DIGITS, sphere4_block, torus1_block
 from .plotting import emit_plot
 from .reference import reference_curves
 from .report import load_reports, render_reports
@@ -247,37 +246,36 @@ def verify():
 _fmt_opt = click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
                         default="text", show_default=True)
 _out_opt = click.option("--out", type=click.Path(), default=None)
+# one surface, or "all" for both, passed on as the tuple of surfaces
+_surfaces_opt = click.option(
+    "--surface", "surfaces", type=click.Choice(["c11", "c04", "all"]), default="all",
+    show_default=True,
+    callback=lambda ctx, param, name: ("c11", "c04") if name == "all" else (name,))
 
 
 @verify.command("classical-relations")
-@click.option("--surface", "name", type=click.Choice(["c11", "c04", "all"]),
-              default="all", show_default=True)
+@_surfaces_opt
 @_fmt_opt
 @_out_opt
-def verify_classical(name, fmt, out):
-    surfaces = ("c11", "c04") if name == "all" else (name,)
+def verify_classical(surfaces, fmt, out):
     rep = checksuites.classical_checks(surfaces)
     rep2 = checksuites.mutation_checks(surfaces)
     _write_report([rep, rep2], fmt, out)
 
 
 @verify.command("quantum-relations")
-@click.option("--surface", "name", type=click.Choice(["c11", "c04", "all"]),
-              default="all", show_default=True)
+@_surfaces_opt
 @_fmt_opt
 @_out_opt
-def verify_quantum(name, fmt, out):
-    surfaces = ("c11", "c04") if name == "all" else (name,)
+def verify_quantum(surfaces, fmt, out):
     _write_report([checksuites.quantum_checks(surfaces)], fmt, out)
 
 
 @verify.command("mutation")
-@click.option("--surface", "name", type=click.Choice(["c11", "c04", "all"]),
-              default="all", show_default=True)
+@_surfaces_opt
 @_fmt_opt
 @_out_opt
-def verify_mutation(name, fmt, out):
-    surfaces = ("c11", "c04") if name == "all" else (name,)
+def verify_mutation(surfaces, fmt, out):
     _write_report([checksuites.mutation_checks(surfaces)], fmt, out)
 
 
@@ -386,7 +384,7 @@ def block(kind, weights, cc, order, out, plot):
               help="external momenta th0,tht,th1,thinf")
 @click.option("--order", type=click.IntRange(min=0), default=6, show_default=True)
 @click.option("--shifts", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--digits", type=click.IntRange(min=1), default=None)
+@click.option("--digits", type=click.IntRange(min=1), default=DIGITS, show_default=True)
 @click.option("--normalization", type=click.Choice(["isomonodromic", "plain"]),
               default="isomonodromic", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -396,10 +394,9 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
     if len(theta) != 4:
         raise BadInput("theta needs four entries")
     try:
-        digits = digits or default_digits()
         ts = tau_series(tuple(theta), lam, kappa, N=order, M=shifts, digits=digits,
                         normalization=normalization)
-    except ValueError as exc:  # HOLOMON_PRECISION, or an infinite shift weight
+    except ValueError as exc:  # an infinite shift weight
         raise BadInput(str(exc)) from exc
     res = sigma_pvi_residual(ts) if normalization == "isomonodromic" else {}
     lines = [f"# mode={ts.mode} leading_exponent={ts.leading_exponent}"]

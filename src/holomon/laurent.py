@@ -61,10 +61,10 @@ class LaurentPoly:
         return cls(nvars, {exps: coeff})
 
     @classmethod
-    def variable(cls, nvars: int, i: int, half: bool = False) -> "LaurentPoly":
-        """x_i, or x_i^(1/2) when ``half`` is set."""
+    def variable(cls, nvars: int, i: int) -> "LaurentPoly":
+        """x_i."""
         exps = [0] * nvars
-        exps[i] = 1 if half else 2
+        exps[i] = 2
         return cls.monomial(nvars, exps)
 
     # -- predicates --------------------------------------------------------

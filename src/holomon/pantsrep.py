@@ -31,7 +31,8 @@ the relation's reach, and every entry read there is exact:
   minus the reach under the relation's words.
 
 A narrower window would lose entries silently, so ``relation_residual``
-rejects one.
+and ``residual_table`` take no window from their caller: each builds its
+tables on the sites it reads, from ``_reach``.
 
 Everything here is numeric (mpmath), at a configurable working precision.
 Tables live only as long as the call that builds them, so no value computed
@@ -79,13 +80,14 @@ class RepParams:
         with mp.workdps(self.digits):
             return mp.mpmathify(self.x0) * mp.exp(-1j * n * mp.pi * mp.mpmathify(self.b2))
 
-    def validate_window(self, lo: int, hi: int, tol: float = 1e-12) -> dict:
+    def validate_window(self, lo: int, hi: int) -> dict:
         """The sites {n: x_n} for lo <= n <= hi, each evaluated once.
-        Rejects base points that land on a zero of 2 sinh(l/2)."""
+        Rejects base points that land within 1e-12 of a zero of
+        2 sinh(l/2)."""
         sites = {}
         for n in range(lo, hi + 1):
             x = sites[n] = self.site(n)
-            if abs(x - 1 / x) < tol:
+            if abs(x - 1 / x) < 1e-12:
                 raise ValueError(f"lattice site {n} hits a zero of 2 sinh(l/2)")
         return sites
 
@@ -157,17 +159,16 @@ def _relation_terms(p: RepParams, kind: str, degree: int) -> list:
                           lambda poly: sum(c * s_to(e) for e, c in poly.c.items()))
 
 
-def generator_tables(p: RepParams, kind: str, window: tuple,
-                     quadratic: list | None = None) -> tuple:
-    """q and the band tables {"s": Ls, "t": Lt, "u": Lu} on ``window``.
+def generator_tables(p: RepParams, kind: str, window: tuple, quadratic: list) -> dict:
+    """The band tables {"s": Ls, "t": Lt, "u": Lu} on ``window``.
 
     Ls multiplies by 2 cosh(l/2).  Lt on the sphere piece is a diagonal part
     plus two double-shift bands whose sandwich factors
     1/sqrt(2sinh) . sqrt(c12 c34)/(2sinh) . 1/sqrt(2sinh) sit at the row, the
     middle and the column site; on the torus piece it is two single-shift
     bands with square-root coefficients of the one-step-displaced length
-    function.  Lu is solved from the quadratic relation (``quadratic``, its
-    terms, when the caller has evaluated them already): minus the sum of its
+    function.  Lu is solved from the quadratic relation, whose terms
+    ``_relation_terms`` evaluates as ``quadratic``: minus the sum of its
     other words' table products, each times its coefficient, divided by the
     coefficient of u.
     """
@@ -201,8 +202,6 @@ def generator_tables(p: RepParams, kind: str, window: tuple,
         else:
             raise ValueError(f"unknown kind {kind!r}")
         tables = {"s": Ls, "t": Lt}
-        if quadratic is None:
-            quadratic = _relation_terms(p, kind, 2)
         terms = {w: c for c, w in quadratic}
         d = -terms.pop("u")
         if abs(d) < mp.mpf(10) ** (-p.digits // 2):
@@ -216,7 +215,7 @@ def generator_tables(p: RepParams, kind: str, window: tuple,
                 add_into(rest.setdefault(m, {}), band, c)
         tables["u"] = BandMatrix(window, {m: {n: v / d for n, v in band.items()}
                                           for m, band in rest.items()})
-        return q, tables
+        return tables
 
 
 # -- relation residuals -----------------------------------------------------------
@@ -263,22 +262,16 @@ def _residual(terms: list, vecs: dict):
     return _norm(total.values()) / scale
 
 
-def relation_residual(p: RepParams, kind: str, degree: int, site: int,
-                      window: tuple | None = None):
+def relation_residual(p: RepParams, kind: str, degree: int, site: int):
     """Relative residual of one relation at one site, from tables built on
-    ``window`` (default: the site plus or minus the relation's reach, the
-    sites the residual reads).  A window that does not hold those sites
-    raises ValueError."""
+    the site plus or minus the relation's reach, the sites the residual
+    reads."""
     reach = _reach(kind, degree)
-    if window is None:
-        window = (site - reach, site + reach)
-    elif not window[0] <= site - reach <= site + reach <= window[1]:
-        raise ValueError(f"window {window} does not hold the sites {site} +- {reach} "
-                         f"that the degree-{degree} relation reads")
+    window = (site - reach, site + reach)
     with mp.workdps(p.digits):
         quadratic = _relation_terms(p, kind, 2)
         terms = quadratic if degree == 2 else _relation_terms(p, kind, degree)
-        _, tables = generator_tables(p, kind, window, quadratic)
+        tables = generator_tables(p, kind, window, quadratic)
         return _residual(terms, _word_vectors(tables, (w for _, w in terms), site))
 
 
@@ -290,7 +283,7 @@ def residual_table(p: RepParams, kind: str, sites=(-2, -1, 0, 1, 2)) -> list:
     window = (min(sites) - reach, max(sites) + reach)
     with mp.workdps(p.digits):
         terms = {degree: _relation_terms(p, kind, degree) for degree in (2, 3)}
-        _, tables = generator_tables(p, kind, window, terms[2])
+        tables = generator_tables(p, kind, window, terms[2])
         words = [w for degree in (2, 3) for _, w in terms[degree]]
         vecs = {site: _word_vectors(tables, words, site) for site in sites}
         return [(site, degree, _residual(terms[degree], vecs[site]))

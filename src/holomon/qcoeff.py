@@ -38,8 +38,8 @@ class SPoly:
         return cls({0: 1})
 
     @classmethod
-    def s_power(cls, k: int, coeff=1) -> "SPoly":
-        return cls({k: coeff})
+    def s_power(cls, k: int) -> "SPoly":
+        return cls({k: 1})
 
     def __bool__(self):
         return bool(self.c)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import mpmath as mp
+
 # registry of identity tags a check may carry: exactly the tags the suites
 # emit (the tests compare it with what `verify all` writes)
 KNOWN_TAGS = frozenset({
@@ -155,10 +157,6 @@ def load_reports(text: str) -> list:
 
 
 def fmt_residual(x) -> str:
-    """Fixed-notation scientific formatting, stable across runs."""
-    try:
-        import mpmath as mp
-
-        return mp.nstr(abs(mp.mpmathify(x)), 3, strip_zeros=False)
-    except Exception:
-        return f"{abs(x):.3e}"
+    """Fixed-notation scientific formatting of an mpmath number, stable
+    across runs."""
+    return mp.nstr(abs(x), 3, strip_zeros=False)

@@ -25,13 +25,13 @@ rational factor.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 
-from .blocks import default_digits, sphere4_block
+from .blocks import DIGITS, sphere4_block
 from .sparse import add, add_into, convolve
 from .virasoro import GramSingularError
 
@@ -123,14 +123,11 @@ class TauSeries:
     Term (m, j) of the sum is ``unphased.terms[(m, j)] * phase ** m``."""
 
     lam: object
-    kappa: object            # None in exact mode (phases kept in the grading)
     theta: tuple             # (th0, tht, th1, thinf)
     unphased: BiSeries       # the coefficients without the kappa phase
-    phase: object            # e^(i kappa kappa_multiplier); Fraction(1) in exact mode
-    M: int
-    N: int
+    phase: object            # e^(i kappa); Fraction(1) in exact mode
     mode: str
-    digits: int = field(default=0)
+    digits: int
 
     @property
     def leading_exponent(self):
@@ -257,8 +254,7 @@ def _numeric(x):
 
 
 def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
-               digits: int | None = None, normalization: str = "isomonodromic",
-               kappa_multiplier: int = 1) -> TauSeries:
+               digits: int = DIGITS, normalization: str = "isomonodromic") -> TauSeries:
     """Sum the four-point series over shifted internal momenta.
 
     theta = (th0, tht, th1, thinf) are the external momenta (weights are
@@ -280,7 +276,6 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
     if normalization not in ("isomonodromic", "plain"):
         raise ValueError(f"unknown normalization {normalization!r}")
     exact = _exact_mode(lam, theta, kappa) and normalization == "plain"
-    digits = digits or (mp.mp.dps if exact else default_digits())
     mode = "exact" if exact else "float"
     weighted = normalization == "isomonodromic"
     terms: dict = {}
@@ -290,8 +285,7 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
         # double precision
         lam, kappa = _numeric(lam), _numeric(kappa)
         theta = tuple(_numeric(x) for x in theta)
-        phase = (Fraction(1) if exact
-                 else mp.exp(1j * mp.mpmathify(kappa or 0) * kappa_multiplier))
+        phase = Fraction(1) if exact else mp.exp(1j * mp.mpmathify(kappa or 0))
         shifts = range(-M, M + 1)
         # nearest shifts first, so an infinite weight is reported where
         # its chain first breaks
@@ -314,15 +308,14 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
                      weights.get(m))
     if skipped:
         warnings.warn(f"skipped degenerate shifts {skipped} (non-generic momentum)")
-    return TauSeries(
-        lam=lam, kappa=kappa, theta=theta, unphased=BiSeries(terms, N), phase=phase,
-        M=M, N=N, mode=mode, digits=0 if exact else digits)
+    return TauSeries(lam=lam, theta=theta, unphased=BiSeries(terms, N), phase=phase,
+                     mode=mode, digits=digits)
 
 
 def coefficient_difference(a: TauSeries, b: TauSeries):
     """Largest change of shared bigraded coefficients, phases included,
     between two truncations (the stability measure for growing the shift
-    range)."""
+    range); a NaN difference is returned as it is, since max would drop it."""
     sa, sb = a.series, b.series
     jmax = min(sa.jmax, sb.jmax)
     worst = mp.mpf(0)
@@ -332,6 +325,8 @@ def coefficient_difference(a: TauSeries, b: TauSeries):
         va = sa.terms.get(k, 0)
         vb = sb.terms.get(k, 0)
         d = abs(mp.mpmathify(va) - mp.mpmathify(vb))
+        if mp.isnan(d):
+            return d
         worst = max(worst, d)
     return worst
 
@@ -361,23 +356,22 @@ def _sigma_form(U, Y, Z, theta):
             - (YY + Y * (2 * k)) * qt - UU * q1 + (4 * q0 * q1 - k * k) * qt)
 
 
-def sigma_pvi_residual(tau: TauSeries, order: int | None = None) -> dict:
+def sigma_pvi_residual(tau: TauSeries) -> dict:
     """Residual coefficients of the scalar deformation equation.
 
     Substitutes sigma(t) = t(t-1) d/dt log tau into the sigma-form above
-    and returns the bigraded residual terms through the
-    trustworthy grade, min(order, N) - 2; no series is computed past the
-    grade its kept slots read.  The weighted (isomonodromic) normalization
+    and returns the bigraded residual terms through the trustworthy
+    grade, N - 2 for a series truncated at N; no series is computed past
+    the grade its kept slots read.  The weighted (isomonodromic) normalization
     drives every coefficient to zero at working precision; the plain sum
     does not satisfy the equation.  It runs on the coefficients without
     the phase, and multiplies residual term (m, j) by phase^m on the way
     out (see the module docstring).
     """
     with mp.workdps(max(tau.digits, mp.mp.dps)):
-        # sigma'' is exact only through grade min(order, N) - 2, the last
-        # kept slot; every product operand has grades >= 0, so none needs more
-        top = tau.unphased.jmax
-        jmax = (top if order is None else min(top, order)) - 2
+        # sigma'' is exact only through grade N - 2, the last kept slot;
+        # every product operand has grades >= 0, so none needs more
+        jmax = tau.unphased.jmax - 2
         if jmax < 0:
             return {}
         lam2 = 2 * tau.lam

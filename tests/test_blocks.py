@@ -175,7 +175,7 @@ class TestBpz:
         u1 = self.p1 * B2 + self.r1
         for rho in (u1, 1 + B2 - u1):
             blk = self.fused_block(F(-1, 2), N=0)
-            probe = BlockSeries(rho, [F(1)], "sphere4", blk.weights, CC, "exact")
+            probe = BlockSeries(rho, [F(1)], "sphere4", blk.weights, "exact")
             assert bpz_residual(probe, B2, "b")[0] == 0
 
     def test_frobenius_matches_block(self):

@@ -235,7 +235,7 @@ class TestMutationCovariance:
         from holomon.holonomy import SubstitutionError
 
         n = exchange_matrix(reference_triangulation("c04"))
-        p = LaurentPoly.variable(6, 1, half=True)
+        p = LaurentPoly.monomial(6, (0, 1, 0, 0, 0, 0))
         with pytest.raises(SubstitutionError):
             substitute_flip(p, n, 0)
 

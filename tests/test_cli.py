@@ -3,7 +3,6 @@ import io
 import json
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -179,7 +178,7 @@ class TestVerifyCommands:
 
     def test_loop_rows_carry_runtime(self):
         rows = checksuites.pants_checks("c11", draws=1).checks
-        rows += checksuites.tau_checks(draws=1, order=3, shifts=1).checks
+        rows += checksuites.tau_checks(draws=1).checks
         assert len(rows) == 6
         assert all(row.runtime > 0 for row in rows)
 
@@ -299,26 +298,16 @@ class TestSeriesCommands:
         assert r.exit_code == 2
         assert "Traceback" not in r.output
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_tau_bad_precision_exits_2(self, runner, monkeypatch, value):
-        monkeypatch.setenv("HOLOMON_PRECISION", value)
-        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "1"])
-        assert r.exit_code == 2
-        assert "Traceback" not in r.output
-        assert r.output.startswith("error: HOLOMON_PRECISION") and r.output.count("\n") == 1
-
-    def test_exact_blocks_ignore_bad_precision(self, runner, monkeypatch):
-        monkeypatch.setenv("HOLOMON_PRECISION", "abc")
-        r = runner.invoke(main, ["verify", "bpz", "--order", "4"])
-        assert r.exit_code == 0 and "ERROR" not in r.output
-        r = runner.invoke(main, ["block", "sphere4", "--weights",
-                                 "3/5,1/3,7/11,2/9,5/4", "--order", "3"])
-        assert r.exit_code == 0 and "mode=exact" in r.output
-        # a floating block still reads it and refuses the value
-        with pytest.raises(ValueError, match="HOLOMON_PRECISION"):
-            sphere4_block(mp.mpf(0.6), 1, 1, 1, 1, 1, N=2)
-        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "1"])
-        assert r.exit_code == 2 and r.output.startswith("error: HOLOMON_PRECISION")
+    def test_tau_default_digits(self, runner):
+        # without --digits the series runs at 50 digits, and --help says so
+        args = ["tau", "--lam", "2/5", "--kappa", "13/10"]
+        default = runner.invoke(main, args)
+        assert default.exit_code == 0
+        assert default.output == runner.invoke(main, [*args, "--digits", "50"]).output
+        assert default.output.endswith(
+            "# deformation-equation residual (worst slot): 6.61666e-51\n")
+        lines = runner.invoke(main, ["tau", "--help"]).output.splitlines()
+        assert any("--digits" in line and "[default: 50; x>=1]" in line for line in lines)
 
     @pytest.mark.parametrize("doc", [
         {"checks": [{"name": "a", "tag": "no-such-tag", "status": "pass"}]},

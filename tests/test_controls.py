@@ -106,6 +106,25 @@ def gamma_pair_deleted(monkeypatch):
     monkeypatch.setattr(tau, "_gamma_step", step)
 
 
+def weight_steps_nan(monkeypatch):
+    """Every weight step NaN: each chain's first step, and so every later
+    one, which is the step before times a rational factor."""
+    _fresh_weight_memo(monkeypatch)
+    monkeypatch.setattr(tau, "_gamma_step", lambda theta, s: mp.nan)
+
+
+def unweighted_sum(monkeypatch):
+    """Every tau series summed without the structure-constant weights.
+    The keyword is overridden, not defaulted: ``shift_changes`` passes
+    no normalization, but other callers do."""
+    real = tau.tau_series
+
+    def plain(*args, **kwargs):
+        return real(*args, **{**kwargs, "normalization": "plain"})
+
+    monkeypatch.setattr(tau, "tau_series", plain)
+
+
 CONTROLS = [
     ("skein-product", CLASSICAL, skein_other_is_u),
     ("bracket-derivative", CLASSICAL, bracket_constant_one),
@@ -118,6 +137,8 @@ CONTROLS = [
     ("shift-residual-cubic", SHIFT_C04, cubic_term_sign_flipped),
     ("tau-deformation", TAU, step_factor_off, WEIGHTED),
     ("tau-deformation", TAU, gamma_pair_deleted, WEIGHTED),
+    ("tau-deformation", TAU, weight_steps_nan, WEIGHTED),
+    ("tau-truncation", TAU, unweighted_sum, "shift contributions shrink"),
 ]
 
 

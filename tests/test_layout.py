@@ -2,9 +2,10 @@
 
 Every public function, method and class defined in ``src/holomon`` must be
 named in code (not in a comment or docstring) somewhere in
-``src/holomon/*.py`` or ``benchmarks/*.py`` outside its own definition.
-Tests do not count: a function only a test calls checks nothing when
-``holomon`` runs.
+``src/holomon/*.py`` or ``benchmarks/*.py`` outside its own definition,
+and every option a function takes must be set by some call there.
+Tests do not count: a function or option only a test uses checks nothing
+when ``holomon`` runs.
 """
 
 import ast
@@ -25,12 +26,19 @@ def _registered(node) -> bool:
                and d.func.attr in ("command", "group") for d in node.decorator_list)
 
 
+def _hook_override(module, cls: ast.ClassDef, method: ast.FunctionDef) -> bool:
+    """Whether a method other than ``__init__`` overrides one of a class
+    outside holomon (click's hooks, which click calls)."""
+    return method.name != "__init__" and any(
+        hasattr(b, method.name) for b in getattr(module, cls.name).__mro__[1:]
+        if not b.__module__.startswith("holomon"))
+
+
 def _definitions():
     """(path, qualified name, first line, last line) of every public
     module-level function or class and every public method.  A click
-    command, and a method that overrides one of a class outside holomon
-    (click's hooks), is called by the framework, so neither needs a caller
-    here."""
+    command, and a click hook, is called by the framework, so neither
+    needs a caller here."""
     for path in SRC:
         module = importlib.import_module(f"holomon.{path.stem}")
         for node in ast.parse(path.read_text()).body:
@@ -40,11 +48,9 @@ def _definitions():
                 yield path, node.name, node.lineno, node.end_lineno
             if not isinstance(node, ast.ClassDef):
                 continue
-            bases = [b for b in getattr(module, node.name).__mro__[1:]
-                     if not b.__module__.startswith("holomon")]
             for sub in node.body:
                 if (isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
-                        and not any(hasattr(b, sub.name) for b in bases)):
+                        and not _hook_override(module, node, sub)):
                     yield path, f"{node.name}.{sub.name}", sub.lineno, sub.end_lineno
 
 
@@ -69,3 +75,69 @@ def test_every_public_name_has_a_caller():
         if not any(p != path or not first <= line <= last for p, line in uses.get(name, ())):
             unused.append(qual)
     assert sorted(set(unused)) == []
+
+
+# the writer half of the surface-file format: ``surface validate`` reads the
+# pants block that this parameter writes, so the format keeps it
+FORMAT_PARAMETERS = {("surface_to_json", "pants")}
+
+
+def _functions():
+    """(qualified name, called name, node, leading parameters a call does
+    not pass) of every module-level function and every method in
+    ``src/holomon``, except click commands and click hooks; a class's
+    ``__init__`` is called by the class name.  Nested functions are left
+    out: their defaults bind loop variables, not options."""
+    for path in SRC:
+        module = importlib.import_module(f"holomon.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not _registered(node):
+                yield node.name, node.name, node, 0
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not _hook_override(module, node, sub):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in sub.decorator_list)
+                    called = node.name if sub.name == "__init__" else sub.name
+                    yield f"{node.name}.{sub.name}", called, sub, 0 if static else 1
+
+
+def _calls() -> dict:
+    """{called name: [call node, ...]} over the library and the benchmark
+    harness, by the name a call's function is spelled with."""
+    calls: dict = {}
+    for path in SRC + BENCH:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at position
+    ``index`` (None when keyword-only); a call that unpacks ``*args`` or
+    ``**kwargs`` may pass any."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None or k.arg == name for k in call.keywords)
+            or (index is not None and index < len(call.args)))
+
+
+def test_every_option_is_set_by_a_caller():
+    calls = _calls()
+    unset = []
+    for qual, called, fn, skip in _functions():
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[skip:]
+        first = len(positional) - len(args.defaults)
+        options = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        options += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+        for index, name in options:
+            if (called, name) in FORMAT_PARAMETERS:
+                continue
+            if not any(_passes(c, index, name) for c in calls.get(called, ())):
+                unset.append(f"{qual}({name})")
+    assert unset == []

@@ -387,7 +387,8 @@ class TestTruncatedPipeline:
         res = sigma_pvi_residual(ts)
         assert res and res == _reference_residual(ts)
         for order in (N - 1, N - 2):
-            assert sigma_pvi_residual(ts, order=order) == _reference_residual(ts, order)
+            cut = tau_series(THETA, F(3, 8), None, N=order, M=3, normalization="plain")
+            assert sigma_pvi_residual(cut) == _reference_residual(ts, order)
 
 
 class TestSigmaEquation:
@@ -437,14 +438,6 @@ class TestSigmaEquation:
         res = sigma_pvi_residual(ts)
         assert max(abs(v) for v in res.values()) > 1e-2
 
-    def test_kappa_rescaling_still_solves(self):
-        # e^(2 i kappa m) weighting is the solution at doubled kappa, so the
-        # equation still holds; the real negative control is the plain sum
-        ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=40,
-                        kappa_multiplier=2)
-        res = sigma_pvi_residual(ts)
-        assert max(abs(v) for v in res.values()) < 1e-30
-
     def test_scale_invariance(self):
         # multiplying tau by a constant leaves the log-derivative unchanged
         ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=40)
@@ -467,15 +460,15 @@ class TestTruncationStability:
         ts4 = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=4, digits=40)
         assert coefficient_difference(ts3, ts4) < 1e-35
 
+    def test_nan_difference_kept(self):
+        a = tau_series(THETA, F(3, 8), F(7, 10), N=4, M=2, digits=30)
+        nan = BiSeries({**a.unphased.terms, (0, 1): mp.nan}, a.unphased.jmax)
+        assert mp.isnan(coefficient_difference(a, dataclasses.replace(a, unphased=nan)))
+
     def test_shift_contributions_shrink(self):
         changes = shift_changes(THETA, F(3, 8), F(7, 10), 6, 40)
         assert len(changes) == 2 and changes[0] > changes[1] > 0
         assert shrink_ratio(changes) < 1
-
-    def test_plain_sum_contributions_grow(self):
-        # the unweighted sum is the negative control of the shrink check
-        changes = shift_changes(THETA, F(3, 8), F(7, 10), 6, 40, normalization="plain")
-        assert shrink_ratio(changes) > 1
 
     def test_degenerate_shift_reported(self):
         # integer internal momentum makes a shifted Gram singular
