@@ -7,9 +7,9 @@ position of the second puncture; the self-glued torus one-point series
 carries the extra central-charge shift -c/24 in its prefactor exponent
 (a recorded convention).
 
-Arithmetic follows the inputs: exact rational weights give exact rational
-coefficients, anything else runs in mpmath at ``digits`` decimal digits
-(default ``DIGITS``).
+Every coefficient is exact: weights and central charge are taken as
+rationals, and the contractions run in integers (see
+``virasoro.contract``).
 """
 
 from __future__ import annotations
@@ -17,24 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .virasoro import (GramSingularError, VermaModule, contract, partitions,
                        solve_contraction)
-
-# working decimal digits of numeric series where the caller passes none
-DIGITS = 50
-
-
-def _is_exact(*vals) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in vals)
-
-
-def _coerce_all(exact: bool, digits: int, *vals):
-    if exact:
-        return tuple(Fraction(v) for v in vals)
-    with mp.workdps(digits):
-        return tuple(mp.mpmathify(v) for v in vals)
+# the benchmark harness's name for virasoro.degenerate_weight
+from .virasoro import degenerate_weight as degenerate_weight_of  # noqa: F401
 
 
 # -- descendant three-point data ------------------------------------------------
@@ -95,96 +81,76 @@ class BlockSeries:
     series coefficients (c_0 = 1 under the trivial three-point
     normalization)."""
 
-    leading_exponent: object
+    leading_exponent: Fraction
     coeffs: list
     channel: str
     weights: dict
-    mode: str
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
 
-def _to_num(v):
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
-    return v
-
-
-def _contract(module: VermaModule, k: int, left: list, right: list, exact: bool = True):
+def _contract(module: VermaModule, k: int, left: list, right: list) -> Fraction:
     try:
-        val = solve_contraction(module.gram(k), left, right)
+        return solve_contraction(module.gram(k), left, right)
     except GramSingularError as exc:
         raise GramSingularError(
             f"level-{k} contraction failed at internal weight "
             f"{module.delta}: {exc}") from exc
-    return val if exact else _to_num(val)
 
 
 def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
-                  digits: int = DIGITS) -> BlockSeries:
+                  digits: int | None = None) -> BlockSeries:
     """Four-point series in the position of the second puncture.
 
-    Punctures sit at 0, q, 1 and infinity with weights d1, d2, d3, d4; the
-    internal channel weight is d_beta.  Prefactor exponent is
+    Punctures sit at 0, q, 1 and infinity with rational weights d1, d2,
+    d3, d4; the internal channel weight is d_beta.  Prefactor exponent is
     d_beta - d1 - d2; coefficient k contracts the level-k descendant
-    three-point rows through the inverse Gram matrix.
+    three-point rows through the inverse Gram matrix.  ``digits`` is
+    unread, since the series is exact; it stays while the benchmark
+    harness passes it.
     """
-    exact = _is_exact(d1, d2, d3, d4, d_beta, c)
-    with mp.workdps(digits):
-        d1, d2, d3, d4, d_beta, c = _coerce_all(exact, digits, d1, d2, d3, d4, d_beta, c)
-        module = VermaModule(d_beta, c)
-        coeffs = []
-        for k in range(N + 1):
-            basis = partitions(k)
-            left = [three_point_descendant(d4, d3, d_beta, lam) for lam in basis]
-            right = [three_point_descendant(d1, d2, d_beta, mu) for mu in basis]
-            coeffs.append(_contract(module, k, left, right, exact))
+    d1, d2, d3, d4, d_beta, c = map(Fraction, (d1, d2, d3, d4, d_beta, c))
+    module = VermaModule(d_beta, c)
+    coeffs = []
+    for k in range(N + 1):
+        basis = partitions(k)
+        left = [three_point_descendant(d4, d3, d_beta, lam) for lam in basis]
+        right = [three_point_descendant(d1, d2, d_beta, mu) for mu in basis]
+        coeffs.append(_contract(module, k, left, right))
     return BlockSeries(
         leading_exponent=d_beta - d1 - d2,
         coeffs=coeffs,
         channel="sphere4",
         weights={"d1": d1, "d2": d2, "d3": d3, "d4": d4, "d_beta": d_beta},
-        mode="exact" if exact else "float",
     )
 
 
-def torus1_block(d0, d_beta, c, N: int = 8, digits: int = DIGITS) -> BlockSeries:
+def torus1_block(d0, d_beta, c, N: int = 8, digits: int | None = None) -> BlockSeries:
     """Self-glued one-point series: graded trace of the primary insertion
-    weighted by q^(L_0 - c/24)."""
-    exact = _is_exact(d0, d_beta, c)
-    with mp.workdps(digits):
-        d0, d_beta, c = _coerce_all(exact, digits, d0, d_beta, c)
-        module = VermaModule(d_beta, c)
-        elements = PrimaryMatrixElements(module, d0)
-        coeffs = []
-        for k in range(N + 1):
-            # trace(G^-1 E) with E[i][j] = <lam_i| primary |lam_j>
-            basis = partitions(k)
-            E = [[elements.element(lam, mu) for mu in basis] for lam in basis]
-            unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
-            GinvE = contract(module.gram(k), unit, E)
-            total = sum(GinvE[i][i] for i in range(len(basis)))
-            coeffs.append(total if exact else _to_num(total))
-    c24 = c * (Fraction(1, 24) if exact else mp.mpf(1) / 24)
+    weighted by q^(L_0 - c/24), for rational weights and central charge.
+    ``digits`` is unread, as in ``sphere4_block``."""
+    d0, d_beta, c = map(Fraction, (d0, d_beta, c))
+    module = VermaModule(d_beta, c)
+    elements = PrimaryMatrixElements(module, d0)
+    coeffs = []
+    for k in range(N + 1):
+        # trace(G^-1 E) with E[i][j] = <lam_i| primary |lam_j>
+        basis = partitions(k)
+        E = [[elements.element(lam, mu) for mu in basis] for lam in basis]
+        unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+        GinvE = contract(module.gram(k), unit, E)
+        coeffs.append(sum(GinvE[i][i] for i in range(len(basis))))
     return BlockSeries(
-        leading_exponent=d_beta - c24,
+        leading_exponent=d_beta - c / 24,
         coeffs=coeffs,
         channel="torus1",
         weights={"d0": d0, "d_beta": d_beta},
-        mode="exact" if exact else "float",
     )
 
 
 # -- degenerate second-order equation ----------------------------------------
-
-
-def degenerate_weight_of(b2):
-    """Weight of the momentum -b/2 insertion as a function of b^2."""
-    if isinstance(b2, (int, Fraction)):
-        return Fraction(-1, 2) - 3 * Fraction(b2) / 4
-    return -0.5 - 3 * b2 / 4
 
 
 def bpz_residual(series: BlockSeries, b2, which: str = "b") -> list:
@@ -204,9 +170,7 @@ def bpz_residual(series: BlockSeries, b2, which: str = "b") -> list:
         raise ValueError("null-vector equation applies to four-point series")
     w = series.weights
     d1, dd, d3, d4 = w["d1"], w["d2"], w["d3"], w["d4"]
-    exact = series.mode == "exact" and isinstance(b2, (int, Fraction))
-    B = (Fraction(b2) if which == "b" else 1 / Fraction(b2)) if exact else \
-        (b2 if which == "b" else 1 / b2)
+    B = Fraction(b2) if which == "b" else 1 / Fraction(b2)
     rho = series.leading_exponent
     cs = series.coeffs
     delta_sum = d1 + dd + d3 - d4
@@ -238,10 +202,9 @@ def frobenius_solution(d1, dd, d3, d4, b2, rho, N: int) -> list:
     Valid when the indicial roots do not differ by a positive integer
     (generic weights).
     """
-    exact = _is_exact(d1, dd, d3, d4, b2, rho)
-    B = Fraction(b2) if exact else b2
+    B = Fraction(b2)
     delta_sum = d1 + dd + d3 - d4
-    cs = [Fraction(1) if exact else mp.mpf(1)]
+    cs = [Fraction(1)]
     for j in range(1, N + 1):
         lead = (rho + j) * (rho + j - 1) - B * (rho + j) + B * d1
         if lead == 0:

@@ -291,7 +291,7 @@ def bpz_checks(b2=Fraction(2, 7), order: int = 8) -> Report:
 
     cc = virasoro.central_charge(b2)
     d1, d3, d4 = w(p1, r1), w(p3, r3), w(p4, r4)
-    dd = blocks.degenerate_weight_of(b2)
+    dd = virasoro.degenerate_weight(b2)
 
     # each channel is built once, on first use inside a row's error boundary;
     # a build that raises is not cached, so every row using it reports ERROR

@@ -22,7 +22,7 @@ import mpmath as mp
 
 from . import checks as checksuites
 from . import holonomy, pantsrep
-from .blocks import DIGITS, sphere4_block, torus1_block
+from .blocks import sphere4_block, torus1_block
 from .plotting import emit_plot
 from .reference import reference_curves
 from .report import load_reports, render_reports
@@ -30,7 +30,7 @@ from .surfaces import (FlipError, PantsDecomposition, Surface, dual_fat_graph,
                        reference_triangulation, surface_from_json, surface_to_json,
                        validate_dehn)
 from .surfaces import flip as flip_op
-from .tau import sigma_pvi_residual, tau_series
+from .tau import DIGITS, sigma_pvi_residual, tau_series
 
 PASS, FAIL, BADINPUT, INTERNAL = 0, 1, 2, 3
 
@@ -356,13 +356,8 @@ def block(kind, weights, cc, order, out, plot):
         blk = build(*weights, cc, N=order)
     except ValueError as exc:  # a singular Gram matrix
         raise BadInput(str(exc)) from exc
-    lines = [f"# channel={blk.channel} mode={blk.mode} "
-             f"leading_exponent={blk.leading_exponent}"]
-    for k, ck in enumerate(blk.coeffs):
-        if isinstance(ck, Fraction):
-            lines.append(f"{k} {ck.numerator}/{ck.denominator}")
-        else:
-            lines.append(f"{k} {ck}")
+    lines = [f"# channel={blk.channel} leading_exponent={blk.leading_exponent}"]
+    lines += [f"{k} {ck.numerator}/{ck.denominator}" for k, ck in enumerate(blk.coeffs)]
     _emit("\n".join(lines) + "\n", out, "series")
     if plot:
         partial = []

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 from operator import matmul
 
@@ -63,9 +63,9 @@ class RepParams:
     """
 
     b2: complex
-    boundary: dict = field(default_factory=dict)
-    x0: complex = 1.3 + 0.21j
-    digits: int = 30
+    boundary: dict
+    x0: complex
+    digits: int
 
     def __post_init__(self):
         if self.b2 == 0:

@@ -49,7 +49,7 @@ class CheckResult:
     name: str
     tag: str
     status: str              # "pass" | "fail" | "error"
-    witness: str = ""
+    witness: str
     runtime: float = 0.0
 
     def __post_init__(self):
@@ -64,7 +64,7 @@ class CheckResult:
 @dataclass
 class Report:
     title: str
-    checks: list = field(default_factory=list)
+    checks: list = field(default_factory=list, init=False)
     notes: list = field(default_factory=list)
 
     def add(self, check: CheckResult):

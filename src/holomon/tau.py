@@ -12,9 +12,12 @@ ring: it commutes with products, the grade-wise division, d/dt and
 multiplication by t.  So a ``TauSeries`` stores its coefficients without
 the kappa phase, real for real data, and holds the phase
 chi = e^(i kappa) once; ``TauSeries.series`` and the deformation-equation
-residual put chi^m back on the way out.  Exact mode (rational lambda,
-theta, no kappa) keeps every coefficient a Fraction with chi = 1;
-numeric mode works in mpmath at the working precision.
+residual put chi^m back on the way out.
+
+lambda and theta are rational, so every shift's block is exact.  A plain
+sum keeps its Fractions (exact mode, with no kappa, has chi = 1); in a
+weighted sum each coefficient becomes an mpmath number where it meets
+its weight, at the working precision.
 
 The shift weights C(lambda + m) / C(lambda) are products of steps
 C(u + 1) / C(u).  Each chain takes its first step from twelve Gamma
@@ -31,9 +34,12 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .blocks import DIGITS, sphere4_block
+from .blocks import sphere4_block
 from .sparse import add, add_into, convolve
 from .virasoro import GramSingularError
+
+# working decimal digits of the weighted sum where the caller passes none
+DIGITS = 50
 
 
 class BiSeries:
@@ -110,10 +116,6 @@ class BiSeries:
 
 def _rational(x) -> bool:
     return isinstance(x, (int, Fraction))
-
-
-def _exact_mode(lam, theta, kappa) -> bool:
-    return all(_rational(v) for v in [lam, *theta]) and kappa is None
 
 
 @dataclass
@@ -215,17 +217,14 @@ def weight_ratio(theta, lam, m: int, digits: int):
     + e' sigma), over G(1 + 2 sigma) G(1 - 2 sigma), with G the Barnes
     function.  Its ratios never call G: see ``_up_chain``.
 
-    Memoized per (theta, lam, m, digits), so growing the shift range
-    extends the chains instead of restarting them.  Returns 0 where a
-    Gamma pole sends the weight to zero; raises ValueError where the
-    weight is infinite or undefined (2 lam an integer, or C(lam) = 0)."""
+    theta and lam are rational.  Memoized per (theta, lam, m, digits), so
+    growing the shift range extends the chains instead of restarting
+    them.  Returns 0 where a Gamma pole sends the weight to zero; raises
+    ValueError where the weight is infinite or undefined (2 lam an
+    integer, or C(lam) = 0)."""
     if m == 0:
         return mp.mpf(1)
     theta = tuple(theta)
-    if not all(_rational(x) for x in (lam, *theta)):
-        # mpmath does not take Fraction - mpf, so mixed data goes numeric
-        with mp.workdps(digits + 10):
-            lam, theta = mp.mpmathify(lam), tuple(mp.mpmathify(x) for x in theta)
     # C(sigma) = C(-sigma), so shifts down are shifts up from -lam
     s, n = (lam, m) if m > 0 else (-lam, -m)
     try:
@@ -236,21 +235,14 @@ def weight_ratio(theta, lam, m: int, digits: int):
 
 
 @lru_cache(maxsize=256)
-def _shift_block(theta: tuple, lam, m: int, order: int, digits: int, mode: str) -> tuple:
-    """Coefficients 0..order of the four-point series with internal
-    momentum lam + m, memoized per (theta, lam, m, order, digits, mode)."""
+def _shift_block(theta: tuple, lam, m: int, order: int) -> tuple:
+    """Exact coefficients 0..order of the unit-central-charge four-point
+    series with internal momentum lam + m, memoized per
+    (theta, lam, m, order)."""
     th0, tht, th1, thinf = theta
-    exact = mode == "exact"
-    with mp.workdps(digits):
-        beta = lam + m if exact else mp.mpmathify(lam) + m
-        blk = sphere4_block(
-            th0 * th0, tht * tht, th1 * th1, thinf * thinf, beta * beta,
-            Fraction(1) if exact else 1, N=order, digits=digits)
+    blk = sphere4_block(th0 * th0, tht * tht, th1 * th1, thinf * thinf,
+                        (lam + m) ** 2, 1, N=order)
     return tuple(blk.coeffs)
-
-
-def _numeric(x):
-    return x if x is None or _rational(x) else mp.mpmathify(x)
 
 
 def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
@@ -260,13 +252,13 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
     theta = (th0, tht, th1, thinf) are the external momenta (weights are
     their squares, central charge is 1); term m carries weight
     (lam + m)^2 and the phase e^(i kappa m), held apart as
-    ``TauSeries.phase``.
+    ``TauSeries.phase``.  theta and lam must be rational (ValueError
+    otherwise); kappa may be any real.
 
     normalization 'isomonodromic' (default) weighs each shift with the
     ratio of unit-central-charge structure constants, which is what makes
-    the sum solve the deformation equation; 'plain' drops the weights
-    (and runs exactly for rational data with kappa=None), giving the bare
-    normalized-block sum.
+    the sum solve the deformation equation; 'plain' drops the weights,
+    giving the bare normalized-block sum, exact with kappa=None.
 
     Shift m enters at t^(m^2), so its block is computed only to order
     N - m^2, and not at all when m^2 > N.  Shifts whose weight vanishes,
@@ -275,16 +267,15 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
     """
     if normalization not in ("isomonodromic", "plain"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    exact = _exact_mode(lam, theta, kappa) and normalization == "plain"
-    mode = "exact" if exact else "float"
+    for name, x in [("lam", lam), *zip(("th0", "tht", "th1", "thinf"), theta)]:
+        if not _rational(x):
+            raise ValueError(f"{name} must be rational, got {x!r}")
+    theta = tuple(theta)
     weighted = normalization == "isomonodromic"
+    exact = kappa is None and not weighted
     terms: dict = {}
     skipped = []
     with mp.workdps(digits):
-        # floats become mpf once, here, so no later step squares one in
-        # double precision
-        lam, kappa = _numeric(lam), _numeric(kappa)
-        theta = tuple(_numeric(x) for x in theta)
         phase = Fraction(1) if exact else mp.exp(1j * mp.mpmathify(kappa or 0))
         shifts = range(-M, M + 1)
         # nearest shifts first, so an infinite weight is reported where
@@ -298,18 +289,19 @@ def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
             if m * m > N:
                 continue
             try:
-                coeffs = _shift_block(theta, lam, m, N - m * m, digits, mode)
+                coeffs = _shift_block(theta, lam, m, N - m * m)
             except GramSingularError:
                 skipped.append(m)
                 continue
             # exponent offset relative to the m = 0 block:
-            # (lam+m)^2 - lam^2 = 2 lam m + m^2 -> grading (m, m^2 + k)
+            # (lam+m)^2 - lam^2 = 2 lam m + m^2 -> grading (m, m^2 + k);
+            # a weight makes each Fraction an mpf, where the two meet
             add_into(terms, {(m, m * m + k): ck for k, ck in enumerate(coeffs)},
                      weights.get(m))
     if skipped:
         warnings.warn(f"skipped degenerate shifts {skipped} (non-generic momentum)")
     return TauSeries(lam=lam, theta=theta, unphased=BiSeries(terms, N), phase=phase,
-                     mode=mode, digits=digits)
+                     mode="exact" if exact else "float", digits=digits)
 
 
 def coefficient_difference(a: TauSeries, b: TauSeries):

@@ -4,11 +4,10 @@ level Gram matrices.
 States are dictionaries mapping ordered partitions (lambda_1 >= ... >=
 lambda_k, entries the indices of lowering generators) to coefficients.
 The commutator algebra reduces every generator action to this basis.
-Coefficients are duck-typed: exact Fractions and mpmath complexes both
-work.  One elimination routine, ``contract``, takes every contraction
-through a (possibly singular) Gram matrix: exact data is eliminated in
-integers after clearing row denominators, fraction-free (Bareiss), with
-first-nonzero pivots; mpmath data with partial pivoting by magnitude.
+Weights, central values and coefficients are exact rationals.  One
+elimination routine, ``contract``, takes every contraction through a
+(possibly singular) Gram matrix, in integers after clearing row
+denominators, fraction-free (Bareiss), with first-nonzero pivots.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ class VermaModule:
         return out
 
     def _central(self, n: int):
-        return self.c * Fraction(n * (n * n - 1), 12) if isinstance(self.c, Fraction) \
-            else self.c * n * (n * n - 1) / 12
+        return self.c * Fraction(n * (n * n - 1), 12)
 
     # -- pairing -----------------------------------------------------------
 
@@ -150,57 +148,44 @@ def contract(G: list, left: list, right: list) -> list:
     a left row with a nonzero entry in a pivot-free column lies outside
     the row space of G; both raise GramSingularError.
 
-    Ints and Fractions are computed in integers after clearing row
-    denominators, fraction-free: each row is multiplied by the lcm of its
-    denominators (a G-row together with its right part, which leaves the
-    contraction unchanged), the first nonzero pivot is taken, and every
-    row below it becomes (p * row - f * pivot_row) // prev, with p the
-    pivot, f the row's entry in the pivot column and prev the pivot before
-    (Bareiss).  Every entry is then a minor of the scaled matrix, so each
+    The entries, ints or Fractions, are eliminated in integers after
+    clearing row denominators, fraction-free: each row is multiplied by
+    the lcm of its denominators (a G-row together with its right part,
+    which leaves the contraction unchanged), the first nonzero pivot is
+    taken, and every row below it becomes (p * row - f * pivot_row) //
+    prev, with p the pivot, f the row's entry in the pivot column and prev
+    the pivot before (Bareiss).  Every entry is then a minor of the scaled matrix, so each
     division is exact, and the border divides by the last pivot and its
-    own row scale at the end.  Anything else (mpmath) is eliminated with
-    the largest pivot by magnitude.  The inputs are copied.
+    own row scale at the end.  The inputs are copied.
     """
     n = len(G)
     q = len(right[0]) if right else 0
     rows = [list(g) + list(r) for g, r in zip(G, right, strict=True)] + \
         [list(l) + [0] * q for l in left]
-    exact = all(isinstance(v, (int, Fraction)) for row in rows for v in row)
-    if exact:
-        scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
-        rows = [[v.numerator * (s // v.denominator) for v in row]
-                for row, s in zip(rows, scales)]
+    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    rows = [[v.numerator * (s // v.denominator) for v in row]
+            for row, s in zip(rows, scales)]
     free = []
     rank = 0
     prev = 1
     for col in range(n):
-        nonzero = [r for r in range(rank, n) if rows[r][col] != 0]
-        if not nonzero:
+        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if pivot is None:
             free.append(col)
             continue
-        pivot = nonzero[0] if exact else \
-            max(nonzero, key=lambda r: abs(rows[r][col]))
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
         p = prow[col]
-        if exact:
-            ptail = prow[col + 1:]
-            for row in rows[rank + 1:]:
-                f = row[col]
-                # rows with f == 0 are rescaled too, so every entry stays a minor
-                if f:
-                    row[col + 1:] = [(p * a - f * b) // prev
-                                     for a, b in zip(row[col + 1:], ptail)]
-                else:
-                    row[col + 1:] = [p * a // prev for a in row[col + 1:]]
-            prev = p
-        else:
-            tail = [t for t in range(col + 1, n + q) if prow[t] != 0]
-            for row in rows[rank + 1:]:
-                if row[col] != 0:
-                    f = row[col] / p
-                    for t in tail:
-                        row[t] -= f * prow[t]
+        ptail = prow[col + 1:]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            # rows with f == 0 are rescaled too, so every entry stays a minor
+            if f:
+                row[col + 1:] = [(p * a - f * b) // prev
+                                 for a, b in zip(row[col + 1:], ptail)]
+            else:
+                row[col + 1:] = [p * a // prev for a in row[col + 1:]]
+        prev = p
         rows[rank] = None  # never read after its step; freeing it lowers peak memory
         rank += 1
     if any(v != 0 for row in rows[rank:n] for v in row[n:]):
@@ -209,10 +194,9 @@ def contract(G: list, left: list, right: list) -> list:
     if any(row[col] != 0 for row in rows[n:] for col in free):
         raise GramSingularError("contraction does not factor through "
                                 "the singular Gram matrix")
-    if exact:  # border rows are never swapped, so scales[n:] still match them
-        return [[Fraction(-v, prev * s) for v in row[n:]]
-                for row, s in zip(rows[n:], scales[n:])]
-    return [[-v for v in row[n:]] for row in rows[n:]]
+    # border rows are never swapped, so scales[n:] still match them
+    return [[Fraction(-v, prev * s) for v in row[n:]]
+            for row, s in zip(rows[n:], scales[n:])]
 
 
 def solve_contraction(G: list, left: list, right: list):

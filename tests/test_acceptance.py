@@ -162,7 +162,7 @@ def test_criterion_8_degenerate_equation():
 
     p1, r1 = F(1, 3), F(2, 5)
     d1, d3, d4 = w(p1, r1), w(F(1, 5), F(1, 7)), w(F(2, 7), F(3, 11))
-    dd = blocks.degenerate_weight_of(b2)
+    dd = virasoro.degenerate_weight(b2)
     ok = True
     for sign in (F(-1, 2), F(1, 2)):
         blk = blocks.sphere4_block(d1, dd, d3, d4, w(p1 + sign, r1), cc, N=8)

@@ -1,18 +1,16 @@
 from fractions import Fraction as F
 
-import mpmath as mp
 import pytest
 
 from holomon.blocks import (
     BlockSeries,
     bpz_residual,
-    degenerate_weight_of,
     frobenius_solution,
     sphere4_block,
     three_point_descendant,
     torus1_block,
 )
-from holomon.virasoro import GramSingularError, partition_count
+from holomon.virasoro import GramSingularError, degenerate_weight, partition_count
 
 
 def weight(p, r, b2):
@@ -61,7 +59,7 @@ class TestSphere4:
     def test_degenerate_channel_raises(self):
         # internal weight with a level-2 null vector and non-matching
         # external data cannot be glued through
-        from holomon.virasoro import central_charge, degenerate_weight
+        from holomon.virasoro import central_charge
 
         d_deg = degenerate_weight(B2)
         c = central_charge(B2)
@@ -73,18 +71,6 @@ class TestSphere4:
         assert all(type(ck) is F for ck in blk.coeffs)
         blk = sphere4_block(0, 0, 0, 0, 0, 1, N=2)
         assert all(type(ck) is F for ck in blk.coeffs)
-
-    def test_float_mode(self):
-        with mp.workdps(40):
-            vals = [mp.mpf(3) / 10, mp.mpf(1) / 5, mp.mpf(7) / 10, mp.mpf(2) / 5,
-                    mp.mpf(11) / 10, mp.mpf(13) / 10]
-        blk = sphere4_block(*vals, N=3, digits=40)
-        assert blk.mode == "float"
-        exact = sphere4_block(F(3, 10), F(1, 5), F(7, 10), F(2, 5), F(11, 10),
-                              F(13, 10), N=3)
-        with mp.workdps(40):
-            for a, b in zip(blk.coeffs, exact.coeffs):
-                assert abs(a - mp.mpf(b.numerator) / b.denominator) < 1e-30
 
     def test_vacuum_propagation_reduces_to_three_point(self):
         # a zero-weight puncture glued through the matching channel leaves
@@ -109,18 +95,8 @@ class TestTorus1:
             blk = torus1_block(d0, F(7, 5), CC, N=5)
             assert all(type(ck) is F for ck in blk.coeffs)
 
-    def test_float_mode_matches_exact(self):
-        exact = torus1_block(F(1, 3), F(7, 5), CC, N=5)
-        with mp.workdps(40):
-            blk = torus1_block(mp.mpf(1) / 3, mp.mpf(7) / 5, mp.mpf(CC.numerator) / CC.denominator,
-                               N=5, digits=40)
-            assert blk.mode == "float"
-            for a, b in zip(blk.coeffs, exact.coeffs):
-                assert isinstance(a, mp.mpf)
-                assert abs(a - mp.mpf(b.numerator) / b.denominator) < 1e-30 * abs(b)
-
     def test_degenerate_channel_raises(self):
-        from holomon.virasoro import central_charge, degenerate_weight
+        from holomon.virasoro import central_charge
 
         with pytest.raises(GramSingularError):
             torus1_block(F(1, 3), degenerate_weight(B2), central_charge(B2), N=2)
@@ -152,7 +128,7 @@ class TestBpz:
         self.d1 = weight(self.p1, self.r1, B2)
         self.d3 = weight(self.p3, self.r3, B2)
         self.d4 = weight(self.p4, self.r4, B2)
-        self.dd = degenerate_weight_of(B2)
+        self.dd = degenerate_weight(B2)
 
     def fused_block(self, sign, N=8):
         dbeta = weight(self.p1 + sign, self.r1, B2)
@@ -175,7 +151,7 @@ class TestBpz:
         u1 = self.p1 * B2 + self.r1
         for rho in (u1, 1 + B2 - u1):
             blk = self.fused_block(F(-1, 2), N=0)
-            probe = BlockSeries(rho, [F(1)], "sphere4", blk.weights, "exact")
+            probe = BlockSeries(rho, [F(1)], "sphere4", blk.weights)
             assert bpz_residual(probe, B2, "b")[0] == 0
 
     def test_frobenius_matches_block(self):
@@ -202,7 +178,7 @@ class TestHypergeometric:
         p3, r3 = F(1, 5), F(1, 7)
         p4, r4 = F(2, 7), F(3, 11)
         d1, d3, d4 = (weight(p1, r1, B2), weight(p3, r3, B2), weight(p4, r4, B2))
-        dd = degenerate_weight_of(B2)
+        dd = degenerate_weight(B2)
         dbeta = weight(p1 - F(1, 2), r1, B2)
         N = 8
         blk = sphere4_block(d1, dd, d3, d4, dbeta, CC, N=N)

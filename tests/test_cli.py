@@ -257,7 +257,7 @@ class TestSeriesCommands:
                                  "--order", "2"])
         assert r.exit_code == 0
         lines = r.output.splitlines()
-        assert "mode=exact" in lines[0]
+        assert lines[0] == "# channel=torus1 leading_exponent=211/240"
         assert lines[1] == "0 1/1"
 
     @pytest.mark.parametrize("args", [
@@ -305,7 +305,7 @@ class TestSeriesCommands:
         assert default.exit_code == 0
         assert default.output == runner.invoke(main, [*args, "--digits", "50"]).output
         assert default.output.endswith(
-            "# deformation-equation residual (worst slot): 6.61666e-51\n")
+            "# deformation-equation residual (worst slot): 9.6966e-52\n")
         lines = runner.invoke(main, ["tau", "--help"]).output.splitlines()
         assert any("--digits" in line and "[default: 50; x>=1]" in line for line in lines)
 
@@ -364,7 +364,7 @@ class TestSeriesCommands:
 class TestReportObjects:
     def test_unregistered_tag_rejected(self):
         with pytest.raises(ValueError):
-            CheckResult("x", "no-such-tag", "pass")
+            CheckResult("x", "no-such-tag", "pass", "")
 
     def test_render_formats(self):
         rep = Report("demo")
@@ -398,7 +398,7 @@ class TestReportObjects:
 
     def test_runtime_not_serialized(self):
         rep = Report("demo")
-        rep.add(CheckResult("a", "cubic-relation", "pass", runtime=1.23))
+        rep.add(CheckResult("a", "cubic-relation", "pass", "", runtime=1.23))
         assert "1.23" not in rep.to_json()
         assert "1.23" not in rep.to_text()
 

@@ -9,12 +9,13 @@ then targets that row of the tag alone.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from holomon import checks, pantsrep, qtorus, reference, sparse, tau
+from holomon import blocks, checks, pantsrep, qtorus, reference, sparse, tau, virasoro
 from holomon.qcoeff import SPoly
 from holomon.surfaces import flip
 
@@ -24,6 +25,8 @@ SHIFT = functools.partial(checks.pants_checks, "c11", draws=1)
 SHIFT_C04 = functools.partial(checks.pants_checks, "c04", draws=1)
 TAU = functools.partial(checks.tau_checks, draws=1)
 WEIGHTED = "deformation-equation residual"
+DEGENERATE = checks.virasoro_checks
+BPZ = checks.bpz_checks
 
 
 def skein_other_is_u(monkeypatch):
@@ -125,6 +128,41 @@ def unweighted_sum(monkeypatch):
     monkeypatch.setattr(tau, "tau_series", plain)
 
 
+def central_term_doubled(monkeypatch):
+    """The central term of [L_n, L_-n] taken as c/6 n(n^2-1): every Gram
+    entry that reaches level 2 through L_-2 moves, and the degenerate
+    weight's level-2 null vector is lost."""
+    real = virasoro.VermaModule._central
+    monkeypatch.setattr(virasoro.VermaModule, "_central", lambda self, n: 2 * real(self, n))
+
+
+def border_scale_kept(monkeypatch):
+    """contract without its last division by each border row's scale: a
+    left row with denominators comes out multiplied by their lcm."""
+    real = virasoro.contract
+
+    def contract(G, left, right):
+        out = real(G, left, right)
+        scales = [math.lcm(*(Fraction(v).denominator for v in row)) for row in left]
+        return [[v * s for v in row] for row, s in zip(out, scales)]
+
+    monkeypatch.setattr(virasoro, "contract", contract)
+    monkeypatch.setattr(blocks, "contract", contract)
+
+
+def three_point_factor_at_full_level(monkeypatch):
+    """The per-part factor of a descendant three-point value taken at the
+    descendant's whole level, not the level below the peeled part; with a
+    zero-weight insertion between equal weights it no longer vanishes."""
+    def value(delta_out, h, delta_in, lam):
+        if not lam:
+            return 1
+        return (delta_in + sum(lam) + lam[0] * h - delta_out) * \
+            value(delta_out, h, delta_in, lam[1:])
+
+    monkeypatch.setattr(blocks, "three_point_descendant", value)
+
+
 CONTROLS = [
     ("skein-product", CLASSICAL, skein_other_is_u),
     ("bracket-derivative", CLASSICAL, bracket_constant_one),
@@ -139,6 +177,13 @@ CONTROLS = [
     ("tau-deformation", TAU, gamma_pair_deleted, WEIGHTED),
     ("tau-deformation", TAU, weight_steps_nan, WEIGHTED),
     ("tau-truncation", TAU, unweighted_sum, "shift contributions shrink"),
+    ("kac-level2", DEGENERATE, central_term_doubled),
+    ("null-vector", DEGENERATE, central_term_doubled),
+    ("degenerate-ode", BPZ, border_scale_kept, "fused degenerate channels annihilated"),
+    ("degenerate-ode", BPZ, central_term_doubled, "fused degenerate channels annihilated"),
+    ("hypergeometric-match", BPZ, three_point_factor_at_full_level),
+    ("hypergeometric-match", BPZ, border_scale_kept),
+    ("vacuum-insertion", BPZ, three_point_factor_at_full_level),
 ]
 
 

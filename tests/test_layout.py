@@ -3,9 +3,10 @@
 Every public function, method and class defined in ``src/holomon`` must be
 named in code (not in a comment or docstring) somewhere in
 ``src/holomon/*.py`` or ``benchmarks/*.py`` outside its own definition,
-and every option a function takes must be set by some call there.
-Tests do not count: a function or option only a test uses checks nothing
-when ``holomon`` runs.
+and every option a function or a dataclass takes must be set by some call
+there.  Tests do not count: a function or option only a test uses checks
+nothing when ``holomon`` runs.  ``blocks.py`` and ``virasoro.py`` hold
+one arithmetic, exact rationals, so neither imports mpmath.
 """
 
 import ast
@@ -13,6 +14,8 @@ import importlib
 import io
 import tokenize
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "holomon").glob("*.py"))
@@ -125,9 +128,9 @@ def _passes(call: ast.Call, index, name: str) -> bool:
             or (index is not None and index < len(call.args)))
 
 
-def test_every_option_is_set_by_a_caller():
-    calls = _calls()
-    unset = []
+def _function_options():
+    """(qualified name, called name, [(index, name), ...] of the defaulted
+    parameters) of every function from ``_functions``."""
     for qual, called, fn, skip in _functions():
         args = fn.args
         positional = (args.posonlyargs + args.args)[skip:]
@@ -135,9 +138,64 @@ def test_every_option_is_set_by_a_caller():
         options = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
         options += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                     if d is not None]
+        yield qual, called, options
+
+
+def _is_call_to(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def _dataclass_options():
+    """The same for the generated ``__init__`` of every dataclass in
+    ``src/holomon``: its fields in order, less those with ``init=False``;
+    a field with a default, or a ``field(...)`` that gives one, is an
+    option."""
+    for path in SRC:
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and any(
+                    getattr(d, "id", None) == "dataclass" or _is_call_to(d, "dataclass")
+                    for d in node.decorator_list)):
+                continue
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                      and not (_is_call_to(f.value, "field") and any(
+                          k.arg == "init" and not k.value.value for k in f.value.keywords))]
+            options = [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+            yield node.name, node.name, options
+
+
+def test_every_option_is_set_by_a_caller():
+    calls = _calls()
+    unset = []
+    for qual, called, options in [*_function_options(), *_dataclass_options()]:
         for index, name in options:
             if (called, name) in FORMAT_PARAMETERS:
                 continue
             if not any(_passes(c, index, name) for c in calls.get(called, ())):
                 unset.append(f"{qual}({name})")
     assert unset == []
+
+
+def test_every_field_default_is_read():
+    """A dataclass default that every construction overrides is a second
+    value of the field that nothing reads."""
+    calls = _calls()
+    dead = [f"{qual}({name})" for qual, called, options in _dataclass_options()
+            for index, name in options
+            if all(_passes(c, index, name) for c in calls.get(called, ()))]
+    assert dead == []
+
+
+def _imported_modules(path) -> set:
+    """Top-level names of the modules that a file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("name", ["blocks", "virasoro"])
+def test_block_arithmetic_imports_no_mpmath(name):
+    assert "mpmath" not in _imported_modules(ROOT / "src" / "holomon" / f"{name}.py")

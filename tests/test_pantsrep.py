@@ -88,7 +88,8 @@ class TestBuildLs:
     def test_value_two_at_zero_length(self):
         # at l = 0 (x = 1) the multiplication value 2cosh(0) is 2, but
         # 2 sinh(0) = 0 there, so no generator table may hold that site
-        p = RepParams(b2=0.3 + 0.1j, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.0)
+        p = RepParams(b2=0.3 + 0.1j, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.0,
+                      digits=30)
         x = p.site(0)
         assert abs(x + 1 / x - 2) < 1e-25
         with pytest.raises(ValueError, match="site 0"):
@@ -130,7 +131,8 @@ class TestBuildLu:
         assert bandwidth(tables(params_c11(), "c11")["u"]) <= 1
 
     def test_degenerate_divisor_rejected(self):
-        p = RepParams(b2=1.0, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.3 + 0.2j)
+        p = RepParams(b2=1.0, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.3 + 0.2j,
+                      digits=30)
         with pytest.raises(ValueError):
             tables(p, window=(-3, 3))
 
@@ -317,7 +319,8 @@ class TestRelations:
         assert windows == [(min(SITES) - reach, max(SITES) + reach)]
 
     def test_singular_site_reported(self):
-        p = RepParams(b2=0.3 + 0.1j, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.0)
+        p = RepParams(b2=0.3 + 0.1j, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.0,
+                      digits=30)
         with pytest.raises(ValueError):
             relation_residual(p, "c04", 2, 0)
 
@@ -326,7 +329,7 @@ class TestRelations:
         # relations at sites (-2, 0, 3) do not read
         b2 = 0.3 + 0.1j
         p = RepParams(b2=b2, boundary={f"L{i}": 2.5 for i in range(1, 5)},
-                      x0=cmath.exp(8j * cmath.pi * b2))
+                      x0=cmath.exp(8j * cmath.pi * b2), digits=30)
         with pytest.raises(ValueError, match="lattice site 8"):
             tables(p, window=(-1, 8))
         rep = verify_pants_relations(p, "c04", sites=SITES)

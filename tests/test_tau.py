@@ -195,6 +195,16 @@ class TestTauSeries:
         assert ts.mode == "exact"
         assert all(isinstance(v, F) for v in ts.series.terms.values())
 
+    @pytest.mark.parametrize("index,name", [(None, "lam"), (0, "th0"), (3, "thinf")])
+    def test_momenta_must_be_rational(self, index, name):
+        theta, lam = list(THETA), F(3, 8)
+        if index is None:
+            lam = 0.375
+        else:
+            theta[index] = float(theta[index])
+        with pytest.raises(ValueError, match=f"^{name} must be rational"):
+            tau_series(tuple(theta), lam, F(7, 10), N=2, M=1)
+
     def test_shift_sectors_graded_by_m_squared(self):
         ts = tau_series(THETA, F(3, 8), None, N=4, M=2, normalization="plain")
         for (m, j) in ts.series.terms:
@@ -333,18 +343,13 @@ class TestPhaseApart:
         folded = dataclasses.replace(ts, unphased=ts.series, phase=mp.mpf(1))
         got, want = sigma_pvi_residual(ts), sigma_pvi_residual(folded)
         with mp.workdps(50):
-            # some slots are rounding noise, so relative to the largest
+            # a slot that is rounding noise on one side may be exactly zero,
+            # and so absent, on the other: compare over both key sets,
+            # relative to the largest slot
             scale = max(abs(v) for v in want.values())
-            assert got.keys() == want.keys() and scale > 1
-            for k, v in want.items():
-                assert abs(got[k] - v) <= 1e-45 * scale
-
-    @pytest.mark.parametrize("theta", [tuple(map(float, THETA)), THETA],
-                             ids=["float-theta", "rational-theta"])
-    def test_float_lambda(self, theta):
-        ts = tau_series(theta, 0.3141, 0.7, N=6, M=3, digits=30)
-        res = sigma_pvi_residual(ts)
-        assert res and max(abs(v) for v in res.values()) < 1e-28
+            assert scale > 1
+            for k in got.keys() | want.keys():
+                assert abs(got.get(k, 0) - want.get(k, 0)) <= 1e-45 * scale
 
 
 class TestShiftMemo:
@@ -371,12 +376,11 @@ class TestShiftMemo:
 
 
 class TestTruncatedPipeline:
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_shift_block_is_prefix_of_full_order(self, mode):
+    def test_shift_block_is_prefix_of_full_order(self):
         N = 7
         for m in range(-2, 3):
-            full = tau_module._shift_block(THETA, F(3, 8), m, N, 30, mode)
-            cut = tau_module._shift_block(THETA, F(3, 8), m, N - m * m, 30, mode)
+            full = tau_module._shift_block(THETA, F(3, 8), m, N)
+            cut = tau_module._shift_block(THETA, F(3, 8), m, N - m * m)
             assert cut == full[:N - m * m + 1]
 
     @pytest.mark.parametrize("N", [4, 6, 8])
