@@ -100,7 +100,7 @@ def _contract(module: VermaModule, k: int, left: list, right: list) -> Fraction:
             f"{module.delta}: {exc}") from exc
 
 
-def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
+def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int,
                   digits: int | None = None) -> BlockSeries:
     """Four-point series in the position of the second puncture.
 
@@ -127,7 +127,7 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int = 8,
     )
 
 
-def torus1_block(d0, d_beta, c, N: int = 8, digits: int | None = None) -> BlockSeries:
+def torus1_block(d0, d_beta, c, N: int, digits: int | None = None) -> BlockSeries:
     """Self-glued one-point series: graded trace of the primary insertion
     weighted by q^(L_0 - c/24), for rational weights and central charge.
     ``digits`` is unread, as in ``sphere4_block``."""
@@ -153,7 +153,7 @@ def torus1_block(d0, d_beta, c, N: int = 8, digits: int | None = None) -> BlockS
 # -- degenerate second-order equation ----------------------------------------
 
 
-def bpz_residual(series: BlockSeries, b2, which: str = "b") -> list:
+def bpz_residual(series: BlockSeries, b2, which: str) -> list:
     """Coefficients of the second-order null-vector equation applied to a
     four-point series whose second puncture is the degenerate field.
 

@@ -183,8 +183,7 @@ def quantum_checks(surfaces=("c11", "c04")) -> Report:
     return rep
 
 
-def pants_checks(kind: str = "c04", seed: int = 0, draws: int = 20,
-                 tol: float = 1e-9, b2=None) -> Report:
+def pants_checks(kind: str, seed: int, draws: int, tol: float = 1e-9, b2=None) -> Report:
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     rep = Report(f"shift-operator representation ({kind})")
@@ -376,7 +375,7 @@ def shrink_ratio(changes: list):
 TAU_ORDER, TAU_SHIFTS, TAU_TOL, TAU_DIGITS = 6, 3, 1e-10, 50
 
 
-def tau_checks(seed: int = 0, draws: int = 5) -> Report:
+def tau_checks(seed: int, draws: int) -> Report:
     rep = Report("shift-summed series and its deformation equation")
     rng = random.Random(seed)
     # every residual slot and ratio, so that a NaN among them fails its row
@@ -421,7 +420,7 @@ def tau_checks(seed: int = 0, draws: int = 5) -> Report:
     return rep
 
 
-def all_checks(seed: int = 0) -> list:
+def all_checks(seed: int) -> list:
     return [
         classical_checks(),
         mutation_checks(),

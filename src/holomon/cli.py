@@ -30,7 +30,7 @@ from .surfaces import (FlipError, PantsDecomposition, Surface, dual_fat_graph,
                        reference_triangulation, surface_from_json, surface_to_json,
                        validate_dehn)
 from .surfaces import flip as flip_op
-from .tau import DIGITS, sigma_pvi_residual, tau_series
+from .tau import sigma_pvi_residual, tau_series
 
 PASS, FAIL, BADINPUT, INTERNAL = 0, 1, 2, 3
 
@@ -379,7 +379,7 @@ def block(kind, weights, cc, order, out, plot):
               help="external momenta th0,tht,th1,thinf")
 @click.option("--order", type=click.IntRange(min=0), default=6, show_default=True)
 @click.option("--shifts", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--digits", type=click.IntRange(min=1), default=DIGITS, show_default=True)
+@click.option("--digits", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--normalization", type=click.Choice(["isomonodromic", "plain"]),
               default="isomonodromic", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -388,24 +388,31 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
     """Shift-summed series and its deformation-equation residual."""
     if len(theta) != 4:
         raise BadInput("theta needs four entries")
+    # the residual keeps the grades up to order - 2, and only the weighted
+    # sum is meant to solve the equation
+    residual = normalization == "isomonodromic" and order >= 2
+    if plot and not residual:
+        raise BadInput("--plot draws the deformation-equation residual, which needs "
+                       "--normalization isomonodromic and --order 2 or more")
     try:
         ts = tau_series(tuple(theta), lam, kappa, N=order, M=shifts, digits=digits,
                         normalization=normalization)
     except ValueError as exc:  # an infinite shift weight
         raise BadInput(str(exc)) from exc
-    res = sigma_pvi_residual(ts) if normalization == "isomonodromic" else {}
     lines = [f"# mode={ts.mode} leading_exponent={ts.leading_exponent}"]
     for (m, j), v in sorted(ts.series.terms.items()):
         lines.append(f"{m} {j} {v}")
-    if res:
+    if residual:
+        # an exactly vanishing slot is not stored, so every slot may be gone
+        res = sigma_pvi_residual(ts)
         with mp.workdps(digits):
-            worst = max(abs(v) for v in res.values())
+            worst = max((abs(v) for v in res.values()), default=mp.mpf(0))
             lines.append(f"# deformation-equation residual (worst slot): "
                          f"{mp.nstr(worst, 6)}")
     _emit("\n".join(lines) + "\n", out, "series")
-    if out and res:
+    if out and residual:
         click.echo(lines[-1][2:])
-    if plot and res:
+    if plot:
         with mp.workdps(digits):
             decay = sorted((j, float(abs(v))) for (m, j), v in res.items())
         emit_plot(decay, plot, title="residual by order", xlabel="order",

@@ -44,10 +44,8 @@ def _mat_mul(A, B):
     )
 
 
-def holonomy_matrix(tri: Triangulation, curve: CurvePath, fg: FatGraph | None = None):
+def holonomy_matrix(tri: Triangulation, curve: CurvePath, fg: FatGraph):
     """Product of edge and turn matrices along the (validated) walk."""
-    if fg is None:
-        fg = dual_fat_graph(tri)
     resolved = curve.resolve(fg)
     nvars = tri.n_edges
     acc = None
@@ -63,8 +61,9 @@ def trace_function(tri: Triangulation, curve: CurvePath,
 
     The overall sign is fixed so the lexicographically leading coefficient
     is positive; simple-curve walks then have all coefficients positive.
+    ``fg`` is the dual fat graph of ``tri``, built here when None.
     """
-    H = holonomy_matrix(tri, curve, fg)
+    H = holonomy_matrix(tri, curve, dual_fat_graph(tri) if fg is None else fg)
     return (H[0][0] + H[1][1]).normalize_sign()
 
 

@@ -27,9 +27,9 @@ class LaurentPoly:
 
     _SCALARS = (int, Fraction)
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple, object]):
         self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c} if terms else {}
+        self.terms = {e: c for e, c in terms.items() if c}
 
     @property
     def _space(self):
@@ -103,9 +103,6 @@ class LaurentPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
             return self._new({e: other * v for e, v in self.terms.items()})
@@ -145,9 +142,6 @@ class LaurentPoly:
             return NotImplemented
         return (type(other) is type(self) and self._space == other._space
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self._space, frozenset(self.terms.items())))
 
     # -- utilities ---------------------------------------------------------
 
@@ -218,15 +212,6 @@ class LaurentRational:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentRational(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         return LaurentRational(self.num * o.num, self.den * o.den)
@@ -255,12 +240,6 @@ class LaurentRational:
         except TypeError:
             return NotImplemented
         return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        raise TypeError("LaurentRational is unhashable (equality is up to scaling)")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
     def __repr__(self):
         return f"({self.num!r}) / ({self.den!r})"

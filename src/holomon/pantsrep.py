@@ -93,7 +93,7 @@ class RepParams:
 
 
 class BandMatrix:
-    """Banded matrix of a shift operator on the window lo..hi.
+    """Banded matrix of a shift operator on a window of sites.
 
     ``bands[m][n]`` is the coefficient of the shift by m at row n, i.e. the
     entry (n, n + m); a band holds only the rows whose column lies inside the
@@ -101,10 +101,9 @@ class BandMatrix:
     outside (the module docstring says which windows a residual may use).
     """
 
-    __slots__ = ("window", "bands")
+    __slots__ = ("bands",)
 
-    def __init__(self, window: tuple, bands: dict):
-        self.window = window
+    def __init__(self, bands: dict):
         self.bands = bands
 
     def matvec(self, vec: dict) -> dict:
@@ -128,7 +127,7 @@ class BandMatrix:
                     w = b.get(n + ma)
                     if w is not None:
                         out[n] = out.get(n, 0) + v * w
-        return BandMatrix(self.window, bands)
+        return BandMatrix(bands)
 
 
 # -- generator tables ----------------------------------------------------------
@@ -178,7 +177,7 @@ def generator_tables(p: RepParams, kind: str, window: tuple, quadratic: list) ->
         inv = {n: 1 / v for n, v in x.items()}
         ch = {n: x[n] + inv[n] for n in x}      # 2 cosh(l/2)
         sh = {n: x[n] - inv[n] for n in x}      # 2 sinh(l/2)
-        Ls = BandMatrix(window, {0: ch})
+        Ls = BandMatrix({0: ch})
         if kind == "c04":
             L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
             num0, num1 = (q + 1 / q) * (L2 * L3 + L1 * L4), L1 * L3 + L2 * L4
@@ -186,14 +185,14 @@ def generator_tables(p: RepParams, kind: str, window: tuple, quadratic: list) ->
             root = {n: 1 / mp.sqrt(v) for n, v in sh.items()}
             mid = {n: mp.sqrt(c_factor(ch[n], L1, L2)) * mp.sqrt(c_factor(ch[n], L3, L4))
                    / sh[n] for n in x}
-            Lt = BandMatrix(window, {
+            Lt = BandMatrix({
                 0: {n: (num0 + ch[n] * num1) / (x[n] ** 2 + inv[n] ** 2 - qq) for n in x},
                 2: _band(window, 2, lambda n: root[n] * mid[n + 1] * root[n + 2]),
                 -2: _band(window, -2, lambda n: root[n] * mid[n - 1] * root[n - 2]),
             })
         elif kind == "c11":
             L0 = mp.mpmathify(p.boundary["L0"])
-            Lt = BandMatrix(window, {
+            Lt = BandMatrix({
                 1: _band(window, 1, lambda n: mp.sqrt(L0 + x[n] ** 2 / q + q * inv[n] ** 2)
                          / sh[n]),
                 -1: _band(window, -1, lambda n: mp.sqrt(L0 + q * x[n] ** 2 + inv[n] ** 2 / q)
@@ -210,11 +209,11 @@ def generator_tables(p: RepParams, kind: str, window: tuple, quadratic: list) ->
         rest: dict = {}
         for w, c in terms.items():
             product = (reduce(matmul, (tables[g] for g in w)) if w
-                       else BandMatrix(window, {0: dict.fromkeys(x, 1)}))
+                       else BandMatrix({0: dict.fromkeys(x, 1)}))
             for m, band in product.bands.items():
                 add_into(rest.setdefault(m, {}), band, c)
-        tables["u"] = BandMatrix(window, {m: {n: v / d for n, v in band.items()}
-                                          for m, band in rest.items()})
+        tables["u"] = BandMatrix({m: {n: v / d for n, v in band.items()}
+                                  for m, band in rest.items()})
         return tables
 
 
@@ -290,7 +289,7 @@ def residual_table(p: RepParams, kind: str, sites=(-2, -1, 0, 1, 2)) -> list:
                 for degree in (2, 3) for site in sites]
 
 
-def verify_pants_relations(p: RepParams, kind: str, tol: float = 1e-9,
+def verify_pants_relations(p: RepParams, kind: str, tol: float,
                            sites: tuple = (-2, 0, 3)) -> dict:
     """Residual report for both relations over several interior sites."""
     rows = residual_table(p, kind, sites)

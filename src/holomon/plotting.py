@@ -50,8 +50,7 @@ def _scale(values, lo_pix, hi_pix):
     return to_pix
 
 
-def emit_plot(series, path: str, title: str = "partial sums",
-              xlabel: str = "order", ylabel: str = "value",
+def emit_plot(series, path: str, title: str, xlabel: str, ylabel: str,
               logy: bool = False) -> str:
     """Write a deterministic SVG of the given (x, y) data.
 

@@ -26,8 +26,8 @@ class SPoly:
 
     __slots__ = ("c",)
 
-    def __init__(self, c: dict | None = None):
-        self.c = {int(k): v for k, v in (c or {}).items() if v}
+    def __init__(self, c: dict):
+        self.c = {int(k): v for k, v in c.items() if v}
 
     @classmethod
     def const(cls, v) -> "SPoly":
@@ -67,12 +67,6 @@ class SPoly:
     def __neg__(self):
         return SPoly({k: -v for k, v in self.c.items()})
 
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __rsub__(self, o):
-        return (-self) + o
-
     def __mul__(self, o):
         try:
             o = self.coerce(o)
@@ -82,27 +76,12 @@ class SPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of an SPoly")
-        out = SPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, o):
         try:
             o = self.coerce(o)
         except TypeError:
             return NotImplemented
         return self.c == o.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
 
     def conj(self) -> "SPoly":
         """Substitute s -> 1/s."""

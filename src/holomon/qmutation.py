@@ -53,9 +53,6 @@ class XRat:
             return NotImplemented
         return self.num * o.den == o.num * self.den
 
-    def __hash__(self):
-        raise TypeError("XRat is unhashable")
-
     def scale_arg(self, s_exp: int) -> "XRat":
         """Substitute X -> s^(s_exp) X."""
         return XRat(_scale_arg(self.num, s_exp), _scale_arg(self.den, s_exp))
@@ -110,9 +107,6 @@ class QMutationImage:
         if self.context != other.context or self.e != other.e or self.mono != other.mono:
             return False
         return self.rat * self.coeff == other.rat * other.coeff
-
-    def __hash__(self):
-        raise TypeError("QMutationImage is unhashable")
 
     def is_generator(self, i: int) -> bool:
         """True when the image is exactly X_i with trivial dressing."""

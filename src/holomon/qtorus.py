@@ -19,18 +19,18 @@ from .sparse import convolve, pairing, vec_add
 
 class QuantumTorusElement(LaurentPoly):
     """A LaurentPoly over SPoly coefficients whose product is twisted by
-    q^<mu,nu>; sums, negation, equality and hashing are the Laurent ones.
+    q^<mu,nu>; sums, negation and equality are the Laurent ones.
 
     ``context`` is the exchange matrix.  Coefficients must already be
-    SPolys: the constructors below wrap scalars once, and nothing is
-    coerced term by term.
+    SPolys: ``const`` wraps its scalar once, and nothing is coerced term
+    by term.
     """
 
     __slots__ = ("context",)
 
     _SCALARS = (int, Fraction, SPoly)
 
-    def __init__(self, context, terms: dict | None = None):
+    def __init__(self, context, terms: dict):
         self.context = tuple(tuple(row) for row in context)
         super().__init__(len(self.context), terms)
 
@@ -38,20 +38,10 @@ class QuantumTorusElement(LaurentPoly):
     def _space(self):
         return self.context
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, context) -> "QuantumTorusElement":
-        return cls(context, {})
-
     @classmethod
     def const(cls, context, c) -> "QuantumTorusElement":
         E = len(context)
         return cls(context, {(0,) * E: SPoly.coerce(c)})
-
-    @classmethod
-    def monomial(cls, context, d, coeff=1) -> "QuantumTorusElement":
-        return cls(context, {tuple(d): SPoly.coerce(coeff)})
 
     # -- ring operations --------------------------------------------------
 

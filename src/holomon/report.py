@@ -101,7 +101,7 @@ class Report:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def to_csv(self, header: bool = True) -> str:
+    def to_csv(self, header: bool) -> str:
         import csv
         import io
 
@@ -112,22 +112,18 @@ class Report:
         writer.writerows([c.name, c.tag, c.status, c.witness] for c in self.checks)
         return buf.getvalue()
 
-    def render(self, fmt: str) -> str:
-        if fmt == "text":
-            return self.to_text()
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        raise ValueError(f"unknown format {fmt!r}")
-
 
 def render_reports(reports, fmt: str) -> str:
-    """Render several reports as one document; CSV output carries one header
-    for the whole of it, so it parses as a single table."""
+    """Render several reports as one document in ``fmt`` (text, json or
+    csv); CSV output carries one header for the whole of it, so it parses
+    as a single table."""
+    if fmt == "text":
+        return "".join(r.to_text() for r in reports)
+    if fmt == "json":
+        return "".join(r.to_json() for r in reports)
     if fmt == "csv":
         return "".join(r.to_csv(header=i == 0) for i, r in enumerate(reports))
-    return "".join(r.render(fmt) for r in reports)
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def load_reports(text: str) -> list:

@@ -297,13 +297,13 @@ def dual_fat_graph(tri: Triangulation) -> FatGraph:
 class CurvePath:
     """A closed walk in a fat graph given as (edge, turn-after) steps.
 
-    ``start`` is the vertex the first edge is traversed from; when omitted
-    it defaults to the smaller-indexed end of the first edge.
+    ``start`` is the vertex the first edge is traversed from; None stands
+    for the smaller-indexed end of the first edge.
     """
 
     __slots__ = ("steps", "start")
 
-    def __init__(self, steps: Sequence, start: int | None = None):
+    def __init__(self, steps: Sequence, start: int | None):
         self.steps = tuple((_integer(e, "edge index"), t) for e, t in steps)
         if not self.steps:
             raise ValueError("empty walk")
@@ -311,17 +311,6 @@ class CurvePath:
             if t not in (LEFT, RIGHT):
                 raise ValueError(f"turn must be 'L' or 'R', got {t!r}")
         self.start = None if start is None else _integer(start, "start vertex")
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvePath):
-            return NotImplemented
-        return self.steps == other.steps and self.start == other.start
-
-    def __hash__(self):
-        return hash((self.steps, self.start))
 
     def resolve(self, fg: FatGraph) -> list:
         """Validate the walk against ``fg``.

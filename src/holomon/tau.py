@@ -38,19 +38,15 @@ from .blocks import sphere4_block
 from .sparse import add, add_into, convolve
 from .virasoro import GramSingularError
 
-# working decimal digits of the weighted sum where the caller passes none
-DIGITS = 50
-
-
 class BiSeries:
     """Truncated series over the (shift, integer-power) bigrading."""
 
     __slots__ = ("terms", "jmax")
 
-    def __init__(self, terms: dict | None = None, jmax: int = 8):
+    def __init__(self, terms: dict, jmax: int):
         self.jmax = jmax
         self.terms = {}
-        for (m, j), v in (terms or {}).items():
+        for (m, j), v in terms.items():
             if j <= jmax and v:
                 self.terms[(int(m), int(j))] = v
 
@@ -245,8 +241,8 @@ def _shift_block(theta: tuple, lam, m: int, order: int) -> tuple:
     return tuple(blk.coeffs)
 
 
-def tau_series(theta, lam, kappa, N: int = 6, M: int = 3,
-               digits: int = DIGITS, normalization: str = "isomonodromic") -> TauSeries:
+def tau_series(theta, lam, kappa, N: int, M: int, digits: int,
+               normalization: str = "isomonodromic") -> TauSeries:
     """Sum the four-point series over shifted internal momenta.
 
     theta = (th0, tht, th1, thinf) are the external momenta (weights are

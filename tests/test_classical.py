@@ -76,7 +76,7 @@ class TestTraceFunction:
         cp = curves["s"]
         base = trace_function(tri, cp)
         resolved = cp.resolve(fg)
-        for k in range(1, len(cp)):
+        for k in range(1, len(cp.steps)):
             # the same closed walk entered at its k-th step
             rot = CurvePath(cp.steps[k:] + cp.steps[:k], start=resolved[k][0])
             assert trace_function(tri, rot) == base
@@ -315,7 +315,8 @@ class TestHolonomyMatrix:
 
         for name in ("c11", "c04"):
             tri, curves = reference_setup(name)
+            fg = dual_fat_graph(tri)
             for cp in curves.values():
-                H = holonomy_matrix(tri, cp)
+                H = holonomy_matrix(tri, cp, fg)
                 det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
                 assert det == LaurentPoly.const(tri.n_edges, 1)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,8 @@ from holomon.cli import main
 from holomon.plotting import emit_plot
 from holomon.report import KNOWN_TAGS, CheckResult, Report
 
+# the bytes of `holomon verify all --seed 0 --format json`
+GOLDEN_VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all_seed0.json"
 
 @pytest.fixture
 def runner():
@@ -166,19 +169,19 @@ class TestVerifyCommands:
         assert r.exit_code == 2
         assert "PASS" not in r.output
         with pytest.raises(ValueError):
-            checksuites.pants_checks("c11", draws=int(draws))
+            checksuites.pants_checks("c11", seed=0, draws=int(draws))
 
     @pytest.mark.parametrize("kind", ["c04", "c11"])
     def test_nan_residual_fails_its_row(self, kind):
-        rep = checksuites.pants_checks(kind, draws=1, b2=complex(float("nan"), 0))
+        rep = checksuites.pants_checks(kind, seed=0, draws=1, b2=complex(float("nan"), 0))
         rows = [c for c in rep.checks if "relation degree" in c.name]
         assert len(rows) == 2
         assert all(c.status == "fail" and c.witness == "worst residual nan" for c in rows)
         assert not rep.passed
 
     def test_loop_rows_carry_runtime(self):
-        rows = checksuites.pants_checks("c11", draws=1).checks
-        rows += checksuites.tau_checks(draws=1).checks
+        rows = checksuites.pants_checks("c11", seed=0, draws=1).checks
+        rows += checksuites.tau_checks(seed=0, draws=1).checks
         assert len(rows) == 6
         assert all(row.runtime > 0 for row in rows)
 
@@ -189,6 +192,14 @@ class TestVerifyCommands:
                                      "--out", str(path)])
             assert r.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_verify_all_json_is_pinned(self, runner):
+        # every row, witness and note of the full suite, byte for byte: a
+        # change to any of them is a change of behaviour, made on purpose
+        # by rewriting the golden file
+        r = runner.invoke(main, ["verify", "all", "--seed", "0", "--format", "json"])
+        assert r.exit_code == 0
+        assert r.stdout_bytes == GOLDEN_VERIFY_ALL.read_bytes()
 
     def test_bpz_builds_each_channel_once(self, monkeypatch):
         calls = []
@@ -277,6 +288,28 @@ class TestSeriesCommands:
         assert r.exit_code == 0
         assert "residual" in r.output
         assert out.exists()
+
+    @pytest.mark.parametrize("args", [["--normalization", "plain"], ["--order", "1"]],
+                             ids=["plain", "order-1"])
+    def test_tau_plot_without_residual_exits_2(self, runner, tmp_path, args):
+        # neither run computes the residual, so there is nothing to plot
+        plot = tmp_path / "decay.svg"
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10", *args,
+                                 "--plot", str(plot)])
+        assert r.exit_code == 2
+        assert r.output.startswith("error: --plot") and r.output.count("\n") == 1
+        assert not plot.exists()
+
+    def test_tau_vanishing_residual_is_printed_and_plotted(self, runner, tmp_path):
+        # here every residual slot is exactly 0, so the residual stores none
+        plot = tmp_path / "decay.svg"
+        with pytest.warns(UserWarning, match="skipped degenerate shifts"):
+            r = runner.invoke(main, ["tau", "--lam", "1/4", "--kappa", "1",
+                                     "--theta", "1/4,0,0,0", "--plot", str(plot)])
+        assert r.exit_code == 0
+        assert "# deformation-equation residual (worst slot): 0.0\n" in r.output
+        assert f"plot written to {plot}" in r.output
+        assert "<svg" in plot.read_text()
 
     @pytest.mark.parametrize("lam", ["0", "1/2"])
     def test_tau_infinite_weight_exits_2(self, runner, lam):
@@ -372,7 +405,7 @@ class TestReportObjects:
         rep.note("n")
         assert "PASS" in rep.to_text()
         assert json.loads(rep.to_json())["passed"] is True
-        assert rep.to_csv().count("\n") == 2
+        assert rep.to_csv(header=True).count("\n") == 2
 
     def test_csv_rows_round_trip(self, runner):
         # witnesses and names with commas and quotes parse back unchanged
@@ -382,7 +415,7 @@ class TestReportObjects:
         reps = [checksuites.classical_checks(), checksuites.mutation_checks()]
         r = runner.invoke(main, ["verify", "classical-relations", "--format", "csv"])
         assert r.exit_code == 0 and "s,t product" in r.output
-        for text, reports in ((r.output, reps), (tricky.to_csv(), [tricky])):
+        for text, reports in ((r.output, reps), (tricky.to_csv(header=True), [tricky])):
             want = [header] + [[c.name, c.tag, c.status, c.witness]
                                for rep in reports for c in rep.checks]
             rows = list(csv.reader(io.StringIO(text)))
@@ -484,17 +517,18 @@ class TestPlot:
     def test_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         data = [1.0, 0.1, 0.01, 0.001]
-        emit_plot(data, str(a), logy=True)
-        emit_plot(data, str(b), logy=True)
+        emit_plot(data, str(a), "partial sums", "order", "value", logy=True)
+        emit_plot(data, str(b), "partial sums", "order", "value", logy=True)
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_series_axes_only(self, tmp_path):
         p = tmp_path / "e.svg"
-        emit_plot([], str(p))
+        emit_plot([], str(p), "partial sums", "order", "value")
         text = p.read_text()
         assert "<svg" in text and "polyline" not in text
 
     def test_monotone_decay_rendered(self, tmp_path):
         p = tmp_path / "d.svg"
-        emit_plot([10.0 ** -k for k in range(6)], str(p), logy=True)
+        emit_plot([10.0 ** -k for k in range(6)], str(p), "partial sums", "order", "value",
+                  logy=True)
         assert "polyline" in p.read_text()

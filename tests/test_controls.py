@@ -15,15 +15,19 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from holomon import blocks, checks, pantsrep, qtorus, reference, sparse, tau, virasoro
+from holomon import (blocks, checks, holonomy, pantsrep, qmutation, qtorus, reference,
+                     sparse, tau, virasoro)
+from holomon.laurent import LaurentPoly, LaurentRational
 from holomon.qcoeff import SPoly
 from holomon.surfaces import flip
 
 CLASSICAL = functools.partial(checks.classical_checks, ("c11",))
+CLASSICAL_C04 = functools.partial(checks.classical_checks, ("c04",))
+MUTATION = functools.partial(checks.mutation_checks, ("c11",))
 QUANTUM = functools.partial(checks.quantum_checks, ("c11",))
-SHIFT = functools.partial(checks.pants_checks, "c11", draws=1)
-SHIFT_C04 = functools.partial(checks.pants_checks, "c04", draws=1)
-TAU = functools.partial(checks.tau_checks, draws=1)
+SHIFT = functools.partial(checks.pants_checks, "c11", seed=0, draws=1)
+SHIFT_C04 = functools.partial(checks.pants_checks, "c04", seed=0, draws=1)
+TAU = functools.partial(checks.tau_checks, seed=0, draws=1)
 WEIGHTED = "deformation-equation residual"
 DEGENERATE = checks.virasoro_checks
 BPZ = checks.bpz_checks
@@ -61,6 +65,57 @@ def relation_sign_flipped(monkeypatch):
     stu in the torus piece's cubic relation.  Every layer reads the table,
     so the classical, quantum and shift-operator rows all fail."""
     monkeypatch.setitem(reference.RELATIONS[("c11", 3)], "stu", {"": SPoly({2: 1})})
+
+
+def quartic_sign_flipped(monkeypatch):
+    """The sphere piece's quartic relation with +q stu for -q stu."""
+    monkeypatch.setitem(reference.RELATIONS[("c04", 3)], "stu", {"": SPoly({4: 1})})
+
+
+def conjugation_is_identity(monkeypatch):
+    """s -> 1/s taken as the identity: the barred operators live in the
+    torus of the negated exchange matrix, where the unconjugated relations
+    do not hold."""
+    monkeypatch.setattr(SPoly, "conj", lambda self: self)
+
+
+def dressed_images_scaled(monkeypatch):
+    """Every quantum mutation image with a nontrivial dressing scaled by s.
+    The flipped commutation relations are homogeneous in the images and
+    still hold; the double flip no longer composes to the identity."""
+    real = qmutation.quantum_mutation
+
+    def image(n, e, target):
+        img = real(n, e, target)
+        return img if img.rat.is_one() else img.scaled(SPoly.s_power(1))
+
+    monkeypatch.setattr(qmutation, "quantum_mutation", image)
+
+
+def mutation_dressing_inverted(monkeypatch):
+    """Coordinate mutation with 1 + X_e for 1 + X_e^-1 where n_te > 0."""
+    real = holonomy.mutate_coordinate
+
+    def mutate(n, e, target):
+        k = n[target][e]
+        if target == e or k <= 0:
+            return real(n, e, target)
+        E = len(n)
+        base = LaurentPoly.const(E, 1) + LaurentPoly.variable(E, e)
+        return LaurentRational(LaurentPoly.variable(E, target), base ** k)
+
+    monkeypatch.setattr(holonomy, "mutate_coordinate", mutate)
+
+
+def flip_substituted_backwards(monkeypatch):
+    """The flipped trace pushed through the mutation of -n, the inverse
+    orientation of every corner."""
+    real = holonomy.substitute_flip
+
+    def substitute(p, n, e):
+        return real(p, [[-v for v in row] for row in n], e)
+
+    monkeypatch.setattr(holonomy, "substitute_flip", substitute)
 
 
 def pairing_doubled(monkeypatch):
@@ -170,6 +225,11 @@ CONTROLS = [
     ("q-cubic", QUANTUM, naive_quantization_after_flip),
     ("q-classical-limit", QUANTUM, pairing_doubled),
     ("cubic-relation", CLASSICAL, relation_sign_flipped),
+    ("quartic-relation", CLASSICAL_C04, quartic_sign_flipped),
+    ("bar-invariance", QUANTUM, conjugation_is_identity),
+    ("flip-commutation", QUANTUM, dressed_images_scaled),
+    ("mutation-composition", MUTATION, mutation_dressing_inverted),
+    ("mutation-covariance", MUTATION, flip_substituted_backwards),
     ("q-cubic", QUANTUM, relation_sign_flipped),
     ("shift-residual-cubic", SHIFT, relation_sign_flipped),
     ("shift-residual-cubic", SHIFT_C04, cubic_term_sign_flipped),

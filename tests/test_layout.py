@@ -4,7 +4,7 @@ Every public function, method and class defined in ``src/holomon`` must be
 named in code (not in a comment or docstring) somewhere in
 ``src/holomon/*.py`` or ``benchmarks/*.py`` outside its own definition,
 and every option a function or a dataclass takes must be set by some call
-there.  Tests do not count: a function or option only a test uses checks
+there, and left to its default by another.  Tests do not count: a function or option only a test uses checks
 nothing when ``holomon`` runs.  ``blocks.py`` and ``virasoro.py`` hold
 one arithmetic, exact rationals, so neither imports mpmath.
 """
@@ -176,10 +176,12 @@ def test_every_option_is_set_by_a_caller():
 
 
 def test_every_field_default_is_read():
-    """A dataclass default that every construction overrides is a second
-    value of the field that nothing reads."""
+    """A default that every call overrides, of a function's or a method's
+    parameter or of a dataclass field, is a second value of the option
+    that nothing reads."""
     calls = _calls()
-    dead = [f"{qual}({name})" for qual, called, options in _dataclass_options()
+    dead = [f"{qual}({name})"
+            for qual, called, options in [*_function_options(), *_dataclass_options()]
             for index, name in options
             if all(_passes(c, index, name) for c in calls.get(called, ()))]
     assert dead == []

@@ -276,5 +276,6 @@ class TestSerialization:
         text = surface_to_json(tri, curves, pants)
         tri2, curves2, pants2 = surface_from_json(text)
         assert (tri2.surface, tri2.triangles) == (tri.surface, tri.triangles)
-        assert curves2["s"] == curves["s"]
+        c, c2 = curves["s"], curves2["s"]
+        assert (c2.steps, c2.start) == (c.steps, c.start)
         assert (pants2.vertices, pants2.curve_names) == (pants.vertices, pants.curve_names)

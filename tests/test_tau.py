@@ -186,12 +186,12 @@ class TestTauSeries:
         assert abs(ts.series.terms[(0, 0)] - 1) < 1e-25
 
     def test_leading_exponent(self):
-        ts = tau_series(THETA, F(3, 8), None, N=2, M=1, normalization="plain")
+        ts = tau_series(THETA, F(3, 8), None, N=2, M=1, digits=50, normalization="plain")
         th0, tht = THETA[0], THETA[1]
         assert ts.leading_exponent == F(3, 8) ** 2 - th0 ** 2 - tht ** 2
 
     def test_exact_mode_plain(self):
-        ts = tau_series(THETA, F(3, 8), None, N=4, M=2, normalization="plain")
+        ts = tau_series(THETA, F(3, 8), None, N=4, M=2, digits=50, normalization="plain")
         assert ts.mode == "exact"
         assert all(isinstance(v, F) for v in ts.series.terms.values())
 
@@ -203,10 +203,10 @@ class TestTauSeries:
         else:
             theta[index] = float(theta[index])
         with pytest.raises(ValueError, match=f"^{name} must be rational"):
-            tau_series(tuple(theta), lam, F(7, 10), N=2, M=1)
+            tau_series(tuple(theta), lam, F(7, 10), N=2, M=1, digits=50)
 
     def test_shift_sectors_graded_by_m_squared(self):
-        ts = tau_series(THETA, F(3, 8), None, N=4, M=2, normalization="plain")
+        ts = tau_series(THETA, F(3, 8), None, N=4, M=2, digits=50, normalization="plain")
         for (m, j) in ts.series.terms:
             assert j >= m * m
 
@@ -385,13 +385,14 @@ class TestTruncatedPipeline:
 
     @pytest.mark.parametrize("N", [4, 6, 8])
     def test_exact_pipeline_matches_untruncated_reference(self, N):
-        ts = tau_series(THETA, F(3, 8), None, N=N, M=3, normalization="plain")
+        ts = tau_series(THETA, F(3, 8), None, N=N, M=3, digits=50, normalization="plain")
         ref = _reference_tau(THETA, F(3, 8), N, 3)
         assert ts.mode == "exact" and ts.series.terms == ref.terms
         res = sigma_pvi_residual(ts)
         assert res and res == _reference_residual(ts)
         for order in (N - 1, N - 2):
-            cut = tau_series(THETA, F(3, 8), None, N=order, M=3, normalization="plain")
+            cut = tau_series(THETA, F(3, 8), None, N=order, M=3, digits=50,
+                             normalization="plain")
             assert sigma_pvi_residual(cut) == _reference_residual(ts, order)
 
 
@@ -477,4 +478,4 @@ class TestTruncationStability:
     def test_degenerate_shift_reported(self):
         # integer internal momentum makes a shifted Gram singular
         with pytest.warns(UserWarning):
-            tau_series(THETA, F(1), None, N=2, M=1, normalization="plain")
+            tau_series(THETA, F(1), None, N=2, M=1, digits=50, normalization="plain")
