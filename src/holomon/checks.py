@@ -40,21 +40,23 @@ def _timed(report: Report, name: str, tag: str, fn):
 
 
 def _trace_values(name):
+    """The triangulation, every curated curve's trace, and the generators'."""
     tri, curves = reference_setup(name)
     fg = dual_fat_graph(tri)
-    vals = {k: holonomy.trace_function(tri, curves[k], fg) for k in ("s", "t", "u")}
+    traces = {k: holonomy.trace_function(tri, cp, fg) for k, cp in curves.items()}
+    vals = {k: traces[k] for k in ("s", "t", "u")}
     if name == "c11":
-        vals["L0"] = holonomy.trace_function(tri, curves["p1"], fg)
+        vals["L0"] = traces["p1"]
     else:
         for i, p in enumerate(boundary_names(name), 1):
-            vals[f"L{i}"] = holonomy.trace_function(tri, curves[p], fg)
-    return tri, curves, vals
+            vals[f"L{i}"] = traces[p]
+    return tri, traces, vals
 
 
 def classical_checks(surfaces=("c11", "c04")) -> Report:
     rep = Report("classical trace-algebra identities")
     for name in surfaces:
-        tri, curves, vals = _trace_values(name)
+        tri, traces, vals = _trace_values(name)
         n = exchange_matrix(tri)
 
         def relation(name=name, vals=vals):
@@ -72,18 +74,15 @@ def classical_checks(surfaces=("c11", "c04")) -> Report:
         _timed(rep, f"{name}: bracket equals u-derivative of relation",
                "bracket-derivative", bracket)
 
-        def positivity(name=name, tri=tri, curves=curves):
-            fg = dual_fat_graph(tri)
-            bad = [k for k, cp in curves.items()
-                   if not holonomy.trace_function(tri, cp, fg).all_coefficients_positive()]
+        def positivity(traces=traces):
+            bad = [k for k, p in traces.items() if not p.all_coefficients_positive()]
             return not bad, ", ".join(bad)
 
         _timed(rep, f"{name}: trace coefficients positive", "trace-positivity", positivity)
 
-        def skein(name=name, tri=tri, curves=curves, vals=vals):
+        def skein(name=name, traces=traces, vals=vals):
             prod = vals["s"] * vals["t"]
-            fg = dual_fat_graph(tri)
-            other = holonomy.trace_function(tri, curves["st_other"], fg)
+            other = traces["st_other"]
             if name == "c11":
                 return prod == vals["u"] + other, ""
             central = vals["L1"] * vals["L3"] + vals["L2"] * vals["L4"]
@@ -144,7 +143,7 @@ def mutation_checks(surfaces=("c11", "c04")) -> Report:
 def quantum_checks(surfaces=("c11", "c04")) -> Report:
     rep = Report("quantum torus relations")
     for name in surfaces:
-        tri, curves, vals = _trace_values(name)
+        tri, _, vals = _trace_values(name)
         n = exchange_matrix(tri)
         ops = {k: qtorus.quantize_trace(v, n) for k, v in vals.items()}
 
@@ -353,14 +352,17 @@ def bpz_checks(b2=Fraction(2, 7), order: int = 8) -> Report:
     return rep
 
 
-def shift_changes(theta, lam, kappa, N: int, digits: int) -> list:
-    """Largest coefficient change of the tau series as the shift range
-    grows from M = k - 1 to k, for k = 1 .. max(2, isqrt(N)); shift k
-    enters at t^(k^2), so beyond isqrt(N) nothing changes.  A convergent
-    shift sum makes the changes strictly decrease."""
-    series = [tau.tau_series(theta, lam, kappa, N=N, M=k, digits=digits)
-              for k in range(max(2, math.isqrt(N)) + 1)]
-    return [tau.coefficient_difference(a, b) for a, b in zip(series, series[1:])]
+def shift_changes(ts: tau.TauSeries) -> list:
+    """Largest coefficient change of the tau series ``ts`` as its shift
+    range grows from M = k - 1 to k, for k = 1 .. max(2, isqrt(N)): each
+    bigraded slot belongs to one shift, so that is the largest |term| of
+    shifts +-k, phase included.  Shift k enters at t^(k^2), so beyond
+    isqrt(N) nothing changes.  A convergent shift sum makes the changes
+    strictly decrease."""
+    terms = ts.series.terms.items()
+    return [pantsrep.worst_residual([mp.mpf(0)] + [abs(v) for (m, _), v in terms
+                                                   if abs(m) == k])
+            for k in range(1, max(2, math.isqrt(ts.unphased.jmax)) + 1)]
 
 
 def shrink_ratio(changes: list):
@@ -390,8 +392,7 @@ def tau_checks(seed: int, draws: int) -> Report:
                             digits=TAU_DIGITS)
         residuals += [abs(v) for v in tau.sigma_pvi_residual(ts).values()]
         mid = time.perf_counter()
-        ratios.append(shrink_ratio(shift_changes(theta, lam, kappa, TAU_ORDER,
-                                                 TAU_DIGITS)))
+        ratios.append(shrink_ratio(shift_changes(ts)))
         resid_s += mid - start
         stab_s += time.perf_counter() - mid
     worst_resid = pantsrep.worst_residual(residuals)

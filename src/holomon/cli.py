@@ -365,7 +365,7 @@ def block(kind, weights, cc, order, out, plot):
         for ck in blk.coeffs:
             total += float(ck)
             partial.append(total)
-        emit_plot(partial, plot, title=f"{kind} partial sums at q=1",
+        emit_plot(enumerate(partial), plot, title=f"{kind} partial sums at q=1",
                   xlabel="order", ylabel="partial sum")
         click.echo(f"plot written to {plot}")
 
@@ -397,9 +397,9 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
     try:
         ts = tau_series(tuple(theta), lam, kappa, N=order, M=shifts, digits=digits,
                         normalization=normalization)
-    except ValueError as exc:  # an infinite shift weight
+    except ValueError as exc:  # an infinite weight, or a degenerate shift 0
         raise BadInput(str(exc)) from exc
-    lines = [f"# mode={ts.mode} leading_exponent={ts.leading_exponent}"]
+    lines = [f"# leading_exponent={ts.leading_exponent}"]
     for (m, j), v in sorted(ts.series.terms.items()):
         lines.append(f"{m} {j} {v}")
     if residual:

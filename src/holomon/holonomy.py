@@ -3,7 +3,8 @@
 Holonomies of fat-graph walks are products of per-edge matrices
 ``[[0, X^(1/2)], [-X^(-1/2), 0]]`` with constant turn matrices
 ``L = [[1,1],[-1,0]]`` and ``R = [[0,1],[-1,-1]]`` (so ``L^3 = -1``,
-matching the trivalent vertices).  Traces are sign-normalized Laurent
+matching the trivalent vertices), multiplied out one step, edge times
+turn matrix, at a time.  Traces are sign-normalized Laurent
 polynomials; the log-canonical bracket and coordinate mutation live here
 as well, and the cubic/quartic trace relations as the s = 1 value of the
 relation table in ``reference``.
@@ -16,43 +17,36 @@ from fractions import Fraction
 from .laurent import LaurentPoly, LaurentRational
 from .qcoeff import SPoly
 from .reference import relation_terms, word_sum
-from .sparse import convolve, pairing, vec_add
+from .sparse import add_into, convolve, pairing, vec_add
 from .surfaces import (LEFT, RIGHT, CurvePath, FatGraph, Triangulation, dual_fat_graph,
                        exchange_matrix, flip)
 
-# turn matrices as integer 2x2 tuples
-_TURN = {
-    LEFT: ((1, 1), (-1, 0)),
-    RIGHT: ((0, 1), (-1, -1)),
+# One walk step, E_e T for the edge matrix E_e = [[0, X^(1/2)], [-X^(-1/2), 0]]
+# and the turn matrix T: L = [[1,1],[-1,0]] gives [[-X^(1/2), 0],
+# [-X^(-1/2), -X^(-1/2)]] and R = [[0,1],[-1,-1]] gives [[-X^(1/2), -X^(1/2)],
+# [0, -X^(-1/2)]].  Each nonzero entry maps (row, col) to (sign, doubled
+# power of X_e).
+_STEP = {
+    LEFT: {(0, 0): (-1, 1), (1, 0): (-1, -1), (1, 1): (-1, -1)},
+    RIGHT: {(0, 0): (-1, 1), (0, 1): (-1, 1), (1, 1): (-1, -1)},
 }
 
 
-def _edge_matrix(nvars: int, e: int):
-    half = [0] * nvars
-    half[e] = 1
-    up = LaurentPoly.monomial(nvars, half)
-    dn = LaurentPoly.monomial(nvars, [-x for x in half], -1)
-    zero = LaurentPoly.zero(nvars)
-    return ((zero, up), (dn, zero))
-
-
-def _mat_mul(A, B):
-    # 2x2 product; B may be an integer turn matrix
-    return tuple(
-        tuple(A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2))
-        for i in range(2)
-    )
-
-
 def holonomy_matrix(tri: Triangulation, curve: CurvePath, fg: FatGraph):
-    """Product of edge and turn matrices along the (validated) walk."""
-    resolved = curve.resolve(fg)
+    """Product of edge and turn matrices along the (validated) walk: each
+    step's entries are signed monomials, so a step shifts one exponent of
+    the running entries' terms."""
     nvars = tri.n_edges
-    acc = None
-    for _, e, turn in resolved:
-        M = _mat_mul(_edge_matrix(nvars, e), _TURN[turn])
-        acc = M if acc is None else _mat_mul(acc, M)
-    return acc
+    one = {(0,) * nvars: 1}
+    acc = [[one, {}], [{}, one]]
+    for _, e, turn in curve.resolve(fg):
+        out = [[{}, {}], [{}, {}]]
+        for (k, j), (sign, p) in _STEP[turn].items():
+            for i in range(2):
+                add_into(out[i][j], {d[:e] + (d[e] + p,) + d[e + 1:]: c
+                                     for d, c in acc[i][k].items()}, sign)
+        acc = out
+    return tuple(tuple(LaurentPoly(nvars, t) for t in row) for row in acc)
 
 
 def trace_function(tri: Triangulation, curve: CurvePath,

@@ -50,38 +50,38 @@ def _scale(values, lo_pix, hi_pix):
     return to_pix
 
 
-def emit_plot(series, path: str, title: str, xlabel: str, ylabel: str,
-              logy: bool = False) -> str:
-    """Write a deterministic SVG of the given (x, y) data.
+def emit_plot(points, path: str, title: str, xlabel: str, ylabel: str,
+              logy: bool = False) -> None:
+    """Write a deterministic SVG of the given (x, y) pairs.
 
-    ``series`` is a list of y-values (x = index) or of (x, y) pairs; with
-    ``logy`` the positive y-values are plotted on a decimal log scale
-    (e.g. residual decay).  Returns the path.
+    With ``logy`` the positive y-values are plotted on a decimal log scale
+    (e.g. residual decay).  The legend counts the points drawn, and the
+    values <= 0 that ``logy`` left out, so an empty plot says so.
     """
     pts = []
-    for i, item in enumerate(series):
-        if isinstance(item, (tuple, list)):
-            x, y = item
-        else:
-            x, y = i, item
+    dropped = 0
+    for x, y in points:
         x, y = float(x), float(y)
         if logy:
             if y <= 0:
+                dropped += 1
                 continue
             y = math.log10(y)
         pts.append((x, y))
     lines = _frame(title, xlabel, ylabel + (" (log10)" if logy else ""))
+    legend = f"n={len(pts)}"
     if pts:
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         sx = _scale(xs, _PAD, _W - _PAD)
         sy = _scale(ys, _H - _PAD, _PAD)
         lines.append(_polyline([(sx(x), sy(y)) for x, y in pts], "#1f6fb2"))
-        lines.append(
-            f'<text x="{_W - _PAD}" y="{_PAD - 8}" text-anchor="end" font-size="10">'
-            f'min={_fmt(min(ys))} max={_fmt(max(ys))} n={len(pts)}</text>')
+        legend = f"min={_fmt(min(ys))} max={_fmt(max(ys))} {legend}"
+    if dropped:
+        legend += f", {dropped} values &lt;= 0 not drawn"
+    lines.append(f'<text x="{_W - _PAD}" y="{_PAD - 8}" text-anchor="end" '
+                 f'font-size="10">{legend}</text>')
     lines.append("</svg>")
     data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(data)
-    return path

@@ -15,9 +15,8 @@ chi = e^(i kappa) once; ``TauSeries.series`` and the deformation-equation
 residual put chi^m back on the way out.
 
 lambda and theta are rational, so every shift's block is exact.  A plain
-sum keeps its Fractions (exact mode, with no kappa, has chi = 1); in a
-weighted sum each coefficient becomes an mpmath number where it meets
-its weight, at the working precision.
+sum keeps its Fractions; in a weighted sum each coefficient becomes an
+mpmath number where it meets its weight, at the working precision.
 
 The shift weights C(lambda + m) / C(lambda) are products of steps
 C(u + 1) / C(u).  Each chain takes its first step from twelve Gamma
@@ -123,8 +122,7 @@ class TauSeries:
     lam: object
     theta: tuple             # (th0, tht, th1, thinf)
     unphased: BiSeries       # the coefficients without the kappa phase
-    phase: object            # e^(i kappa); Fraction(1) in exact mode
-    mode: str
+    phase: object            # e^(i kappa)
     digits: int
 
     @property
@@ -254,12 +252,14 @@ def tau_series(theta, lam, kappa, N: int, M: int, digits: int,
     normalization 'isomonodromic' (default) weighs each shift with the
     ratio of unit-central-charge structure constants, which is what makes
     the sum solve the deformation equation; 'plain' drops the weights,
-    giving the bare normalized-block sum, exact with kappa=None.
+    giving the bare normalized-block sum, whose ``unphased`` coefficients
+    stay Fractions.
 
     Shift m enters at t^(m^2), so its block is computed only to order
-    N - m^2, and not at all when m^2 > N.  Shifts whose weight vanishes,
-    or whose Gram matrices are singular at a level the truncation keeps,
-    are skipped with a warning; an infinite weight raises ValueError.
+    N - m^2, and neither its weight nor its block when m^2 > N.  Shifts
+    whose weight vanishes, or whose Gram matrices are singular at a level
+    the truncation keeps, are skipped with a warning; an infinite weight,
+    or a singular Gram matrix of shift 0, raises ValueError.
     """
     if normalization not in ("isomonodromic", "plain"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -268,12 +268,11 @@ def tau_series(theta, lam, kappa, N: int, M: int, digits: int,
             raise ValueError(f"{name} must be rational, got {x!r}")
     theta = tuple(theta)
     weighted = normalization == "isomonodromic"
-    exact = kappa is None and not weighted
     terms: dict = {}
     skipped = []
     with mp.workdps(digits):
-        phase = Fraction(1) if exact else mp.exp(1j * mp.mpmathify(kappa or 0))
-        shifts = range(-M, M + 1)
+        phase = mp.exp(1j * mp.mpmathify(kappa))
+        shifts = [m for m in range(-M, M + 1) if m * m <= N]
         # nearest shifts first, so an infinite weight is reported where
         # its chain first breaks
         weights = {m: weight_ratio(theta, lam, m, digits)
@@ -282,11 +281,12 @@ def tau_series(theta, lam, kappa, N: int, M: int, digits: int,
             if weighted and weights[m] == 0:
                 skipped.append(m)
                 continue
-            if m * m > N:
-                continue
             try:
                 coeffs = _shift_block(theta, lam, m, N - m * m)
             except GramSingularError:
+                if m == 0:  # the leading term; without it nothing is normalized
+                    raise ValueError(f"the block of shift 0 is degenerate at "
+                                     f"lambda={lam} (a singular Gram matrix)") from None
                 skipped.append(m)
                 continue
             # exponent offset relative to the m = 0 block:
@@ -297,7 +297,7 @@ def tau_series(theta, lam, kappa, N: int, M: int, digits: int,
     if skipped:
         warnings.warn(f"skipped degenerate shifts {skipped} (non-generic momentum)")
     return TauSeries(lam=lam, theta=theta, unphased=BiSeries(terms, N), phase=phase,
-                     mode="exact" if exact else "float", digits=digits)
+                     digits=digits)
 
 
 def coefficient_difference(a: TauSeries, b: TauSeries):

@@ -5,7 +5,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holomon import checks, holonomy
 from holomon.holonomy import (
+    holonomy_matrix,
     mutate_coordinate,
     poisson_bracket,
     relation_poly,
@@ -53,6 +55,39 @@ def to_sympy(p, xs):
             term *= x ** sympy.Rational(e, 2)
         expr += term
     return sympy.expand(expr)
+
+
+def _mat_mul(A, B):
+    # 2x2 product; B may be an integer matrix
+    return tuple(tuple(A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2))
+                 for i in range(2))
+
+
+def product_holonomy(tri, curve, fg):
+    """Reference holonomy: each edge matrix [[0, X^(1/2)], [-X^(-1/2), 0]]
+    times its turn matrix, multiplied out as 2x2 products of Laurent
+    polynomials, zero entries included."""
+    E = tri.n_edges
+    turns = {"L": ((1, 1), (-1, 0)), "R": ((0, 1), (-1, -1))}
+    zero = LaurentPoly.zero(E)
+    acc = ((LaurentPoly.const(E, 1), zero), (zero, LaurentPoly.const(E, 1)))
+    for _, e, turn in curve.resolve(fg):
+        half = [0] * E
+        half[e] = 1
+        edge = ((zero, LaurentPoly.monomial(E, half)),
+                (LaurentPoly.monomial(E, [-x for x in half], -1), zero))
+        acc = _mat_mul(acc, _mat_mul(edge, turns[turn]))
+    return acc
+
+
+def _curated_and_covariant_walks(name):
+    """(triangulation, walk) for every curated curve of ``name`` and every
+    stored covariant walk in a flipped triangulation."""
+    tri, curves = reference_setup(name)
+    walks = [(tri, cp) for cp in curves.values()]
+    for e, cname in covariance_corpus(name):
+        walks.append((flip(tri, e), covariant_walk(name, e, cname)))
+    return walks
 
 
 class TestTraceFunction:
@@ -310,9 +345,8 @@ class TestBracketVsRelationDerivative:
 
 class TestHolonomyMatrix:
     def test_determinant_is_one(self):
-        # edge and turn matrices are unimodular, so every walk holonomy is
-        from holomon.holonomy import holonomy_matrix
-
+        # edge and turn matrices are unimodular, so every walk holonomy has
+        # determinant 1
         for name in ("c11", "c04"):
             tri, curves = reference_setup(name)
             fg = dual_fat_graph(tri)
@@ -320,3 +354,26 @@ class TestHolonomyMatrix:
                 H = holonomy_matrix(tri, cp, fg)
                 det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
                 assert det == LaurentPoly.const(tri.n_edges, 1)
+
+    @pytest.mark.parametrize("name", ["c11", "c04"])
+    def test_step_table_matches_matrix_product(self, name):
+        walks = _curated_and_covariant_walks(name)
+        assert len(walks) > 10
+        for tri, cp in walks:
+            fg = dual_fat_graph(tri)
+            assert holonomy_matrix(tri, cp, fg) == product_holonomy(tri, cp, fg), cp.steps
+
+    def test_classical_suite_traces_each_curve_once(self, monkeypatch):
+        seen = []
+        real = holonomy.trace_function
+
+        def counted(tri, curve, fg=None):
+            seen.append(curve.steps)
+            return real(tri, curve, fg)
+
+        monkeypatch.setattr(holonomy, "trace_function", counted)
+        rep = checks.classical_checks()
+        assert {c.status for c in rep.checks} == {"pass"}
+        want = [cp.steps for name in ("c11", "c04")
+                for cp in reference_setup(name)[1].values()]
+        assert seen == want

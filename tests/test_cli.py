@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -311,6 +312,32 @@ class TestSeriesCommands:
         assert f"plot written to {plot}" in r.output
         assert "<svg" in plot.read_text()
 
+    def test_tau_header(self, runner):
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10",
+                                 "--order", "2", "--shifts", "1"])
+        assert r.exit_code == 0
+        assert r.output.startswith("# leading_exponent=-361/11025\n-1 1 ")
+
+    def test_tau_unreached_shift_not_weighed(self, runner):
+        # shift 3 enters at t^9, past order 6, so its zero weight is never
+        # met and nothing is reported skipped
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = runner.invoke(main, ["tau", "--lam", "1/4", "--kappa", "1",
+                                     "--theta", "1/4,2,1/3,1/5", "--order", "6",
+                                     "--shifts", "3"])
+        assert r.exit_code == 0
+        assert not [w for w in caught if "skipped" in str(w.message)]
+        assert {line.split()[0] for line in r.output.splitlines()[1:-1]} == \
+            {"-2", "-1", "0", "1", "2"}
+
+    def test_tau_order_zero_holds_shift_zero_alone(self, runner):
+        # lambda = 2 makes the weight of shift 1 infinite, but order 0
+        # keeps shift 0 alone
+        r = runner.invoke(main, ["tau", "--lam", "2", "--kappa", "1", "--order", "0"])
+        assert r.exit_code == 0
+        assert r.output == "# leading_exponent=1679/441\n0 0 (1.0 + 0.0j)\n"
+
     @pytest.mark.parametrize("lam", ["0", "1/2"])
     def test_tau_infinite_weight_exits_2(self, runner, lam):
         r = runner.invoke(main, ["tau", "--lam", lam, "--kappa", "13/10",
@@ -319,6 +346,16 @@ class TestSeriesCommands:
         assert "Traceback" not in r.output
         assert r.output.startswith("error: ") and r.output.count("\n") == 1
         assert f"lambda={lam}" in r.output
+
+    @pytest.mark.parametrize("lam,order", [("0", "2"), ("1/2", "2"), ("1/2", "4")])
+    def test_tau_degenerate_shift_zero_exits_2(self, runner, lam, order):
+        # with no other shift there is no weight to be infinite; shift 0's
+        # own Gram matrix is singular, so the sum has no leading term
+        r = runner.invoke(main, ["tau", "--lam", lam, "--kappa", "0", "--theta", "0,0,0,1",
+                                 "--order", order, "--shifts", "0"])
+        assert r.exit_code == 2
+        assert r.output == f"error: the block of shift 0 is degenerate at lambda={lam} " \
+                           "(a singular Gram matrix)\n"
 
     @pytest.mark.parametrize("opt,value", [
         ("--shifts", "-1"), ("--order", "-1"), ("--digits", "0"), ("--digits", "-1"),
@@ -516,7 +553,7 @@ class TestExitContract:
 class TestPlot:
     def test_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        data = [1.0, 0.1, 0.01, 0.001]
+        data = list(enumerate([1.0, 0.1, 0.01, 0.001]))
         emit_plot(data, str(a), "partial sums", "order", "value", logy=True)
         emit_plot(data, str(b), "partial sums", "order", "value", logy=True)
         assert a.read_bytes() == b.read_bytes()
@@ -526,9 +563,22 @@ class TestPlot:
         emit_plot([], str(p), "partial sums", "order", "value")
         text = p.read_text()
         assert "<svg" in text and "polyline" not in text
+        assert ">n=0</text>" in text
 
     def test_monotone_decay_rendered(self, tmp_path):
         p = tmp_path / "d.svg"
-        emit_plot([10.0 ** -k for k in range(6)], str(p), "partial sums", "order", "value",
-                  logy=True)
+        emit_plot([(k, 10.0 ** -k) for k in range(6)], str(p), "partial sums", "order",
+                  "value", logy=True)
         assert "polyline" in p.read_text()
+
+    def test_dropped_values_are_counted(self, tmp_path):
+        p = tmp_path / "d.svg"
+        emit_plot([(0, 1.0), (1, 0.0), (2, -1e-3), (3, 0.01)], str(p), "residual",
+                  "order", "value", logy=True)
+        text = p.read_text()
+        assert "polyline" in text
+        assert "min=-2.0000 max=0.0000 n=2, 2 values &lt;= 0 not drawn</text>" in text
+        p0 = tmp_path / "z.svg"
+        emit_plot([(0, 0.0), (1, 0.0)], str(p0), "residual", "order", "value", logy=True)
+        text = p0.read_text()
+        assert "polyline" not in text and ">n=0, 2 values &lt;= 0 not drawn</text>" in text

@@ -19,10 +19,11 @@ from holomon import (blocks, checks, holonomy, pantsrep, qmutation, qtorus, refe
                      sparse, tau, virasoro)
 from holomon.laurent import LaurentPoly, LaurentRational
 from holomon.qcoeff import SPoly
-from holomon.surfaces import flip
+from holomon.surfaces import LEFT, flip
 
 CLASSICAL = functools.partial(checks.classical_checks, ("c11",))
 CLASSICAL_C04 = functools.partial(checks.classical_checks, ("c04",))
+CLASSICAL_BOTH = checks.classical_checks
 MUTATION = functools.partial(checks.mutation_checks, ("c11",))
 QUANTUM = functools.partial(checks.quantum_checks, ("c11",))
 SHIFT = functools.partial(checks.pants_checks, "c11", seed=0, draws=1)
@@ -42,6 +43,13 @@ def skein_other_is_u(monkeypatch):
         return tri, {**curves, "st_other": curves["u"]}
 
     monkeypatch.setattr(checks, "reference_setup", setup)
+
+
+def step_sign_flipped(monkeypatch):
+    """The left turn's step with +X_e^(1/2) in its top-left entry: the
+    step no longer comes from an edge matrix times L, and simple curves'
+    traces on both surfaces get negative coefficients."""
+    monkeypatch.setitem(holonomy._STEP[LEFT], (0, 0), (1, 1))
 
 
 def bracket_constant_one(monkeypatch):
@@ -173,8 +181,8 @@ def weight_steps_nan(monkeypatch):
 
 def unweighted_sum(monkeypatch):
     """Every tau series summed without the structure-constant weights.
-    The keyword is overridden, not defaulted: ``shift_changes`` passes
-    no normalization, but other callers do."""
+    The keyword is overridden, not defaulted: the suite's draws pass no
+    normalization, but its unweighted-sum row does."""
     real = tau.tau_series
 
     def plain(*args, **kwargs):
@@ -220,6 +228,7 @@ def three_point_factor_at_full_level(monkeypatch):
 
 CONTROLS = [
     ("skein-product", CLASSICAL, skein_other_is_u),
+    ("trace-positivity", CLASSICAL_BOTH, step_sign_flipped),
     ("bracket-derivative", CLASSICAL, bracket_constant_one),
     ("q-commutator", QUANTUM, naive_quantization_after_flip),
     ("q-cubic", QUANTUM, naive_quantization_after_flip),

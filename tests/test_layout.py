@@ -1,8 +1,9 @@
 """The library holds only what the tool runs.
 
-Every public function, method and class defined in ``src/holomon`` must be
-named in code (not in a comment or docstring) somewhere in
-``src/holomon/*.py`` or ``benchmarks/*.py`` outside its own definition,
+Every function, method and class defined in ``src/holomon``, private ones
+included (dunders, click commands and click hooks aside), must be named in
+code (not in a comment or docstring) somewhere in ``src/holomon/*.py`` or
+``benchmarks/*.py`` outside its own definition,
 and every option a function or a dataclass takes must be set by some call
 there, and left to its default by another.  Tests do not count: a function or option only a test uses checks
 nothing when ``holomon`` runs.  ``blocks.py`` and ``virasoro.py`` hold
@@ -11,8 +12,6 @@ one arithmetic, exact rationals, so neither imports mpmath.
 
 import ast
 import importlib
-import io
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -37,35 +36,43 @@ def _hook_override(module, cls: ast.ClassDef, method: ast.FunctionDef) -> bool:
         if not b.__module__.startswith("holomon"))
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions():
-    """(path, qualified name, first line, last line) of every public
-    module-level function or class and every public method.  A click
-    command, and a click hook, is called by the framework, so neither
-    needs a caller here."""
+    """(path, qualified name, first line, last line) of every module-level
+    function or class and every method, private ones included.  Python
+    calls a dunder, and click a command or a hook, so none of them needs
+    a caller here."""
     for path in SRC:
         module = importlib.import_module(f"holomon.{path.stem}")
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") and not _registered(node):
+            if not _dunder(node.name) and not _registered(node):
                 yield path, node.name, node.lineno, node.end_lineno
             if not isinstance(node, ast.ClassDef):
                 continue
             for sub in node.body:
-                if (isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                if (isinstance(sub, ast.FunctionDef) and not _dunder(sub.name)
                         and not _hook_override(module, node, sub)):
                     yield path, f"{node.name}.{sub.name}", sub.lineno, sub.end_lineno
 
 
 def _identifiers():
-    """(path, line, name) of every identifier token in the library and the
-    benchmark harness, except the names that ``def`` and ``class`` bind."""
+    """(path, line, name) of every name that code in the library and the
+    benchmark harness reads: a variable, an attribute, or an imported name
+    (f-string fields included, which a token scan sees as one string)."""
     for path in SRC + BENCH:
-        prev = None
-        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-            if tok.type == tokenize.NAME and prev not in ("def", "class"):
-                yield path, tok.start[0], tok.string
-            prev = tok.string
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                yield path, node.lineno, node.id
+            elif isinstance(node, ast.Attribute):
+                yield path, node.lineno, node.attr
+            elif isinstance(node, ast.alias):
+                for name in {node.name.split(".")[-1], node.asname} - {None}:
+                    yield path, node.lineno, name
 
 
 def test_every_public_name_has_a_caller():

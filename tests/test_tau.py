@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from holomon import checks
 from holomon import tau as tau_module
 from holomon.blocks import sphere4_block
 from holomon.checks import shift_changes, shrink_ratio
@@ -186,14 +187,20 @@ class TestTauSeries:
         assert abs(ts.series.terms[(0, 0)] - 1) < 1e-25
 
     def test_leading_exponent(self):
-        ts = tau_series(THETA, F(3, 8), None, N=2, M=1, digits=50, normalization="plain")
+        ts = tau_series(THETA, F(3, 8), 0, N=2, M=1, digits=50, normalization="plain")
         th0, tht = THETA[0], THETA[1]
         assert ts.leading_exponent == F(3, 8) ** 2 - th0 ** 2 - tht ** 2
 
     def test_exact_mode_plain(self):
-        ts = tau_series(THETA, F(3, 8), None, N=4, M=2, digits=50, normalization="plain")
-        assert ts.mode == "exact"
-        assert all(isinstance(v, F) for v in ts.series.terms.values())
+        # a plain sum keeps exact coefficients apart from its phase, so a
+        # unit phase gives an exact series and an exact residual
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=4, M=2, digits=50,
+                        normalization="plain")
+        assert ts.unphased.terms
+        assert all(isinstance(v, F) for v in ts.unphased.terms.values())
+        exact = dataclasses.replace(ts, phase=F(1))
+        assert all(isinstance(v, F) for v in exact.series.terms.values())
+        assert all(isinstance(v, F) for v in sigma_pvi_residual(exact).values())
 
     @pytest.mark.parametrize("index,name", [(None, "lam"), (0, "th0"), (3, "thinf")])
     def test_momenta_must_be_rational(self, index, name):
@@ -206,7 +213,8 @@ class TestTauSeries:
             tau_series(tuple(theta), lam, F(7, 10), N=2, M=1, digits=50)
 
     def test_shift_sectors_graded_by_m_squared(self):
-        ts = tau_series(THETA, F(3, 8), None, N=4, M=2, digits=50, normalization="plain")
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=4, M=2, digits=50,
+                        normalization="plain")
         for (m, j) in ts.series.terms:
             assert j >= m * m
 
@@ -385,15 +393,19 @@ class TestTruncatedPipeline:
 
     @pytest.mark.parametrize("N", [4, 6, 8])
     def test_exact_pipeline_matches_untruncated_reference(self, N):
-        ts = tau_series(THETA, F(3, 8), None, N=N, M=3, digits=50, normalization="plain")
+        # the plain sum's exact coefficients, under a unit phase
+        def exact(order):
+            ts = tau_series(THETA, F(3, 8), F(7, 10), N=order, M=3, digits=50,
+                            normalization="plain")
+            return dataclasses.replace(ts, phase=F(1))
+
+        ts = exact(N)
         ref = _reference_tau(THETA, F(3, 8), N, 3)
-        assert ts.mode == "exact" and ts.series.terms == ref.terms
+        assert ts.unphased.terms == ref.terms and ts.series.terms == ref.terms
         res = sigma_pvi_residual(ts)
         assert res and res == _reference_residual(ts)
         for order in (N - 1, N - 2):
-            cut = tau_series(THETA, F(3, 8), None, N=order, M=3, digits=50,
-                             normalization="plain")
-            assert sigma_pvi_residual(cut) == _reference_residual(ts, order)
+            assert sigma_pvi_residual(exact(order)) == _reference_residual(ts, order)
 
 
 class TestSigmaEquation:
@@ -471,11 +483,46 @@ class TestTruncationStability:
         assert mp.isnan(coefficient_difference(a, dataclasses.replace(a, unphased=nan)))
 
     def test_shift_contributions_shrink(self):
-        changes = shift_changes(THETA, F(3, 8), F(7, 10), 6, 40)
+        changes = shift_changes(tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3,
+                                           digits=40))
         assert len(changes) == 2 and changes[0] > changes[1] > 0
         assert shrink_ratio(changes) < 1
+
+    def test_shift_changes_match_growing_range(self):
+        # each change is the difference of the sums at M = k - 1 and k
+        def at(M):
+            return tau_series(THETA, F(3, 8), F(7, 10), N=6, M=M, digits=40)
+
+        changes = shift_changes(at(3))
+        for k, change in enumerate(changes, 1):
+            want = coefficient_difference(at(k - 1), at(k))
+            assert want > 0 and abs(change - want) <= 1e-14 * want, k
+
+    @pytest.mark.parametrize("normalization", ["isomonodromic", "plain"])
+    def test_degenerate_shift_zero_raises(self, normalization):
+        # lambda = 0 is a degenerate weight at level 1; the sum would have
+        # no leading term
+        with pytest.raises(ValueError, match="shift 0 is degenerate at lambda=0"):
+            tau_series(THETA, F(0), 0, N=2, M=0, digits=30, normalization=normalization)
 
     def test_degenerate_shift_reported(self):
         # integer internal momentum makes a shifted Gram singular
         with pytest.warns(UserWarning):
-            tau_series(THETA, F(1), None, N=2, M=1, digits=50, normalization="plain")
+            tau_series(THETA, F(1), 0, N=2, M=1, digits=50, normalization="plain")
+
+
+class TestSuiteBuildsOnce:
+    def test_one_series_per_draw(self, monkeypatch):
+        # the truncation row reads the series the residual row built; the
+        # one more call is the unweighted sum's row
+        calls = []
+        real = tau_module.tau_series
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("normalization", "isomonodromic"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tau_module, "tau_series", counted)
+        rep = checks.tau_checks(seed=0, draws=2)
+        assert {c.status for c in rep.checks} == {"pass"}
+        assert calls == ["isomonodromic", "isomonodromic", "plain"]
