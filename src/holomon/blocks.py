@@ -26,19 +26,43 @@ from .virasoro import degenerate_weight as degenerate_weight_of  # noqa: F401
 # -- descendant three-point data ------------------------------------------------
 
 
+def three_point_factor(delta_out, h, delta_in, n: int, inner: int):
+    """The factor that peeling the lowering generator L_{-n} off a
+    descendant of level inner + n contributes to a primary insertion's
+    matrix element: delta_in + inner + n h - delta_out."""
+    return delta_in + inner + n * h - delta_out
+
+
 def three_point_descendant(delta_out, h, delta_in, lam: tuple):
     """Normalized value of the primary insertion between a highest-weight
     vector and the descendant L_{-lam} of weight delta_in.
 
-    Peeling one lowering generator at a time off the descendant gives the
-    factor (delta_in + inner level + n h - delta_out) per part n.
+    Peeling one lowering generator at a time off the descendant gives
+    ``three_point_factor`` per part n at the level of the parts after it.
     """
     if not lam:
         return 1
     n, rest = lam[0], lam[1:]
-    inner = sum(rest)
-    return (delta_in + inner + n * h - delta_out) * \
+    return three_point_factor(delta_out, h, delta_in, n, sum(rest)) * \
         three_point_descendant(delta_out, h, delta_in, rest)
+
+
+def three_point_rows(delta_out, h, delta_in, N: int) -> list:
+    """``three_point_descendant`` for every partition of each level
+    0..N, in the order of ``partitions``: the entry of lam at level k is
+    the factor of its first part n times the entry of lam[1:], kept from
+    level k - n."""
+    values = {(): 1}
+    rows = [[1]]
+    for k in range(1, N + 1):
+        row = []
+        for lam in partitions(k):
+            n = lam[0]
+            values[lam] = (three_point_factor(delta_out, h, delta_in, n, k - n)
+                           * values[lam[1:]])
+            row.append(values[lam])
+        rows.append(row)
+    return rows
 
 
 class PrimaryMatrixElements:
@@ -62,9 +86,8 @@ class PrimaryMatrixElements:
         else:
             n, rest = lam[0], lam[1:]
             d = self.module.delta
-            dw = d + sum(rest)
-            du = d + sum(mu)
-            val = (dw - self.h - du + (n + 1) * self.h) * self.element(rest, mu)
+            val = (three_point_factor(d + sum(mu), self.h, d, n, sum(rest))
+                   * self.element(rest, mu))
             lowered = self.module.apply_L(n, {mu: 1})
             for nu, v in lowered.items():
                 val = val + v * self.element(rest, nu)
@@ -113,12 +136,10 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int,
     """
     d1, d2, d3, d4, d_beta, c = map(Fraction, (d1, d2, d3, d4, d_beta, c))
     module = VermaModule(d_beta, c)
-    coeffs = []
-    for k in range(N + 1):
-        basis = partitions(k)
-        left = [three_point_descendant(d4, d3, d_beta, lam) for lam in basis]
-        right = [three_point_descendant(d1, d2, d_beta, mu) for mu in basis]
-        coeffs.append(_contract(module, k, left, right))
+    lefts = three_point_rows(d4, d3, d_beta, N)
+    rights = three_point_rows(d1, d2, d_beta, N)
+    coeffs = [_contract(module, k, left, right)
+              for k, (left, right) in enumerate(zip(lefts, rights))]
     return BlockSeries(
         leading_exponent=d_beta - d1 - d2,
         coeffs=coeffs,

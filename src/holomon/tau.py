@@ -18,6 +18,12 @@ lambda and theta are rational, so every shift's block is exact.  A plain
 sum keeps its Fractions; in a weighted sum each coefficient becomes an
 mpmath number where it meets its weight, at the working precision.
 
+The deformation-equation residual runs in the ring its coefficients call
+for: Fractions stay exact; real coefficients go into the standard
+library's ``decimal`` (C arithmetic, with relative rounding like
+mpmath's) two digits above the working precision, and come back as
+mpmath numbers; complex ones stay in mpmath.
+
 The shift weights C(lambda + m) / C(lambda) are products of steps
 C(u + 1) / C(u).  Each chain takes its first step from twelve Gamma
 values and every later one from the step before, times an exact
@@ -26,8 +32,10 @@ rational factor.
 
 from __future__ import annotations
 
+import decimal
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -81,10 +89,12 @@ class BiSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o: "BiSeries") -> "BiSeries":
-        """Quotient solved grade by grade, q_j = (a_j - sum_{i>=1} s_i
-        q_(j-i)) / s_0, with s_i the divisor's terms of grade i; s_0 must
-        be a nonzero constant."""
+    def __truediv__(self, o) -> "BiSeries":
+        """Quotient by a scalar, term by term, or by a series, solved grade
+        by grade, q_j = (a_j - sum_{i>=1} s_i q_(j-i)) / s_0, with s_i the
+        divisor's terms of grade i; s_0 must be a nonzero constant."""
+        if not isinstance(o, BiSeries):
+            return BiSeries({k: v / o for k, v in self.terms.items()}, self.jmax)
         lead = o.terms.get((0, 0), 0)
         if lead == 0 or any(j < 0 or (j == 0 and m) for (m, j) in o.terms):
             raise ZeroDivisionError("the divisor's grade-0 part is not a "
@@ -335,13 +345,43 @@ def coefficient_difference(a: TauSeries, b: TauSeries):
 #   Z^2/4 + 4 q0 qt q1 + U (U+Y) (Y+k) - q0 (U+Y)^2 - qt (Y+k)^2 - q1 U^2.
 def _sigma_form(U, Y, Z, theta):
     """A quarter of the sigma-form's left side, in any commutative ring
-    that takes the squared thetas and Fractions as scalars."""
+    whose elements take the thetas and ints as scalars and divide by ints."""
     q0, qt, q1, qi = (x * x for x in theta)
     k = q0 + qt + q1 - qi
     UU, UY, YY = U * U, U * Y, Y * Y
     W = UU + UY                     # U (U+Y), so U (U+Y) (Y+k) = W Y + k W
-    return (Z * Z * Fraction(1, 4) + W * Y + W * k - (UU + UY * 2 + YY) * q0
+    return (Z * Z / 4 + W * Y + W * k - (UU + UY * 2 + YY) * q0
             - (YY + Y * (2 * k)) * qt - UU * q1 + (4 * q0 * q1 - k * k) * qt)
+
+
+def _to_decimal(x) -> Decimal:
+    """A rational or an mpf as a Decimal, rounded once to the current
+    decimal context.  A finite mpf man 2^exp with exp < 0 is exactly
+    man 5^-exp 10^exp; NaN and the infinities map to their own kind."""
+    if _rational(x):
+        return Decimal(x.numerator) / x.denominator
+    if mp.isnan(x):
+        return Decimal("NaN")
+    if mp.isinf(x):
+        return Decimal("-Infinity" if x < 0 else "Infinity")
+    sign, man, exp, _ = x._mpf_
+    man, exp10 = (man * 5 ** -exp, exp) if exp < 0 else (man << exp, 0)
+    return Decimal(-man if sign else man).scaleb(exp10)
+
+
+def _identity(x):
+    return x
+
+
+def _rings(values) -> tuple:
+    """(into, out) maps of the ring the residual of these coefficients
+    runs in: exact for ints and Fractions, ``decimal`` for real ones,
+    mpmath as given otherwise (complex)."""
+    if all(_rational(v) for v in values):
+        return _identity, _identity
+    if all(_rational(v) or isinstance(v, mp.mpf) for v in values):
+        return _to_decimal, mp.mpmathify
+    return mp.mpmathify, _identity
 
 
 def sigma_pvi_residual(tau: TauSeries) -> dict:
@@ -355,17 +395,29 @@ def sigma_pvi_residual(tau: TauSeries) -> dict:
     does not satisfy the equation.  It runs on the coefficients without
     the phase, and multiplies residual term (m, j) by phase^m on the way
     out (see the module docstring).
+
+    The ring is chosen once per call from the coefficients, and every
+    coefficient and rational scalar is taken into it once: Fractions stay
+    exact; real (mpf or rational) coefficients run in ``decimal`` at
+    d + 2 digits, d = max(tau.digits, mp.mp.dps), whose unit roundoff
+    5e-(d+2) is below mpmath's at d digits, and each slot comes back as
+    an mpf; complex ones run in mpmath at d digits.  An invalid decimal
+    operation gives NaN, as in mpmath, and the caller's decimal context
+    is left as it was.
     """
-    with mp.workdps(max(tau.digits, mp.mp.dps)):
-        # sigma'' is exact only through grade N - 2, the last kept slot;
-        # every product operand has grades >= 0, so none needs more
-        jmax = tau.unphased.jmax - 2
-        if jmax < 0:
-            return {}
-        lam2 = 2 * tau.lam
+    digits = max(tau.digits, mp.mp.dps)
+    # sigma'' is exact only through grade N - 2, the last kept slot;
+    # every product operand has grades >= 0, so none needs more
+    jmax = tau.unphased.jmax - 2
+    if jmax < 0:
+        return {}
+    into, out = _rings(tau.unphased.terms.values())
+    context = decimal.Context(prec=digits + 2,
+                              traps=[decimal.DivisionByZero, decimal.Overflow])
+    with mp.workdps(digits), decimal.localcontext(context):
+        lam2, E0 = into(2 * tau.lam), into(tau.leading_exponent)
         # t d/dt log tau (prefactor included), to jmax + 1 for sigma'
-        S = BiSeries(tau.unphased.terms, jmax + 1)
-        E0 = tau.leading_exponent
+        S = BiSeries({k: into(v) for k, v in tau.unphased.terms.items()}, jmax + 1)
         R = BiSeries({(m, j): v * (E0 + lam2 * m + j) for (m, j), v in S.terms.items()},
                      jmax + 1) / S
 
@@ -383,4 +435,5 @@ def sigma_pvi_residual(tau: TauSeries) -> dict:
         Z0 = d_dt(Y)
         Z = tmul(Z0) - tmul(Z0, 2)          # t(1-t) sigma''
 
-        return tau.phased(_sigma_form(U, Y, Z, tau.theta).terms)
+        form = _sigma_form(U, Y, Z, tuple(map(into, tau.theta)))
+        return tau.phased({k: out(v) for k, v in form.terms.items()})

@@ -8,9 +8,11 @@ from holomon.blocks import (
     frobenius_solution,
     sphere4_block,
     three_point_descendant,
+    three_point_rows,
     torus1_block,
 )
-from holomon.virasoro import GramSingularError, degenerate_weight, partition_count
+from holomon.virasoro import (GramSingularError, degenerate_weight, partition_count,
+                              partitions)
 
 
 def weight(p, r, b2):
@@ -30,6 +32,16 @@ class TestThreePointDescendant:
     def test_single_level_one(self):
         dout, h, din = F(1, 2), F(1, 3), F(1, 5)
         assert three_point_descendant(dout, h, din, (1,)) == din + h - dout
+
+    def test_rows_match_the_recursion(self):
+        # each row built from the level below equals the value recomputed
+        # per partition, for every partition up to level 10
+        dout, h, din = F(3, 5), F(-5, 7), F(13, 4)
+        rows = three_point_rows(dout, h, din, 10)
+        assert len(rows) == 11
+        for k, row in enumerate(rows):
+            assert row == [three_point_descendant(dout, h, din, lam)
+                           for lam in partitions(k)]
 
 
 class TestSphere4:

@@ -375,7 +375,7 @@ class TestSeriesCommands:
         assert default.exit_code == 0
         assert default.output == runner.invoke(main, [*args, "--digits", "50"]).output
         assert default.output.endswith(
-            "# deformation-equation residual (worst slot): 9.6966e-52\n")
+            "# deformation-equation residual (worst slot): 8.435e-52\n")
         lines = runner.invoke(main, ["tau", "--help"]).output.splitlines()
         assert any("--digits" in line and "[default: 50; x>=1]" in line for line in lines)
 

@@ -217,13 +217,10 @@ def three_point_factor_at_full_level(monkeypatch):
     """The per-part factor of a descendant three-point value taken at the
     descendant's whole level, not the level below the peeled part; with a
     zero-weight insertion between equal weights it no longer vanishes."""
-    def value(delta_out, h, delta_in, lam):
-        if not lam:
-            return 1
-        return (delta_in + sum(lam) + lam[0] * h - delta_out) * \
-            value(delta_out, h, delta_in, lam[1:])
+    def factor(delta_out, h, delta_in, n, inner):
+        return delta_in + inner + n + n * h - delta_out
 
-    monkeypatch.setattr(blocks, "three_point_descendant", value)
+    monkeypatch.setattr(blocks, "three_point_factor", factor)
 
 
 CONTROLS = [

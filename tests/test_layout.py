@@ -7,7 +7,9 @@ code (not in a comment or docstring) somewhere in ``src/holomon/*.py`` or
 and every option a function or a dataclass takes must be set by some call
 there, and left to its default by another.  Tests do not count: a function or option only a test uses checks
 nothing when ``holomon`` runs.  ``blocks.py`` and ``virasoro.py`` hold
-one arithmetic, exact rationals, so neither imports mpmath.
+one arithmetic, exact rationals, so neither imports mpmath.  Decimal
+arithmetic runs in a local context, so no library call changes the
+caller's.
 """
 
 import ast
@@ -208,3 +210,30 @@ def _imported_modules(path) -> set:
 @pytest.mark.parametrize("name", ["blocks", "virasoro"])
 def test_block_arithmetic_imports_no_mpmath(name):
     assert "mpmath" not in _imported_modules(ROOT / "src" / "holomon" / f"{name}.py")
+
+
+def _called_name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def _decimal_context_writes(path) -> list:
+    """Lines that swap the decimal context (``setcontext``), bind the
+    current one to a name, or assign into it through ``getcontext()``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if _called_name(node) == "setcontext":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if _called_name(node.value) == "getcontext" or any(
+                    _called_name(sub) == "getcontext"
+                    for t in targets for sub in ast.walk(t)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_decimal_context_only_local():
+    writes = {path.stem: _decimal_context_writes(path) for path in SRC}
+    assert {name: lines for name, lines in writes.items() if lines} == {}

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import random
 from fractions import Fraction as F
 
@@ -408,6 +409,11 @@ class TestTruncatedPipeline:
             assert sigma_pvi_residual(exact(order)) == _reference_residual(ts, order)
 
 
+def _draw(rng):
+    theta = tuple(F(rng.randint(1, 9), rng.randint(10, 29)) for _ in range(4))
+    return theta, F(rng.randint(8, 17), 40), F(rng.randint(1, 12), 10)
+
+
 class TestSigmaEquation:
     def test_coefficients_closed_form(self):
         # the residual's polynomial is the Jimbo-Miwa-Okamoto sigma-form,
@@ -431,21 +437,16 @@ class TestSigmaEquation:
         assert max(abs(v) for v in res.values()) < 1e-40
 
     def test_residual_scales_with_precision(self):
-        r30 = sigma_pvi_residual(tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3,
-                                            digits=30))
-        r50 = sigma_pvi_residual(tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3,
-                                            digits=50))
-        w30 = max(abs(v) for v in r30.values())
-        w50 = max(abs(v) for v in r50.values())
+        w30, w50, w70 = (max(abs(v) for v in sigma_pvi_residual(
+            tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=digits)).values())
+            for digits in (30, 50, 70))
         assert w50 < w30 * mp.mpf(10) ** -15
+        assert w70 < w50 * mp.mpf(10) ** -15
 
     def test_random_draws(self):
         rng = random.Random(23)
         for _ in range(3):
-            theta = tuple(F(rng.randint(1, 9), rng.randint(10, 29)) for _ in range(4))
-            lam = F(rng.randint(8, 17), 40)
-            kappa = F(rng.randint(1, 12), 10)
-            ts = tau_series(theta, lam, kappa, N=6, M=3, digits=50)
+            ts = tau_series(*_draw(rng), N=6, M=3, digits=50)
             res = sigma_pvi_residual(ts)
             assert max(abs(v) for v in res.values()) < 1e-10
 
@@ -469,6 +470,69 @@ class TestSigmaEquation:
             # from one series, so compare over the union of slots
             for k in ra.keys() | rb.keys():
                 assert abs(ra.get(k, 0) - rb.get(k, 0)) < 1e-30
+
+
+class TestResidualRings:
+    """Real coefficients run in ``decimal``, complex ones in mpmath as
+    given; the two must agree to the working precision."""
+
+    @pytest.mark.parametrize("digits, tol", [(30, 1e-25), (50, 1e-45)])
+    def test_decimal_matches_mpmath(self, digits, tol):
+        rng = random.Random(31)
+        for _ in range(3):
+            ts = tau_series(*_draw(rng), N=6, M=3, digits=digits)
+            got = sigma_pvi_residual(ts)
+            assert got
+            with mp.workdps(digits):
+                as_complex = BiSeries({k: mp.mpc(v) for k, v in ts.unphased.terms.items()},
+                                      ts.unphased.jmax)
+                want = sigma_pvi_residual(dataclasses.replace(ts, unphased=as_complex))
+                scale = max(abs(v) for v in ts.unphased.terms.values())
+                for k in got.keys() | want.keys():
+                    assert abs(got.get(k, 0) - want.get(k, 0)) <= tol * scale, k
+
+    def test_nan_slot_gives_nan(self):
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=50)
+        nan = BiSeries({**ts.unphased.terms, (1, 2): mp.nan}, ts.unphased.jmax)
+        res = sigma_pvi_residual(dataclasses.replace(ts, unphased=nan))
+        assert any(mp.isnan(v) for v in res.values())
+
+    def test_nan_slot_fails_the_row(self, monkeypatch):
+        real = tau_module.tau_series
+
+        def nan_slot(*args, **kwargs):
+            ts = real(*args, **kwargs)
+            if "normalization" not in kwargs:   # the weighted draws
+                ts.unphased.terms[(1, 2)] = mp.nan
+            return ts
+
+        monkeypatch.setattr(tau_module, "tau_series", nan_slot)
+        row, = [c for c in checks.tau_checks(seed=0, draws=1).checks
+                if c.name.startswith("deformation-equation residual")]
+        assert (row.status, row.witness) == ("fail", "worst residual nan")
+
+    def test_infinite_slot_does_not_raise(self):
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=50)
+        inf = BiSeries({**ts.unphased.terms, (1, 2): mp.inf}, ts.unphased.jmax)
+        assert sigma_pvi_residual(dataclasses.replace(ts, unphased=inf))
+
+    def test_caller_context_kept(self):
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=50)
+        # a divisor with no constant term raises inside the residual
+        no_lead = BiSeries({k: v for k, v in ts.unphased.terms.items() if k != (0, 0)},
+                           ts.unphased.jmax)
+        with decimal.localcontext() as caller:
+            caller.prec = 7
+            caller.traps[decimal.Inexact] = True
+            caller.clear_flags()
+            before = (caller.prec, dict(caller.traps), dict(caller.flags))
+            assert sigma_pvi_residual(ts)
+            assert decimal.getcontext() is caller
+            assert (caller.prec, dict(caller.traps), dict(caller.flags)) == before
+            with pytest.raises(ZeroDivisionError):
+                sigma_pvi_residual(dataclasses.replace(ts, unphased=no_lead))
+            assert decimal.getcontext() is caller
+            assert (caller.prec, dict(caller.traps), dict(caller.flags)) == before
 
 
 class TestTruncationStability:
