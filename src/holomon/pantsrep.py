@@ -4,7 +4,7 @@ The length operator acts by multiplication with 2 cosh(l/2) and the
 conjugate shift moves l one step along the lattice l_n = l0 - 2 pi i b^2 n,
 so on a finite window of sites the generators Ls, Lt and Lu are banded
 matrices.  Each relation check builds them once per parameter draw as band
-tables (``BandMatrix``): q and every site x_n are evaluated once, then each
+tables (``BandMatrix``): q and every site x_n are computed once, then each
 per-site leaf factor (2 cosh, 2 sinh and its square root, the boundary
 square roots), and the table entries are products of those factors.  The
 relations come from the relation table in ``reference`` at s = q^(1/4),
@@ -34,7 +34,15 @@ A narrower window would lose entries silently, so ``relation_residual``
 and ``residual_table`` take no window from their caller: each builds its
 tables on the sites it reads, from ``_reach``.
 
-Everything here is numeric (mpmath), at a configurable working precision.
+Everything here is numeric, at a configurable working precision d.
+mpmath evaluates only q, s = q^(1/4) and site 0, the base point x0.  Every
+other site is one step of q^(-1) from its neighbour toward site 0 (of q
+below it), so a site's value does not depend on the window it is built
+in, and the residuals of one site agree to the bit across windows.  Every
+table entry, product and residual runs in the standard library's
+``decimal`` (``decimals.Complex``) at d + 2 digits, inside a local context
+that each entry point opens, and each residual comes back as an mpmath
+number.
 Tables live only as long as the call that builds them, so no value computed
 at one precision or deformation parameter is reused at another.
 """
@@ -44,13 +52,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache, reduce
 from operator import matmul
 
 import mpmath as mp
 
+from .decimals import Complex, working
 from .reference import relation_terms
 from .sparse import add_into
+
+ONE = Complex(Decimal(1), Decimal(0))
+# a site closer than this to a zero of 2 sinh(l/2) is rejected
+_SINGULAR = Decimal("1e-12")
 
 
 @dataclass
@@ -81,14 +95,23 @@ class RepParams:
             return mp.mpmathify(self.x0) * mp.exp(-1j * n * mp.pi * mp.mpmathify(self.b2))
 
     def validate_window(self, lo: int, hi: int) -> dict:
-        """The sites {n: x_n} for lo <= n <= hi, each evaluated once.
-        Rejects base points that land within 1e-12 of a zero of
-        2 sinh(l/2)."""
-        sites = {}
-        for n in range(lo, hi + 1):
-            x = sites[n] = self.site(n)
-            if abs(x - 1 / x) < 1e-12:
-                raise ValueError(f"lattice site {n} hits a zero of 2 sinh(l/2)")
+        """The sites {n: x_n} for lo <= n <= hi as ``Complex`` numbers: site
+        0 from ``site``, and each other site one step of q^(-1) (of q for
+        n < 0) from its neighbour toward site 0, so a site's value is the
+        same in every window.  Rejects base points that land within 1e-12
+        of a zero of 2 sinh(l/2)."""
+        with mp.workdps(self.digits), working(self.digits):
+            q = Complex.of(self.q())
+            x = {0: Complex.of(self.site(0))}
+            down = ONE / q
+            for n in range(1, hi + 1):
+                x[n] = x[n - 1] * down
+            for n in range(-1, lo - 1, -1):
+                x[n] = x[n + 1] * q
+            sites = {n: x[n] for n in range(lo, hi + 1)}
+            for n, v in sites.items():
+                if abs(v - ONE / v) < _SINGULAR:
+                    raise ValueError(f"lattice site {n} hits a zero of 2 sinh(l/2)")
         return sites
 
 
@@ -148,14 +171,14 @@ def _relation_terms(p: RepParams, kind: str, degree: int) -> list:
     """The summands of the deformed relation as (coefficient, word) pairs,
     the word read as an operator product ("st" is Ls Lt, "" the identity);
     kept separate so residuals can be normalized by the term-magnitude
-    scale.  The table's s is q^(1/4) = exp(i pi b2 / 4)."""
-    s = mp.exp(1j * mp.pi * mp.mpmathify(p.b2) / 4)
-    # s^e by products, since mpmath's integer power of a complex NaN can
-    # come out 0 or raise
-    s_to = cache(lambda e: 1 / s_to(-e) if e < 0 else s_to(e - 1) * s if e else 1)
-    boundary = {k: mp.mpmathify(v) for k, v in p.boundary.items()}
-    return relation_terms(kind, degree, boundary,
-                          lambda poly: sum(c * s_to(e) for e, c in poly.c.items()))
+    scale.  The table's s is q^(1/4) = exp(i pi b2 / 4), and s^e is taken
+    by products."""
+    with mp.workdps(p.digits), working(p.digits):
+        s = Complex.of(mp.exp(1j * mp.pi * mp.mpmathify(p.b2) / 4))
+        s_to = cache(lambda e: ONE / s_to(-e) if e < 0 else s_to(e - 1) * s if e else ONE)
+        boundary = {k: Complex.of(v) for k, v in p.boundary.items()}
+        return relation_terms(kind, degree, boundary,
+                              lambda poly: sum(c * s_to(e) for e, c in poly.c.items()))
 
 
 def generator_tables(p: RepParams, kind: str, window: tuple, quadratic: list) -> dict:
@@ -171,39 +194,40 @@ def generator_tables(p: RepParams, kind: str, window: tuple, quadratic: list) ->
     other words' table products, each times its coefficient, divided by the
     coefficient of u.
     """
-    with mp.workdps(p.digits):
-        q = p.q()
+    with mp.workdps(p.digits), working(p.digits):
+        q = Complex.of(p.q())
+        qi = ONE / q
         x = p.validate_window(*window)
-        inv = {n: 1 / v for n, v in x.items()}
+        inv = {n: ONE / v for n, v in x.items()}
         ch = {n: x[n] + inv[n] for n in x}      # 2 cosh(l/2)
         sh = {n: x[n] - inv[n] for n in x}      # 2 sinh(l/2)
         Ls = BandMatrix({0: ch})
         if kind == "c04":
-            L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
-            num0, num1 = (q + 1 / q) * (L2 * L3 + L1 * L4), L1 * L3 + L2 * L4
-            qq = q ** 2 + q ** -2
-            root = {n: 1 / mp.sqrt(v) for n, v in sh.items()}
-            mid = {n: mp.sqrt(c_factor(ch[n], L1, L2)) * mp.sqrt(c_factor(ch[n], L3, L4))
+            L1, L2, L3, L4 = (Complex.of(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
+            num0, num1 = (q + qi) * (L2 * L3 + L1 * L4), L1 * L3 + L2 * L4
+            qq = q * q + qi * qi
+            root = {n: ONE / v.sqrt() for n, v in sh.items()}
+            mid = {n: c_factor(ch[n], L1, L2).sqrt() * c_factor(ch[n], L3, L4).sqrt()
                    / sh[n] for n in x}
             Lt = BandMatrix({
-                0: {n: (num0 + ch[n] * num1) / (x[n] ** 2 + inv[n] ** 2 - qq) for n in x},
+                0: {n: (num0 + ch[n] * num1) / (x[n] * x[n] + inv[n] * inv[n] - qq) for n in x},
                 2: _band(window, 2, lambda n: root[n] * mid[n + 1] * root[n + 2]),
                 -2: _band(window, -2, lambda n: root[n] * mid[n - 1] * root[n - 2]),
             })
         elif kind == "c11":
-            L0 = mp.mpmathify(p.boundary["L0"])
-            Lt = BandMatrix({
-                1: _band(window, 1, lambda n: mp.sqrt(L0 + x[n] ** 2 / q + q * inv[n] ** 2)
-                         / sh[n]),
-                -1: _band(window, -1, lambda n: mp.sqrt(L0 + q * x[n] ** 2 + inv[n] ** 2 / q)
-                          / sh[n]),
-            })
+            L0 = Complex.of(p.boundary["L0"])
+
+            def entry(a, b):    # sqrt(L0 + a x^2 + b x^-2) / 2 sinh(l/2)
+                return lambda n: (L0 + a * x[n] * x[n] + b * inv[n] * inv[n]).sqrt() / sh[n]
+
+            Lt = BandMatrix({1: _band(window, 1, entry(qi, q)),
+                             -1: _band(window, -1, entry(q, qi))})
         else:
             raise ValueError(f"unknown kind {kind!r}")
         tables = {"s": Ls, "t": Lt}
         terms = {w: c for c, w in quadratic}
         d = -terms.pop("u")
-        if abs(d) < mp.mpf(10) ** (-p.digits // 2):
+        if abs(d) < Decimal(1).scaleb(-p.digits // 2):
             raise ValueError("the quadratic relation's coefficient of u vanishes "
                              "(q^4 = 1 on c04, q^2 = 1 on c11)")
         rest: dict = {}
@@ -230,14 +254,15 @@ def _reach(kind: str, degree: int) -> int:
     return (degree - 1) * _LT_BANDWIDTH[kind]
 
 
-def _norm(values):
-    return mp.sqrt(sum(abs(v) ** 2 for v in values))
+def _norm(values) -> Decimal:
+    """The Euclidean norm of ``Complex`` entries, with one square root."""
+    return sum((v.norm2() for v in values), Decimal(0)).sqrt()
 
 
 def _word_vectors(tables: dict, words, site: int) -> dict:
     """{word: the word applied to the basis vector at ``site``}, with each
     suffix applied once and its vector shared by every word ending in it."""
-    vecs = {"": {site: mp.mpf(1)}}
+    vecs = {"": {site: ONE}}
     for word in words:
         for i in reversed(range(len(word))):
             if word[i:] not in vecs:
@@ -248,17 +273,17 @@ def _word_vectors(tables: dict, words, site: int) -> dict:
 def _residual(terms: list, vecs: dict):
     """Relative residual of the relation applied to a basis vector, from
     the vector of each of its words: |P delta_n| divided by the sum of the
-    term magnitudes."""
+    term magnitudes, as an mpmath number."""
     total: dict = {}
-    scale = mp.mpf(0)
+    scale = Decimal(0)
     for coef, word in terms:
         vec = {n: coef * v for n, v in vecs[word].items()}
         scale += _norm(vec.values())
         for n, v in vec.items():
             total[n] = total.get(n, 0) + v
     if scale == 0:
-        return mp.mpf("inf")
-    return _norm(total.values()) / scale
+        return mp.inf
+    return mp.mpmathify(_norm(total.values()) / scale)
 
 
 def relation_residual(p: RepParams, kind: str, degree: int, site: int):
@@ -267,7 +292,7 @@ def relation_residual(p: RepParams, kind: str, degree: int, site: int):
     reads."""
     reach = _reach(kind, degree)
     window = (site - reach, site + reach)
-    with mp.workdps(p.digits):
+    with mp.workdps(p.digits), working(p.digits):
         quadratic = _relation_terms(p, kind, 2)
         terms = quadratic if degree == 2 else _relation_terms(p, kind, degree)
         tables = generator_tables(p, kind, window, quadratic)
@@ -280,7 +305,7 @@ def residual_table(p: RepParams, kind: str, sites=(-2, -1, 0, 1, 2)) -> list:
     read."""
     reach = _reach(kind, 3)
     window = (min(sites) - reach, max(sites) + reach)
-    with mp.workdps(p.digits):
+    with mp.workdps(p.digits), working(p.digits):
         terms = {degree: _relation_terms(p, kind, degree) for degree in (2, 3)}
         tables = generator_tables(p, kind, window, terms[2])
         words = [w for degree in (2, 3) for _, w in terms[degree]]

@@ -32,16 +32,15 @@ rational factor.
 
 from __future__ import annotations
 
-import decimal
 import warnings
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 
 from .blocks import sphere4_block
+from .decimals import to_decimal, working
 from .sparse import add, add_into, convolve
 from .virasoro import GramSingularError
 
@@ -354,21 +353,6 @@ def _sigma_form(U, Y, Z, theta):
             - (YY + Y * (2 * k)) * qt - UU * q1 + (4 * q0 * q1 - k * k) * qt)
 
 
-def _to_decimal(x) -> Decimal:
-    """A rational or an mpf as a Decimal, rounded once to the current
-    decimal context.  A finite mpf man 2^exp with exp < 0 is exactly
-    man 5^-exp 10^exp; NaN and the infinities map to their own kind."""
-    if _rational(x):
-        return Decimal(x.numerator) / x.denominator
-    if mp.isnan(x):
-        return Decimal("NaN")
-    if mp.isinf(x):
-        return Decimal("-Infinity" if x < 0 else "Infinity")
-    sign, man, exp, _ = x._mpf_
-    man, exp10 = (man * 5 ** -exp, exp) if exp < 0 else (man << exp, 0)
-    return Decimal(-man if sign else man).scaleb(exp10)
-
-
 def _identity(x):
     return x
 
@@ -380,7 +364,7 @@ def _rings(values) -> tuple:
     if all(_rational(v) for v in values):
         return _identity, _identity
     if all(_rational(v) or isinstance(v, mp.mpf) for v in values):
-        return _to_decimal, mp.mpmathify
+        return to_decimal, mp.mpmathify
     return mp.mpmathify, _identity
 
 
@@ -412,9 +396,7 @@ def sigma_pvi_residual(tau: TauSeries) -> dict:
     if jmax < 0:
         return {}
     into, out = _rings(tau.unphased.terms.values())
-    context = decimal.Context(prec=digits + 2,
-                              traps=[decimal.DivisionByZero, decimal.Overflow])
-    with mp.workdps(digits), decimal.localcontext(context):
+    with mp.workdps(digits), working(digits):
         lam2, E0 = into(2 * tau.lam), into(tau.leading_exponent)
         # t d/dt log tau (prefactor included), to jmax + 1 for sigma'
         S = BiSeries({k: into(v) for k, v in tau.unphased.terms.items()}, jmax + 1)

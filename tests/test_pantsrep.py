@@ -1,10 +1,15 @@
 import cmath
+import decimal
 import math
 import random
+from decimal import Decimal
+from functools import reduce
+from operator import matmul
 
 import mpmath as mp
 import pytest
 
+from holomon.decimals import Complex, working
 from holomon.pantsrep import (
     B_MOVE_WEIGHT_NOTE,
     BandMatrix,
@@ -23,7 +28,7 @@ from holomon.pantsrep import (
     verify_pants_relations,
     worst_residual,
 )
-from holomon.reference import RELATIONS
+from holomon.reference import RELATIONS, relation_terms
 
 
 def params_c04(digits=30):
@@ -44,9 +49,19 @@ def params(kind):
 SITES = (-2, 0, 3)
 
 
+def as_mpc(z):
+    """A ``Complex`` table entry as an mpmath number at the current
+    precision."""
+    return mp.mpc(mp.mpmathify(z.re), mp.mpmathify(z.im))
+
+
 def tables(p, kind="c04", window=(-8, 8)):
+    """The library's generator tables, every entry converted to mpmath."""
+    built = generator_tables(p, kind, window, _relation_terms(p, kind, 2))
     with mp.workdps(p.digits):
-        return generator_tables(p, kind, window, _relation_terms(p, kind, 2))
+        return {g: BandMatrix({m: {n: as_mpc(v) for n, v in band.items()}
+                               for m, band in table.bands.items()})
+                for g, table in built.items()}
 
 
 def bandwidth(table) -> int:
@@ -277,12 +292,11 @@ class TestRelations:
         # only exact entries, so a wider one gives the same residual to the bit
         for kind in ("c04", "c11"):
             p = params(kind)
-            wide = tables(p, kind, (-20, 20))
+            wide = generator_tables(p, kind, (-20, 20), _relation_terms(p, kind, 2))
             for degree in (2, 3):
-                with mp.workdps(p.digits):
-                    terms = _relation_terms(p, kind, degree)
+                terms = _relation_terms(p, kind, degree)
                 for site in SITES:
-                    with mp.workdps(p.digits):
+                    with mp.workdps(p.digits), working(p.digits):
                         vecs = _word_vectors(wide, (w for _, w in terms), site)
                         got = _residual(terms, vecs)
                     assert relation_residual(p, kind, degree, site) == got
@@ -389,3 +403,150 @@ class TestBandMatrix:
         B = tables(params_c04(), window=(-3, 3))["t"]
         inside = interior(B, (-3, 3))
         assert -3 not in inside and 3 not in inside and 0 in inside
+
+
+# -- reference: the table formulas in mpmath -----------------------------------------
+
+
+def reference_terms(p, kind, degree):
+    """The relation's (coefficient, word) pairs in mpmath, s^e by powers."""
+    with mp.workdps(p.digits):
+        s = mp.exp(1j * mp.pi * mp.mpmathify(p.b2) / 4)
+        boundary = {k: mp.mpmathify(v) for k, v in p.boundary.items()}
+        return relation_terms(kind, degree, boundary,
+                              lambda poly: sum(c * s ** e for e, c in poly.c.items()))
+
+
+def reference_tables(p, kind, window):
+    """{"s": Ls, "t": Lt, "u": Lu} with mpmath entries, each site from its
+    own exponential and every square root from ``mp.sqrt``."""
+    lo, hi = window
+    with mp.workdps(p.digits):
+        q = p.q()
+        x = {n: p.site(n) for n in range(lo, hi + 1)}
+        inv = {n: 1 / v for n, v in x.items()}
+        ch = {n: x[n] + inv[n] for n in x}
+        sh = {n: x[n] - inv[n] for n in x}
+
+        def band(m, f):
+            return {n: f(n) for n in range(max(lo, lo - m), min(hi, hi - m) + 1)}
+
+        if kind == "c04":
+            L1, L2, L3, L4 = (mp.mpmathify(p.boundary[k]) for k in ("L1", "L2", "L3", "L4"))
+            num0, num1 = (q + 1 / q) * (L2 * L3 + L1 * L4), L1 * L3 + L2 * L4
+            qq = q ** 2 + q ** -2
+            root = {n: 1 / mp.sqrt(v) for n, v in sh.items()}
+            mid = {n: mp.sqrt(c_factor(ch[n], L1, L2)) * mp.sqrt(c_factor(ch[n], L3, L4))
+                   / sh[n] for n in x}
+            Lt = BandMatrix({
+                0: {n: (num0 + ch[n] * num1) / (x[n] ** 2 + inv[n] ** 2 - qq) for n in x},
+                2: band(2, lambda n: root[n] * mid[n + 1] * root[n + 2]),
+                -2: band(-2, lambda n: root[n] * mid[n - 1] * root[n - 2]),
+            })
+        else:
+            L0 = mp.mpmathify(p.boundary["L0"])
+            Lt = BandMatrix({
+                1: band(1, lambda n: mp.sqrt(L0 + x[n] ** 2 / q + q * inv[n] ** 2) / sh[n]),
+                -1: band(-1, lambda n: mp.sqrt(L0 + q * x[n] ** 2 + inv[n] ** 2 / q) / sh[n]),
+            })
+        out = {"s": BandMatrix({0: ch}), "t": Lt}
+        terms = {w: c for c, w in reference_terms(p, kind, 2)}
+        d = -terms.pop("u")
+        rest: dict = {}
+        for w, c in terms.items():
+            product = (reduce(matmul, (out[g] for g in w)) if w
+                       else BandMatrix({0: dict.fromkeys(x, mp.mpf(1))}))
+            for m, entries in product.bands.items():
+                row = rest.setdefault(m, {})
+                for n, v in entries.items():
+                    row[n] = row.get(n, 0) + c * v
+        out["u"] = BandMatrix({m: {n: v / d for n, v in entries.items()}
+                               for m, entries in rest.items()})
+        return out
+
+
+DRAW_SEEDS = (5, 6, 7)
+
+
+class TestDecimalTables:
+    """The tables and residuals run in ``decimal``; the mpmath formulas
+    above are the reference."""
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    @pytest.mark.parametrize("digits", [30, 55])
+    def test_entries_match_mpmath(self, kind, digits):
+        reach = _reach(kind, 3)
+        window = (min(SITES) - reach, max(SITES) + reach)
+        tol = mp.mpf(10) ** (3 - digits)
+        for seed in DRAW_SEEDS:
+            p = random_params(kind, random.Random(seed), digits=digits)
+            got, want = tables(p, kind, window), reference_tables(p, kind, window)
+            with mp.workdps(digits):
+                for g in ("s", "t", "u"):
+                    assert set(got[g].bands) == set(want[g].bands), g
+                    for m, entries in want[g].bands.items():
+                        assert set(got[g].bands[m]) == set(entries), (g, m)
+                        for n, v in entries.items():
+                            assert abs(got[g].bands[m][n] - v) <= tol * abs(v), (seed, g, m, n)
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    @pytest.mark.parametrize("digits", [30, 55])
+    def test_residual_rows_at_working_precision(self, kind, digits):
+        for seed in DRAW_SEEDS:
+            p = random_params(kind, random.Random(seed), digits=digits)
+            for site, degree, r in residual_table(p, kind, SITES):
+                assert r < mp.mpf(10) ** (3 - digits), (seed, site, degree, r)
+
+    @pytest.mark.parametrize("z", [
+        mp.mpc(3, 4), mp.mpc(-3, 4), mp.mpc(-3, -4), mp.mpc(3, -4),   # the four quadrants
+        mp.mpc(4, 0), mp.mpc(0, 4), mp.mpc(0, -4), mp.mpc(0, 0),
+        mp.mpc(-1, "1e-21"), mp.mpc(-1, "-1e-21"),                   # either side of the cut
+        mp.mpc("1e-21", -1), mp.mpc("-2.5", "1e-40"),
+    ])
+    def test_sqrt_matches_mpmath(self, z):
+        with mp.workdps(30), working(30):
+            got = as_mpc(Complex.of(z).sqrt())
+            assert abs(got - mp.sqrt(z)) <= mp.mpf(10) ** -29 * abs(z) ** 0.5
+
+    @pytest.mark.parametrize("zero", ["0", "-0"])
+    def test_sqrt_on_the_cut_is_plus_i(self, zero):
+        # mpmath has no signed zero: on the negative real axis its root is
+        # +i sqrt|a|, and so is this one whatever the sign of the zero
+        with mp.workdps(30), working(30):
+            root = Complex(Decimal(-4), Decimal(zero)).sqrt()
+            assert (root.re, root.im) == (0, 2)
+            assert as_mpc(root) == mp.sqrt(mp.mpc(-4, 0))
+
+
+class TestEdgeCases:
+    def test_nan_boundary_fails_both_degrees(self):
+        p = params_c04()
+        p.boundary["L1"] = float("nan")
+        rep = verify_pants_relations(p, "c04", 1e-9)
+        for degree in (2, 3):
+            assert mp.isnan(rep[degree]["residual"]) and rep[degree]["pass"] is False
+
+    def test_nan_base_point_fails_both_degrees(self):
+        p = params_c11()
+        p.x0 = float("nan")
+        rep = verify_pants_relations(p, "c11", 1e-9)
+        for degree in (2, 3):
+            assert mp.isnan(rep[degree]["residual"]) and rep[degree]["pass"] is False
+
+    def test_caller_context_kept(self):
+        degenerate = RepParams(b2=1.0, boundary={f"L{i}": 2.5 for i in range(1, 5)},
+                               x0=1.3 + 0.2j, digits=30)
+        with decimal.localcontext() as caller:
+            caller.prec = 7
+            caller.traps[decimal.Inexact] = True
+            caller.clear_flags()
+            before = (caller.prec, dict(caller.traps), dict(caller.flags))
+            for run in (lambda: residual_table(params_c04(), "c04"),
+                        lambda: relation_residual(params_c11(), "c11", 3, 0)):
+                assert run()
+                assert decimal.getcontext() is caller
+                assert (caller.prec, dict(caller.traps), dict(caller.flags)) == before
+            with pytest.raises(ValueError, match="coefficient of u vanishes"):
+                residual_table(degenerate, "c04")
+            assert decimal.getcontext() is caller
+            assert (caller.prec, dict(caller.traps), dict(caller.flags)) == before
