@@ -33,25 +33,15 @@ def three_point_factor(delta_out, h, delta_in, n: int, inner: int):
     return delta_in + inner + n * h - delta_out
 
 
-def three_point_descendant(delta_out, h, delta_in, lam: tuple):
-    """Normalized value of the primary insertion between a highest-weight
-    vector and the descendant L_{-lam} of weight delta_in.
+def three_point_rows(delta_out, h, delta_in, N: int) -> list:
+    """Normalized values of the primary insertion between a highest-weight
+    vector and each descendant L_{-lam} of weight delta_in, for every
+    partition lam of each level 0..N, in the order of ``partitions``.
 
     Peeling one lowering generator at a time off the descendant gives
-    ``three_point_factor`` per part n at the level of the parts after it.
-    """
-    if not lam:
-        return 1
-    n, rest = lam[0], lam[1:]
-    return three_point_factor(delta_out, h, delta_in, n, sum(rest)) * \
-        three_point_descendant(delta_out, h, delta_in, rest)
-
-
-def three_point_rows(delta_out, h, delta_in, N: int) -> list:
-    """``three_point_descendant`` for every partition of each level
-    0..N, in the order of ``partitions``: the entry of lam at level k is
-    the factor of its first part n times the entry of lam[1:], kept from
-    level k - n."""
+    ``three_point_factor`` per part n at the level of the parts after it:
+    the entry of lam at level k is the factor of its first part n times
+    the entry of lam[1:], kept from level k - n."""
     values = {(): 1}
     rows = [[1]]
     for k in range(1, N + 1):
@@ -80,12 +70,13 @@ class PrimaryMatrixElements:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        d = self.module.delta
         if not lam:
-            val = three_point_descendant(self.module.delta, self.h,
-                                         self.module.delta, mu)
+            # the three-point value of L_{-mu}, peeled as in three_point_rows
+            val = 1 if not mu else (three_point_factor(d, self.h, d, mu[0], sum(mu[1:]))
+                                    * self.element((), mu[1:]))
         else:
             n, rest = lam[0], lam[1:]
-            d = self.module.delta
             val = (three_point_factor(d + sum(mu), self.h, d, n, sum(rest))
                    * self.element(rest, mu))
             lowered = self.module.apply_L(n, {mu: 1})

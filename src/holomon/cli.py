@@ -400,8 +400,9 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
     except ValueError as exc:  # an infinite weight, or a degenerate shift 0
         raise BadInput(str(exc)) from exc
     lines = [f"# leading_exponent={ts.leading_exponent}"]
-    for (m, j), v in sorted(ts.series.terms.items()):
-        lines.append(f"{m} {j} {v}")
+    with mp.workdps(digits):
+        lines += [f"{m} {j} {mp.nstr(v, digits)}"
+                  for (m, j), v in sorted(ts.series.terms.items())]
     if residual:
         # an exactly vanishing slot is not stored, so every slot may be gone
         res = sigma_pvi_residual(ts)

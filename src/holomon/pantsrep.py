@@ -94,14 +94,14 @@ class RepParams:
         with mp.workdps(self.digits):
             return mp.mpmathify(self.x0) * mp.exp(-1j * n * mp.pi * mp.mpmathify(self.b2))
 
-    def validate_window(self, lo: int, hi: int) -> dict:
+    def validate_window(self, q: Complex, lo: int, hi: int) -> dict:
         """The sites {n: x_n} for lo <= n <= hi as ``Complex`` numbers: site
         0 from ``site``, and each other site one step of q^(-1) (of q for
         n < 0) from its neighbour toward site 0, so a site's value is the
-        same in every window.  Rejects base points that land within 1e-12
-        of a zero of 2 sinh(l/2)."""
+        same in every window; q is the caller's ``Complex`` of ``q()``.
+        Rejects base points that land within 1e-12 of a zero of
+        2 sinh(l/2)."""
         with mp.workdps(self.digits), working(self.digits):
-            q = Complex.of(self.q())
             x = {0: Complex.of(self.site(0))}
             down = ONE / q
             for n in range(1, hi + 1):
@@ -197,7 +197,7 @@ def generator_tables(p: RepParams, kind: str, window: tuple, quadratic: list) ->
     with mp.workdps(p.digits), working(p.digits):
         q = Complex.of(p.q())
         qi = ONE / q
-        x = p.validate_window(*window)
+        x = p.validate_window(q, *window)
         inv = {n: ONE / v for n, v in x.items()}
         ch = {n: x[n] + inv[n] for n in x}      # 2 cosh(l/2)
         sh = {n: x[n] - inv[n] for n in x}      # 2 sinh(l/2)

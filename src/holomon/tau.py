@@ -18,11 +18,12 @@ lambda and theta are rational, so every shift's block is exact.  A plain
 sum keeps its Fractions; in a weighted sum each coefficient becomes an
 mpmath number where it meets its weight, at the working precision.
 
-The deformation-equation residual runs in the ring its coefficients call
-for: Fractions stay exact; real coefficients go into the standard
-library's ``decimal`` (C arithmetic, with relative rounding like
-mpmath's) two digits above the working precision, and come back as
-mpmath numbers; complex ones stay in mpmath.
+The deformation-equation residual is written once, in ``residual_form``,
+for any commutative ring.  ``sigma_pvi_residual`` runs it in one ring for
+either normalization: the standard library's ``decimal`` (C arithmetic,
+with relative rounding like mpmath's) two digits above the series' own
+precision, and each slot comes back as an mpmath number.  Nothing here
+reads mpmath's ambient precision.
 
 The shift weights C(lambda + m) / C(lambda) are products of steps
 C(u + 1) / C(u).  Each chain takes its first step from twelve Gamma
@@ -143,7 +144,7 @@ class TauSeries:
         """Bigraded terms with the phase of each shift m, phase^m, put back."""
         powers: dict = {}
         out = {}
-        with mp.workdps(max(self.digits, mp.mp.dps)):
+        with mp.workdps(self.digits):
             for (m, j), v in terms.items():
                 if m not in powers:
                     powers[m] = self.phase ** m
@@ -353,69 +354,60 @@ def _sigma_form(U, Y, Z, theta):
             - (YY + Y * (2 * k)) * qt - UU * q1 + (4 * q0 * q1 - k * k) * qt)
 
 
-def _identity(x):
-    return x
+def residual_form(S: BiSeries, lam2, E0, theta) -> dict:
+    """The bigraded terms of the sigma-form above for tau's series S
+    without its phase, through the last trustworthy grade, N - 2 for S
+    truncated at N; no series is computed past the grade its kept slots
+    read.  Written once for any commutative ring that takes ints as
+    scalars and divides by ints: lam2 = 2 lambda, the leading exponent E0
+    and the thetas are given in S's ring."""
+    # sigma'' is exact only through grade N - 2, the last kept slot;
+    # every product operand has grades >= 0, so none needs more
+    jmax = S.jmax - 2
+    if jmax < 0:
+        return {}
+    # t d/dt log tau (prefactor included), to jmax + 1 for sigma'
+    S = BiSeries(S.terms, jmax + 1)
+    R = BiSeries({(m, j): v * (E0 + lam2 * m + j) for (m, j), v in S.terms.items()},
+                 jmax + 1) / S
 
+    def d_dt(S: BiSeries) -> BiSeries:
+        return BiSeries({(m, j - 1): v * (lam2 * m + j)
+                         for (m, j), v in S.terms.items()}, jmax)
 
-def _rings(values) -> tuple:
-    """(into, out) maps of the ring the residual of these coefficients
-    runs in: exact for ints and Fractions, ``decimal`` for real ones,
-    mpmath as given otherwise (complex)."""
-    if all(_rational(v) for v in values):
-        return _identity, _identity
-    if all(_rational(v) or isinstance(v, mp.mpf) for v in values):
-        return to_decimal, mp.mpmathify
-    return mp.mpmathify, _identity
+    def tmul(S: BiSeries, power: int = 1) -> BiSeries:
+        return BiSeries({(m, j + power): v for (m, j), v in S.terms.items()
+                         if j + power <= S.jmax}, S.jmax)
+
+    sigma = tmul(R) - R                 # t(t-1) dlog(tau)/dt, to jmax + 1
+    Y = d_dt(sigma)
+    U = sigma - tmul(Y)
+    Z0 = d_dt(Y)
+    Z = tmul(Z0) - tmul(Z0, 2)          # t(1-t) sigma''
+    return _sigma_form(U, Y, Z, theta).terms
 
 
 def sigma_pvi_residual(tau: TauSeries) -> dict:
     """Residual coefficients of the scalar deformation equation.
 
     Substitutes sigma(t) = t(t-1) d/dt log tau into the sigma-form above
-    and returns the bigraded residual terms through the trustworthy
-    grade, N - 2 for a series truncated at N; no series is computed past
-    the grade its kept slots read.  The weighted (isomonodromic) normalization
-    drives every coefficient to zero at working precision; the plain sum
-    does not satisfy the equation.  It runs on the coefficients without
-    the phase, and multiplies residual term (m, j) by phase^m on the way
-    out (see the module docstring).
+    (``residual_form``) and returns the bigraded residual terms through
+    grade N - 2.  The weighted (isomonodromic) normalization drives every
+    coefficient to zero at working precision; the plain sum does not
+    satisfy the equation.  It runs on the coefficients without the phase,
+    and multiplies residual term (m, j) by phase^m on the way out (see the
+    module docstring).
 
-    The ring is chosen once per call from the coefficients, and every
-    coefficient and rational scalar is taken into it once: Fractions stay
-    exact; real (mpf or rational) coefficients run in ``decimal`` at
-    d + 2 digits, d = max(tau.digits, mp.mp.dps), whose unit roundoff
-    5e-(d+2) is below mpmath's at d digits, and each slot comes back as
-    an mpf; complex ones run in mpmath at d digits.  An invalid decimal
-    operation gives NaN, as in mpmath, and the caller's decimal context
-    is left as it was.
+    Every coefficient (Fraction or mpf) and rational scalar goes into
+    ``decimal`` once, at d + 2 digits with d = tau.digits, whose unit
+    roundoff 5e-(d+2) is below mpmath's at d digits; each slot comes back
+    as an mpf at d digits.  An invalid decimal operation gives NaN, as in
+    mpmath, and the caller's decimal context is left as it was.
     """
-    digits = max(tau.digits, mp.mp.dps)
-    # sigma'' is exact only through grade N - 2, the last kept slot;
-    # every product operand has grades >= 0, so none needs more
-    jmax = tau.unphased.jmax - 2
-    if jmax < 0:
-        return {}
-    into, out = _rings(tau.unphased.terms.values())
-    with mp.workdps(digits), working(digits):
-        lam2, E0 = into(2 * tau.lam), into(tau.leading_exponent)
-        # t d/dt log tau (prefactor included), to jmax + 1 for sigma'
-        S = BiSeries({k: into(v) for k, v in tau.unphased.terms.items()}, jmax + 1)
-        R = BiSeries({(m, j): v * (E0 + lam2 * m + j) for (m, j), v in S.terms.items()},
-                     jmax + 1) / S
-
-        def d_dt(S: BiSeries) -> BiSeries:
-            return BiSeries({(m, j - 1): v * (lam2 * m + j)
-                             for (m, j), v in S.terms.items()}, jmax)
-
-        def tmul(S: BiSeries, power: int = 1) -> BiSeries:
-            return BiSeries({(m, j + power): v for (m, j), v in S.terms.items()
-                             if j + power <= S.jmax}, S.jmax)
-
-        sigma = tmul(R) - R                 # t(t-1) dlog(tau)/dt, to jmax + 1
-        Y = d_dt(sigma)
-        U = sigma - tmul(Y)
-        Z0 = d_dt(Y)
-        Z = tmul(Z0) - tmul(Z0, 2)          # t(1-t) sigma''
-
-        form = _sigma_form(U, Y, Z, tuple(map(into, tau.theta)))
-        return tau.phased({k: out(v) for k, v in form.terms.items()})
+    with working(tau.digits):
+        S = BiSeries({k: to_decimal(v) for k, v in tau.unphased.terms.items()},
+                     tau.unphased.jmax)
+        form = residual_form(S, to_decimal(2 * tau.lam), to_decimal(tau.leading_exponent),
+                             tuple(map(to_decimal, tau.theta)))
+    with mp.workdps(tau.digits):
+        return tau.phased({k: mp.mpmathify(v) for k, v in form.items()})

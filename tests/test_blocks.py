@@ -4,15 +4,27 @@ import pytest
 
 from holomon.blocks import (
     BlockSeries,
+    PrimaryMatrixElements,
     bpz_residual,
     frobenius_solution,
     sphere4_block,
-    three_point_descendant,
+    three_point_factor,
     three_point_rows,
     torus1_block,
 )
-from holomon.virasoro import (GramSingularError, degenerate_weight, partition_count,
-                              partitions)
+from holomon.virasoro import (GramSingularError, VermaModule, degenerate_weight,
+                              partition_count, partitions)
+
+
+def three_point_descendant(delta_out, h, delta_in, lam: tuple):
+    """Reference value of the primary insertion between a highest-weight
+    vector and the descendant L_{-lam} of weight delta_in, recomputed per
+    partition: one ``three_point_factor`` per part n at the level of the
+    parts after it."""
+    if not lam:
+        return 1
+    return (three_point_factor(delta_out, h, delta_in, lam[0], sum(lam[1:]))
+            * three_point_descendant(delta_out, h, delta_in, lam[1:]))
 
 
 def weight(p, r, b2):
@@ -42,6 +54,14 @@ class TestThreePointDescendant:
         for k, row in enumerate(rows):
             assert row == [three_point_descendant(dout, h, din, lam)
                            for lam in partitions(k)]
+
+    def test_matrix_elements_base_case_matches_the_recursion(self):
+        # the torus's elements with a primary on the left, from the memo
+        d, h = F(13, 4), F(-5, 7)
+        elements = PrimaryMatrixElements(VermaModule(d, CC), h)
+        for k in range(9):
+            for mu in partitions(k):
+                assert elements.element((), mu) == three_point_descendant(d, h, d, mu)
 
 
 class TestSphere4:
@@ -124,9 +144,6 @@ class TestTorus1:
         # the h-insertion between level-1 states: delta + h(h-1)/(2 delta)
         # (standard torus one-point first coefficient), checked against the
         # machinery rather than quoted: recompute via raw matrix element
-        from holomon.blocks import PrimaryMatrixElements
-        from holomon.virasoro import VermaModule
-
         V = VermaModule(db, CC)
         el = PrimaryMatrixElements(V, d0)
         assert blk.coeffs[1] == el.element((1,), (1,)) / (2 * db)

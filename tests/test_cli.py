@@ -368,6 +368,23 @@ class TestSeriesCommands:
         assert r.exit_code == 2
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize("digits,first", [
+        ("4", "(-0.1371 + 0.4938j)"),
+        ("80", "(-0.1370987582997006166812774927917603883278625519"
+               "4845172308333670801347299174455389"
+               " + 0.4938437728847217533100685457634624621187108072"
+               "3518091890987374730832178508208199j)"),
+    ])
+    def test_tau_prints_at_working_precision(self, runner, digits, first):
+        # each coefficient carries --digits significant digits, no more and
+        # no fewer
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10", "--order", "2",
+                                 "--shifts", "1", "--digits", digits])
+        assert r.exit_code == 0
+        lines = r.output.splitlines()
+        assert lines[1] == f"-1 1 {first}"
+        assert "0 0 (1.0 + 0.0j)" in lines
+
     def test_tau_default_digits(self, runner):
         # without --digits the series runs at 50 digits, and --help says so
         args = ["tau", "--lam", "2/5", "--kappa", "13/10"]

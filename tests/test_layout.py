@@ -9,7 +9,8 @@ there, and left to its default by another.  Tests do not count: a function or op
 nothing when ``holomon`` runs.  ``blocks.py`` and ``virasoro.py`` hold
 one arithmetic, exact rationals, so neither imports mpmath.  Decimal
 arithmetic runs in a local context, so no library call changes the
-caller's.
+caller's, and no module reads mpmath's ambient precision: each number
+carries its own digits.
 """
 
 import ast
@@ -237,3 +238,27 @@ def _decimal_context_writes(path) -> list:
 def test_decimal_context_only_local():
     writes = {path.stem: _decimal_context_writes(path) for path in SRC}
     assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` for a chain of names and attributes, None otherwise."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def _ambient_precision_reads(path) -> list:
+    """Lines that name mpmath's global precision, ``mp.mp.dps``,
+    ``mp.dps``, their ``prec`` twins, or the same through ``mpmath``."""
+    contexts = {"mp", "mp.mp", "mpmath", "mpmath.mp"}
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("dps", "prec")
+            and _dotted(node.value) in contexts]
+
+
+def test_no_ambient_precision_read():
+    reads = {path.stem: _ambient_precision_reads(path) for path in SRC}
+    assert {name: lines for name, lines in reads.items() if lines} == {}

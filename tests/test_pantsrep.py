@@ -323,8 +323,8 @@ class TestRelations:
         monkeypatch.setattr(BandMatrix, "matvec",
                             lambda self, vec: calls.append(1) or matvec(self, vec))
         monkeypatch.setattr(RepParams, "validate_window",
-                            lambda self, lo, hi: windows.append((lo, hi))
-                            or validate(self, lo, hi))
+                            lambda self, q, lo, hi: windows.append((lo, hi))
+                            or validate(self, q, lo, hi))
         p = params(kind)
         residual_table(p, kind, SITES)
         suffixes = {word[i:] for degree in (2, 3) for word in RELATIONS[(kind, degree)]

@@ -13,6 +13,7 @@ from holomon.checks import shift_changes, shrink_ratio
 from holomon.tau import (
     BiSeries,
     coefficient_difference,
+    residual_form,
     sigma_pvi_residual,
     tau_series,
     weight_ratio,
@@ -91,6 +92,19 @@ def _expanded_form(U, Y, Z, theta):
     f = -qt * ((q0 + qt) ** 2 + (q1 - qi) ** 2 - 2 * q0 * (q1 + qi) + 2 * qt * (q1 - qi))
     return (Z * Z * F(1, 4) + Y * U * U + Y * Y * U + U * U * a + (Y * U) * b
             + Y * Y * c + Y * d + f)
+
+
+def _form(ts, lift=lambda v: v) -> dict:
+    """``residual_form`` of a series without its phase, every coefficient
+    and scalar lifted into one ring: as given (Fractions, the exact
+    reference) or ``mp.mpc`` (``_complex``, the complex reference)."""
+    S = BiSeries({k: lift(v) for k, v in ts.unphased.terms.items()}, ts.unphased.jmax)
+    return residual_form(S, lift(2 * ts.lam), lift(ts.leading_exponent),
+                         tuple(map(lift, ts.theta)))
+
+
+def _complex(v):
+    return mp.mpc(mp.mpmathify(v))
 
 
 def _reference_residual(ts, order=None):
@@ -201,7 +215,7 @@ class TestTauSeries:
         assert all(isinstance(v, F) for v in ts.unphased.terms.values())
         exact = dataclasses.replace(ts, phase=F(1))
         assert all(isinstance(v, F) for v in exact.series.terms.values())
-        assert all(isinstance(v, F) for v in sigma_pvi_residual(exact).values())
+        assert all(isinstance(v, F) for v in _form(exact).values())
 
     @pytest.mark.parametrize("index,name", [(None, "lam"), (0, "th0"), (3, "thinf")])
     def test_momenta_must_be_rational(self, index, name):
@@ -347,11 +361,13 @@ class TestPhaseApart:
 
     def test_residual_matches_folded_phases(self):
         # the phase folded into the coefficients, as one complex series
+        # whose residual form runs in mpmath
         ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=50,
                         normalization="plain")
         folded = dataclasses.replace(ts, unphased=ts.series, phase=mp.mpf(1))
-        got, want = sigma_pvi_residual(ts), sigma_pvi_residual(folded)
+        got = sigma_pvi_residual(ts)
         with mp.workdps(50):
+            want = _form(folded, _complex)
             # a slot that is rounding noise on one side may be exactly zero,
             # and so absent, on the other: compare over both key sets,
             # relative to the largest slot
@@ -403,10 +419,10 @@ class TestTruncatedPipeline:
         ts = exact(N)
         ref = _reference_tau(THETA, F(3, 8), N, 3)
         assert ts.unphased.terms == ref.terms and ts.series.terms == ref.terms
-        res = sigma_pvi_residual(ts)
+        res = _form(ts)
         assert res and res == _reference_residual(ts)
         for order in (N - 1, N - 2):
-            assert sigma_pvi_residual(exact(order)) == _reference_residual(ts, order)
+            assert _form(exact(order)) == _reference_residual(ts, order)
 
 
 def _draw(rng):
@@ -457,24 +473,28 @@ class TestSigmaEquation:
         assert max(abs(v) for v in res.values()) > 1e-2
 
     def test_scale_invariance(self):
-        # multiplying tau by a constant leaves the log-derivative unchanged
+        # multiplying tau by a constant leaves the log-derivative unchanged:
+        # a real constant through the residual, a complex one through the
+        # residual form in mpmath
         ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=40)
-        scaled = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=40)
         with mp.workdps(40):
-            c = mp.mpf("2.7") + mp.mpf("0.4") * 1j
-            scaled.unphased.terms = {k: c * v for k, v in scaled.unphased.terms.items()}
-        ra = sigma_pvi_residual(ts)
-        rb = sigma_pvi_residual(scaled)
+            real, cplx = (dataclasses.replace(ts, unphased=BiSeries(
+                {k: c * v for k, v in ts.unphased.terms.items()}, ts.unphased.jmax))
+                for c in (mp.mpf("2.7"), mp.mpf("2.7") + mp.mpf("0.4") * 1j))
+        pairs = [(sigma_pvi_residual(ts), sigma_pvi_residual(real))]
         with mp.workdps(40):
+            pairs.append((_form(ts, _complex), _form(cplx, _complex)))
             # a slot of rounding noise that sums to exactly 0 is dropped
             # from one series, so compare over the union of slots
-            for k in ra.keys() | rb.keys():
-                assert abs(ra.get(k, 0) - rb.get(k, 0)) < 1e-30
+            for ra, rb in pairs:
+                for k in ra.keys() | rb.keys():
+                    assert abs(ra.get(k, 0) - rb.get(k, 0)) < 1e-30
 
 
 class TestResidualRings:
-    """Real coefficients run in ``decimal``, complex ones in mpmath as
-    given; the two must agree to the working precision."""
+    """The residual runs in ``decimal`` at the series' own digits; the
+    residual form over ``mpc`` and over Fractions are its references, and
+    they must agree to the working precision."""
 
     @pytest.mark.parametrize("digits, tol", [(30, 1e-25), (50, 1e-45)])
     def test_decimal_matches_mpmath(self, digits, tol):
@@ -484,12 +504,30 @@ class TestResidualRings:
             got = sigma_pvi_residual(ts)
             assert got
             with mp.workdps(digits):
-                as_complex = BiSeries({k: mp.mpc(v) for k, v in ts.unphased.terms.items()},
-                                      ts.unphased.jmax)
-                want = sigma_pvi_residual(dataclasses.replace(ts, unphased=as_complex))
+                want = ts.phased(_form(ts, _complex))
                 scale = max(abs(v) for v in ts.unphased.terms.values())
                 for k in got.keys() | want.keys():
                     assert abs(got.get(k, 0) - want.get(k, 0)) <= tol * scale, k
+
+    def test_plain_sum_matches_exact(self):
+        # the plain sum's Fractions run in decimal too; the residual form
+        # over them is exact
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=30,
+                        normalization="plain")
+        got = sigma_pvi_residual(ts)
+        with mp.workdps(30):
+            want = ts.phased(_form(ts))
+            scale = max(abs(v) for v in want.values())
+            assert scale > 1
+            for k in got.keys() | want.keys():
+                assert abs(got.get(k, 0) - want.get(k, 0)) <= 1e-25 * scale, k
+
+    def test_ambient_precision_not_read(self):
+        # the series' own digits set the precision, not mpmath's
+        ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=50)
+        plain = sigma_pvi_residual(ts), ts.series.terms
+        with mp.workdps(80):
+            assert (sigma_pvi_residual(ts), ts.series.terms) == plain
 
     def test_nan_slot_gives_nan(self):
         ts = tau_series(THETA, F(3, 8), F(7, 10), N=6, M=3, digits=50)

@@ -277,6 +277,15 @@ def fraction_contract(G, left, right):
     return [[-v for v in row[n:]] for row in rows[n:]]
 
 
+def three_point_descendant(delta_out, h, delta_in, lam: tuple):
+    """Reference three-point value of the descendant L_{-lam}, recomputed
+    per partition (the rows that ``blocks`` builds level by level)."""
+    if not lam:
+        return 1
+    return (blocks.three_point_factor(delta_out, h, delta_in, lam[0], sum(lam[1:]))
+            * three_point_descendant(delta_out, h, delta_in, lam[1:]))
+
+
 def _momentum_weight(p, r, b2):
     return (p * b2 + p + r + r / b2) - (p * p * b2 + 2 * p * r + r * r / b2)
 
@@ -301,9 +310,9 @@ class TestFractionFreeKernel:
         for k in range(8):
             basis = partitions(k)
             G = V.gram(k)
-            L = [[blocks.three_point_descendant(d4, d3, d_beta, lam) for lam in basis],
-                 [blocks.three_point_descendant(d1, d2, d_beta, lam) for lam in basis]]
-            R = [[blocks.three_point_descendant(d1, d2, d_beta, mu), F(int(i == 0))]
+            L = [[three_point_descendant(d4, d3, d_beta, lam) for lam in basis],
+                 [three_point_descendant(d1, d2, d_beta, lam) for lam in basis]]
+            R = [[three_point_descendant(d1, d2, d_beta, mu), F(int(i == 0))]
                  for i, mu in enumerate(basis)]
             want = _frac(_sym(L) * _sym(G).LUsolve(_sym(R)))
             got = contract(G, L, R)
