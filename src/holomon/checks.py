@@ -207,7 +207,9 @@ def pants_checks(kind: str, seed: int, draws: int, tol: float = 1e-9, b2=None) -
     def precision(kind=kind):
         rng2 = random.Random(seed + 1)
         p25 = pantsrep.random_params(kind, rng2, digits=25)
-        p55 = pantsrep.RepParams(b2=p25.b2, boundary=p25.boundary, x0=p25.x0, digits=55)
+        if b2 is not None:
+            p25 = dataclasses.replace(p25, b2=b2)
+        p55 = dataclasses.replace(p25, digits=55)
         r25 = pantsrep.relation_residual(p25, kind, 3, 0)
         r55 = pantsrep.relation_residual(p55, kind, 3, 0)
         return bool(r55 < r25 * mp.mpf(10) ** -20), \

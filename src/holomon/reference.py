@@ -14,8 +14,9 @@ re-checks on every run (its tag in brackets):
   (``cubic-relation``, ``quartic-relation``, and through their
   u-derivative ``bracket-derivative``), on the Weyl-quantized traces the
   deformed ones (``q-commutator``, ``q-cubic``, ``bar-invariance``), and on
-  the shift operators the cubic one (``shift-residual-cubic``; the
-  quadratic one defines Lu there, so its row holds by construction);
+  the shift operators both (``shift-residual-quadratic``,
+  ``shift-residual-cubic``; Lu there is Lt carried by the twist that
+  takes t to u, so neither relation holds by construction);
 - ``LOOP_BRACKET_CONSTANT`` scales the bracket {L_s, L_t} to the
   u-derivative of the relation (``bracket-derivative``);
 - every (curve, flip) pair in ``COVARIANT_WALKS`` reproduces its trace

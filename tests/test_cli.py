@@ -180,6 +180,19 @@ class TestVerifyCommands:
         assert all(c.status == "fail" and c.witness == "worst residual nan" for c in rows)
         assert not rep.passed
 
+    def test_precision_row_follows_b2(self, runner):
+        # the precision row builds its own draw; a given --b2 applies to it too
+        witnesses = set()
+        for b2 in ("0.3,0.1", "0.6,0.2"):
+            r = runner.invoke(main, ["verify", "pants-rep", "--surface", "c11", "--draws", "1",
+                                     "--b2", b2, "--format", "json"])
+            assert r.exit_code == 0
+            rows = [c for c in json.loads(r.output)["checks"]
+                    if c["name"] == "c11: residual falls with working precision"]
+            assert len(rows) == 1 and rows[0]["status"] == "pass"
+            witnesses.add(rows[0]["witness"])
+        assert len(witnesses) == 2, witnesses
+
     def test_loop_rows_carry_runtime(self):
         rows = checksuites.pants_checks("c11", seed=0, draws=1).checks
         rows += checksuites.tau_checks(seed=0, draws=1).checks

@@ -134,10 +134,23 @@ def pairing_doubled(monkeypatch):
 
 def cubic_term_sign_flipped(monkeypatch):
     """The sphere piece's boundary quadratic c_ij(L) with -L Li Lj: Lt's
-    double-shift bands change, and Lu, solved from the quadratic relation,
-    follows them, so only the cubic relation can see it."""
+    double-shift bands change, and Lu, Lt carried by the half twist,
+    follows them.  The quadratic relation reads only the ratio of Lu's
+    bands to Lt's, so only the cubic relation can see it."""
     monkeypatch.setattr(pantsrep, "c_factor",
                         lambda L, Li, Lj: L * L + Li * Li + Lj * Lj - L * Li * Lj - 4)
+
+
+def quadratic_ts_sign_flipped(monkeypatch):
+    """The torus piece's quadratic relation with +q^(-1/2) ts for
+    -q^(-1/2) ts.  Lu is built from Lt by the twist, not from this
+    relation, so the relation no longer holds on the tables."""
+    monkeypatch.setitem(reference.RELATIONS[("c11", 2)], "ts", {"": SPoly({-2: 1})})
+
+
+def quadratic_ts_sign_flipped_c04(monkeypatch):
+    """The sphere piece's quadratic relation with +q^-1 ts for -q^-1 ts."""
+    monkeypatch.setitem(reference.RELATIONS[("c04", 2)], "ts", {"": SPoly({-4: 1})})
 
 
 def _fresh_weight_memo(monkeypatch):
@@ -237,6 +250,8 @@ CONTROLS = [
     ("mutation-composition", MUTATION, mutation_dressing_inverted),
     ("mutation-covariance", MUTATION, flip_substituted_backwards),
     ("q-cubic", QUANTUM, relation_sign_flipped),
+    ("shift-residual-quadratic", SHIFT, quadratic_ts_sign_flipped),
+    ("shift-residual-quadratic", SHIFT_C04, quadratic_ts_sign_flipped_c04),
     ("shift-residual-cubic", SHIFT, relation_sign_flipped),
     ("shift-residual-cubic", SHIFT_C04, cubic_term_sign_flipped),
     ("tau-deformation", TAU, step_factor_off, WEIGHTED),

@@ -1,10 +1,10 @@
 import cmath
+import dataclasses
 import decimal
 import math
 import random
 from decimal import Decimal
 from functools import reduce
-from operator import matmul
 
 import mpmath as mp
 import pytest
@@ -57,7 +57,7 @@ def as_mpc(z):
 
 def tables(p, kind="c04", window=(-8, 8)):
     """The library's generator tables, every entry converted to mpmath."""
-    built = generator_tables(p, kind, window, _relation_terms(p, kind, 2))
+    built = generator_tables(p, kind, window)
     with mp.workdps(p.digits):
         return {g: BandMatrix({m: {n: as_mpc(v) for n, v in band.items()}
                                for m, band in table.bands.items()})
@@ -140,6 +140,29 @@ class TestBuildLt:
                     assert abs(entry(Lt, n, n + m) - entry(Lt2, n, n + m)) < 1e-24
 
 
+def move_ratio_error(kind, weight):
+    """The largest relative distance, in cmath floats, between Lu / Lt at a
+    shift entry (n, n + m) and the move's phase ratio
+    e^(i pi k (Delta(l_(n+m)) - Delta(l_n))) with Delta from ``weight``:
+    k = 2 for the Dehn twist along s (c11), k = 1 for the half twist (c04),
+    l_n = 2 log x0 - 2 pi i b2 n and b = sqrt(b2)."""
+    p = params(kind)
+    T = tables(p, kind, (-4, 4))
+    k = 2 if kind == "c11" else 1
+    b = cmath.sqrt(p.b2)
+
+    def delta(n):
+        return weight(2 * cmath.log(p.x0) - 2j * cmath.pi * p.b2 * n, b)
+
+    worst = 0.0
+    for m, band in T["t"].bands.items():
+        for n, v in band.items():
+            if m:
+                want = cmath.exp(1j * cmath.pi * k * (delta(n + m) - delta(n)))
+                worst = max(worst, abs(complex(T["u"].bands[m][n] / v) - want) / abs(want))
+    return worst
+
+
 class TestBuildLu:
     def test_bandwidth(self):
         assert bandwidth(tables(params_c04())["u"]) <= 2
@@ -151,9 +174,33 @@ class TestBuildLu:
         with pytest.raises(ValueError):
             tables(p, window=(-3, 3))
 
-    def test_quadratic_residual_zero_by_construction(self):
+    def test_quadratic_relation_holds(self):
+        # Lu comes from the twist of Lt, not from this relation
         p = params_c04()
         assert relation_residual(p, "c04", 2, 0) < 1e-25
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_shift_bands_carry_the_move_phase(self, kind):
+        # each shift entry of Lu is Lt's times the phase ratio that the
+        # weight dictionary gives; a doubled l^2 coefficient misses it
+        assert move_ratio_error(kind, conformal_weight_of_length) < 1e-12
+
+        def doubled(l, b):
+            return conformal_weight_of_length(l, b) + (l / (4 * math.pi * b)) ** 2
+
+        assert move_ratio_error(kind, doubled) > 1e-3
+
+    def test_c04_diagonal_is_lt_with_l1_l2_exchanged(self):
+        p = params_c04()
+        swapped = dataclasses.replace(
+            p, boundary={**p.boundary, "L1": p.boundary["L2"], "L2": p.boundary["L1"]})
+        T = tables(p)
+        Lu, Lt = T["u"].bands[0], tables(swapped)["t"].bands[0]
+        assert set(Lu) == set(Lt)
+        with mp.workdps(p.digits):
+            assert all(abs(Lu[n] - Lt[n]) < 1e-25 * abs(Lt[n]) for n in Lt)
+        # and the swap matters: Lt's own diagonal is not Lu's
+        assert abs(Lu[0] - T["t"].bands[0][0]) > 1e-3
 
     def test_classical_probe_small_b2(self):
         # symbols at b2 -> 0 satisfy the classical relation to O(b2)
@@ -195,7 +242,7 @@ class TestOperatorApply:
         Ls, Lt = T["s"], T["t"]
         v = {n: mp.mpf(1) / (1 + n * n) for n in range(-8, 9)}
         with mp.workdps(p.digits):
-            product = Ls @ Lt
+            product = band_product(Ls, Lt)
             ab = product.matvec(v)
             ab2 = Ls.matvec(Lt.matvec(v))
             assert set(range(-6, 7)) <= interior(product, (-8, 8))
@@ -233,10 +280,19 @@ class TestRelations:
             rep = verify_pants_relations(p, kind, tol=1e-9)
             assert rep[2]["pass"] and rep[3]["pass"], rep
 
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    @pytest.mark.parametrize("b2", [1.3 + 0.1j, -0.7 + 0.1j])
+    def test_relations_off_the_principal_strip(self, kind, b2):
+        # the two give one q and opposite q^(1/2): the principal root of q
+        # is the right one for Re b2 in (-1, 1] only, so q^(1/2) must be s^2
+        p = dataclasses.replace(params(kind), b2=b2)
+        rep = verify_pants_relations(p, kind, tol=1e-9)
+        assert rep[2]["pass"] and rep[3]["pass"], rep
+
     def test_negative_control_perturbed_coefficient(self):
         p = params_c04()
         window = (-8, 8)
-        q, T = p.q(), tables(p, window=window)
+        q, T = reference_q(p), tables(p, window=window)
         Lt = T["t"]
         bad = BandMatrix(dict(Lt.bands))
         bad.bands[2] = {n: v * mp.mpf("1.01") for n, v in Lt.bands[2].items()}
@@ -292,7 +348,7 @@ class TestRelations:
         # only exact entries, so a wider one gives the same residual to the bit
         for kind in ("c04", "c11"):
             p = params(kind)
-            wide = generator_tables(p, kind, (-20, 20), _relation_terms(p, kind, 2))
+            wide = generator_tables(p, kind, (-20, 20))
             for degree in (2, 3):
                 terms = _relation_terms(p, kind, degree)
                 for site in SITES:
@@ -417,12 +473,34 @@ def reference_terms(p, kind, degree):
                               lambda poly: sum(c * s ** e for e, c in poly.c.items()))
 
 
+def reference_q(p):
+    """q = exp(i pi b2) from its own exponential."""
+    with mp.workdps(p.digits):
+        return mp.exp(1j * mp.pi * mp.mpmathify(p.b2))
+
+
+def band_product(a, b):
+    """The table product of two band tables on the same window: a applied
+    after b."""
+    bands: dict = {}
+    for ma, x in a.bands.items():
+        for mb, y in b.bands.items():
+            out = bands.setdefault(ma + mb, {})
+            for n, v in x.items():
+                w = y.get(n + ma)
+                if w is not None:
+                    out[n] = out.get(n, 0) + v * w
+    return BandMatrix(bands)
+
+
 def reference_tables(p, kind, window):
     """{"s": Ls, "t": Lt, "u": Lu} with mpmath entries, each site from its
-    own exponential and every square root from ``mp.sqrt``."""
+    own exponential and every square root from ``mp.sqrt``; Lu is solved
+    from the quadratic relation, independently of the twist the library
+    builds it by."""
     lo, hi = window
     with mp.workdps(p.digits):
-        q = p.q()
+        q = reference_q(p)
         x = {n: p.site(n) for n in range(lo, hi + 1)}
         inv = {n: 1 / v for n, v in x.items()}
         ch = {n: x[n] + inv[n] for n in x}
@@ -454,7 +532,7 @@ def reference_tables(p, kind, window):
         d = -terms.pop("u")
         rest: dict = {}
         for w, c in terms.items():
-            product = (reduce(matmul, (out[g] for g in w)) if w
+            product = (reduce(band_product, (out[g] for g in w)) if w
                        else BandMatrix({0: dict.fromkeys(x, mp.mpf(1))}))
             for m, entries in product.bands.items():
                 row = rest.setdefault(m, {})
