@@ -165,6 +165,17 @@ def torus1_block(d0, d_beta, c, N: int, digits: int | None = None) -> BlockSerie
 # -- degenerate second-order equation ----------------------------------------
 
 
+def _bpz_terms(weights: tuple, B, rho, cs: list, j: int):
+    """The z^(rho-2+j) coefficient of the null-vector equation on a series
+    with coefficients cs, as (lead, rest): it reads lead * c_j + rest,
+    where rest is read from c_0..c_(j-1) alone."""
+    d1, dd, d3, d4 = weights
+    lead = (rho + j) * (rho + j - 1) - B * (rho + j) + B * d1
+    rest = (B * sum(cs[k] * (rho + k + d1 + dd + d3 - d4) for k in range(j))
+            + B * d3 * sum((j - 1 - k) * cs[k] for k in range(j - 1)))
+    return lead, rest
+
+
 def bpz_residual(series: BlockSeries, b2, which: str) -> list:
     """Coefficients of the second-order null-vector equation applied to a
     four-point series whose second puncture is the degenerate field.
@@ -181,50 +192,28 @@ def bpz_residual(series: BlockSeries, b2, which: str) -> list:
     if series.channel != "sphere4":
         raise ValueError("null-vector equation applies to four-point series")
     w = series.weights
-    d1, dd, d3, d4 = w["d1"], w["d2"], w["d3"], w["d4"]
+    weights = (w["d1"], w["d2"], w["d3"], w["d4"])
     B = Fraction(b2) if which == "b" else 1 / Fraction(b2)
-    rho = series.leading_exponent
     cs = series.coeffs
-    delta_sum = d1 + dd + d3 - d4
-    N = series.order
     out = []
-    for j in range(N + 1):
-        r = cs[j] * ((rho + j) * (rho + j - 1) - B * (rho + j) + B * d1)
-        acc1 = 0
-        for k in range(j):
-            acc1 = acc1 + cs[k] * (rho + k)
-        r = r + B * acc1
-        acc2 = 0
-        for k in range(max(j - 1, 0)):
-            acc2 = acc2 + (j - 1 - k) * cs[k]
-        r = r + B * d3 * acc2
-        acc3 = 0
-        for k in range(j):
-            acc3 = acc3 + cs[k]
-        r = r + B * delta_sum * acc3
-        out.append(r)
+    for j in range(series.order + 1):
+        lead, rest = _bpz_terms(weights, B, series.leading_exponent, cs, j)
+        out.append(lead * cs[j] + rest)
     return out
 
 
 def frobenius_solution(d1, dd, d3, d4, b2, rho, N: int) -> list:
     """Independent power-series solution of the same null-vector equation
-    on the 'b' branch (B = b^2) by the recursion on coefficients,
-    normalized to c_0 = 1.
+    on the 'b' branch (B = b^2), solving each order for c_j, normalized
+    to c_0 = 1.
 
     Valid when the indicial roots do not differ by a positive integer
     (generic weights).
     """
-    B = Fraction(b2)
-    delta_sum = d1 + dd + d3 - d4
     cs = [Fraction(1)]
     for j in range(1, N + 1):
-        lead = (rho + j) * (rho + j - 1) - B * (rho + j) + B * d1
+        lead, rest = _bpz_terms((d1, dd, d3, d4), Fraction(b2), rho, cs, j)
         if lead == 0:
             raise ZeroDivisionError("resonant indicial roots")
-        acc = 0
-        for k in range(j):
-            acc = acc + B * cs[k] * (rho + k) + B * delta_sum * cs[k]
-        for k in range(max(j - 1, 0)):
-            acc = acc + B * d3 * (j - 1 - k) * cs[k]
-        cs.append(-acc / lead)
+        cs.append(-rest / lead)
     return cs

@@ -217,36 +217,6 @@ def pants_checks(kind: str, seed: int, draws: int, tol: float = 1e-9, b2=None) -
 
     _timed(rep, f"{kind}: residual falls with working precision",
            "shift-residual-cubic", precision)
-    return rep
-
-
-def dictionary_checks() -> Report:
-    rep = Report("weight dictionary and braid phase")
-
-    def weight_dict():
-        import math
-
-        for l, b in ((0.9, 0.77), (2.4, 1.31), (0.0, 1.0)):
-            Q = b + 1 / b
-            alpha = Q / 2 + 1j * l / (4 * math.pi * b)
-            delta = alpha * (Q - alpha)
-            if abs(delta - pantsrep.conformal_weight_of_length(l, b)) > 1e-14:
-                return False, f"l={l} b={b}"
-        return True, ""
-
-    _timed(rep, "weight of length parameter matches momentum map",
-           "weight-dictionary", weight_dict)
-
-    def phase():
-        rng = random.Random(2)
-        for _ in range(10):
-            z = pantsrep.b_move_phase(rng.uniform(0, 3), rng.uniform(0, 3),
-                                      rng.uniform(0, 3), rng.uniform(0.4, 1.7))
-            if abs(abs(z) - 1) > 1e-14:
-                return False, ""
-        return True, ""
-
-    _timed(rep, "braiding phase has unit modulus", "braid-phase", phase)
     rep.note(pantsrep.B_MOVE_WEIGHT_NOTE)
     return rep
 
@@ -433,5 +403,4 @@ def all_checks(seed: int) -> list:
         virasoro_checks(),
         bpz_checks(),
         tau_checks(seed=seed, draws=2),
-        dictionary_checks(),
     ]

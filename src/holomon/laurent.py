@@ -4,7 +4,9 @@ Exponent vectors are stored doubled (units of 1/2), so all bookkeeping is
 integer arithmetic.  Coefficients are kept as given, in a ring: trace
 polynomials stay over the integers, and a Fraction appears only where a
 bracket, a ratio or a monomial inverse divides.  Zero coefficients are
-never stored.
+never stored.  ``Quotient`` is the one quotient type: classical mutation
+takes quotients of Laurent polynomials, quantum mutation quotients of
+polynomials in X_e.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def all_coefficients_positive(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 
@@ -124,8 +129,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def monomial_inverse(self) -> "LaurentPoly":
@@ -174,54 +180,40 @@ class LaurentPoly:
         return " + ".join(bits)
 
 
-class LaurentRational:
-    """A quotient of Laurent polynomials; equality by cross-multiplication."""
+class Quotient:
+    """A quotient num / den over a commutative ring whose zero is falsy;
+    equality by cross-multiplication.  Results are built with
+    ``type(self)``, and ``**`` uses the ring's own powers."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.const(num.nvars, 1)
-        if den.is_zero():
+    def __init__(self, num, den):
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.nvars != den.nvars:
-            raise ValueError("variable index sets differ")
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_const(cls, nvars: int, c) -> "LaurentRational":
-        return cls(LaurentPoly.const(nvars, c))
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
-    def _coerce(self, other) -> "LaurentRational":
-        if isinstance(other, LaurentRational):
+    def _coerce(self, other) -> "Quotient":
+        if isinstance(other, Quotient):
             return other
-        if isinstance(other, LaurentPoly):
-            return LaurentRational(other)
-        if isinstance(other, (int, Fraction)):
-            return LaurentRational.from_const(self.nvars, other)
         raise TypeError(f"cannot coerce {type(other).__name__}")
 
     def __add__(self, other):
         o = self._coerce(other)
-        return LaurentRational(self.num * o.den + o.num * self.den, self.den * o.den)
+        return type(self)(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return LaurentRational(self.num * o.num, self.den * o.den)
+        return type(self)(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "LaurentRational":
-        if self.num.is_zero():
+    def inverse(self) -> "Quotient":
+        if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        return LaurentRational(self.den, self.num)
+        return type(self)(self.den, self.num)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -229,10 +221,7 @@ class LaurentRational:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = LaurentRational.from_const(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return type(self)(self.num ** k, self.den ** k)
 
     def __eq__(self, other):
         try:
@@ -243,3 +232,32 @@ class LaurentRational:
 
     def __repr__(self):
         return f"({self.num!r}) / ({self.den!r})"
+
+
+class LaurentRational(Quotient):
+    """A quotient of Laurent polynomials, to which ints, Fractions and
+    LaurentPolys lift."""
+
+    __slots__ = ()
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
+        if den is None:
+            den = LaurentPoly.const(num.nvars, 1)
+        super().__init__(num, den)
+        if num.nvars != den.nvars:
+            raise ValueError("variable index sets differ")
+
+    @classmethod
+    def from_const(cls, nvars: int, c) -> "LaurentRational":
+        return cls(LaurentPoly.const(nvars, c))
+
+    @property
+    def nvars(self) -> int:
+        return self.num.nvars
+
+    def _coerce(self, other) -> Quotient:
+        if isinstance(other, LaurentPoly):
+            return LaurentRational(other)
+        if isinstance(other, (int, Fraction)):
+            return LaurentRational.from_const(self.nvars, other)
+        return super()._coerce(other)

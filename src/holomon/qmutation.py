@@ -1,7 +1,7 @@
 """Quantum cluster mutation in its restricted normal form.
 
 Images of coordinate mutation are kept as c(s) * (Weyl monomial) * R(X_e)
-with R a rational function of the single flipped variable: a quotient of
+with R a rational function of the single flipped variable: a ``Quotient`` of
 SPolys in X_e whose coefficients are SPolys in s.  Moving R past
 a Weyl monomial only rescales its argument by an integer power of q, so
 this form is closed under the products needed to verify the flipped
@@ -11,61 +11,21 @@ arithmetic is required.
 
 from __future__ import annotations
 
+from .laurent import Quotient
 from .qcoeff import SPoly
 from .sparse import pairing, vec_add
 from .surfaces import mutate_exchange_matrix
 
 
-def _scale_arg(p: SPoly, s_exp: int) -> SPoly:
-    """Substitute X -> s^(s_exp) X in a polynomial in X."""
-    return SPoly({k: v * SPoly.s_power(s_exp * k) for k, v in p.c.items()})
+# the polynomial 1 in X_e
+_X_ONE = SPoly.const(SPoly.one())
 
 
-class XRat:
-    """Quotient of polynomials in X_e; equality decided by cross-multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: SPoly, den: SPoly | None = None):
-        if den is None:
-            den = SPoly.const(SPoly.one())
-        if not den:
-            raise ZeroDivisionError("zero denominator in XRat")
-        self.num, self.den = num, den
-
-    @classmethod
-    def one(cls) -> "XRat":
-        return cls(SPoly.const(SPoly.one()))
-
-    def __mul__(self, o):
-        if isinstance(o, SPoly):
-            # a coefficient in s, constant in X_e
-            return XRat(self.num * SPoly.const(o), self.den)
-        return XRat(self.num * o.num, self.den * o.den)
-
-    def inverse(self) -> "XRat":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero XRat")
-        return XRat(self.den, self.num)
-
-    def __eq__(self, o):
-        if not isinstance(o, XRat):
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def scale_arg(self, s_exp: int) -> "XRat":
-        """Substitute X -> s^(s_exp) X."""
-        return XRat(_scale_arg(self.num, s_exp), _scale_arg(self.den, s_exp))
-
-    def conj(self) -> "XRat":
-        """Substitute X -> X^(-1)."""
-        return XRat(self.num.conj(), self.den.conj())
-
-    def is_one(self) -> bool:
-        return self.num == self.den
-
-    def __repr__(self):
-        return f"({self.num!r})/({self.den!r})"
+def _scale_arg(r: Quotient, s_exp: int) -> Quotient:
+    """Substitute X -> s^(s_exp) X in a quotient of polynomials in X."""
+    def scale(p):
+        return SPoly({k: v * SPoly.s_power(s_exp * k) for k, v in p.c.items()})
+    return Quotient(scale(r.num), scale(r.den))
 
 
 class QMutationImage:
@@ -73,7 +33,7 @@ class QMutationImage:
 
     __slots__ = ("context", "e", "coeff", "mono", "rat")
 
-    def __init__(self, context, e: int, coeff: SPoly, mono, rat: XRat):
+    def __init__(self, context, e: int, coeff: SPoly, mono, rat: Quotient):
         self.context = tuple(tuple(row) for row in context)
         self.e = e
         self.coeff = coeff
@@ -90,7 +50,7 @@ class QMutationImage:
         s_pair = pairing(self.mono, other.mono, self.context)
         mono = vec_add(self.mono, other.mono)
         # commute self.rat(X_e) past :X^(other.mono):
-        moved = self.rat.scale_arg(-4 * self._weight(other.mono))
+        moved = _scale_arg(self.rat, -4 * self._weight(other.mono))
         return QMutationImage(
             self.context, self.e,
             self.coeff * other.coeff * SPoly.s_power(s_pair),
@@ -101,17 +61,24 @@ class QMutationImage:
     def scaled(self, c: SPoly) -> "QMutationImage":
         return QMutationImage(self.context, self.e, self.coeff * c, self.mono, self.rat)
 
+    def _dressing(self) -> Quotient:
+        """c(s) R(X_e), the coefficient taken as a constant in X_e."""
+        return Quotient(self.rat.num * SPoly.const(self.coeff), self.rat.den)
+
     def __eq__(self, other):
         if not isinstance(other, QMutationImage):
             return NotImplemented
         if self.context != other.context or self.e != other.e or self.mono != other.mono:
             return False
-        return self.rat * self.coeff == other.rat * other.coeff
+        return self._dressing() == other._dressing()
 
     def is_generator(self, i: int) -> bool:
         """True when the image is exactly X_i with trivial dressing."""
         want = tuple(2 if a == i else 0 for a in range(len(self.context)))
-        return self.mono == want and (self.rat * self.coeff).is_one()
+        if self.mono != want:
+            return False
+        dressing = self._dressing()
+        return dressing.num == dressing.den
 
     def __repr__(self):
         return f"({self.coeff!r}) * :X^{self.mono}: * {self.rat!r}"
@@ -124,22 +91,18 @@ def quantum_mutation(n, e: int, target: int) -> QMutationImage:
     times an ordered product of |n_te| one-variable factors
     (1 + q^(2a-1) X_e^(-sgn))^(-sgn).
     """
-    E = len(n)
+    one = Quotient(_X_ONE, _X_ONE)
+    mono = [0] * len(n)
     if target == e:
-        mono = [0] * E
         mono[e] = -2
-        return QMutationImage(n, e, SPoly.one(), mono, XRat.one())
-    k = n[target][e]
-    mono = [0] * E
+        return QMutationImage(n, e, SPoly.one(), mono, one)
     mono[target] = 2
-    if k == 0:
-        return QMutationImage(n, e, SPoly.one(), mono, XRat.one())
+    k = n[target][e]
     sgn = 1 if k > 0 else -1
-    rat = XRat.one()
+    rat = one
     for a in range(1, abs(k) + 1):
         factor = SPoly({0: SPoly.one(), -sgn: SPoly.s_power(4 * (2 * a - 1))})
-        fr = XRat(factor)
-        rat = rat * (fr.inverse() if sgn > 0 else fr)
+        rat = rat * (Quotient(_X_ONE, factor) if sgn > 0 else Quotient(factor, _X_ONE))
     return QMutationImage(n, e, SPoly.one(), mono, rat)
 
 
@@ -167,7 +130,7 @@ def double_mutation_is_identity(n, e: int) -> bool:
     for target in range(E):
         second = quantum_mutation(n2, e, target)
         # X''_t = c'' :X'^d'': R''(X'_e) with X'_e = first[e] = X_e^(-1)
-        dressing = second.rat.conj()
+        dressing = Quotient(second.rat.num.conj(), second.rat.den.conj())
         if target == e:
             # :X'^d'': must be a power k of X'_e, which maps to first[e]^k
             k = second.mono[e] // 2

@@ -32,8 +32,6 @@ KNOWN_TAGS = frozenset({
     "flip-commutation",
     "shift-residual-quadratic",
     "shift-residual-cubic",
-    "weight-dictionary",
-    "braid-phase",
     "kac-level2",
     "null-vector",
     "degenerate-ode",

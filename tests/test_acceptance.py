@@ -235,9 +235,9 @@ def test_criterion_11_dictionary_and_phase():
         z = pantsrep.b_move_phase(rng.uniform(0, 3), rng.uniform(0, 3),
                                   rng.uniform(0, 3), rng.uniform(0.4, 1.7))
         ok = ok and abs(abs(z) - 1) < 1e-14
-    from holomon.checks import dictionary_checks
+    from holomon.checks import pants_checks
 
-    rep = dictionary_checks()
+    rep = pants_checks("c04", seed=0, draws=1)
     ok = ok and rep.passed
     ok = ok and any("Q^2/4" in note for note in rep.notes)
     _criterion(11, "weight dictionary exact, unit-modulus phase, "

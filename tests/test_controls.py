@@ -5,7 +5,8 @@ tag of the rows, a run of the suite that emits them (on the torus piece
 unless the perturbation is the sphere piece's), and a perturbation applied
 through pytest's monkeypatch; every row of the tag must pass as it stands
 and fail perturbed.  An entry may end with the start of a row's name, and
-then targets that row of the tag alone.
+then targets that row of the tag alone.  Every row of ``verify all`` must
+be targeted by some entry.
 """
 
 import functools
@@ -95,7 +96,7 @@ def dressed_images_scaled(monkeypatch):
 
     def image(n, e, target):
         img = real(n, e, target)
-        return img if img.rat.is_one() else img.scaled(SPoly.s_power(1))
+        return img if img.rat.num == img.rat.den else img.scaled(SPoly.s_power(1))
 
     monkeypatch.setattr(qmutation, "quantum_mutation", image)
 
@@ -204,6 +205,17 @@ def unweighted_sum(monkeypatch):
     monkeypatch.setattr(tau, "tau_series", plain)
 
 
+def plain_sum_weighted(monkeypatch):
+    """The unweighted sum taken with the structure-constant weights after
+    all, so that it solves the deformation equation."""
+    real = tau.tau_series
+
+    def weighted(*args, **kwargs):
+        return real(*args, **{**kwargs, "normalization": "isomonodromic"})
+
+    monkeypatch.setattr(tau, "tau_series", weighted)
+
+
 def central_term_doubled(monkeypatch):
     """The central term of [L_n, L_-n] taken as c/6 n(n^2-1): every Gram
     entry that reaches level 2 through L_-2 moves, and the degenerate
@@ -236,6 +248,14 @@ def three_point_factor_at_full_level(monkeypatch):
     monkeypatch.setattr(blocks, "three_point_factor", factor)
 
 
+def residual_reported_zero(monkeypatch):
+    """The null-vector residual reported as zero at every order, whatever
+    the series: the vacuous residual the generic channel's row guards
+    against."""
+    monkeypatch.setattr(blocks, "bpz_residual",
+                        lambda series, b2, which: [0] * (series.order + 1))
+
+
 CONTROLS = [
     ("skein-product", CLASSICAL, skein_other_is_u),
     ("trace-positivity", CLASSICAL_BOTH, step_sign_flipped),
@@ -257,11 +277,13 @@ CONTROLS = [
     ("tau-deformation", TAU, step_factor_off, WEIGHTED),
     ("tau-deformation", TAU, gamma_pair_deleted, WEIGHTED),
     ("tau-deformation", TAU, weight_steps_nan, WEIGHTED),
+    ("tau-deformation", TAU, plain_sum_weighted, "unweighted sum leaves a residual"),
     ("tau-truncation", TAU, unweighted_sum, "shift contributions shrink"),
     ("kac-level2", DEGENERATE, central_term_doubled),
     ("null-vector", DEGENERATE, central_term_doubled),
     ("degenerate-ode", BPZ, border_scale_kept, "fused degenerate channels annihilated"),
     ("degenerate-ode", BPZ, central_term_doubled, "fused degenerate channels annihilated"),
+    ("degenerate-ode", BPZ, residual_reported_zero, "generic channel leaves a residual"),
     ("hypergeometric-match", BPZ, three_point_factor_at_full_level),
     ("hypergeometric-match", BPZ, border_scale_kept),
     ("vacuum-insertion", BPZ, three_point_factor_at_full_level),
@@ -287,6 +309,16 @@ def test_control_fails_its_row(monkeypatch, control):
     assert _statuses(run, tag, *row) == {"pass"}
     perturb(monkeypatch)
     assert _statuses(run, tag, *row) == {"fail"}
+
+
+def test_every_row_has_a_control():
+    # a row that no entry targets could pass vacuously unnoticed
+    def targeted(row):
+        return any(tag == row.tag and row.name.startswith(prefix[0] if prefix else "")
+                   for tag, _, _, *prefix in CONTROLS)
+
+    rows = [row for rep in checks.all_checks(0) for row in rep.checks]
+    assert [row.name for row in rows if not targeted(row)] == []
 
 
 def test_flipped_curves_keep_the_classical_relation(monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holomon.laurent import LaurentPoly, LaurentRational
+from holomon.laurent import LaurentPoly, LaurentRational, Quotient
+from holomon.qcoeff import SPoly
 
 
 def poly(nvars, terms):
@@ -75,6 +76,11 @@ class TestRingAxioms:
     def test_commutative(self, p, q):
         assert p * q == q * p
 
+    @given(small_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_truth_is_nonzero(self, p):
+        assert bool(p) is not p.is_zero()
+
 
 class TestLaurentRational:
     def test_cross_multiplication_equality(self):
@@ -102,3 +108,23 @@ class TestLaurentRational:
         one = LaurentPoly.const(1, 1)
         r = LaurentRational(one + x, x)
         assert r * r.inverse() == LaurentRational(one)
+
+
+class TestQuotient:
+    def test_zero_laurent_denominator_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            Quotient(LaurentPoly.const(1, 1), LaurentPoly.zero(1))
+
+    def test_zero_x_polynomial_denominator_rejected(self):
+        # a polynomial in X_e over SPolys in s, as quantum mutation builds
+        one = SPoly.const(SPoly.one())
+        with pytest.raises(ZeroDivisionError):
+            Quotient(one, SPoly({}))
+        with pytest.raises(ZeroDivisionError):
+            Quotient(SPoly({}), one).inverse()
+
+    def test_results_keep_the_subclass(self):
+        x = LaurentPoly.variable(1, 0)
+        r = LaurentRational(x, x + 1)
+        assert all(type(v) is LaurentRational
+                   for v in (r + 1, r * r, r.inverse(), r / x, r ** 2, r ** -1))

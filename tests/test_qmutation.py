@@ -1,17 +1,19 @@
 import pytest
 
 from holomon.holonomy import mutate_coordinate
-from holomon.laurent import LaurentPoly, LaurentRational
+from holomon.laurent import LaurentPoly, LaurentRational, Quotient
 from holomon import qmutation
 from holomon.qcoeff import SPoly
 from holomon.qmutation import (
     QMutationImage,
-    XRat,
     double_mutation_is_identity,
     quantum_mutation,
     verify_q_mutation_relations,
 )
 from holomon.surfaces import exchange_matrix, mutate_exchange_matrix, reference_triangulation
+
+
+X_ONE = SPoly.const(SPoly.one())
 
 
 def _n(name):
@@ -23,7 +25,7 @@ class TestImages:
         n = _n("c11")
         img = quantum_mutation(n, 0, 0)
         assert img.mono == (-2, 0, 0)
-        assert img.rat.is_one() and img.coeff == SPoly.one()
+        assert img.rat.num == img.rat.den and img.coeff == SPoly.one()
 
     def test_zero_coupling_identity_image(self):
         n = _n("c04")
@@ -39,7 +41,7 @@ class TestImages:
         want = SPoly({0: SPoly.one()})
         for a in (1, 2):
             want = want * SPoly({0: SPoly.one(), 1: SPoly.s_power(4 * (2 * a - 1))})
-        assert img.rat == XRat(want)
+        assert img.rat == Quotient(want, X_ONE)
 
     def test_classical_limit_matches_classical_mutation(self):
         for name in ("c11", "c04"):
