@@ -24,7 +24,7 @@ from .reference import (
     covariant_walk,
     reference_setup,
 )
-from .report import CheckResult, Report, fmt_residual
+from .report import CheckResult, Report, fmt_residual, worst_residual
 from .surfaces import dual_fat_graph, exchange_matrix, flip
 
 
@@ -117,20 +117,10 @@ def mutation_checks(surfaces=("c11", "c04")) -> Report:
             E = tri.n_edges
             for e in range(E):
                 n2 = exchange_matrix(flip(tri, e))
-                inner = [holonomy.mutate_coordinate(n, e, i) for i in range(E)]
-
-                def ev(p):
-                    total = LaurentRational.from_const(E, 0)
-                    for exps, c in p.terms.items():
-                        term = LaurentRational.from_const(E, c)
-                        for i, d2 in enumerate(exps):
-                            term = term * inner[i] ** (d2 // 2)
-                        total = total + term
-                    return total
-
                 for target in range(E):
                     outer = holonomy.mutate_coordinate(n2, e, target)
-                    composed = ev(outer.num) / ev(outer.den)
+                    composed = (holonomy.substitute_flip(outer.num, n, e)
+                                / holonomy.substitute_flip(outer.den, n, e))
                     if composed != LaurentRational(LaurentPoly.variable(E, target)):
                         return False, f"edge {e} target {target}"
             return True, ""
@@ -195,7 +185,7 @@ def pants_checks(kind: str, seed: int, draws: int, tol: float = 1e-9, b2=None) -
             p = dataclasses.replace(p, b2=b2)
         r = pantsrep.verify_pants_relations(p, kind, tol=tol)
         for d in (2, 3):
-            worst[d] = pantsrep.worst_residual((worst[d], r[d]["residual"]))
+            worst[d] = worst_residual((worst[d], r[d]["residual"]))
     # each draw checks both degrees together, so both rows carry the loop's time
     elapsed = time.perf_counter() - start
     for d, tag in ((2, "shift-residual-quadratic"), (3, "shift-residual-cubic")):
@@ -332,8 +322,7 @@ def shift_changes(ts: tau.TauSeries) -> list:
     isqrt(N) nothing changes.  A convergent shift sum makes the changes
     strictly decrease."""
     terms = ts.series.terms.items()
-    return [pantsrep.worst_residual([mp.mpf(0)] + [abs(v) for (m, _), v in terms
-                                                   if abs(m) == k])
+    return [worst_residual(abs(v) for (m, _), v in terms if abs(m) == k)
             for k in range(1, max(2, math.isqrt(ts.unphased.jmax)) + 1)]
 
 
@@ -341,8 +330,7 @@ def shrink_ratio(changes: list):
     """Largest ratio of a change to the one before it (< 1 when the
     changes strictly decrease; infinite after a zero change, NaN after a
     NaN one)."""
-    return pantsrep.worst_residual(b / a if a else mp.inf
-                                   for a, b in zip(changes, changes[1:]))
+    return worst_residual(b / a if a else mp.inf for a, b in zip(changes, changes[1:]))
 
 
 # the tau suite's truncation order, shift range, tolerance and digits
@@ -353,7 +341,7 @@ def tau_checks(seed: int, draws: int) -> Report:
     rep = Report("shift-summed series and its deformation equation")
     rng = random.Random(seed)
     # every residual slot and ratio, so that a NaN among them fails its row
-    residuals, ratios = [mp.mpf(0)], [mp.mpf(0)]
+    residuals, ratios = [], []
     resid_s = stab_s = 0.0
     for _ in range(draws):
         theta = tuple(Fraction(rng.randint(1, 9), rng.randint(10, 29)) for _ in range(4))
@@ -367,8 +355,8 @@ def tau_checks(seed: int, draws: int) -> Report:
         ratios.append(shrink_ratio(shift_changes(ts)))
         resid_s += mid - start
         stab_s += time.perf_counter() - mid
-    worst_resid = pantsrep.worst_residual(residuals)
-    worst_ratio = pantsrep.worst_residual(ratios)
+    worst_resid = worst_residual(residuals)
+    worst_ratio = worst_residual(ratios)
     ok = bool(worst_resid < TAU_TOL)
     rep.add(CheckResult(f"deformation-equation residual over {draws} draws",
                         "tau-deformation", "pass" if ok else "fail",
@@ -386,7 +374,7 @@ def tau_checks(seed: int, draws: int) -> Report:
         ts = tau.tau_series(theta, Fraction(2, 5), Fraction(13, 10), N=TAU_ORDER,
                             M=TAU_SHIFTS, digits=30, normalization="plain")
         res = tau.sigma_pvi_residual(ts)
-        r = max((abs(v) for v in res.values()), default=mp.mpf(0))
+        r = worst_residual(abs(v) for v in res.values())
         return bool(r > TAU_TOL), f"residual {fmt_residual(r)}"
 
     _timed(rep, "unweighted sum leaves a residual", "tau-deformation", negative)

@@ -23,9 +23,9 @@ import mpmath as mp
 from . import checks as checksuites
 from . import holonomy, pantsrep
 from .blocks import sphere4_block, torus1_block
-from .plotting import emit_plot
+from .plotting import plot_svg
 from .reference import reference_curves
-from .report import load_reports, render_reports
+from .report import load_reports, render_reports, worst_residual
 from .surfaces import (FlipError, PantsDecomposition, Surface, dual_fat_graph,
                        reference_triangulation, surface_from_json, surface_to_json,
                        validate_dehn)
@@ -365,9 +365,8 @@ def block(kind, weights, cc, order, out, plot):
         for ck in blk.coeffs:
             total += float(ck)
             partial.append(total)
-        emit_plot(enumerate(partial), plot, title=f"{kind} partial sums at q=1",
-                  xlabel="order", ylabel="partial sum")
-        click.echo(f"plot written to {plot}")
+        _emit(plot_svg(enumerate(partial), f"{kind} partial sums at q=1", "order",
+                       "partial sum"), plot, "plot")
 
 
 @main.command("tau")
@@ -407,7 +406,7 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
         # an exactly vanishing slot is not stored, so every slot may be gone
         res = sigma_pvi_residual(ts)
         with mp.workdps(digits):
-            worst = max((abs(v) for v in res.values()), default=mp.mpf(0))
+            worst = worst_residual(abs(v) for v in res.values())
             lines.append(f"# deformation-equation residual (worst slot): "
                          f"{mp.nstr(worst, 6)}")
     _emit("\n".join(lines) + "\n", out, "series")
@@ -416,9 +415,8 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
     if plot:
         with mp.workdps(digits):
             decay = sorted((j, float(abs(v))) for (m, j), v in res.items())
-        emit_plot(decay, plot, title="residual by order", xlabel="order",
-                  ylabel="residual", logy=True)
-        click.echo(f"plot written to {plot}")
+        _emit(plot_svg(decay, "residual by order", "order", "residual", logy=True),
+              plot, "plot")
 
 
 @main.command("report")

@@ -5,9 +5,9 @@ Holonomies of fat-graph walks are products of per-edge matrices
 ``L = [[1,1],[-1,0]]`` and ``R = [[0,1],[-1,-1]]`` (so ``L^3 = -1``,
 matching the trivalent vertices), multiplied out one step, edge times
 turn matrix, at a time.  Traces are sign-normalized Laurent
-polynomials; the log-canonical bracket and coordinate mutation live here
-as well, and the cubic/quartic trace relations as the s = 1 value of the
-relation table in ``reference``.
+polynomials; the log-canonical bracket and coordinate mutation, written
+once as the flip substitution, live here as well, and the cubic/quartic
+trace relations as the s = 1 value of the relation table in ``reference``.
 """
 
 from __future__ import annotations
@@ -75,32 +75,14 @@ def poisson_bracket(p: LaurentPoly, q: LaurentPoly, n) -> LaurentPoly:
 
 # -- cluster mutation -----------------------------------------------------------
 
-def mutate_coordinate(n, e: int, target: int) -> LaurentRational:
-    """Flipped-triangulation coordinate X'_target written in the unflipped
-    coordinates (rational in general)."""
-    E = len(n)
-    if target == e:
-        return LaurentRational(LaurentPoly.variable(E, e)).inverse()
-    k = n[target][e]
-    x_t = LaurentPoly.variable(E, target)
-    if k == 0:
-        return LaurentRational(x_t)
-    x_e = LaurentPoly.variable(E, e)
-    one = LaurentPoly.const(E, 1)
-    if k > 0:
-        base = one + x_e.monomial_inverse()       # 1 + X_e^{-1}
-        return LaurentRational(x_t, base ** k)
-    base = one + x_e                              # 1 + X_e
-    return LaurentRational(x_t * base ** (-k))
-
-
 class SubstitutionError(ValueError):
     pass
 
 
 def substitute_flip(p: LaurentPoly, n, e: int) -> LaurentRational:
-    """Rewrite a polynomial in flipped coordinates as a rational function of
-    the unflipped ones.
+    """Rewrite a polynomial in the coordinates of the triangulation flipped
+    at edge ``e`` as a rational function of the unflipped ones, by the
+    cluster mutation X'_e = 1/X_e and X'_a = X_a X_e^[n_ae]+ (1 + X_e)^(-n_ae).
 
     Works monomial by monomial: every half-integer power of a mutated
     coordinate contributes a power of u = 1 + X_e times a monomial, and for
@@ -114,14 +96,9 @@ def substitute_flip(p: LaurentPoly, n, e: int) -> LaurentRational:
         u2 = 0  # doubled exponent of u
         mono[e] = -d[e]
         for a, da in enumerate(d):
-            if a == e or da == 0:
-                continue
-            k = n[a][e]
-            if k == 0:
-                continue
-            u2 += -k * da
-            if k > 0:
-                mono[e] += k * da
+            if a != e:
+                u2 -= n[a][e] * da
+                mono[e] += max(n[a][e], 0) * da
         terms.append((tuple(mono), u2, c))
     if any(u2 % 2 for _, u2, _ in terms):
         raise SubstitutionError("substitution produced a half-integer power of 1+X_e")
@@ -137,6 +114,12 @@ def substitute_flip(p: LaurentPoly, n, e: int) -> LaurentRational:
         num = num + LaurentPoly.monomial(E, mono, c) * upows[k]
     den = u ** (-j0)
     return LaurentRational(num, den)
+
+
+def mutate_coordinate(n, e: int, target: int) -> LaurentRational:
+    """Flipped-triangulation coordinate X'_target written in the unflipped
+    coordinates: the flip substitution applied to that generator."""
+    return substitute_flip(LaurentPoly.variable(len(n), target), n, e)
 
 
 def verify_mutation_covariance(tri: Triangulation, e: int, curve: CurvePath,

@@ -59,6 +59,7 @@ import mpmath as mp
 
 from .decimals import Complex, working
 from .reference import relation_terms
+from .report import worst_residual
 
 ONE = Complex(Decimal(1), Decimal(0))
 # a site closer than this to a zero of 2 sinh(l/2) is rejected
@@ -311,14 +312,6 @@ def verify_pants_relations(p: RepParams, kind: str, tol: float,
         worst = worst_residual(r for _, d, r in rows if d == degree)
         report[degree] = {"residual": worst, "pass": bool(worst < tol)}
     return report
-
-
-def worst_residual(residuals):
-    """The largest residual, or a NaN among them: max would keep whichever
-    side of a NaN comparison came first, and a NaN must never pass."""
-    residuals = list(residuals)
-    nans = [r for r in residuals if mp.isnan(r)]
-    return nans[0] if nans else max(residuals)
 
 
 def random_params(kind: str, rng, digits: int = 30) -> RepParams:

@@ -1,7 +1,8 @@
-"""Byte-stable SVG emission for series partial sums and residual decay.
+"""Byte-stable SVG text for series partial sums and residual decay.
 
-The writer is deliberately hand-rolled: fixed canvas, fixed formatting of
-floats, no timestamps, so identical data produces identical bytes.
+The plot is deliberately hand-rolled: fixed canvas, fixed formatting of
+floats, no timestamps, so identical data produces identical bytes.  The
+CLI writes the text, as it writes every other output.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ def _scale(values, lo_pix, hi_pix):
     return to_pix
 
 
-def emit_plot(points, path: str, title: str, xlabel: str, ylabel: str,
-              logy: bool = False) -> None:
-    """Write a deterministic SVG of the given (x, y) pairs.
+def plot_svg(points, title: str, xlabel: str, ylabel: str, logy: bool = False) -> str:
+    """A deterministic SVG of the given (x, y) pairs.
 
     With ``logy`` the positive y-values are plotted on a decimal log scale
     (e.g. residual decay).  The legend counts the points drawn, and the
@@ -82,6 +82,4 @@ def emit_plot(points, path: str, title: str, xlabel: str, ylabel: str,
     lines.append(f'<text x="{_W - _PAD}" y="{_PAD - 8}" text-anchor="end" '
                  f'font-size="10">{legend}</text>')
     lines.append("</svg>")
-    data = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
+    return "\n".join(lines) + "\n"

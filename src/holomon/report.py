@@ -5,7 +5,8 @@ serialize to text, JSON or CSV with a fixed field order and fixed float
 formatting, and `load_reports` reads back what `to_json` writes.
 Wall-clock runtimes are kept on the objects for interactive display but
 are excluded from serialized reports so that identical inputs produce
-identical bytes.
+identical bytes.  `worst_residual` is the one worst of several residuals
+that the suites and the CLI report, and a NaN among them wins.
 """
 
 from __future__ import annotations
@@ -148,6 +149,15 @@ def load_reports(text: str) -> list:
                 return reports
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def worst_residual(residuals):
+    """The largest of some residuals, 0 for none, or a NaN among them: max
+    keeps whichever side of a NaN comparison came first, and a NaN must
+    never pass."""
+    residuals = list(residuals)
+    nans = [r for r in residuals if mp.isnan(r)]
+    return nans[0] if nans else max(residuals, default=mp.mpf(0))
 
 
 def fmt_residual(x) -> str:

@@ -42,6 +42,7 @@ import mpmath as mp
 
 from .blocks import sphere4_block
 from .decimals import to_decimal, working
+from .report import worst_residual
 from .sparse import add, add_into, convolve
 from .virasoro import GramSingularError
 
@@ -313,20 +314,12 @@ def tau_series(theta, lam, kappa, N: int, M: int, digits: int,
 def coefficient_difference(a: TauSeries, b: TauSeries):
     """Largest change of shared bigraded coefficients, phases included,
     between two truncations (the stability measure for growing the shift
-    range); a NaN difference is returned as it is, since max would drop it."""
+    range); a NaN difference wins."""
     sa, sb = a.series, b.series
     jmax = min(sa.jmax, sb.jmax)
-    worst = mp.mpf(0)
-    for k in set(sa.terms) | set(sb.terms):
-        if k[1] > jmax:
-            continue
-        va = sa.terms.get(k, 0)
-        vb = sb.terms.get(k, 0)
-        d = abs(mp.mpmathify(va) - mp.mpmathify(vb))
-        if mp.isnan(d):
-            return d
-        worst = max(worst, d)
-    return worst
+    return worst_residual(
+        abs(mp.mpmathify(sa.terms.get(k, 0)) - mp.mpmathify(sb.terms.get(k, 0)))
+        for k in set(sa.terms) | set(sb.terms) if k[1] <= jmax)
 
 
 # -- the scalar deformation equation -------------------------------------------

@@ -5,16 +5,18 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holomon import checks as checksuites
+from holomon import tau
 from holomon.blocks import sphere4_block
 from holomon.cli import main
-from holomon.plotting import emit_plot
-from holomon.report import KNOWN_TAGS, CheckResult, Report
+from holomon.plotting import plot_svg
+from holomon.report import KNOWN_TAGS, CheckResult, Report, worst_residual
 
 # the bytes of `holomon verify all --seed 0 --format json`
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all_seed0.json"
@@ -325,6 +327,16 @@ class TestSeriesCommands:
         assert f"plot written to {plot}" in r.output
         assert "<svg" in plot.read_text()
 
+    def test_tau_nan_slot_is_the_worst(self, runner, monkeypatch):
+        # a NaN weight for shift 2 makes some residual slots NaN, after
+        # finite ones, and the worst slot must report it
+        real = tau.weight_ratio
+        monkeypatch.setattr(tau, "weight_ratio", lambda theta, lam, m, digits:
+                            mp.nan if m == 2 else real(theta, lam, m, digits))
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10"])
+        assert r.exit_code == 0
+        assert r.output.splitlines()[-1].endswith("nan")
+
     def test_tau_header(self, runner):
         r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10",
                                  "--order", "2", "--shifts", "1"])
@@ -496,6 +508,9 @@ class TestReportObjects:
         # the registry holds no tag that no suite emits
         assert {row["tag"] for row in rows} == KNOWN_TAGS
 
+    def test_worst_residual_of_none_is_zero(self):
+        assert worst_residual([]) == 0
+
     def test_runtime_not_serialized(self):
         rep = Report("demo")
         rep.add(CheckResult("a", "cubic-relation", "pass", "", runtime=1.23))
@@ -581,34 +596,26 @@ class TestExitContract:
 
 
 class TestPlot:
-    def test_byte_stable(self, tmp_path):
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    def test_byte_stable(self):
         data = list(enumerate([1.0, 0.1, 0.01, 0.001]))
-        emit_plot(data, str(a), "partial sums", "order", "value", logy=True)
-        emit_plot(data, str(b), "partial sums", "order", "value", logy=True)
-        assert a.read_bytes() == b.read_bytes()
+        a = plot_svg(data, "partial sums", "order", "value", logy=True)
+        b = plot_svg(data, "partial sums", "order", "value", logy=True)
+        assert a == b
 
-    def test_empty_series_axes_only(self, tmp_path):
-        p = tmp_path / "e.svg"
-        emit_plot([], str(p), "partial sums", "order", "value")
-        text = p.read_text()
+    def test_empty_series_axes_only(self):
+        text = plot_svg([], "partial sums", "order", "value")
         assert "<svg" in text and "polyline" not in text
         assert ">n=0</text>" in text
 
-    def test_monotone_decay_rendered(self, tmp_path):
-        p = tmp_path / "d.svg"
-        emit_plot([(k, 10.0 ** -k) for k in range(6)], str(p), "partial sums", "order",
-                  "value", logy=True)
-        assert "polyline" in p.read_text()
+    def test_monotone_decay_rendered(self):
+        text = plot_svg([(k, 10.0 ** -k) for k in range(6)], "partial sums", "order",
+                        "value", logy=True)
+        assert "polyline" in text
 
-    def test_dropped_values_are_counted(self, tmp_path):
-        p = tmp_path / "d.svg"
-        emit_plot([(0, 1.0), (1, 0.0), (2, -1e-3), (3, 0.01)], str(p), "residual",
-                  "order", "value", logy=True)
-        text = p.read_text()
+    def test_dropped_values_are_counted(self):
+        text = plot_svg([(0, 1.0), (1, 0.0), (2, -1e-3), (3, 0.01)], "residual",
+                        "order", "value", logy=True)
         assert "polyline" in text
         assert "min=-2.0000 max=0.0000 n=2, 2 values &lt;= 0 not drawn</text>" in text
-        p0 = tmp_path / "z.svg"
-        emit_plot([(0, 0.0), (1, 0.0)], str(p0), "residual", "order", "value", logy=True)
-        text = p0.read_text()
+        text = plot_svg([(0, 0.0), (1, 0.0)], "residual", "order", "value", logy=True)
         assert "polyline" not in text and ">n=0, 2 values &lt;= 0 not drawn</text>" in text

@@ -18,7 +18,7 @@ import pytest
 
 from holomon import (blocks, checks, holonomy, pantsrep, qmutation, qtorus, reference,
                      sparse, tau, virasoro)
-from holomon.laurent import LaurentPoly, LaurentRational
+from holomon.laurent import LaurentPoly
 from holomon.qcoeff import SPoly
 from holomon.surfaces import LEFT, flip
 
@@ -102,18 +102,20 @@ def dressed_images_scaled(monkeypatch):
 
 
 def mutation_dressing_inverted(monkeypatch):
-    """Coordinate mutation with 1 + X_e for 1 + X_e^-1 where n_te > 0."""
-    real = holonomy.mutate_coordinate
+    """The flip substitution with 1 + X_e for 1 + X_e^-1 where n_ae > 0:
+    each flipped monomial's power of X'_e = 1/X_e is raised by
+    [n_ae]+ per power of X_a, which takes the X_e^[n_ae]+ out of X_a's
+    image."""
+    real = holonomy.substitute_flip
 
-    def mutate(n, e, target):
-        k = n[target][e]
-        if target == e or k <= 0:
-            return real(n, e, target)
-        E = len(n)
-        base = LaurentPoly.const(E, 1) + LaurentPoly.variable(E, e)
-        return LaurentRational(LaurentPoly.variable(E, target), base ** k)
+    def substitute(p, n, e):
+        def raised(d):
+            lift = sum(max(n[a][e], 0) * da for a, da in enumerate(d) if a != e)
+            return d[:e] + (d[e] + lift,) + d[e + 1:]
 
-    monkeypatch.setattr(holonomy, "mutate_coordinate", mutate)
+        return real(LaurentPoly(p.nvars, {raised(d): c for d, c in p.terms.items()}), n, e)
+
+    monkeypatch.setattr(holonomy, "substitute_flip", substitute)
 
 
 def flip_substituted_backwards(monkeypatch):
@@ -216,6 +218,14 @@ def plain_sum_weighted(monkeypatch):
     monkeypatch.setattr(tau, "tau_series", weighted)
 
 
+def residual_slot_nan(monkeypatch):
+    """One NaN slot after the real ones in every deformation-equation
+    residual: a worst residual taken by max keeps the finite slots."""
+    real = tau.sigma_pvi_residual
+    monkeypatch.setattr(tau, "sigma_pvi_residual",
+                        lambda ts: {**real(ts), ("nan", 0): mp.nan})
+
+
 def central_term_doubled(monkeypatch):
     """The central term of [L_n, L_-n] taken as c/6 n(n^2-1): every Gram
     entry that reaches level 2 through L_-2 moves, and the degenerate
@@ -278,6 +288,7 @@ CONTROLS = [
     ("tau-deformation", TAU, gamma_pair_deleted, WEIGHTED),
     ("tau-deformation", TAU, weight_steps_nan, WEIGHTED),
     ("tau-deformation", TAU, plain_sum_weighted, "unweighted sum leaves a residual"),
+    ("tau-deformation", TAU, residual_slot_nan, "unweighted sum leaves a residual"),
     ("tau-truncation", TAU, unweighted_sum, "shift contributions shrink"),
     ("kac-level2", DEGENERATE, central_term_doubled),
     ("null-vector", DEGENERATE, central_term_doubled),

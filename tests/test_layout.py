@@ -10,7 +10,8 @@ nothing when ``holomon`` runs.  ``blocks.py`` and ``virasoro.py`` hold
 one arithmetic, exact rationals, so neither imports mpmath.  Decimal
 arithmetic runs in a local context, so no library call changes the
 caller's, and no module reads mpmath's ambient precision: each number
-carries its own digits.
+carries its own digits.  Only ``cli._emit`` opens a file to write, so
+every output file goes through one writer.
 """
 
 import ast
@@ -262,3 +263,22 @@ def _ambient_precision_reads(path) -> list:
 def test_no_ambient_precision_read():
     reads = {path.stem: _ambient_precision_reads(path) for path in SRC}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def _mode(call: ast.Call) -> str:
+    """The mode an ``open`` call passes, "r" when it passes none, and "w"
+    when it is not a literal, so that an unknown mode counts as writing."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return mode.value if isinstance(mode, ast.Constant) else "w"
+
+
+def test_only_emit_opens_files_to_write():
+    writers = []
+    for path in SRC:
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            writers += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                        if _called_name(node) == "open" and set(_mode(node)) & set("wax")
+                        and (path.stem, owner) != ("cli", "_emit")]
+    assert writers == []

@@ -26,9 +26,9 @@ from holomon.pantsrep import (
     relation_residual,
     residual_table,
     verify_pants_relations,
-    worst_residual,
 )
 from holomon.reference import RELATIONS, relation_terms
+from holomon.report import worst_residual
 
 
 def params_c04(digits=30):
