@@ -67,12 +67,6 @@ class Complex:
     def __repr__(self):
         return f"Complex({self.re!r}, {self.im!r})"
 
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __neg__(self):
-        return Complex(-self.re, -self.im)
-
     def __add__(self, other):
         if type(other) is Complex:
             return Complex(self.re + other.re, self.im + other.im)

@@ -235,8 +235,7 @@ class Quotient:
 
 
 class LaurentRational(Quotient):
-    """A quotient of Laurent polynomials, to which ints, Fractions and
-    LaurentPolys lift."""
+    """A quotient of Laurent polynomials."""
 
     __slots__ = ()
 
@@ -250,14 +249,3 @@ class LaurentRational(Quotient):
     @classmethod
     def from_const(cls, nvars: int, c) -> "LaurentRational":
         return cls(LaurentPoly.const(nvars, c))
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
-    def _coerce(self, other) -> Quotient:
-        if isinstance(other, LaurentPoly):
-            return LaurentRational(other)
-        if isinstance(other, (int, Fraction)):
-            return LaurentRational.from_const(self.nvars, other)
-        return super()._coerce(other)

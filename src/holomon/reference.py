@@ -19,19 +19,20 @@ re-checks on every run (its tag in brackets):
   takes t to u, so neither relation holds by construction);
 - ``LOOP_BRACKET_CONSTANT`` scales the bracket {L_s, L_t} to the
   u-derivative of the relation (``bracket-derivative``);
-- every (curve, flip) pair in ``COVARIANT_WALKS`` reproduces its trace
-  through the coordinate mutation (``mutation-covariance``).
+- the walks of s, t, u and the peripheral curves carried through each
+  flip are derived by ``surfaces.flip_walk``, not stored, and reproduce
+  their traces through the coordinate mutation (``mutation-covariance``).
 
 Nothing here is trusted without a check.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from operator import add, mul
 
 from .qcoeff import SPoly
-from .surfaces import CurvePath, reference_triangulation
+from .surfaces import CurvePath, flip_walk, reference_triangulation
 
 # The deformed generator relations, keyed by (surface, degree).  Each maps a
 # word in the generators s, t, u, read in operator order ("stu" is
@@ -132,65 +133,6 @@ _CURVES = {
     },
 }
 
-# walk of each curve in the triangulation flipped at the given edge,
-# keyed by (surface, flipped edge, curve name)
-COVARIANT_WALKS = {
-    ("c11", 0, "s"): ([(1, "L"), (0, "R")], 0),
-    ("c11", 0, "t"): ([(2, "R"), (0, "L")], 0),
-    ("c11", 0, "u"): ([(2, "R"), (0, "R"), (1, "L"), (0, "L")], 0),
-    ("c11", 0, "p1"): ([(2, "R"), (0, "R"), (1, "R"), (2, "R"), (0, "R"), (1, "R")], 0),
-    ("c11", 1, "s"): ([(0, "R"), (1, "L")], 0),
-    ("c11", 1, "t"): ([(0, "R"), (1, "R"), (2, "L"), (1, "L")], 0),
-    ("c11", 1, "u"): ([(2, "L"), (1, "R")], 0),
-    ("c11", 1, "p1"): ([(0, "R"), (1, "R"), (2, "R"), (0, "R"), (1, "R"), (2, "R")], 0),
-    ("c11", 2, "s"): ([(1, "R"), (2, "R"), (0, "L"), (2, "L")], 0),
-    ("c11", 2, "t"): ([(0, "L"), (2, "R")], 0),
-    ("c11", 2, "u"): ([(1, "R"), (2, "L")], 0),
-    ("c11", 2, "p1"): ([(1, "R"), (2, "R"), (0, "R"), (1, "R"), (2, "R"), (0, "R")], 0),
-    ("c04", 0, "s"): ([(3, "R"), (0, "R"), (1, "L"), (2, "R"), (0, "R"), (4, "L")], 0),
-    ("c04", 0, "t"): ([(5, "L"), (1, "L"), (0, "R"), (4, "R")], 0),
-    ("c04", 0, "u"): ([(3, "R"), (0, "L"), (2, "L"), (5, "R")], 0),
-    ("c04", 0, "p1"): ([(2, "L"), (1, "L")], 1),
-    ("c04", 0, "p2"): ([(3, "L"), (4, "L")], 0),
-    ("c04", 0, "p3"): ([(3, "R"), (0, "R"), (1, "R"), (5, "R")], 0),
-    ("c04", 0, "p4"): ([(5, "R"), (2, "R"), (0, "R"), (4, "R")], 0),
-    ("c04", 1, "s"): ([(3, "L"), (1, "R"), (2, "R"), (4, "L")], 0),
-    ("c04", 1, "t"): ([(5, "R"), (1, "L"), (0, "L"), (4, "R")], 0),
-    ("c04", 1, "u"): ([(3, "L"), (1, "L"), (0, "R"), (2, "L"), (1, "L"), (5, "R")], 0),
-    ("c04", 1, "p1"): ([(0, "L"), (2, "L")], 2),
-    ("c04", 1, "p2"): ([(3, "L"), (1, "L"), (0, "L"), (4, "L")], 0),
-    ("c04", 1, "p3"): ([(3, "R"), (5, "R")], 0),
-    ("c04", 1, "p4"): ([(5, "R"), (1, "R"), (2, "R"), (4, "R")], 0),
-    ("c04", 2, "s"): ([(3, "R"), (1, "R"), (2, "L"), (4, "L")], 0),
-    ("c04", 2, "t"): ([(5, "L"), (2, "L"), (1, "R"), (0, "L"), (2, "L"), (4, "R")], 0),
-    ("c04", 2, "u"): ([(3, "L"), (0, "L"), (2, "R"), (5, "R")], 0),
-    ("c04", 2, "p1"): ([(1, "R"), (0, "R")], 1),
-    ("c04", 2, "p2"): ([(3, "L"), (0, "L"), (2, "L"), (4, "L")], 0),
-    ("c04", 2, "p3"): ([(3, "R"), (1, "R"), (2, "R"), (5, "R")], 0),
-    ("c04", 2, "p4"): ([(5, "R"), (4, "R")], 0),
-    ("c04", 3, "s"): ([(4, "L"), (2, "R"), (1, "R"), (3, "L")], 0),
-    ("c04", 3, "t"): ([(4, "R"), (0, "L"), (3, "L"), (1, "R"), (5, "L"), (3, "L")], 0),
-    ("c04", 3, "u"): ([(0, "R"), (2, "L"), (5, "L"), (3, "R")], 0),
-    ("c04", 3, "p1"): ([(0, "R"), (2, "R"), (1, "R"), (3, "R")], 0),
-    ("c04", 3, "p2"): ([(4, "R"), (0, "R")], 0),
-    ("c04", 3, "p3"): ([(5, "R"), (1, "R")], 1),
-    ("c04", 3, "p4"): ([(4, "L"), (2, "L"), (5, "L"), (3, "L")], 0),
-    ("c04", 4, "s"): ([(2, "R"), (1, "L"), (3, "L"), (4, "R")], 0),
-    ("c04", 4, "t"): ([(5, "L"), (1, "R"), (0, "R"), (4, "L")], 0),
-    ("c04", 4, "u"): ([(5, "R"), (2, "L"), (4, "L"), (0, "R"), (3, "L"), (4, "L")], 0),
-    ("c04", 4, "p1"): ([(2, "R"), (1, "R"), (0, "R"), (4, "R")], 0),
-    ("c04", 4, "p2"): ([(0, "R"), (3, "R")], 2),
-    ("c04", 4, "p3"): ([(5, "L"), (1, "L"), (3, "L"), (4, "L")], 0),
-    ("c04", 4, "p4"): ([(5, "R"), (2, "R")], 0),
-    ("c04", 5, "s"): ([(3, "R"), (1, "L"), (5, "L"), (2, "R"), (4, "L"), (5, "L")], 0),
-    ("c04", 5, "t"): ([(1, "R"), (0, "L"), (4, "L"), (5, "R")], 0),
-    ("c04", 5, "u"): ([(3, "L"), (0, "R"), (2, "R"), (5, "L")], 0),
-    ("c04", 5, "p1"): ([(1, "R"), (0, "R"), (2, "R"), (5, "R")], 0),
-    ("c04", 5, "p2"): ([(3, "L"), (0, "L"), (4, "L"), (5, "L")], 0),
-    ("c04", 5, "p3"): ([(3, "R"), (1, "R")], 0),
-    ("c04", 5, "p4"): ([(2, "R"), (4, "R")], 1),
-}
-
 
 def reference_curves(name: str) -> dict:
     """All curated walks on the reference triangulation ``name``."""
@@ -199,18 +141,29 @@ def reference_curves(name: str) -> dict:
     return {k: CurvePath(steps, start=start) for k, (steps, start) in _CURVES[name].items()}
 
 
+@cache
+def _flipped_walks(name: str) -> dict:
+    """{(edge, curve name): walk in the triangulation flipped at that edge}
+    for s, t, u and the peripheral curves, each derived by ``flip_walk``.
+
+    Derived once per surface, since callers time ``covariant_walk`` inside
+    each covariance check."""
+    tri, curves = reference_setup(name)
+    return {(e, c): flip_walk(tri, e, curves[c])
+            for e in range(tri.n_edges) for c in ("s", "t", "u", *boundary_names(name))}
+
+
 def covariant_walk(name: str, e: int, curve: str) -> CurvePath:
-    """The stored walk of ``curve`` in the triangulation flipped at ``e``."""
-    key = (name, e, curve)
-    if key not in COVARIANT_WALKS:
-        raise KeyError(f"no covariant walk stored for {key}")
-    steps, start = COVARIANT_WALKS[key]
-    return CurvePath(steps, start=start)
+    """The walk of ``curve`` in the triangulation flipped at ``e``."""
+    walks = _flipped_walks(name)
+    if (e, curve) not in walks:
+        raise KeyError(f"no covariant walk for {(name, e, curve)}")
+    return walks[(e, curve)]
 
 
 def covariance_corpus(name: str) -> list:
-    """All (edge, curve name) pairs with stored covariant walks."""
-    return sorted((e, c) for (nm, e, c) in COVARIANT_WALKS if nm == name)
+    """All (edge, curve name) pairs with covariant walks."""
+    return sorted(_flipped_walks(name))
 
 
 def boundary_names(name: str) -> list:

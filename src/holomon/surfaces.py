@@ -2,8 +2,9 @@
 
 Punctured surfaces, ideal triangulations given by gluing tables, the dual
 trivalent fat graph, diagonal flips, the antisymmetric exchange matrix,
-closed walks carrying curves, pants decompositions with their Dehn
-parameter constraints, and the JSON surface file.
+closed walks carrying curves and their images under a flip, pants
+decompositions with their Dehn parameter constraints, and the JSON surface
+file.
 
 Triangles are oriented: each one lists its three sides in counterclockwise
 order as ``(edge_index, flag)`` with ``flag = +1`` when the side runs along
@@ -20,6 +21,9 @@ from typing import Sequence
 
 LEFT = "L"
 RIGHT = "R"
+# a walk entering a triangle at one side leaves at the side this many
+# places further ccw
+_OFFSET = {LEFT: 1, RIGHT: 2}
 
 
 def _integer(v, what: str) -> int:
@@ -74,7 +78,7 @@ class Triangulation:
     the absence of self-folded triangles.
     """
 
-    __slots__ = ("surface", "triangles", "n_edges")
+    __slots__ = ("surface", "triangles", "n_edges", "_occurrences")
 
     def __init__(self, surface: Surface, triangles: Sequence):
         if not surface.is_triangulable:
@@ -108,27 +112,23 @@ class Triangulation:
         # two distinct triangles
         seen: dict = {}
         for ti, t in enumerate(self.triangles):
-            for e, f in t:
-                seen.setdefault(e, []).append((ti, f))
+            for pos, (e, _) in enumerate(t):
+                seen.setdefault(e, []).append((ti, pos))
         for e, occ in seen.items():
             if len(occ) != 2:
                 raise TriangulationError(f"edge {e} used {len(occ)} times, want 2")
-            (t1, f1), (t2, f2) = occ
+            (t1, p1), (t2, p2) = occ
             if t1 == t2:
                 raise TriangulationError(f"edge {e} makes triangle {t1} self-folded")
-            if f1 + f2 != 0:
+            if self.triangles[t1][p1][1] + self.triangles[t2][p2][1] != 0:
                 raise TriangulationError(f"edge {e} glued without reversing orientation")
+        self._occurrences = tuple(tuple(seen[e]) for e in edges)
 
     # -- queries -----------------------------------------------------------
 
     def edge_triangles(self, e: int) -> tuple:
         """The two (triangle index, position) occurrences of edge e."""
-        occ = []
-        for ti, t in enumerate(self.triangles):
-            for pos, (ee, _) in enumerate(t):
-                if ee == e:
-                    occ.append((ti, pos))
-        return tuple(occ)
+        return self._occurrences[e]
 
     def __repr__(self):
         return (f"Triangulation(C_{{{self.surface.genus},{self.surface.punctures}}}, "
@@ -257,9 +257,6 @@ class FatGraph:
         self.cyclic = tuple(tuple(c) for c in cyclic)
         self.ends = tuple(tuple(p) for p in ends)
         self.n_edges = len(self.ends)
-        for c in self.cyclic:
-            if len(c) != 3 or len(set(c)) != 3:
-                raise ValueError("fat graph vertices must see 3 distinct edges")
 
     def other_end(self, e: int, v: int) -> int:
         a, b = self.ends[e]
@@ -274,22 +271,12 @@ class FatGraph:
         (far_vertex, next_edge)."""
         w = self.other_end(e, v_from)
         cyc = self.cyclic[w]
-        p = cyc.index(e)
-        if turn == LEFT:
-            nxt = cyc[(p + 1) % 3]
-        elif turn == RIGHT:
-            nxt = cyc[(p + 2) % 3]
-        else:
-            raise ValueError(f"turn must be 'L' or 'R', got {turn!r}")
-        return w, nxt
+        return w, cyc[(cyc.index(e) + _OFFSET[turn]) % 3]
+
 
 def dual_fat_graph(tri: Triangulation) -> FatGraph:
-    cyclic = [tuple(e for e, _ in t) for t in tri.triangles]
-    ends = []
-    for e in range(tri.n_edges):
-        occ = tri.edge_triangles(e)
-        ends.append((occ[0][0], occ[1][0]))
-    return FatGraph(cyclic, ends)
+    return FatGraph([[e for e, _ in t] for t in tri.triangles],
+                    [(t1, t2) for (t1, _), (t2, _) in map(tri.edge_triangles, range(tri.n_edges))])
 
 
 # -- curves as fat-graph walks ------------------------------------------------
@@ -323,7 +310,7 @@ class CurvePath:
             if not 0 <= e < fg.n_edges:
                 raise ValueError(f"edge {e} out of range 0..{fg.n_edges - 1}")
         e0 = self.steps[0][0]
-        v = self.start if self.start is not None else min(fg.ends[e0])
+        v = v0 = self.start if self.start is not None else min(fg.ends[e0])
         if v not in fg.ends[e0]:
             raise ValueError(f"start vertex {v} is not an end of edge {e0}")
         out = []
@@ -336,7 +323,6 @@ class CurvePath:
                     f"walk broken at step {i}: turn {turn} at vertex {w} "
                     f"leads to edge {nxt}, walk says {expected}")
             v = w
-        v0 = self.start if self.start is not None else min(fg.ends[e0])
         if v != v0:
             raise ValueError("walk does not close up")
         return out
@@ -344,6 +330,44 @@ class CurvePath:
     def __repr__(self):
         body = ",".join(f"{e}{t}" for e, t in self.steps)
         return f"CurvePath[{body}; start={self.start}]"
+
+
+def flip_walk(tri: Triangulation, e: int, curve: CurvePath) -> CurvePath:
+    """The walk of ``curve`` in ``flip(tri, e)``.
+
+    A walk is a cycle of corners: it enters a triangle through one side,
+    an (edge, flag) pair, and leaves through another.  Corners outside the
+    quadrilateral of e stay.  Each passage through the quadrilateral, from
+    one of its four sides to another, becomes the corner of the new
+    triangle that holds both sides, or two corners across the new
+    diagonal.  The flip keeps every side's (edge, flag), so each is looked
+    up in its output.
+    """
+    new = flip(tri, e)
+    fg = dual_fat_graph(tri)
+    corners = []  # (entry side, exit side)
+    for v, f, turn in curve.resolve(fg):
+        w = fg.other_end(f, v)
+        t, p = tri.triangles[w], fg.cyclic[w].index(f)
+        corners.append((t[p], t[(p + _OFFSET[turn]) % 3]))
+    # begin at a corner not entered across e, so that no passage wraps round
+    k = next(i for i, (a, _) in enumerate(corners) if a[0] != e)
+    at = {side: (ti, pos) for ti, t in enumerate(new.triangles) for pos, side in enumerate(t)}
+    out = []  # the corners in the flipped triangulation
+    for a, b in corners[k:] + corners[:k]:
+        if b[0] == e:  # the passage goes on across e
+            entry = a
+            continue
+        if a[0] == e:
+            a = entry
+        if at[a][0] == at[b][0]:
+            out.append((a, b))
+        else:
+            d = next(side for side in new.triangles[at[a][0]] if side[0] == e)
+            out += [(a, d), ((e, -d[1]), b)]
+    a0 = out[0][0]
+    return CurvePath([(a[0], LEFT if (at[b][1] - at[a][1]) % 3 == 1 else RIGHT) for a, b in out],
+                     start=at[(a0[0], -a0[1])][0])
 
 
 # -- pants decompositions ------------------------------------------------------

@@ -29,6 +29,7 @@ from holomon.surfaces import (
     dual_fat_graph,
     exchange_matrix,
     flip,
+    flip_walk,
     reference_triangulation,
 )
 
@@ -233,7 +234,7 @@ class TestMutateCoordinate:
 def _compose(outer: LaurentRational, n, e: int) -> LaurentRational:
     """Evaluate a rational function of the once-flipped coordinates on the
     mutation images (integer exponents only)."""
-    E = outer.nvars
+    E = outer.num.nvars
 
     def eval_poly(p: LaurentPoly) -> LaurentRational:
         total = LaurentRational.from_const(E, 0)
@@ -273,6 +274,50 @@ class TestMutationCovariance:
         p = LaurentPoly.monomial(6, (0, 1, 0, 0, 0, 0))
         with pytest.raises(SubstitutionError):
             substitute_flip(p, n, 0)
+
+    @pytest.mark.parametrize("name,pairs", [("c11", 12), ("c04", 42)])
+    def test_corpus_is_every_edge_with_the_generators_and_boundary(self, name, pairs):
+        # the exact-algebra benchmark builds one covariance op per pair
+        tri, _ = reference_setup(name)
+        want = sorted((e, c) for e in range(tri.n_edges)
+                      for c in ("s", "t", "u", *boundary_names(name)))
+        assert covariance_corpus(name) == want
+        assert len(want) == pairs
+        with pytest.raises(KeyError):
+            covariant_walk(name, 0, "st_other")
+
+
+def _every_flip():
+    """(triangulation, edge, curve name, walk) for every curated curve of
+    c11 and c04, st_other included, and every edge."""
+    return [(tri, e, cname, cp)
+            for tri, curves in map(reference_setup, ("c11", "c04"))
+            for e in range(tri.n_edges) for cname, cp in curves.items()]
+
+
+class TestFlipWalk:
+    def test_walk_resolves_and_is_covariant(self):
+        cases = _every_flip()
+        assert len(cases) == 3 * 5 + 6 * 8
+        for tri, e, cname, cp in cases:
+            walk = flip_walk(tri, e, cp)
+            walk.resolve(dual_fat_graph(flip(tri, e)))
+            assert verify_mutation_covariance(tri, e, cp, walk), (e, cname)
+
+    def test_flipping_back_restores_the_trace(self):
+        for tri, e, cname, cp in _every_flip():
+            once = flip(tri, e)
+            back = flip_walk(once, e, flip_walk(tri, e, cp))
+            assert trace_function(flip(once, e), back) == trace_function(tri, cp), (e, cname)
+
+    def test_mirrored_turns_do_not_close(self):
+        # L and R exchanged: every derived walk breaks, so the turn rule is pinned
+        for tri, e, cname, cp in _every_flip():
+            walk = flip_walk(tri, e, cp)
+            mirrored = CurvePath([(f, {"L": "R", "R": "L"}[t]) for f, t in walk.steps],
+                                 start=walk.start)
+            with pytest.raises(ValueError):
+                mirrored.resolve(dual_fat_graph(flip(tri, e)))
 
 
 class TestSkein:
