@@ -338,6 +338,8 @@ TAU_ORDER, TAU_SHIFTS, TAU_TOL, TAU_DIGITS = 6, 3, 1e-10, 50
 
 
 def tau_checks(seed: int, draws: int) -> Report:
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     rep = Report("shift-summed series and its deformation equation")
     rng = random.Random(seed)
     # every residual slot and ratio, so that a NaN among them fails its row

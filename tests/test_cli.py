@@ -174,6 +174,12 @@ class TestVerifyCommands:
         with pytest.raises(ValueError):
             checksuites.pants_checks("c11", seed=0, draws=int(draws))
 
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_tau_needs_a_draw(self, draws):
+        # over no draws the worst residual would read 0 and both rows PASS
+        with pytest.raises(ValueError, match="draws must be at least 1"):
+            checksuites.tau_checks(seed=0, draws=draws)
+
     @pytest.mark.parametrize("kind", ["c04", "c11"])
     def test_nan_residual_fails_its_row(self, kind):
         rep = checksuites.pants_checks(kind, seed=0, draws=1, b2=complex(float("nan"), 0))
@@ -216,6 +222,16 @@ class TestVerifyCommands:
         r = runner.invoke(main, ["verify", "all", "--seed", "0", "--format", "json"])
         assert r.exit_code == 0
         assert r.stdout_bytes == GOLDEN_VERIFY_ALL.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_sites_csv_is_pinned(self, runner, tmp_path, kind):
+        # the per-site residual rows, to the six digits they are printed with
+        path = tmp_path / "sites.csv"
+        r = runner.invoke(main, ["verify", "pants-rep", "--surface", kind, "--draws", "1",
+                                 "--sites-csv", str(path)])
+        assert r.exit_code == 0
+        assert path.read_bytes() == GOLDEN_VERIFY_ALL.with_name(
+            f"sites_{kind}_seed0.csv").read_bytes()
 
     def test_bpz_builds_each_channel_once(self, monkeypatch):
         calls = []

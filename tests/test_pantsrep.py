@@ -9,12 +9,11 @@ from functools import reduce
 import mpmath as mp
 import pytest
 
+from holomon import pantsrep
 from holomon.decimals import Complex, working
 from holomon.pantsrep import (
     B_MOVE_WEIGHT_NOTE,
-    BandMatrix,
     RepParams,
-    _reach,
     _relation_terms,
     _residual,
     _word_vectors,
@@ -47,6 +46,9 @@ def params(kind):
 
 # the sites the verifier checks
 SITES = (-2, 0, 3)
+# the bandwidth of the widest relation word: two generators that each shift
+# by Lt's bandwidth
+REACH = {"c04": 4, "c11": 2}
 
 
 def as_mpc(z):
@@ -55,11 +57,32 @@ def as_mpc(z):
     return mp.mpc(mp.mpmathify(z.re), mp.mpmathify(z.im))
 
 
+class BandMatrix:
+    """A band table held as dicts: ``bands[m][n]`` is the entry (n, n + m)
+    on the rows that a window holds.  Its product skips the entries a band
+    lacks, and is the reference for the library's product."""
+
+    def __init__(self, bands: dict):
+        self.bands = bands
+
+    def matvec(self, vec: dict) -> dict:
+        out = {}
+        for col, v in vec.items():
+            for m, band in self.bands.items():
+                c = band.get(col - m)
+                if c is not None:
+                    out[col - m] = out.get(col - m, 0) + c * v
+        return out
+
+
 def tables(p, kind="c04", window=(-8, 8)):
-    """The library's generator tables, every entry converted to mpmath."""
-    built = generator_tables(p, kind, window)
-    with mp.workdps(p.digits):
-        return {g: BandMatrix({m: {n: as_mpc(v) for n, v in band.items()}
+    """The library's generator tables read on ``window``, each band on the
+    rows whose column lies in the window, every entry converted to mpmath."""
+    lo, hi = window
+    with mp.workdps(p.digits), working(p.digits):
+        built = generator_tables(p, kind)
+        return {g: BandMatrix({m: {n: as_mpc(band(n))
+                                   for n in range(max(lo, lo - m), min(hi, hi - m) + 1)}
                                for m, band in table.bands.items()})
                 for g, table in built.items()}
 
@@ -343,51 +366,38 @@ class TestRelations:
             assert mp.isnan(worst_residual(values))
         assert worst_residual([mp.mpf(1), mp.mpf(3), mp.mpf(2)]) == 3
 
-    def test_window_independence(self):
-        # the residual's window, the site plus or minus the reach, reads
-        # only exact entries, so a wider one gives the same residual to the bit
+    def test_read_order_independence(self):
+        # every entry on sites -20..20 read first, far beyond the sites a
+        # residual reads, leaves the residual the same to the bit
         for kind in ("c04", "c11"):
             p = params(kind)
-            wide = generator_tables(p, kind, (-20, 20))
+            with mp.workdps(p.digits), working(p.digits):
+                built = generator_tables(p, kind)
+                for table in built.values():
+                    for band in table.bands.values():
+                        for n in range(-20, 21):
+                            band(n)
             for degree in (2, 3):
                 terms = _relation_terms(p, kind, degree)
                 for site in SITES:
                     with mp.workdps(p.digits), working(p.digits):
-                        vecs = _word_vectors(wide, (w for _, w in terms), site)
+                        vecs = _word_vectors(built, (w for _, w in terms), site)
                         got = _residual(terms, vecs)
                     assert relation_residual(p, kind, degree, site) == got
 
     @pytest.mark.parametrize("kind", ["c04", "c11"])
-    def test_lu_exact_inside_minimal_window(self, kind):
-        p = params(kind)
-        for degree in (2, 3):
-            for site in SITES:
-                reach = _reach(kind, degree)
-                lo, hi = site - reach, site + reach
-                small = tables(p, kind, (lo, hi))["u"]
-                wide = tables(p, kind, (lo - 2, hi + 2))["u"]
-                for row in range(lo, hi + 1):
-                    for col in range(lo, hi + 1):
-                        assert entry(small, row, col) == entry(wide, row, col)
-
-    @pytest.mark.parametrize("kind", ["c04", "c11"])
     def test_work_per_residual_table(self, kind, monkeypatch):
         # one matvec per distinct word suffix of the two relations and
-        # per site, on tables built on the sites plus or minus the reach
-        calls, windows = [], []
-        matvec, validate = BandMatrix.matvec, RepParams.validate_window
-        monkeypatch.setattr(BandMatrix, "matvec",
+        # per site
+        calls = []
+        matvec = pantsrep.BandMatrix.matvec
+        monkeypatch.setattr(pantsrep.BandMatrix, "matvec",
                             lambda self, vec: calls.append(1) or matvec(self, vec))
-        monkeypatch.setattr(RepParams, "validate_window",
-                            lambda self, q, lo, hi: windows.append((lo, hi))
-                            or validate(self, q, lo, hi))
         p = params(kind)
         residual_table(p, kind, SITES)
         suffixes = {word[i:] for degree in (2, 3) for word in RELATIONS[(kind, degree)]
                     for i in range(len(word))}
         assert len(calls) == len(suffixes) * len(SITES)
-        reach = _reach(kind, 3)
-        assert windows == [(min(SITES) - reach, max(SITES) + reach)]
 
     def test_singular_site_reported(self):
         p = RepParams(b2=0.3 + 0.1j, boundary={f"L{i}": 2.5 for i in range(1, 5)}, x0=1.0,
@@ -405,6 +415,23 @@ class TestRelations:
             tables(p, window=(-1, 8))
         rep = verify_pants_relations(p, "c04", 1e-9, sites=SITES)
         assert all(rep[d]["pass"] and rep[d]["residual"] < 1e-30 for d in (2, 3)), rep
+
+    @pytest.mark.parametrize("kind, k, read", [
+        ("c04", 7, True), ("c04", -6, True), ("c04", 8, False), ("c04", -7, False),
+        ("c11", 5, True), ("c11", -4, True), ("c11", 6, False), ("c11", -5, False),
+    ])
+    def test_read_set(self, kind, k, read):
+        # x0 = e^(i pi b2 k) puts the zero of 2 sinh(l/2) at site k: the
+        # relations at sites (-2, 0, 3) read sites -6..7 on c04 and -4..5 on
+        # c11, and a singular site is rejected exactly when it is read
+        p = params(kind)
+        p = dataclasses.replace(p, x0=cmath.exp(1j * cmath.pi * p.b2 * k))
+        if read:
+            with pytest.raises(ValueError, match=f"lattice site {k} "):
+                verify_pants_relations(p, kind, 1e-9, sites=SITES)
+        else:
+            rep = verify_pants_relations(p, kind, 1e-9, sites=SITES)
+            assert rep[2]["pass"] and rep[3]["pass"], rep
 
 
 class TestBMovePhase:
@@ -553,8 +580,7 @@ class TestDecimalTables:
     @pytest.mark.parametrize("kind", ["c04", "c11"])
     @pytest.mark.parametrize("digits", [30, 55])
     def test_entries_match_mpmath(self, kind, digits):
-        reach = _reach(kind, 3)
-        window = (min(SITES) - reach, max(SITES) + reach)
+        window = (min(SITES) - REACH[kind], max(SITES) + REACH[kind])
         tol = mp.mpf(10) ** (3 - digits)
         for seed in DRAW_SEEDS:
             p = random_params(kind, random.Random(seed), digits=digits)
@@ -612,13 +638,20 @@ class TestEdgeCases:
             assert mp.isnan(rep[degree]["residual"]) and rep[degree]["pass"] is False
 
     def test_caller_context_kept(self):
+        # the caller's context is left as it was, and no entry is computed
+        # in it: under a 7-digit caller context, 55-digit residuals keep
+        # every bit
         degenerate = RepParams(b2=1.0, boundary={f"L{i}": 2.5 for i in range(1, 5)},
                                x0=1.3 + 0.2j, digits=30)
+        at_55 = (lambda: residual_table(params_c04(55), "c04"),
+                 lambda: relation_residual(params_c11(55), "c11", 3, 0))
+        want = [run() for run in at_55]
         with decimal.localcontext() as caller:
             caller.prec = 7
             caller.traps[decimal.Inexact] = True
             caller.clear_flags()
             before = (caller.prec, dict(caller.traps), dict(caller.flags))
+            assert [run() for run in at_55] == want
             for run in (lambda: residual_table(params_c04(), "c04"),
                         lambda: relation_residual(params_c11(), "c11", 3, 0)):
                 assert run()
