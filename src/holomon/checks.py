@@ -25,7 +25,7 @@ from .reference import (
     reference_setup,
 )
 from .report import CheckResult, Report, fmt_residual, worst_residual
-from .surfaces import dual_fat_graph, exchange_matrix, flip
+from .surfaces import exchange_matrix, flip
 
 
 def _timed(report: Report, name: str, tag: str, fn):
@@ -42,8 +42,7 @@ def _timed(report: Report, name: str, tag: str, fn):
 def _trace_values(name):
     """The triangulation, every curated curve's trace, and the generators'."""
     tri, curves = reference_setup(name)
-    fg = dual_fat_graph(tri)
-    traces = {k: holonomy.trace_function(tri, cp, fg) for k, cp in curves.items()}
+    traces = {k: holonomy.trace_function(tri, cp) for k, cp in curves.items()}
     vals = {k: traces[k] for k in ("s", "t", "u")}
     if name == "c11":
         vals["L0"] = traces["p1"]

@@ -26,9 +26,8 @@ from .blocks import sphere4_block, torus1_block
 from .plotting import plot_svg
 from .reference import reference_curves
 from .report import load_reports, render_reports, worst_residual
-from .surfaces import (FlipError, PantsDecomposition, Surface, dual_fat_graph,
-                       reference_triangulation, surface_from_json, surface_to_json,
-                       validate_dehn)
+from .surfaces import (FlipError, PantsDecomposition, Surface, reference_triangulation,
+                       surface_from_json, surface_to_json, validate_dehn)
 from .surfaces import flip as flip_op
 from .tau import sigma_pvi_residual, tau_series
 
@@ -151,10 +150,9 @@ def surface_validate(path):
         raise BadInput(f"cannot read {path}") from None
     except Exception as exc:  # noqa: BLE001 - whatever the parser rejects
         raise BadInput(f"invalid surface file: {exc}") from exc
-    fg = dual_fat_graph(tri)
     for name, cp in curves.items():
         try:
-            cp.resolve(fg)
+            cp.resolve(tri)
         except ValueError as exc:
             raise BadInput(f"curve {name!r} invalid: {exc}") from exc
     click.echo(f"valid: {tri!r}, {len(curves)} curves"

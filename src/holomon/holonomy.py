@@ -1,9 +1,9 @@
 """Classical algebra of trace functions in shear coordinates.
 
-Holonomies of fat-graph walks are products of per-edge matrices
+Holonomies of walks across the triangles are products of per-edge matrices
 ``[[0, X^(1/2)], [-X^(-1/2), 0]]`` with constant turn matrices
 ``L = [[1,1],[-1,0]]`` and ``R = [[0,1],[-1,-1]]`` (so ``L^3 = -1``,
-matching the trivalent vertices), multiplied out one step, edge times
+matching a triangle's three sides), multiplied out one step, edge times
 turn matrix, at a time.  Traces are sign-normalized Laurent
 polynomials; the log-canonical bracket and coordinate mutation, written
 once as the flip substitution, live here as well, and the cubic/quartic
@@ -18,8 +18,7 @@ from .laurent import LaurentPoly, LaurentRational
 from .qcoeff import SPoly
 from .reference import relation_terms, word_sum
 from .sparse import add_into, convolve, pairing, vec_add
-from .surfaces import (LEFT, RIGHT, CurvePath, FatGraph, Triangulation, dual_fat_graph,
-                       exchange_matrix, flip)
+from .surfaces import LEFT, RIGHT, CurvePath, Triangulation, exchange_matrix, flip
 
 # One walk step, E_e T for the edge matrix E_e = [[0, X^(1/2)], [-X^(-1/2), 0]]
 # and the turn matrix T: L = [[1,1],[-1,0]] gives [[-X^(1/2), 0],
@@ -32,14 +31,15 @@ _STEP = {
 }
 
 
-def holonomy_matrix(tri: Triangulation, curve: CurvePath, fg: FatGraph):
+def holonomy_matrix(tri: Triangulation, curve: CurvePath):
     """Product of edge and turn matrices along the (validated) walk: each
     step's entries are signed monomials, so a step shifts one exponent of
     the running entries' terms."""
+    curve.resolve(tri)
     nvars = tri.n_edges
     one = {(0,) * nvars: 1}
     acc = [[one, {}], [{}, one]]
-    for _, e, turn in curve.resolve(fg):
+    for e, turn in curve.steps:
         out = [[{}, {}], [{}, {}]]
         for (k, j), (sign, p) in _STEP[turn].items():
             for i in range(2):
@@ -49,15 +49,14 @@ def holonomy_matrix(tri: Triangulation, curve: CurvePath, fg: FatGraph):
     return tuple(tuple(LaurentPoly(nvars, t) for t in row) for row in acc)
 
 
-def trace_function(tri: Triangulation, curve: CurvePath,
-                   fg: FatGraph | None = None) -> LaurentPoly:
+def trace_function(tri: Triangulation, curve: CurvePath, fg=None) -> LaurentPoly:
     """Sign-normalized trace of the walk holonomy.
 
     The overall sign is fixed so the lexicographically leading coefficient
     is positive; simple-curve walks then have all coefficients positive.
-    ``fg`` is the dual fat graph of ``tri``, built here when None.
+    ``fg`` is unread; it stays while the benchmark harness passes it.
     """
-    H = holonomy_matrix(tri, curve, dual_fat_graph(tri) if fg is None else fg)
+    H = holonomy_matrix(tri, curve)
     return (H[0][0] + H[1][1]).normalize_sign()
 
 

@@ -57,9 +57,11 @@ _SINGULAR = Decimal("1e-12")
 class RepParams:
     """Parameters of one representation instance.
 
-    b2 is the deformation parameter (q = exp(i pi b2) must not be a root of
-    unity; q^(1/4) comes from ``s()``); boundary holds L0 (torus piece) or
-    L1..L4 (sphere piece); x0 is the lattice base point e^(l0/2).
+    b2 is the deformation parameter, q = exp(i pi b2), with q^(1/4) from
+    ``s()``; ``generator_tables`` rejects q^4 = 1 on the sphere piece and
+    q^2 = 1 on the torus piece, and no other root of unity.  boundary holds
+    L0 (torus piece) or L1..L4 (sphere piece); x0 is the lattice base point
+    e^(l0/2).
     """
 
     b2: complex
@@ -113,20 +115,19 @@ def c_factor(L, Li, Lj):
     return L * L + Li * Li + Lj * Lj + L * Li * Lj - 4
 
 
-def _relation_terms(p: RepParams, kind: str, degree: int) -> list:
+def _relation_terms(p: RepParams, kind: str, degree: int, s: Complex) -> list:
     """The summands of the deformed relation as (coefficient, word) pairs,
     the word read as an operator product ("st" is Ls Lt, "" the identity);
     kept separate so residuals can be normalized by the term-magnitude
-    scale.  The table's s is ``p.s()``, and s^e is taken by products."""
-    with mp.workdps(p.digits), working(p.digits):
-        s = Complex.of(p.s())
-        s_to = cache(lambda e: ONE / s_to(-e) if e < 0 else s_to(e - 1) * s if e else ONE)
-        boundary = {k: Complex.of(v) for k, v in p.boundary.items()}
-        return relation_terms(kind, degree, boundary,
-                              lambda poly: sum(c * s_to(e) for e, c in poly.c.items()))
+    scale.  ``s`` is ``Complex.of(p.s())``, and s^e is taken by products.
+    Called inside ``mp.workdps(p.digits), working(p.digits)``."""
+    s_to = cache(lambda e: ONE / s_to(-e) if e < 0 else s_to(e - 1) * s if e else ONE)
+    boundary = {k: Complex.of(v) for k, v in p.boundary.items()}
+    return relation_terms(kind, degree, boundary,
+                          lambda poly: sum(c * s_to(e) for e, c in poly.c.items()))
 
 
-def generator_tables(p: RepParams, kind: str) -> dict:
+def generator_tables(p: RepParams, kind: str, s: Complex) -> dict:
     """The band tables {"s": Ls, "t": Lt, "u": Lu}.
 
     Ls multiplies by 2 cosh(l/2).  Lt on the sphere piece is a diagonal part
@@ -143,11 +144,11 @@ def generator_tables(p: RepParams, kind: str) -> dict:
     L1 and L2 exchanged.  A q with q^4 = 1 (sphere) or q^2 = 1 (torus) is
     rejected: the quadratic relation no longer involves u there.
 
-    Every entry is computed in the decimal context current when it is
-    first read, so the tables are built and read inside one
-    ``mp.workdps(p.digits), working(p.digits)``, as the entry points do.
+    ``s`` is ``Complex.of(p.s())``.  Every entry is computed in the decimal
+    context current when it is first read, so the tables are built and read
+    inside one ``mp.workdps(p.digits), working(p.digits)``, as the entry
+    points do.
     """
-    s = Complex.of(p.s())
     half = s * s        # q^(1/2)
     q = half * half
     qi = ONE / q
@@ -239,8 +240,9 @@ def _residual(terms: list, vecs: dict):
 def relation_residual(p: RepParams, kind: str, degree: int, site: int):
     """Relative residual of one relation at one site."""
     with mp.workdps(p.digits), working(p.digits):
-        terms = _relation_terms(p, kind, degree)
-        tables = generator_tables(p, kind)
+        s = Complex.of(p.s())
+        terms = _relation_terms(p, kind, degree, s)
+        tables = generator_tables(p, kind, s)
         return _residual(terms, _word_vectors(tables, (w for _, w in terms), site))
 
 
@@ -249,8 +251,9 @@ def residual_table(p: RepParams, kind: str, sites=(-2, -1, 0, 1, 2)) -> list:
     relations, from one build of the generator tables, so each entry is
     computed once for every site and both degrees."""
     with mp.workdps(p.digits), working(p.digits):
-        terms = {degree: _relation_terms(p, kind, degree) for degree in (2, 3)}
-        tables = generator_tables(p, kind)
+        s = Complex.of(p.s())
+        terms = {degree: _relation_terms(p, kind, degree, s) for degree in (2, 3)}
+        tables = generator_tables(p, kind, s)
         words = [w for degree in (2, 3) for _, w in terms[degree]]
         vecs = {site: _word_vectors(tables, words, site) for site in sites}
         return [(site, degree, _residual(terms[degree], vecs[site]))

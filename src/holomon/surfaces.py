@@ -1,10 +1,9 @@
 """Combinatorial surface topology.
 
-Punctured surfaces, ideal triangulations given by gluing tables, the dual
-trivalent fat graph, diagonal flips, the antisymmetric exchange matrix,
-closed walks carrying curves and their images under a flip, pants
-decompositions with their Dehn parameter constraints, and the JSON surface
-file.
+Punctured surfaces, ideal triangulations given by gluing tables, diagonal
+flips, the antisymmetric exchange matrix, closed walks across the triangles
+carrying curves and their images under a flip, pants decompositions with
+their Dehn parameter constraints, and the JSON surface file.
 
 Triangles are oriented: each one lists its three sides in counterclockwise
 order as ``(edge_index, flag)`` with ``flag = +1`` when the side runs along
@@ -242,50 +241,23 @@ def flip(tri: Triangulation, e: int) -> Triangulation:
     return Triangulation(tri.surface, tris)
 
 
-# -- dual fat graph ----------------------------------------------------------
+# -- curves as walks across triangles -----------------------------------------
 
-class FatGraph:
-    """Trivalent dual of a triangulation.
+def dual_fat_graph(tri: Triangulation) -> Triangulation:
+    """``tri`` itself, which holds its dual fat graph: triangle i is vertex i,
+    its sides are that vertex's ccw edge order.  It stays while the
+    benchmark harness calls it."""
+    return tri
 
-    One vertex per triangle; ``cyclic[v]`` is the ccw edge order at v
-    (inherited from the triangle); ``ends[e]`` the two incident vertices.
-    """
-
-    __slots__ = ("cyclic", "ends", "n_edges")
-
-    def __init__(self, cyclic: Sequence, ends: Sequence):
-        self.cyclic = tuple(tuple(c) for c in cyclic)
-        self.ends = tuple(tuple(p) for p in ends)
-        self.n_edges = len(self.ends)
-
-    def other_end(self, e: int, v: int) -> int:
-        a, b = self.ends[e]
-        if v == a:
-            return b
-        if v == b:
-            return a
-        raise ValueError(f"vertex {v} not an end of edge {e}")
-
-    def step(self, v_from: int, e: int, turn: str) -> tuple:
-        """Traverse e from v_from, turn L/R at the far vertex; returns
-        (far_vertex, next_edge)."""
-        w = self.other_end(e, v_from)
-        cyc = self.cyclic[w]
-        return w, cyc[(cyc.index(e) + _OFFSET[turn]) % 3]
-
-
-def dual_fat_graph(tri: Triangulation) -> FatGraph:
-    return FatGraph([[e for e, _ in t] for t in tri.triangles],
-                    [(t1, t2) for (t1, _), (t2, _) in map(tri.edge_triangles, range(tri.n_edges))])
-
-
-# -- curves as fat-graph walks ------------------------------------------------
 
 class CurvePath:
-    """A closed walk in a fat graph given as (edge, turn-after) steps.
+    """A closed walk across the triangles of a triangulation, given as
+    (edge, turn) steps: each step crosses its edge into a triangle and
+    turns L or R there to the side the next step crosses.
 
-    ``start`` is the vertex the first edge is traversed from; None stands
-    for the smaller-indexed end of the first edge.
+    ``start`` is the triangle the first edge is crossed from (the dual fat
+    graph's vertex); None stands for the smaller-indexed triangle of the
+    first edge.
     """
 
     __slots__ = ("steps", "start")
@@ -299,29 +271,35 @@ class CurvePath:
                 raise ValueError(f"turn must be 'L' or 'R', got {t!r}")
         self.start = None if start is None else _integer(start, "start vertex")
 
-    def resolve(self, fg: FatGraph) -> list:
-        """Validate the walk against ``fg``.
+    def resolve(self, tri: Triangulation) -> list:
+        """Validate the walk against ``tri``.
 
-        Returns the vertex-resolved step list ``[(v_from, edge, turn), ...]``
-        and raises if an edge is not in ``fg``, consecutive steps do not
-        share a vertex or the walk fails to close up.
+        Returns its corners ``[(triangle, entry position, exit position), ...]``,
+        one per step: the triangle the step's edge leads into and the
+        positions there of that edge and of the next step's.  Raises if an
+        edge is not in ``tri``, a turn leads off the walk or the walk fails
+        to close up.
         """
         for e, _ in self.steps:
-            if not 0 <= e < fg.n_edges:
-                raise ValueError(f"edge {e} out of range 0..{fg.n_edges - 1}")
+            if not 0 <= e < tri.n_edges:
+                raise ValueError(f"edge {e} out of range 0..{tri.n_edges - 1}")
         e0 = self.steps[0][0]
-        v = v0 = self.start if self.start is not None else min(fg.ends[e0])
-        if v not in fg.ends[e0]:
+        ends = [t for t, _ in tri.edge_triangles(e0)]
+        v = v0 = self.start if self.start is not None else min(ends)
+        if v not in ends:
             raise ValueError(f"start vertex {v} is not an end of edge {e0}")
         out = []
         for i, (e, turn) in enumerate(self.steps):
-            out.append((v, e, turn))
-            w, nxt = fg.step(v, e, turn)
+            # e's side in the triangle across it from v
+            w, p = next(occ for occ in tri.edge_triangles(e) if occ[0] != v)
+            q = (p + _OFFSET[turn]) % 3
+            nxt = tri.triangles[w][q][0]
             expected = self.steps[(i + 1) % len(self.steps)][0]
             if nxt != expected:
                 raise ValueError(
                     f"walk broken at step {i}: turn {turn} at vertex {w} "
                     f"leads to edge {nxt}, walk says {expected}")
+            out.append((w, p, q))
             v = w
         if v != v0:
             raise ValueError("walk does not close up")
@@ -344,12 +322,8 @@ def flip_walk(tri: Triangulation, e: int, curve: CurvePath) -> CurvePath:
     up in its output.
     """
     new = flip(tri, e)
-    fg = dual_fat_graph(tri)
-    corners = []  # (entry side, exit side)
-    for v, f, turn in curve.resolve(fg):
-        w = fg.other_end(f, v)
-        t, p = tri.triangles[w], fg.cyclic[w].index(f)
-        corners.append((t[p], t[(p + _OFFSET[turn]) % 3]))
+    # (entry side, exit side)
+    corners = [(tri.triangles[w][p], tri.triangles[w][q]) for w, p, q in curve.resolve(tri)]
     # begin at a corner not entered across e, so that no passage wraps round
     k = next(i for i, (a, _) in enumerate(corners) if a[0] != e)
     at = {side: (ti, pos) for ti, t in enumerate(new.triangles) for pos, side in enumerate(t)}

@@ -15,7 +15,7 @@ from holomon.reference import (
     covariant_walk,
     reference_setup,
 )
-from holomon.surfaces import dual_fat_graph, exchange_matrix
+from holomon.surfaces import exchange_matrix
 
 _LINES = []
 
@@ -35,13 +35,12 @@ def teardown_module(module):
 
 def _trace_values(name):
     tri, curves = reference_setup(name)
-    fg = dual_fat_graph(tri)
-    vals = {k: holonomy.trace_function(tri, curves[k], fg) for k in ("s", "t", "u")}
+    vals = {k: holonomy.trace_function(tri, curves[k]) for k in ("s", "t", "u")}
     if name == "c11":
-        vals["L0"] = holonomy.trace_function(tri, curves["p1"], fg)
+        vals["L0"] = holonomy.trace_function(tri, curves["p1"])
     else:
         for i, p in enumerate(boundary_names(name), 1):
-            vals[f"L{i}"] = holonomy.trace_function(tri, curves[p], fg)
+            vals[f"L{i}"] = holonomy.trace_function(tri, curves[p])
     return tri, curves, vals
 
 

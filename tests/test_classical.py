@@ -26,7 +26,6 @@ from holomon.reference import (
 )
 from holomon.surfaces import (
     CurvePath,
-    dual_fat_graph,
     exchange_matrix,
     flip,
     flip_walk,
@@ -36,13 +35,12 @@ from holomon.surfaces import (
 
 def sympy_trace_oracle(tri, curve):
     """Independent symbolic oracle: rebuild the walk holonomy with sympy."""
-    fg = dual_fat_graph(tri)
-    resolved = curve.resolve(fg)
+    curve.resolve(tri)
     xs = sympy.symbols(f"x0:{tri.n_edges}", positive=True)
     L = sympy.Matrix([[1, 1], [-1, 0]])
     R = sympy.Matrix([[0, 1], [-1, -1]])
     acc = sympy.eye(2)
-    for _, e, turn in resolved:
+    for e, turn in curve.steps:
         E = sympy.Matrix([[0, sympy.sqrt(xs[e])], [-1 / sympy.sqrt(xs[e]), 0]])
         acc = acc * E * (L if turn == "L" else R)
     return sympy.expand(acc.trace()), xs
@@ -64,7 +62,7 @@ def _mat_mul(A, B):
                  for i in range(2))
 
 
-def product_holonomy(tri, curve, fg):
+def product_holonomy(tri, curve):
     """Reference holonomy: each edge matrix [[0, X^(1/2)], [-X^(-1/2), 0]]
     times its turn matrix, multiplied out as 2x2 products of Laurent
     polynomials, zero entries included."""
@@ -72,7 +70,8 @@ def product_holonomy(tri, curve, fg):
     turns = {"L": ((1, 1), (-1, 0)), "R": ((0, 1), (-1, -1))}
     zero = LaurentPoly.zero(E)
     acc = ((LaurentPoly.const(E, 1), zero), (zero, LaurentPoly.const(E, 1)))
-    for _, e, turn in curve.resolve(fg):
+    curve.resolve(tri)
+    for e, turn in curve.steps:
         half = [0] * E
         half[e] = 1
         edge = ((zero, LaurentPoly.monomial(E, half)),
@@ -108,13 +107,13 @@ class TestTraceFunction:
 
     def test_cyclic_rotation_invariance(self):
         tri, curves = reference_setup("c04")
-        fg = dual_fat_graph(tri)
         cp = curves["s"]
         base = trace_function(tri, cp)
-        resolved = cp.resolve(fg)
+        corners = cp.resolve(tri)
         for k in range(1, len(cp.steps)):
-            # the same closed walk entered at its k-th step
-            rot = CurvePath(cp.steps[k:] + cp.steps[:k], start=resolved[k][0])
+            # the same closed walk entered at its k-th step, from the
+            # triangle that step k - 1 leads into
+            rot = CurvePath(cp.steps[k:] + cp.steps[:k], start=corners[k - 1][0])
             assert trace_function(tri, rot) == base
 
     def test_positive_coefficients_on_corpus(self):
@@ -301,7 +300,7 @@ class TestFlipWalk:
         assert len(cases) == 3 * 5 + 6 * 8
         for tri, e, cname, cp in cases:
             walk = flip_walk(tri, e, cp)
-            walk.resolve(dual_fat_graph(flip(tri, e)))
+            walk.resolve(flip(tri, e))
             assert verify_mutation_covariance(tri, e, cp, walk), (e, cname)
 
     def test_flipping_back_restores_the_trace(self):
@@ -317,7 +316,7 @@ class TestFlipWalk:
             mirrored = CurvePath([(f, {"L": "R", "R": "L"}[t]) for f, t in walk.steps],
                                  start=walk.start)
             with pytest.raises(ValueError):
-                mirrored.resolve(dual_fat_graph(flip(tri, e)))
+                mirrored.resolve(flip(tri, e))
 
 
 class TestSkein:
@@ -362,13 +361,12 @@ class TestRelations:
 
 
 def _trace_values(name, tri, curves):
-    fg = dual_fat_graph(tri)
-    vals = {k: trace_function(tri, curves[k], fg) for k in ("s", "t", "u")}
+    vals = {k: trace_function(tri, curves[k]) for k in ("s", "t", "u")}
     if name == "c11":
-        vals["L0"] = trace_function(tri, curves["p1"], fg)
+        vals["L0"] = trace_function(tri, curves["p1"])
     else:
         for i, pname in enumerate(boundary_names(name), start=1):
-            vals[f"L{i}"] = trace_function(tri, curves[pname], fg)
+            vals[f"L{i}"] = trace_function(tri, curves[pname])
     return vals
 
 
@@ -394,9 +392,8 @@ class TestHolonomyMatrix:
         # determinant 1
         for name in ("c11", "c04"):
             tri, curves = reference_setup(name)
-            fg = dual_fat_graph(tri)
             for cp in curves.values():
-                H = holonomy_matrix(tri, cp, fg)
+                H = holonomy_matrix(tri, cp)
                 det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
                 assert det == LaurentPoly.const(tri.n_edges, 1)
 
@@ -405,16 +402,15 @@ class TestHolonomyMatrix:
         walks = _curated_and_covariant_walks(name)
         assert len(walks) > 10
         for tri, cp in walks:
-            fg = dual_fat_graph(tri)
-            assert holonomy_matrix(tri, cp, fg) == product_holonomy(tri, cp, fg), cp.steps
+            assert holonomy_matrix(tri, cp) == product_holonomy(tri, cp), cp.steps
 
     def test_classical_suite_traces_each_curve_once(self, monkeypatch):
         seen = []
         real = holonomy.trace_function
 
-        def counted(tri, curve, fg=None):
+        def counted(tri, curve):
             seen.append(curve.steps)
-            return real(tri, curve, fg)
+            return real(tri, curve)
 
         monkeypatch.setattr(holonomy, "trace_function", counted)
         rep = checks.classical_checks()

@@ -91,6 +91,23 @@ class TestSurfaceCommands:
         assert r.exit_code == 2
         assert r.output == f"error: curve 'p1' invalid: edge {edge} out of range 0..5\n"
 
+    @pytest.mark.parametrize("curve, message", [
+        ({"start": 3, "steps": [[0, "L"], [1, "R"]]},
+         "start vertex 3 is not an end of edge 0"),
+        ({"start": None, "steps": [[0, "L"]]},
+         "walk broken at step 0: turn L at vertex 1 leads to edge 1, walk says 0"),
+        ({"start": None, "steps": [[0, "L"], [1, "L"], [2, "L"]]},
+         "walk does not close up"),
+    ])
+    def test_curve_walk_rejected(self, runner, tmp_path, curve, message):
+        doc = json.loads(runner.invoke(main, ["surface", "export", "--surface", "c11"]).output)
+        doc["curves"]["s"] = curve
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["surface", "validate", str(path)])
+        assert r.exit_code == 2
+        assert r.output == f"error: curve 's' invalid: {message}\n"
+
     @pytest.mark.parametrize("edge", ["99", "-1", "6"])
     def test_flip_edge_out_of_range(self, runner, edge):
         r = runner.invoke(main, ["flip", "--surface", "c04", "--edge", edge])

@@ -80,7 +80,7 @@ def tables(p, kind="c04", window=(-8, 8)):
     rows whose column lies in the window, every entry converted to mpmath."""
     lo, hi = window
     with mp.workdps(p.digits), working(p.digits):
-        built = generator_tables(p, kind)
+        built = generator_tables(p, kind, Complex.of(p.s()))
         return {g: BandMatrix({m: {n: as_mpc(band(n))
                                    for n in range(max(lo, lo - m), min(hi, hi - m) + 1)}
                                for m, band in table.bands.items()})
@@ -372,15 +372,16 @@ class TestRelations:
         for kind in ("c04", "c11"):
             p = params(kind)
             with mp.workdps(p.digits), working(p.digits):
-                built = generator_tables(p, kind)
+                s = Complex.of(p.s())
+                built = generator_tables(p, kind, s)
                 for table in built.values():
                     for band in table.bands.values():
                         for n in range(-20, 21):
                             band(n)
             for degree in (2, 3):
-                terms = _relation_terms(p, kind, degree)
                 for site in SITES:
                     with mp.workdps(p.digits), working(p.digits):
+                        terms = _relation_terms(p, kind, degree, s)
                         vecs = _word_vectors(built, (w for _, w in terms), site)
                         got = _residual(terms, vecs)
                     assert relation_residual(p, kind, degree, site) == got

@@ -8,7 +8,7 @@ from holomon.laurent import LaurentPoly
 from holomon.qcoeff import SPoly
 from holomon.qtorus import QuantumTorusElement, q_relation, quantize_trace
 from holomon.reference import boundary_names, reference_setup
-from holomon.surfaces import dual_fat_graph, exchange_matrix
+from holomon.surfaces import exchange_matrix
 
 
 class TestQCoeff:
@@ -59,9 +59,8 @@ class TestWeylProduct:
 
     def test_classical_limit_of_product(self):
         tri, curves, n = _context("c11")
-        fg = dual_fat_graph(tri)
-        ps = trace_function(tri, curves["s"], fg)
-        pt = trace_function(tri, curves["t"], fg)
+        ps = trace_function(tri, curves["s"])
+        pt = trace_function(tri, curves["t"])
         qs, qt = quantize_trace(ps, n), quantize_trace(pt, n)
         assert (qs * qt).classical_limit() == ps * pt
 
@@ -104,14 +103,13 @@ class TestWeylProduct:
 
 def _quantized_operands(name):
     tri, curves, n = _context(name)
-    fg = dual_fat_graph(tri)
-    ops = {k: quantize_trace(trace_function(tri, curves[k], fg), n)
+    ops = {k: quantize_trace(trace_function(tri, curves[k]), n)
            for k in ("s", "t", "u")}
     if name == "c11":
-        ops["L0"] = quantize_trace(trace_function(tri, curves["p1"], fg), n)
+        ops["L0"] = quantize_trace(trace_function(tri, curves["p1"]), n)
     else:
         for i, p in enumerate(boundary_names(name), 1):
-            ops[f"L{i}"] = quantize_trace(trace_function(tri, curves[p], fg), n)
+            ops[f"L{i}"] = quantize_trace(trace_function(tri, curves[p]), n)
     return tri, curves, n, ops
 
 
@@ -163,10 +161,9 @@ class TestQRelations:
         # the s -> 1 limit of the cubic evaluation recovers the classical
         # relation polynomial evaluation
         tri, curves, n, ops = _quantized_operands("c04")
-        fg = dual_fat_graph(tri)
-        vals = {k: trace_function(tri, curves[k], fg) for k in ("s", "t", "u")}
+        vals = {k: trace_function(tri, curves[k]) for k in ("s", "t", "u")}
         for i, p in enumerate(boundary_names("c04"), 1):
-            vals[f"L{i}"] = trace_function(tri, curves[p], fg)
+            vals[f"L{i}"] = trace_function(tri, curves[p])
         lhs = q_relation("c04", 3, ops).classical_limit()
         assert lhs == relation_poly("c04", vals)
         # and on generic scalar operands the limit is the classical value

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from holomon.reference import covariance_corpus, covariant_walk, reference_setup
 from holomon.surfaces import (
     CurvePath,
     FlipError,
@@ -9,7 +10,6 @@ from holomon.surfaces import (
     Surface,
     Triangulation,
     TriangulationError,
-    dual_fat_graph,
     exchange_matrix,
     flip,
     mutate_exchange_matrix,
@@ -48,20 +48,21 @@ def gluing(tri, e, sign=1):
                   for t in tri.triangles)
 
 
-def face_count(fg):
-    """Boundary cycles of the ribbon graph: from each vertex slot, cross the
-    edge and leave the far vertex by the next edge clockwise."""
-    unused = {(v, s) for v in range(len(fg.cyclic)) for s in range(3)}
+def face_count(tri):
+    """Boundary cycles of the dual ribbon graph: from each side of a
+    triangle, cross its edge and leave the far triangle by the next side
+    clockwise."""
+    unused = {(t, s) for t in range(len(tri.triangles)) for s in range(3)}
     faces = 0
     while unused:
-        v, s = start = min(unused)
+        t, s = start = min(unused)
         faces += 1
         while True:
-            unused.discard((v, s))
-            e = fg.cyclic[v][s]
-            v = fg.other_end(e, v)
-            s = (fg.cyclic[v].index(e) + 2) % 3
-            if (v, s) == start:
+            unused.discard((t, s))
+            e = tri.triangles[t][s][0]
+            t, p = next(occ for occ in tri.edge_triangles(e) if occ != (t, s))
+            s = (p + 2) % 3
+            if (t, s) == start:
                 break
     return faces
 
@@ -192,23 +193,41 @@ class TestFlip:
             assert exchange_matrix(cur) == mutate_exchange_matrix(n, e)
 
 class TestFatGraph:
+    """The dual fat graph, read off the triangulation: triangle i is vertex
+    i and its sides are that vertex's ccw edge order."""
+
     def test_c11_dual(self):
-        fg = dual_fat_graph(reference_triangulation("c11"))
-        assert len(fg.cyclic) == 2 and fg.n_edges == 3
-        assert set(fg.cyclic[0]) == {0, 1, 2} == set(fg.cyclic[1])
+        tri = reference_triangulation("c11")
+        assert len(tri.triangles) == 2 and tri.n_edges == 3
+        assert {e for e, _ in tri.triangles[0]} == {0, 1, 2} == {e for e, _ in tri.triangles[1]}
+        assert all({t for t, _ in tri.edge_triangles(e)} == {0, 1} for e in range(3))
 
     @pytest.mark.parametrize("name,npunct", [("c11", 1), ("c04", 4), ("c05", 5)])
     def test_face_walk_count(self, name, npunct):
-        fg = dual_fat_graph(reference_triangulation(name))
-        assert face_count(fg) == npunct
+        assert face_count(reference_triangulation(name)) == npunct
 
     def test_walk_validation(self):
-        fg = dual_fat_graph(reference_triangulation("c11"))
+        tri = reference_triangulation("c11")
         good = CurvePath([(0, "L"), (1, "R")], start=0)
-        good.resolve(fg)
+        assert good.resolve(tri) == [(1, 1, 2), (0, 1, 0)]
         bad = CurvePath([(0, "L"), (2, "R")], start=0)
         with pytest.raises(ValueError):
-            bad.resolve(fg)
+            bad.resolve(tri)
+
+    @pytest.mark.parametrize("name", ["c11", "c04"])
+    def test_corners_follow_the_steps(self, name):
+        # corner k enters across step k's edge, turns by its offset and
+        # leaves across step k + 1's edge
+        tri, curves = reference_setup(name)
+        walks = [(tri, cp) for cp in curves.values()]
+        walks += [(flip(tri, e), covariant_walk(name, e, c)) for e, c in covariance_corpus(name)]
+        for t, cp in walks:
+            corners = cp.resolve(t)
+            assert len(corners) == len(cp.steps)
+            for k, ((e, turn), (w, p, q)) in enumerate(zip(cp.steps, corners)):
+                assert t.triangles[w][p][0] == e
+                assert (q - p) % 3 == {"L": 1, "R": 2}[turn]
+                assert t.triangles[w][q][0] == cp.steps[(k + 1) % len(cp.steps)][0]
 
 
 def c04_pants():
