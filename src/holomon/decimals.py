@@ -50,7 +50,8 @@ def to_decimal(x) -> Decimal:
 class Complex:
     """re + i im over two Decimals, rounded to the current decimal context.
 
-    The other operand of an operation is a Complex or an int."""
+    The other operand of +, - and * is a Complex or an int; division
+    takes a Complex."""
 
     __slots__ = ("re", "im")
 

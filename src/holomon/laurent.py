@@ -3,10 +3,9 @@
 Exponent vectors are stored doubled (units of 1/2), so all bookkeeping is
 integer arithmetic.  Coefficients are kept as given, in a ring: trace
 polynomials stay over the integers, and a Fraction appears only where a
-bracket, a ratio or a monomial inverse divides.  Zero coefficients are
-never stored.  ``Quotient`` is the one quotient type: classical mutation
-takes quotients of Laurent polynomials, quantum mutation quotients of
-polynomials in X_e.
+bracket or a ratio divides.  Zero coefficients are never stored.
+``Quotient`` is the one quotient type: classical mutation takes quotients
+of Laurent polynomials, quantum mutation quotients of polynomials in X_e.
 """
 
 from __future__ import annotations
@@ -122,8 +121,7 @@ class LaurentPoly:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            inv = self.monomial_inverse()
-            return inv ** (-k)
+            raise ValueError("negative power of a Laurent polynomial")
         result = self._const(1)
         base = self
         while k:
@@ -133,13 +131,6 @@ class LaurentPoly:
             if k:
                 base = base * base
         return result
-
-    def monomial_inverse(self) -> "LaurentPoly":
-        """Inverse, defined only when the polynomial is a single monomial."""
-        if len(self.terms) != 1:
-            raise ValueError("only monomials are invertible in the Laurent ring")
-        ((e, c),) = self.terms.items()
-        return self._new({tuple(-x for x in e): Fraction(1) / c})
 
     def __eq__(self, other):
         if isinstance(other, self._SCALARS):

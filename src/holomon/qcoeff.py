@@ -34,10 +34,6 @@ class SPoly:
         return cls({0: v})
 
     @classmethod
-    def one(cls) -> "SPoly":
-        return cls({0: 1})
-
-    @classmethod
     def s_power(cls, k: int) -> "SPoly":
         return cls({k: 1})
 

@@ -1,12 +1,12 @@
 """Quantum cluster mutation in its restricted normal form.
 
-Images of coordinate mutation are kept as c(s) * (Weyl monomial) * R(X_e)
-with R a rational function of the single flipped variable: a ``Quotient`` of
-SPolys in X_e whose coefficients are SPolys in s.  Moving R past
-a Weyl monomial only rescales its argument by an integer power of q, so
-this form is closed under the products needed to verify the flipped
-commutation relations and the double-flip identity; no general skew-field
-arithmetic is required.
+Images of coordinate mutation are kept as (Weyl monomial) * R(X_e) with R
+a rational function of the single flipped variable: a ``Quotient`` of
+SPolys in X_e whose coefficients are SPolys in s.  A central factor c(s)
+is a constant of R.  Moving R past a Weyl monomial only rescales its
+argument by an integer power of q, so this form is closed under the
+products needed to verify the flipped commutation relations and the
+double-flip identity; no general skew-field arithmetic is required.
 """
 
 from __future__ import annotations
@@ -17,26 +17,29 @@ from .sparse import pairing, vec_add
 from .surfaces import mutate_exchange_matrix
 
 
-# the polynomial 1 in X_e
-_X_ONE = SPoly.const(SPoly.one())
+# the polynomial 1 in X_e, and the trivial dressing
+_X_ONE = SPoly.const(SPoly.const(1))
+_ONE = Quotient(_X_ONE, _X_ONE)
 
 
 def _scale_arg(r: Quotient, s_exp: int) -> Quotient:
-    """Substitute X -> s^(s_exp) X in a quotient of polynomials in X."""
+    """Substitute X -> s^(s_exp) X in a quotient of polynomials in X.
+
+    The X^0 term is left as it is, so a central c(s) in r commutes with
+    the substitution."""
     def scale(p):
         return SPoly({k: v * SPoly.s_power(s_exp * k) for k, v in p.c.items()})
     return Quotient(scale(r.num), scale(r.den))
 
 
 class QMutationImage:
-    """Normal form c(s) * :X^d: * R(X_e) over the unflipped torus."""
+    """Normal form :X^d: * R(X_e) over the unflipped torus."""
 
-    __slots__ = ("context", "e", "coeff", "mono", "rat")
+    __slots__ = ("context", "e", "mono", "rat")
 
-    def __init__(self, context, e: int, coeff: SPoly, mono, rat: Quotient):
+    def __init__(self, context, e: int, mono, rat: Quotient):
         self.context = tuple(tuple(row) for row in context)
         self.e = e
-        self.coeff = coeff
         self.mono = tuple(int(x) for x in mono)
         self.rat = rat
 
@@ -48,40 +51,30 @@ class QMutationImage:
         if self.context != other.context or self.e != other.e:
             raise ValueError("images live over different mutations")
         s_pair = pairing(self.mono, other.mono, self.context)
-        mono = vec_add(self.mono, other.mono)
         # commute self.rat(X_e) past :X^(other.mono):
         moved = _scale_arg(self.rat, -4 * self._weight(other.mono))
-        return QMutationImage(
-            self.context, self.e,
-            self.coeff * other.coeff * SPoly.s_power(s_pair),
-            mono,
-            moved * other.rat,
-        )
+        prod = QMutationImage(self.context, self.e, vec_add(self.mono, other.mono),
+                              moved * other.rat)
+        return prod.scaled(SPoly.s_power(s_pair)) if s_pair else prod
 
     def scaled(self, c: SPoly) -> "QMutationImage":
-        return QMutationImage(self.context, self.e, self.coeff * c, self.mono, self.rat)
-
-    def _dressing(self) -> Quotient:
-        """c(s) R(X_e), the coefficient taken as a constant in X_e."""
-        return Quotient(self.rat.num * SPoly.const(self.coeff), self.rat.den)
+        """c(s) times the image, c taken as a constant of the quotient."""
+        rat = Quotient(self.rat.num * SPoly.const(c), self.rat.den)
+        return QMutationImage(self.context, self.e, self.mono, rat)
 
     def __eq__(self, other):
         if not isinstance(other, QMutationImage):
             return NotImplemented
-        if self.context != other.context or self.e != other.e or self.mono != other.mono:
-            return False
-        return self._dressing() == other._dressing()
+        return (self.context == other.context and self.e == other.e
+                and self.mono == other.mono and self.rat == other.rat)
 
     def is_generator(self, i: int) -> bool:
         """True when the image is exactly X_i with trivial dressing."""
         want = tuple(2 if a == i else 0 for a in range(len(self.context)))
-        if self.mono != want:
-            return False
-        dressing = self._dressing()
-        return dressing.num == dressing.den
+        return self.mono == want and self.rat.num == self.rat.den
 
     def __repr__(self):
-        return f"({self.coeff!r}) * :X^{self.mono}: * {self.rat!r}"
+        return f":X^{self.mono}: * {self.rat!r}"
 
 
 def quantum_mutation(n, e: int, target: int) -> QMutationImage:
@@ -91,19 +84,18 @@ def quantum_mutation(n, e: int, target: int) -> QMutationImage:
     times an ordered product of |n_te| one-variable factors
     (1 + q^(2a-1) X_e^(-sgn))^(-sgn).
     """
-    one = Quotient(_X_ONE, _X_ONE)
     mono = [0] * len(n)
     if target == e:
         mono[e] = -2
-        return QMutationImage(n, e, SPoly.one(), mono, one)
+        return QMutationImage(n, e, mono, _ONE)
     mono[target] = 2
     k = n[target][e]
     sgn = 1 if k > 0 else -1
-    rat = one
+    rat = _ONE
     for a in range(1, abs(k) + 1):
-        factor = SPoly({0: SPoly.one(), -sgn: SPoly.s_power(4 * (2 * a - 1))})
+        factor = SPoly({0: SPoly.const(1), -sgn: SPoly.s_power(4 * (2 * a - 1))})
         rat = rat * (Quotient(_X_ONE, factor) if sgn > 0 else Quotient(factor, _X_ONE))
-    return QMutationImage(n, e, SPoly.one(), mono, rat)
+    return QMutationImage(n, e, mono, rat)
 
 
 def verify_q_mutation_relations(n, e: int) -> dict:
@@ -129,22 +121,18 @@ def double_mutation_is_identity(n, e: int) -> bool:
     first = [quantum_mutation(n, e, t) for t in range(E)]
     for target in range(E):
         second = quantum_mutation(n2, e, target)
-        # X''_t = c'' :X'^d'': R''(X'_e) with X'_e = first[e] = X_e^(-1)
+        # X''_t = :X'^d'': R''(X'_e), and :X'^d'': must be a power k of
+        # X'_t: k = 1 off e, and X'_t maps to first[t]
+        k = second.mono[e] // 2 if target == e else 1
+        if second.mono != tuple(2 * k if a == target else 0 for a in range(E)):
+            return False
+        # first[t]^k is k * first[t].mono with first[t].rat: at e because
+        # first[e] = X_e^(-1) is a bare monomial, off e because k = 1;
+        # R''(X'_e) = R''(X_e^(-1)) flips the X_e exponents of R''
         dressing = Quotient(second.rat.num.conj(), second.rat.den.conj())
-        if target == e:
-            # :X'^d'': must be a power k of X'_e, which maps to first[e]^k
-            k = second.mono[e] // 2
-            if second.mono != tuple(2 * k if a == e else 0 for a in range(E)):
-                return False
-            composed = QMutationImage(
-                n, e, second.coeff, tuple(k * x for x in first[e].mono), dressing)
-        else:
-            # :X'^d'': must be X'_t, which maps to first[target]
-            if second.mono != tuple(2 if a == target else 0 for a in range(E)):
-                return False
-            base = first[target]
-            composed = QMutationImage(
-                n, e, base.coeff * second.coeff, base.mono, base.rat * dressing)
+        base = first[target]
+        composed = QMutationImage(
+            n, e, tuple(k * x for x in base.mono), base.rat * dressing)
         if not composed.is_generator(target):
             return False
     return True

@@ -129,8 +129,9 @@ def load_reports(text: str) -> list:
     """Read the reports that `to_json` wrote back to back into ``text``.
 
     Raises ValueError on anything `to_json` could not have written: bad
-    JSON, a missing field, a field of the wrong type, an unregistered tag
-    or a bad status.
+    JSON, a report with no check, a check without its ``name``, ``tag``
+    or ``status``, a field of the wrong type, an unregistered tag or a
+    bad status.  A missing title, notes list or witness takes its default.
     """
     decode, reports, text = json.JSONDecoder().raw_decode, [], text.lstrip()
     try:
@@ -143,6 +144,8 @@ def load_reports(text: str) -> list:
             rep = Report(title, notes=notes)
             for c in doc.get("checks", []):
                 rep.add(CheckResult(c["name"], c["tag"], c["status"], c.get("witness", "")))
+            if not rep.checks:
+                raise ValueError("a report holds no check")
             reports.append(rep)
             text = text[end:].lstrip()
             if not text:

@@ -161,7 +161,7 @@ class TestPoissonBracket:
         tri = reference_triangulation("c11")
         n = exchange_matrix(tri)
         x = LaurentPoly.variable(3, 0)
-        assert poisson_bracket(x, x.monomial_inverse(), n).is_zero()
+        assert poisson_bracket(x, LaurentPoly.monomial(3, (-2, 0, 0)), n).is_zero()
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -203,7 +203,7 @@ class TestMutateCoordinate:
         E = 3
         x0, x1 = LaurentPoly.variable(E, 0), LaurentPoly.variable(E, 1)
         one = LaurentPoly.const(E, 1)
-        want = LaurentRational(x0, (one + x1.monomial_inverse()) ** 2)
+        want = LaurentRational(x0, (one + LaurentPoly.monomial(E, (0, -2, 0))) ** 2)
         assert img == want
 
     def test_negative_coupling_branch(self):

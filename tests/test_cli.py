@@ -459,14 +459,16 @@ class TestSeriesCommands:
         {"checks": [{"name": "a", "tag": "cubic-relation", "status": "maybe"}]},
         {"checks": [{"tag": "cubic-relation", "status": "pass"}]},
         [{"name": "a", "tag": "cubic-relation", "status": "pass"}],
-        {"checks": [], "notes": 5},
-        {"checks": [], "notes": "abc"},
-        {"checks": [], "notes": [5]},
+        {"checks": [{"name": "a", "tag": "q-cubic", "status": "pass"}], "notes": 5},
+        {"checks": [{"name": "a", "tag": "q-cubic", "status": "pass"}], "notes": "abc"},
+        {"checks": [{"name": "a", "tag": "q-cubic", "status": "pass"}], "notes": [5]},
         {"checks": [{"name": 1, "tag": "q-cubic", "status": "pass"}]},
         {"checks": [{"name": "a", "tag": "q-cubic", "status": "pass", "witness": 1}]},
+        {},
+        {"checks": [], "notes": [], "passed": False, "title": "t"},
     ], ids=["tag", "status", "missing-name", "not-an-object", "notes-not-a-list",
             "notes-a-string", "notes-not-strings", "name-not-a-string",
-            "witness-not-a-string"])
+            "witness-not-a-string", "empty-object", "no-checks"])
     def test_report_bad_check_exits_2(self, runner, tmp_path, doc):
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(doc))

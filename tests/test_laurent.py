@@ -29,14 +29,21 @@ class TestLaurentPoly:
         assert h * h == LaurentPoly.variable(1, 0)
 
     def test_monomial_inverse(self):
+        # the ring has no inverses; a monomial inverts as a Quotient
         m = poly(2, {(1, -2): Fraction(3, 2)})
-        assert m * m.monomial_inverse() == LaurentPoly.const(2, 1)
-        with pytest.raises(ValueError):
-            (m + 1).monomial_inverse()
+        one = Quotient(LaurentPoly.const(2, 1), LaurentPoly.const(2, 1))
+        inv = Quotient(m, LaurentPoly.const(2, 1)).inverse()
+        assert inv.num == LaurentPoly.const(2, 1) and inv.den == m
+        assert Quotient(m, LaurentPoly.const(2, 1)) * inv == one
+        assert not hasattr(m, "monomial_inverse")
 
     def test_pow_negative_monomial(self):
+        # a negative power is rejected on the ring and taken on a Quotient
         x = LaurentPoly.variable(1, 0)
-        assert x ** -2 == poly(1, {(-4,): 1})
+        with pytest.raises(ValueError):
+            x ** -2
+        q = Quotient(x, LaurentPoly.const(1, 1)) ** -2
+        assert q == Quotient(LaurentPoly.const(1, 1), poly(1, {(4,): 1}))
 
     def test_normalize_sign(self):
         p = poly(1, {(2,): -1, (0,): -1})
@@ -117,7 +124,7 @@ class TestQuotient:
 
     def test_zero_x_polynomial_denominator_rejected(self):
         # a polynomial in X_e over SPolys in s, as quantum mutation builds
-        one = SPoly.const(SPoly.one())
+        one = SPoly.const(SPoly.const(1))
         with pytest.raises(ZeroDivisionError):
             Quotient(one, SPoly({}))
         with pytest.raises(ZeroDivisionError):

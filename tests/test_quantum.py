@@ -40,7 +40,7 @@ class TestQCoeff:
 
 def generator(n, i):
     """X_i as a Weyl monomial (doubled exponent 2)."""
-    return QuantumTorusElement(n, {tuple(2 if j == i else 0 for j in range(len(n))): SPoly.one()})
+    return QuantumTorusElement(n, {tuple(2 if j == i else 0 for j in range(len(n))): SPoly.const(1)})
 
 
 def _context(name):
