@@ -105,9 +105,10 @@ class BlockSeries:
         return len(self.coeffs) - 1
 
 
-def _contract(module: VermaModule, k: int, left: list, right: list) -> Fraction:
+def _contract(contraction, module: VermaModule, k: int, left, right):
+    """contraction(G_k, left, right); a singular G_k names k and the weight."""
     try:
-        return solve_contraction(module.gram(k), left, right)
+        return contraction(module.gram(k), left, right)
     except GramSingularError as exc:
         raise GramSingularError(
             f"level-{k} contraction failed at internal weight "
@@ -129,7 +130,7 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int,
     module = VermaModule(d_beta, c)
     lefts = three_point_rows(d4, d3, d_beta, N)
     rights = three_point_rows(d1, d2, d_beta, N)
-    coeffs = [_contract(module, k, left, right)
+    coeffs = [_contract(solve_contraction, module, k, left, right)
               for k, (left, right) in enumerate(zip(lefts, rights))]
     return BlockSeries(
         leading_exponent=d_beta - d1 - d2,
@@ -152,7 +153,7 @@ def torus1_block(d0, d_beta, c, N: int, digits: int | None = None) -> BlockSerie
         basis = partitions(k)
         E = [[elements.element(lam, mu) for mu in basis] for lam in basis]
         unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
-        GinvE = contract(module.gram(k), unit, E)
+        GinvE = _contract(contract, module, k, unit, E)
         coeffs.append(sum(GinvE[i][i] for i in range(len(basis))))
     return BlockSeries(
         leading_exponent=d_beta - c / 24,

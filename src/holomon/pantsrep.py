@@ -124,7 +124,7 @@ def _relation_terms(p: RepParams, kind: str, degree: int, s: Complex) -> list:
     s_to = cache(lambda e: ONE / s_to(-e) if e < 0 else s_to(e - 1) * s if e else ONE)
     boundary = {k: Complex.of(v) for k, v in p.boundary.items()}
     return relation_terms(kind, degree, boundary,
-                          lambda poly: sum(c * s_to(e) for e, c in poly.c.items()))
+                          lambda poly: sum(c * s_to(e) for e, c in poly.terms.items()))
 
 
 def generator_tables(p: RepParams, kind: str, s: Complex) -> dict:

@@ -4,92 +4,59 @@ The single formal variable s carries a quarter power of the deformation
 parameter, q = s^4; half-integer exponent pairings then land on integer
 powers of s.  Every coefficient the Weyl product and quantum mutation
 build is a Laurent polynomial in s, so the coefficients form a ring and
-nothing divides by them.
+nothing divides by them.  ``SPoly`` is a one-variable ``LaurentPoly``
+whose keys are the int powers of s; it takes its arithmetic from there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import add as _add
+from operator import add
 
-from .sparse import add, convolve
+from .laurent import LaurentPoly
 
 
-class SPoly:
-    """Sparse univariate Laurent polynomial in s.
+class SPoly(LaurentPoly):
+    """Sparse univariate Laurent polynomial in s: ``terms`` maps the int
+    power of s to its nonzero coefficient.
 
     Coefficients are kept as given: rationals for coefficients of the
     torus, or SPolys themselves when quantum mutation uses an SPoly as a
-    polynomial in X_e over the s-coefficients.  Zero terms are dropped by
-    truthiness.  int and Fraction operands act as constants.
+    polynomial in X_e over the s-coefficients.  int and Fraction operands
+    act as constants.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
-    def __init__(self, c: dict):
-        self.c = {int(k): v for k, v in c.items() if v}
+    # plain class attributes (shadowing the nvars slot): read without a call
+    nvars = _space = 1
+    _keyadd = property(lambda self: add)
+
+    def __init__(self, terms: dict):
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    def _new(self, terms: dict) -> "SPoly":
+        return SPoly(terms)
 
     @classmethod
     def const(cls, v) -> "SPoly":
         return cls({0: v})
 
+    _const = const
+
     @classmethod
     def s_power(cls, k: int) -> "SPoly":
         return cls({k: 1})
 
-    def __bool__(self):
-        return bool(self.c)
-
-    @staticmethod
-    def coerce(o) -> "SPoly":
-        """o itself if an SPoly, the constant o if an int or Fraction."""
-        if isinstance(o, SPoly):
-            return o
-        if isinstance(o, (int, Fraction)):
-            return SPoly.const(o)
-        raise TypeError(f"cannot coerce {type(o).__name__} to SPoly")
-
-    # any other operand type gets NotImplemented, so that its reflected
-    # method runs: a quantum-torus element takes SPolys as scalars
-    def __add__(self, o):
-        try:
-            o = self.coerce(o)
-        except TypeError:
-            return NotImplemented
-        return SPoly(add(self.c, o.c))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SPoly({k: -v for k, v in self.c.items()})
-
-    def __mul__(self, o):
-        try:
-            o = self.coerce(o)
-        except TypeError:
-            return NotImplemented
-        return SPoly(convolve(self.c, o.c, _add))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, o):
-        try:
-            o = self.coerce(o)
-        except TypeError:
-            return NotImplemented
-        return self.c == o.c
-
     def conj(self) -> "SPoly":
         """Substitute s -> 1/s."""
-        return SPoly({-e: v for e, v in self.c.items()})
+        return SPoly({-e: v for e, v in self.terms.items()})
 
     def at_one(self):
         """Classical specialization s -> 1, in the coefficients' own ring
         (an int for int coefficients)."""
-        return sum(self.c.values())
+        return sum(self.terms.values())
 
     def __repr__(self):
-        if not self.c:
+        if not self.terms:
             return "0"
-        return " + ".join(f"{v}*s^{e}" if e else f"{v}" for e, v in sorted(self.c.items()))
-
+        return " + ".join(f"{v}*s^{e}" if e else f"{v}" for e, v in sorted(self.terms.items()))

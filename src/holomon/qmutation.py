@@ -27,8 +27,11 @@ def _scale_arg(r: Quotient, s_exp: int) -> Quotient:
 
     The X^0 term is left as it is, so a central c(s) in r commutes with
     the substitution."""
+    if not s_exp:
+        return r
+
     def scale(p):
-        return SPoly({k: v * SPoly.s_power(s_exp * k) for k, v in p.c.items()})
+        return SPoly({k: v * SPoly.s_power(s_exp * k) for k, v in p.terms.items()})
     return Quotient(scale(r.num), scale(r.den))
 
 

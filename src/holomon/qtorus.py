@@ -41,15 +41,13 @@ class QuantumTorusElement(LaurentPoly):
     @classmethod
     def const(cls, context, c) -> "QuantumTorusElement":
         E = len(context)
-        return cls(context, {(0,) * E: SPoly.coerce(c)})
+        return cls(context, {(0,) * E: c if isinstance(c, SPoly) else SPoly.const(c)})
 
     # -- ring operations --------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, self._SCALARS):
-            return self._new({d: c * other for d, c in self.terms.items()})
-        if not isinstance(other, QuantumTorusElement):
-            return NotImplemented
+        if type(other) is not type(self):
+            return super().__mul__(other)
         self._check(other)
         n = self.context
         # Weyl twist: q^<mu,nu> = s^(d1.n.d2)
@@ -57,10 +55,8 @@ class QuantumTorusElement(LaurentPoly):
             self.terms, other.terms, vec_add,
             lambda d1, d2: SPoly.s_power(pairing(d1, d2, n))))
 
-    def __rmul__(self, other):
-        if isinstance(other, self._SCALARS):
-            return self * other
-        return NotImplemented
+    # only scalars, which are central, reach the reflected product
+    __rmul__ = __mul__
 
     # -- structure maps -----------------------------------------------------
 
@@ -125,5 +121,5 @@ def commutator_classical_limit(a: QuantumTorusElement,
     comm = a * b - b * a
     out = {}
     for d, c in comm.terms.items():
-        out[d] = Fraction(sum(k * v for k, v in c.c.items())) / 8
+        out[d] = Fraction(sum(k * v for k, v in c.terms.items())) / 8
     return LaurentPoly(a.nvars, out)

@@ -1,9 +1,11 @@
 """Sparse term maps: dicts from keys to nonzero coefficients.
 
-Laurent polynomials, s-polynomials, quantum-torus elements, bigraded tau
-series and Verma-module states are all such maps; these functions are
-the only loops that add or multiply two of them (the grade-wise series
-division in ``tau`` aside).  A sum that comes out falsy is
+Laurent polynomials (among them s-polynomials, keyed by an int, and
+quantum-torus elements), bigraded tau series and Verma-module states are
+all such maps; these functions are the only loops that add or multiply
+two of them (the grade-wise series division in ``tau`` aside).  The key
+rule of a product is an argument: ``vec_add`` for exponent vectors,
+``operator.add`` for powers of s.  A sum that comes out falsy is
 dropped on the spot, which covers ints, Fractions, mpmath numbers and
 SPoly coefficients alike.  Coefficients must commute.
 """

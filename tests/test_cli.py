@@ -330,6 +330,17 @@ class TestSeriesCommands:
         assert r.exit_code == 2
         assert r.output.startswith("error: ") and r.output.count("\n") == 1
 
+    @pytest.mark.parametrize("args, level", [
+        (["sphere4", "--weights", "1,1,1,1,0", "-c", "0", "--order", "3"], 2),
+        (["torus1", "--weights", "1,0"], 1),
+    ], ids=["sphere4", "torus1"])
+    def test_block_singular_gram_names_level(self, runner, args, level):
+        r = runner.invoke(main, ["block", *args])
+        assert r.exit_code == 2
+        assert r.output.startswith(
+            f"error: level-{level} contraction failed at internal weight 0: ")
+        assert r.output.count("\n") == 1
+
     def test_tau_runs(self, runner, tmp_path):
         out = tmp_path / "tau.txt"
         r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10",

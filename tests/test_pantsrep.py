@@ -498,7 +498,7 @@ def reference_terms(p, kind, degree):
         s = mp.exp(1j * mp.pi * mp.mpmathify(p.b2) / 4)
         boundary = {k: mp.mpmathify(v) for k, v in p.boundary.items()}
         return relation_terms(kind, degree, boundary,
-                              lambda poly: sum(c * s ** e for e, c in poly.c.items()))
+                              lambda poly: sum(c * s ** e for e, c in poly.terms.items()))
 
 
 def reference_q(p):

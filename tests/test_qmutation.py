@@ -59,7 +59,7 @@ def _classical_of_image(img: QMutationImage, e: int) -> LaurentRational:
 
     def xpoly_to_laurent(xp: SPoly) -> LaurentPoly:
         out = LaurentPoly.zero(E)
-        for k, c in xp.c.items():
+        for k, c in xp.terms.items():
             exps = [0] * E
             exps[e] = 2 * k
             out = out + LaurentPoly.monomial(E, exps, c.at_one())

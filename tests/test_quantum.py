@@ -38,6 +38,54 @@ class TestQCoeff:
             assert (a + b) * c == a * c + b * c
 
 
+class TestOneArithmetic:
+    """SPoly is a LaurentPoly in one variable with int keys; the ring
+    operations are LaurentPoly's alone."""
+
+    def test_no_ring_methods_of_its_own(self):
+        assert issubclass(SPoly, LaurentPoly)
+        own = {"__add__", "__radd__", "__neg__", "__sub__", "__mul__", "__rmul__",
+               "__eq__", "__bool__"} & set(vars(SPoly))
+        assert not own
+
+    def test_keys_stay_ints(self):
+        assert SPoly.s_power(3).terms == {3: 1}
+        prod = SPoly({3: 2, -1: 1}) * SPoly({-3: 1})
+        assert prod.terms == {0: 2, -4: 1}
+        assert all(type(k) is int for k in prod.terms)
+
+    def test_torus_element_takes_it_as_scalar(self):
+        _, _, n = _context("c11")
+        q = generator(n, 0) + generator(n, 1) * SPoly.s_power(2)
+        c = SPoly({2: 1, -1: Fraction(3, 2)})
+        assert c * q == q * c
+        assert c + q == q + c
+        assert not c == q and not q == c
+        const = QuantumTorusElement.const(n, c)
+        assert c == const and const == c
+
+    def test_other_ring_raises(self):
+        p, c = LaurentPoly.const(1, 1), SPoly.const(1)
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(p, c)
+            with pytest.raises(ValueError):
+                op(c, p)
+
+    def test_polynomial_in_x_over_spolys(self):
+        # (1 + q X)(1 + q^-1 X^-1) = 2 + q X + q^-1 X^-1, as quantum
+        # mutation multiplies its factors in X_e
+        one = SPoly.const(1)
+        a = SPoly({0: one, 1: SPoly.s_power(4)})
+        b = SPoly({0: one, -1: SPoly.s_power(-4)})
+        prod = a * b
+        assert prod == SPoly({0: SPoly.const(2), 1: SPoly.s_power(4),
+                              -1: SPoly.s_power(-4)})
+        assert all(type(v) is SPoly for v in prod.terms.values())
+        assert (a * SPoly.const(SPoly.s_power(1))).terms == {
+            0: SPoly.s_power(1), 1: SPoly.s_power(5)}
+
+
 def generator(n, i):
     """X_i as a Weyl monomial (doubled exponent 2)."""
     return QuantumTorusElement(n, {tuple(2 if j == i else 0 for j in range(len(n))): SPoly.const(1)})
