@@ -317,10 +317,10 @@ def shift_changes(ts: tau.TauSeries) -> list:
     """Largest coefficient change of the tau series ``ts`` as its shift
     range grows from M = k - 1 to k, for k = 1 .. max(2, isqrt(N)): each
     bigraded slot belongs to one shift, so that is the largest |term| of
-    shifts +-k, phase included.  Shift k enters at t^(k^2), so beyond
-    isqrt(N) nothing changes.  A convergent shift sum makes the changes
-    strictly decrease."""
-    terms = ts.series.terms.items()
+    shifts +-k, read without the phase, whose modulus is 1.  Shift k enters
+    at t^(k^2), so beyond isqrt(N) nothing changes.  A convergent shift sum
+    makes the changes strictly decrease."""
+    terms = ts.unphased.terms.items()
     return [worst_residual(abs(v) for (m, _), v in terms if abs(m) == k)
             for k in range(1, max(2, math.isqrt(ts.unphased.jmax)) + 1)]
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import click
 import mpmath as mp
@@ -354,15 +356,20 @@ def block(kind, weights, cc, order, out, plot):
         blk = build(*weights, cc, N=order)
     except ValueError as exc:  # a singular Gram matrix
         raise BadInput(str(exc)) from exc
+    if plot:
+        # drawn in floats, so checked before any output is written; once a
+        # partial sum is not finite, neither is the last
+        try:
+            partial = list(accumulate(map(float, blk.coeffs)))
+            if not math.isfinite(partial[-1]):
+                raise OverflowError
+        except OverflowError:
+            raise BadInput("--plot draws the partial sums as floats, and this "
+                           "series overflows a float") from None
     lines = [f"# channel={blk.channel} leading_exponent={blk.leading_exponent}"]
     lines += [f"{k} {ck.numerator}/{ck.denominator}" for k, ck in enumerate(blk.coeffs)]
     _emit("\n".join(lines) + "\n", out, "series")
     if plot:
-        partial = []
-        total = 0.0
-        for ck in blk.coeffs:
-            total += float(ck)
-            partial.append(total)
         _emit(plot_svg(enumerate(partial), f"{kind} partial sums at q=1", "order",
                        "partial sum"), plot, "plot")
 
@@ -402,7 +409,10 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
                   for (m, j), v in sorted(ts.series.terms.items())]
     if residual:
         # an exactly vanishing slot is not stored, so every slot may be gone
-        res = sigma_pvi_residual(ts)
+        try:
+            res = sigma_pvi_residual(ts)
+        except ValueError as exc:  # a coefficient beyond the decimal range
+            raise BadInput(str(exc)) from exc
         with mp.workdps(digits):
             worst = worst_residual(abs(v) for v in res.values())
             lines.append(f"# deformation-equation residual (worst slot): "
@@ -410,17 +420,15 @@ def tau_cmd(lam, kappa, theta, order, shifts, digits, normalization, out, plot):
     _emit("\n".join(lines) + "\n", out, "series")
     if out and residual:
         click.echo(lines[-1][2:])
-    if plot:
-        with mp.workdps(digits):
-            decay = sorted((j, float(abs(v))) for (m, j), v in res.items())
+    if plot:  # the slots are real
+        decay = sorted((j, abs(float(v))) for (m, j), v in res.items())
         _emit(plot_svg(decay, "residual by order", "order", "residual", logy=True),
               plot, "plot")
 
 
 @main.command("report")
 @click.argument("path", type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="text", show_default=True)
+@_fmt_opt
 def report_cmd(path, fmt):
     """Re-render JSON reports in another format.  The file may hold several
     reports back to back, as `verify all --format json` writes them."""

@@ -5,8 +5,8 @@ mpmath's, several times faster than mpmath's pure-Python numbers.  Its
 context runs two digits above the working precision d: the unit
 roundoff 5e-(d+2) is below mpmath's 2^-prec, about 1e-(d+1), at d
 digits.  An invalid operation gives NaN, as in mpmath; a division of a
-nonzero Decimal by zero and an overflow raise.  A ``Complex`` divided by
-a zero ``Complex`` has NaN parts (0/0), where mpmath would raise.
+nonzero Decimal by zero raises, and a number beyond decimal's range a
+ValueError.  A ``Complex`` divided by a zero ``Complex`` has NaN parts (0/0).
 
 Numbers come in through ``to_decimal`` and ``Complex.of``, exactly and
 rounded once, and go back to mpmath through ``mp.mpmathify``.  Every
@@ -18,24 +18,32 @@ is left as it was.
 from __future__ import annotations
 
 import decimal
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
 
 
+@contextmanager
 def working(digits: int):
     """A local decimal context two digits above ``digits``, to be entered
-    with ``with``."""
-    return decimal.localcontext(decimal.Context(
-        prec=digits + 2, traps=[decimal.DivisionByZero, decimal.Overflow]))
+    with ``with``; an overflow inside it raises ValueError."""
+    ctx = decimal.Context(prec=digits + 2, traps=[decimal.DivisionByZero, decimal.Overflow])
+    with decimal.localcontext(ctx):
+        try:
+            yield
+        except decimal.Overflow:
+            raise ValueError(f"a result is above 10^{ctx.Emax}, outside the range "
+                             f"of {ctx.prec}-digit decimal arithmetic") from None
 
 
 def to_decimal(x) -> Decimal:
     """An int, a Fraction or an mpf as a Decimal, rounded once to the
-    current decimal context.  A finite mpf man 2^exp with exp < 0 is
-    exactly man 5^-exp 10^exp; NaN and the infinities map to their own
-    kind."""
+    current decimal context; NaN and the infinities map to their own kind,
+    and an mpf outside the context's range, 10^Etiny to 10^Emax, raises
+    ValueError.  An mpf is q 10^e + r, 0 <= r < 10^e, with q two digits
+    longer than the context keeps, so no int outgrows 2^exp and 10^e."""
     if isinstance(x, (int, Fraction)):
         return Decimal(x.numerator) / x.denominator
     if mp.isnan(x):
@@ -43,8 +51,19 @@ def to_decimal(x) -> Decimal:
     if mp.isinf(x):
         return Decimal("-Infinity" if x < 0 else "Infinity")
     sign, man, exp, _ = x._mpf_
-    man, exp10 = (man * 5 ** -exp, exp) if exp < 0 else (man << exp, 0)
-    return Decimal(-man if sign else man).scaleb(exp10)
+    # |x| = man 2^exp is about 10^e10, as 30103/100000 is log10(2) to 1e-9
+    e10 = (exp + man.bit_length()) * 30103 // 100000
+    prec, emax = decimal.getcontext().prec, decimal.getcontext().Emax
+    etiny = decimal.getcontext().Etiny()
+    if not etiny <= e10 <= emax:
+        raise ValueError(f"a number of about 10^{e10} is outside the range of "
+                         f"{prec}-digit decimal arithmetic (10^{etiny} to 10^{emax})")
+    e = max(e10 - prec - 3, min(exp, 0))        # e = exp keeps a short x exact
+    q, r = divmod((man << max(exp, 0)) * 10 ** max(-e, 0),
+                  10 ** max(e, 0) << max(-exp, 0))
+    if r:  # a last digit 1 for r is never a tie, so q rounds as x does
+        q, e = 10 * q + 1, e - 1
+    return Decimal(-q if sign else q).scaleb(e)
 
 
 class Complex:

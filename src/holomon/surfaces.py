@@ -426,8 +426,7 @@ def validate_dehn(pd: PantsDecomposition, dp: dict) -> list:
 
 # -- serialization --------------------------------------------------------------
 
-def surface_to_json(tri: Triangulation, curves: dict | None = None,
-                    pants: PantsDecomposition | None = None) -> str:
+def surface_to_json(tri: Triangulation, curves: dict | None = None) -> str:
     doc: dict = {
         "genus": tri.surface.genus,
         "punctures": tri.surface.punctures,
@@ -437,11 +436,6 @@ def surface_to_json(tri: Triangulation, curves: dict | None = None,
         doc["curves"] = {
             name: {"start": cp.start, "steps": [[e, t] for e, t in cp.steps]}
             for name, cp in sorted(curves.items())
-        }
-    if pants:
-        doc["pants"] = {
-            "vertices": [[[k, lab] for k, lab in v] for v in pants.vertices],
-            "names": list(pants.curve_names),
         }
     return json.dumps(doc, indent=2, sort_keys=True)
 

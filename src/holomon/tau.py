@@ -11,24 +11,14 @@ Multiplying term (m, j) by chi^m is a ring automorphism of the bigraded
 ring: it commutes with products, the grade-wise division, d/dt and
 multiplication by t.  So a ``TauSeries`` stores its coefficients without
 the kappa phase, real for real data, and holds the phase
-chi = e^(i kappa) once; ``TauSeries.series`` and the deformation-equation
-residual put chi^m back on the way out.
+chi = e^(i kappa) once; only ``TauSeries.series`` puts chi^m back.  The
+deformation-equation residual and the shift-range checks read the
+unphased sum: their phased values differ by chi^m, of modulus 1.
 
-lambda and theta are rational, so every shift's block is exact.  A plain
-sum keeps its Fractions; in a weighted sum each coefficient becomes an
-mpmath number where it meets its weight, at the working precision.
-
-The deformation-equation residual is written once, in ``residual_form``,
-for any commutative ring.  ``sigma_pvi_residual`` runs it in one ring for
-either normalization: the standard library's ``decimal`` (C arithmetic,
-with relative rounding like mpmath's) two digits above the series' own
-precision, and each slot comes back as an mpmath number.  Nothing here
-reads mpmath's ambient precision.
-
-The shift weights C(lambda + m) / C(lambda) are products of steps
-C(u + 1) / C(u).  Each chain takes its first step from twelve Gamma
-values and every later one from the step before, times an exact
-rational factor.
+lambda and theta are rational, so every shift's block is exact; the
+weights (``weight_ratio``) and the residual (``residual_form``, run in
+``decimal`` by ``sigma_pvi_residual``) work at the series' own digits,
+and nothing here reads mpmath's ambient precision.
 """
 
 from __future__ import annotations
@@ -120,10 +110,6 @@ class BiSeries:
                         jmax)
 
 
-def _rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 @dataclass
 class TauSeries:
     """Shift-summed series with its grading data.
@@ -141,21 +127,14 @@ class TauSeries:
         th0, tht = self.theta[0], self.theta[1]
         return self.lam * self.lam - th0 * th0 - tht * tht
 
-    def phased(self, terms: dict) -> dict:
-        """Bigraded terms with the phase of each shift m, phase^m, put back."""
-        powers: dict = {}
-        out = {}
-        with mp.workdps(self.digits):
-            for (m, j), v in terms.items():
-                if m not in powers:
-                    powers[m] = self.phase ** m
-                out[(m, j)] = v * powers[m]
-        return out
-
     @property
     def series(self) -> BiSeries:
         """The sum with its phases, built anew on each read."""
-        return BiSeries(self.phased(self.unphased.terms), self.unphased.jmax)
+        terms = self.unphased.terms
+        with mp.workdps(self.digits):
+            powers = {m: self.phase ** m for m in {m for m, _ in terms}}
+            return BiSeries({k: v * powers[k[0]] for k, v in terms.items()},
+                            self.unphased.jmax)
 
 
 def _pair_sums(theta) -> tuple:
@@ -275,7 +254,7 @@ def tau_series(theta, lam, kappa, N: int, M: int, digits: int,
     if normalization not in ("isomonodromic", "plain"):
         raise ValueError(f"unknown normalization {normalization!r}")
     for name, x in [("lam", lam), *zip(("th0", "tht", "th1", "thinf"), theta)]:
-        if not _rational(x):
+        if not isinstance(x, (int, Fraction)):
             raise ValueError(f"{name} must be rational, got {x!r}")
     theta = tuple(theta)
     weighted = normalization == "isomonodromic"
@@ -387,15 +366,14 @@ def sigma_pvi_residual(tau: TauSeries) -> dict:
     (``residual_form``) and returns the bigraded residual terms through
     grade N - 2.  The weighted (isomonodromic) normalization drives every
     coefficient to zero at working precision; the plain sum does not
-    satisfy the equation.  It runs on the coefficients without the phase,
-    and multiplies residual term (m, j) by phase^m on the way out (see the
-    module docstring).
+    satisfy the equation.  It is the residual of the unphased sum, so
+    each slot is real for real data; the phased sum's residual term (m, j)
+    is this one times phase^m, of modulus 1 (see the module docstring).
 
     Every coefficient (Fraction or mpf) and rational scalar goes into
-    ``decimal`` once, at d + 2 digits with d = tau.digits, whose unit
-    roundoff 5e-(d+2) is below mpmath's at d digits; each slot comes back
-    as an mpf at d digits.  An invalid decimal operation gives NaN, as in
-    mpmath, and the caller's decimal context is left as it was.
+    ``decimal`` once, in ``working(tau.digits)``, and each slot comes back
+    as an mpf at tau.digits.  A coefficient or a result beyond decimal's
+    range raises ValueError; an invalid operation gives NaN.
     """
     with working(tau.digits):
         S = BiSeries({k: to_decimal(v) for k, v in tau.unphased.terms.items()},
@@ -403,4 +381,4 @@ def sigma_pvi_residual(tau: TauSeries) -> dict:
         form = residual_form(S, to_decimal(2 * tau.lam), to_decimal(tau.leading_exponent),
                              tuple(map(to_decimal, tau.theta)))
     with mp.workdps(tau.digits):
-        return tau.phased({k: mp.mpmathify(v) for k, v in form.items()})
+        return {k: mp.mpmathify(v) for k, v in form.items()}

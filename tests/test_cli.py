@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -615,6 +616,29 @@ class TestExitContract:
         r = runner.invoke(main, [*args, str(tmp_path / "missing" / "file")])
         assert r.exit_code == 2
         assert len(_error_lines(r.output)) == 1
+
+    @pytest.mark.parametrize("args", [
+        # a shift weight near 10^802748, which the residual squares
+        ["tau", "--lam", "1000001/3", "--kappa", "1", "--order", "2", "--shifts", "1"],
+        # s near 10^3410941
+        ["verify", "pants-rep", "--surface", "c11", "--draws", "1", "--b2", "0,-1e7"],
+    ], ids=["tau-weight", "pants-b2"])
+    def test_beyond_decimal_range_exits_2(self, runner, args):
+        start = time.perf_counter()
+        r = runner.invoke(main, args)
+        assert time.perf_counter() - start < 10
+        assert r.exit_code == 2
+        assert r.output.startswith("error: ") and r.output.count("\n") == 1
+        assert "decimal arithmetic" in r.output
+
+    def test_block_plot_overflow_exits_2(self, runner, tmp_path):
+        # the partial sums are drawn as floats; the series is not printed
+        plot = tmp_path / "p.svg"
+        r = runner.invoke(main, ["block", "sphere4", "--weights", "1e400,1,1,1,1", "-c",
+                                 "1", "--order", "2", "--plot", str(plot)])
+        assert r.exit_code == 2
+        assert r.output.startswith("error: --plot") and r.output.count("\n") == 1
+        assert not plot.exists()
 
     @pytest.mark.parametrize("args, suite, exc", [
         (["verify", "all"], "all_checks", RuntimeError("boom")),

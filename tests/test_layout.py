@@ -91,11 +91,6 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(unused)) == []
 
 
-# the writer half of the surface-file format: ``surface validate`` reads the
-# pants block that this parameter writes, so the format keeps it
-FORMAT_PARAMETERS = {("surface_to_json", "pants")}
-
-
 def _functions():
     """(qualified name, called name, node, leading parameters a call does
     not pass) of every module-level function and every method in
@@ -179,8 +174,6 @@ def test_every_option_is_set_by_a_caller():
     unset = []
     for qual, called, options in [*_function_options(), *_dataclass_options()]:
         for index, name in options:
-            if (called, name) in FORMAT_PARAMETERS:
-                continue
             if not any(_passes(c, index, name) for c in calls.get(called, ())):
                 unset.append(f"{qual}({name})")
     assert unset == []

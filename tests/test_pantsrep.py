@@ -4,13 +4,14 @@ import decimal
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 from functools import reduce
 
 import mpmath as mp
 import pytest
 
 from holomon import pantsrep
-from holomon.decimals import Complex, working
+from holomon.decimals import Complex, to_decimal, working
 from holomon.pantsrep import (
     B_MOVE_WEIGHT_NOTE,
     RepParams,
@@ -621,6 +622,40 @@ class TestDecimalTables:
             root = Complex(Decimal(-4), Decimal(zero)).sqrt()
             assert (root.re, root.im) == (0, 2)
             assert as_mpc(root) == mp.sqrt(mp.mpc(-4, 0))
+
+    def test_to_decimal_rounds_once(self):
+        # an int over an int is divided once, so the Fraction path is the
+        # reference; few digits and short mantissas make ties common
+        rng = random.Random(7)
+        for digits in (1, 3, 30):
+            with mp.workprec(200), working(digits):
+                for _ in range(2000):
+                    man = rng.randrange(1, 1 << rng.randint(1, 120))
+                    exp = rng.randint(-300, 300)
+                    want = to_decimal(Fraction(man) * Fraction(2) ** exp)
+                    assert to_decimal(mp.ldexp(man, exp)) == want, (man, exp)
+                    assert to_decimal(mp.ldexp(-man, exp)) == -want, (man, exp)
+
+    @pytest.mark.parametrize("e10", [-999999, -999990, 999990, 999999])
+    def test_to_decimal_near_the_range_ends(self, e10):
+        # inside the exponent range, and rounded to the working digits
+        # without an int of a million digits
+        with mp.workdps(40), working(30):
+            x = mp.mpf(f"1.2345678901234567890123456789012345e{e10}")
+            got = to_decimal(x)
+            assert got.adjusted() == e10
+            assert abs(mp.mpmathify(got) / x - 1) < mp.mpf(10) ** -31
+
+    @pytest.mark.parametrize("x", ["1e1000000", "-1e1000000", "1e-1000032", "1e-3000000"])
+    def test_to_decimal_outside_the_range_raises(self, x):
+        with mp.workdps(30), working(30):
+            with pytest.raises(ValueError, match="outside the range of 32-digit decimal"):
+                to_decimal(mp.mpf(x))
+
+    def test_overflow_raises_value_error(self):
+        with pytest.raises(ValueError, match="above 10\\^999999"):
+            with working(30):
+                Decimal("1e600000") * Decimal("1e600000")
 
 
 class TestEdgeCases:
