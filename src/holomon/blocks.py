@@ -79,8 +79,7 @@ class PrimaryMatrixElements:
             n, rest = lam[0], lam[1:]
             val = (three_point_factor(d + sum(mu), self.h, d, n, sum(rest))
                    * self.element(rest, mu))
-            lowered = self.module.apply_L(n, {mu: 1})
-            for nu, v in lowered.items():
+            for nu, v in self.module.apply_basis(n, mu).items():
                 val = val + v * self.element(rest, nu)
         self._memo[key] = val
         return val

@@ -142,16 +142,38 @@ def _pair_sums(theta) -> tuple:
     return (tht + th0, tht - th0, th1 + thinf, th1 - thinf)
 
 
-def _gamma_step(theta, s):
-    """C(s + 1) / C(s) from G(z + 1) = Gamma(z) G(z): twelve Gamma values.
+# numerator bits of a Gamma argument whose rounding the chain's ten guard
+# digits absorb (see _up_chain): a 20-bit loss leaves 13 of their 33 bits
+# for the rounding of the steps
+_SPARE_BITS = 20
 
-    Rational arguments stay exact until mpmath sees them, so a pole is
-    hit exactly.  A pole of a reciprocal Gamma gives 0; a pole of a Gamma
-    raises ValueError."""
-    out = (mp.gamma(-2 * s) * mp.gamma(-1 - 2 * s)
-           * mp.rgamma(1 + 2 * s) * mp.rgamma(2 + 2 * s))
+
+def _gamma(z, reciprocal: bool = False):
+    """Gamma(z), or 1/Gamma(z) if ``reciprocal``, for rational z.
+
+    A pole is decided on z itself: there 1/Gamma is 0 and Gamma raises
+    ValueError.  Elsewhere Gamma's relative error is about |p| times the
+    relative rounding of z = p/q, so z is rounded with as many bits more
+    than the working precision as p has beyond ``_SPARE_BITS``; so
+    -10^200 + 1/3 is not taken for the pole at -10^200."""
+    p, q = z.numerator, z.denominator
+    if q == 1 and p <= 0:
+        if reciprocal:
+            return mp.mpf(0)
+        raise ValueError(f"Gamma has a pole at {z}")
+    with mp.extraprec(max(0, abs(p).bit_length() - _SPARE_BITS)):
+        x = mp.mpf(p) / q
+        return mp.rgamma(x) if reciprocal else mp.gamma(x)
+
+
+def _gamma_step(theta, s):
+    """C(s + 1) / C(s) from G(z + 1) = Gamma(z) G(z): twelve Gamma values
+    of rational arguments (see ``_gamma``).  A pole of a reciprocal Gamma
+    gives 0; a pole of a Gamma raises ValueError."""
+    out = (_gamma(-2 * s) * _gamma(-1 - 2 * s)
+           * _gamma(1 + 2 * s, True) * _gamma(2 + 2 * s, True))
     for a in _pair_sums(theta):
-        out *= mp.gamma(1 + a + s) * mp.rgamma(a - s)
+        out *= _gamma(1 + a + s) * _gamma(a - s, True)
     return out
 
 

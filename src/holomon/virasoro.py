@@ -6,8 +6,10 @@ lambda_k, entries the indices of lowering generators) to coefficients.
 The commutator algebra reduces every generator action to this basis.
 Weights, central values and coefficients are exact rationals.  One
 elimination routine, ``contract``, takes every contraction through a
-(possibly singular) Gram matrix, in integers after clearing row
-denominators, fraction-free (Bareiss), with first-nonzero pivots.
+(possibly singular) Gram matrix, in integers, fraction-free (Bareiss),
+with first-nonzero pivots, after clearing denominators: each right
+column by its own lcm, each G-row by the lcm of its G entries alone,
+each left row by its own lcm.
 """
 
 from __future__ import annotations
@@ -52,10 +54,12 @@ class VermaModule:
         """Act with the n-th generator on a basis-combination state."""
         out: dict = {}
         for lam, coeff in state.items():
-            add_into(out, self._apply_basis(n, lam), coeff)
+            add_into(out, self.apply_basis(n, lam), coeff)
         return out
 
-    def _apply_basis(self, n: int, lam: tuple) -> dict:
+    def apply_basis(self, n: int, lam: tuple) -> dict:
+        """The n-th generator on the basis state L_{-lam} e, memoized; the
+        returned dict is shared, so callers only read it."""
         key = (n, lam)
         hit = self._memo.get(key)
         if hit is not None:
@@ -78,15 +82,15 @@ class VermaModule:
             if m >= head:
                 return {(m,) + lam: 1}
             # L_{-m} L_{-head} = L_{-head} L_{-m} + (head - m) L_{-(m+head)}
-            out = self.apply_L(-head, self._apply_basis(n, rest))
-            return add_into(out, self._apply_basis(-(m + head), rest), head - m)
+            out = self.apply_L(-head, self.apply_basis(n, rest))
+            return add_into(out, self.apply_basis(-(m + head), rest), head - m)
         # n > 0: commute through the first lowering generator
         # [L_n, L_{-head}] = (n + head) L_{n-head} + c/12 n(n^2-1) delta_{n,head}
-        out = add_into({}, self._apply_basis(n - head, rest), n + head)
+        out = add_into({}, self.apply_basis(n - head, rest), n + head)
         if n == head:
             add_into(out, {rest: self._central(n)})
-        for mu, v in self._apply_basis(n, rest).items():
-            add_into(out, self._apply_basis(-head, mu), v)
+        for mu, v in self.apply_basis(n, rest).items():
+            add_into(out, self.apply_basis(-head, mu), v)
         return out
 
     def _central(self, n: int):
@@ -120,7 +124,7 @@ class VermaModule:
                 below = grams[k - lam[0]][index[lam[1:]]]
                 for j in range(i, len(basis)):
                     val = 0
-                    for nu, a in self._apply_basis(lam[0], basis[j]).items():
+                    for nu, a in self.apply_basis(lam[0], basis[j]).items():
                         val = val + a * below[index[nu]]
                     G[i][j] = G[j][i] = val
             grams.append(G)
@@ -148,23 +152,32 @@ def contract(G: list, left: list, right: list) -> list:
     a left row with a nonzero entry in a pivot-free column lies outside
     the row space of G; both raise GramSingularError.
 
-    The entries, ints or Fractions, are eliminated in integers after
-    clearing row denominators, fraction-free: each row is multiplied by
-    the lcm of its denominators (a G-row together with its right part,
-    which leaves the contraction unchanged), the first nonzero pivot is
-    taken, and every row below it becomes (p * row - f * pivot_row) //
-    prev, with p the pivot, f the row's entry in the pivot column and prev
-    the pivot before (Bareiss).  Every entry is then a minor of the scaled matrix, so each
-    division is exact, and the border divides by the last pivot and its
-    own row scale at the end.  The inputs are copied.
+    The entries, ints or Fractions, are eliminated in integers,
+    fraction-free.  Denominators are cleared by three kinds of factor:
+    each right column by the lcm c_b of its own denominators; each G-row
+    by the lcm of its G entries alone, which multiplies that row's right
+    part too and so leaves the contraction unchanged; and each left row
+    by the lcm s_a of its denominators.  A column's denominators thus
+    never enter the G-rows, nor through them the pivots.  The first
+    nonzero pivot is taken, and every row below it becomes
+    (p * row - f * pivot_row) // prev, with p the pivot, f the row's
+    entry in the pivot column and prev the pivot before (Bareiss).  Every
+    entry is then a minor of the scaled matrix, so each division is
+    exact, and the border entry (a, b) divides by prev * s_a * c_b at the
+    end.  The inputs are copied.
     """
     n = len(G)
     q = len(right[0]) if right else 0
-    rows = [list(g) + list(r) for g, r in zip(G, right, strict=True)] + \
-        [list(l) + [0] * q for l in left]
-    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
-    rows = [[v.numerator * (s // v.denominator) for v in row]
-            for row, s in zip(rows, scales)]
+    cols = [math.lcm(*(r[b].denominator for r in right)) for b in range(q)]
+    rows = []
+    for g, r in zip(G, right, strict=True):
+        s = math.lcm(*(v.denominator for v in g))
+        rows.append([v.numerator * (s // v.denominator) for v in g]
+                    + [v.numerator * (s * c // v.denominator)
+                       for v, c in zip(r, cols, strict=True)])
+    scales = [math.lcm(*(v.denominator for v in l)) for l in left]
+    rows += [[v.numerator * (s // v.denominator) for v in l] + [0] * q
+             for l, s in zip(left, scales)]
     free = []
     rank = 0
     prev = 1
@@ -194,9 +207,9 @@ def contract(G: list, left: list, right: list) -> list:
     if any(row[col] != 0 for row in rows[n:] for col in free):
         raise GramSingularError("contraction does not factor through "
                                 "the singular Gram matrix")
-    # border rows are never swapped, so scales[n:] still match them
-    return [[Fraction(-v, prev * s) for v in row[n:]]
-            for row, s in zip(rows[n:], scales[n:])]
+    # border rows are never swapped, so scales still match them
+    return [[Fraction(-v, prev * s * c) for v, c in zip(row[n:], cols)]
+            for row, s in zip(rows[n:], scales)]
 
 
 def solve_contraction(G: list, left: list, right: list):

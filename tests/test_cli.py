@@ -631,6 +631,16 @@ class TestExitContract:
         assert r.output.startswith("error: ") and r.output.count("\n") == 1
         assert "decimal arithmetic" in r.output
 
+    def test_argument_next_to_a_huge_pole_is_no_pole(self, runner):
+        # -10^200 + 1/3 (a Gamma argument of shift -1) rounds to an integer
+        # at 60 digits; the poles are decided on the rational arguments
+        start = time.perf_counter()
+        r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "1", "--theta",
+                                 "1e200,1/3,1/5,1/7", "--order", "2"])
+        assert time.perf_counter() - start < 10
+        assert r.exit_code == 0, r.output
+        assert "pole" not in r.output and "\n-1 1 (" in r.output
+
     def test_block_plot_overflow_exits_2(self, runner, tmp_path):
         # the partial sums are drawn as floats; the series is not printed
         plot = tmp_path / "p.svg"

@@ -324,6 +324,29 @@ class TestRationalStep:
             else:
                 assert abs(got / want - 1) <= 1e-25, (lam, m)
 
+    def test_huge_argument_next_to_a_pole(self):
+        # -10^200 + 1/3 rounds to the pole -10^200 at 60 digits; decided on
+        # the rational argument it is no pole, and its Gamma keeps the 50
+        # digits that a chain at 60 serves (reference: the reflection
+        # formula at 300 digits)
+        z = F(-10 ** 200) + F(1, 3)
+        with mp.workdps(60):
+            got, rgot = tau_module._gamma(z), tau_module._gamma(z, True)
+        with mp.workdps(300):
+            x = mp.mpf(z.numerator) / z.denominator
+            want = mp.pi / (mp.sinpi(x) * mp.gamma(1 - x))
+            assert abs(got / want - 1) < 1e-50 and abs(rgot * want - 1) < 1e-50
+        assert tau_module._gamma(z - F(1, 3), True) == 0
+        with pytest.raises(ValueError, match="pole"):
+            tau_module._gamma(z - F(1, 3))
+
+    def test_weight_next_to_a_huge_pole(self):
+        theta = (F(10 ** 200), F(1, 3), F(1, 5), F(1, 7))
+        _clear_memo()
+        for m in (-2, -1, 1, 2):
+            low, high = weight_ratio(theta, F(2, 5), m, 30), weight_ratio(theta, F(2, 5), m, 300)
+            assert low != 0 and abs(low / high - 1) < 1e-25, m
+
     def test_two_gamma_steps_per_chain_pair(self, monkeypatch):
         calls = []
         real = tau_module._gamma_step

@@ -296,9 +296,15 @@ INCONSISTENT = "inconsistent contraction through a singular Gram matrix"
 NO_FACTOR = "contraction does not factor through the singular Gram matrix"
 
 
+# large primes for border denominators: 2^p - 1 for Mersenne exponents p
+PRIMES = [2 ** p - 1 for p in (127, 61, 89, 107, 521)]
+
+
 class TestFractionFreeKernel:
-    """contract eliminates in integers after clearing
-    row denominators; sympy and the Fraction elimination are its oracles."""
+    """contract eliminates in integers after three kinds of scale: each
+    right column by the lcm of its denominators, each G-row (with its right
+    part) by the lcm of its G entries, each left row by the lcm of its
+    denominators; sympy and the Fraction elimination are its oracles."""
 
     @pytest.mark.parametrize("d_beta", [F(9, 4), F(17, 4),
                                         _momentum_weight(F(1, 3) - F(1, 2), F(2, 5), B2)],
@@ -333,27 +339,68 @@ class TestFractionFreeKernel:
         assert contract(G, L, R) == want == fraction_contract(G, L, R)
         assert want[0][0] != 0 and want[1][1] != 0
 
+    def test_border_denominator_divides_out(self):
+        # a right column or a left row divided by P scales its border
+        # entries by 1/P and nothing else
+        P = PRIMES[0]
+        V = VermaModule(F(9, 4), CC)
+        d1, d2 = _momentum_weight(F(2, 3), F(3, 5), B2), degenerate_weight(B2)
+        d3, d4 = _momentum_weight(F(1, 5), F(2, 7), B2), _momentum_weight(F(3, 7), F(4, 11), B2)
+        for k in (3, 5):
+            basis = partitions(k)
+            G = V.gram(k)
+            L = [[three_point_descendant(d4, d3, F(9, 4), lam) for lam in basis],
+                 [three_point_descendant(d1, d2, F(9, 4), lam) for lam in basis]]
+            R = [[three_point_descendant(d1, d2, F(9, 4), mu), F(int(i == 0))]
+                 for i, mu in enumerate(basis)]
+            old = contract(G, L, R)
+            R_P = [[r[0] / P, r[1]] for r in R]
+            L_P = [L[0], [v / P for v in L[1]]]
+            got = contract(G, L, R_P)
+            assert got == [[a / P, b] for a, b in old] == fraction_contract(G, L, R_P), k
+            got = contract(G, L_P, R)
+            assert got == [old[0], [v / P for v in old[1]]] == fraction_contract(G, L_P, R), k
+
+    def test_torus_shape_prime_columns(self):
+        # unit left rows and the insertion's matrix elements as the right
+        # side, each column over its own large prime
+        V = VermaModule(F(7, 5), CC)
+        elements = blocks.PrimaryMatrixElements(V, F(2, 3))
+        basis = partitions(4)
+        E = [[elements.element(lam, mu) / P for mu, P in zip(basis, PRIMES, strict=True)]
+             for lam in basis]
+        unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+        G = V.gram(4)
+        got = contract(G, unit, E)
+        assert got == fraction_contract(G, unit, E) == _frac(_sym(G).inv() * _sym(E))
+        assert all(v.denominator % P == 0 for row in got for v, P in zip(row, PRIMES) if v)
+
     def test_degenerate_weight_singular_gram(self):
+        # each draw runs twice: as drawn, and with every right column and
+        # left row, and the kernel added to them, over its own large prime
         V = VermaModule(degenerate_weight(B2), CC)
         rng = random.Random(5)
         for k in (2, 3, 4):
             G = V.gram(k)
             n = len(G)
             assert _sym(G).rank() < n
-            Y, X = _rand_matrix(rng, 2, n), _rand_matrix(rng, n, 2)
-            L, R = _matmul(Y, G), _matmul(G, X)
-            assert contract(G, L, R) == fraction_contract(G, L, R) \
-                == _frac(_sym(Y) * _sym(G) * _sym(X))
+            Y0, X0 = _rand_matrix(rng, 2, n), _rand_matrix(rng, n, 2)
             kernel = _frac(_sym(G).nullspace()[0].T)[0]
-            bad_R = [[r[0] + e, r[1]] for r, e in zip(R, kernel)]
-            bad_L = [L[0], [a + e for a, e in zip(L[1], kernel)]]
-            for fn in (contract, fraction_contract):
-                with pytest.raises(GramSingularError) as exc:
-                    fn(G, L, bad_R)
-                assert str(exc.value) == INCONSISTENT
-                with pytest.raises(GramSingularError) as exc:
-                    fn(G, bad_L, R)
-                assert str(exc.value) == NO_FACTOR
+            for dens in ([1] * 5, PRIMES):
+                Y = [[v / d for v in row] for row, d in zip(Y0, dens[:2])]
+                X = [[v / d for v, d in zip(row, dens[2:4])] for row in X0]
+                L, R = _matmul(Y, G), _matmul(G, X)
+                assert contract(G, L, R) == fraction_contract(G, L, R) \
+                    == _frac(_sym(Y) * _sym(G) * _sym(X))
+                bad_R = [[r[0] + e / dens[4], r[1]] for r, e in zip(R, kernel)]
+                bad_L = [L[0], [a + e / dens[4] for a, e in zip(L[1], kernel)]]
+                for fn in (contract, fraction_contract):
+                    with pytest.raises(GramSingularError) as exc:
+                        fn(G, L, bad_R)
+                    assert str(exc.value) == INCONSISTENT
+                    with pytest.raises(GramSingularError) as exc:
+                        fn(G, bad_L, R)
+                    assert str(exc.value) == NO_FACTOR
 
     def test_int_input_matches_sympy(self):
         G = [[4, 2, 0], [2, 5, 3], [0, 3, 7]]
