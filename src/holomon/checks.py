@@ -176,22 +176,31 @@ def pants_checks(kind: str, seed: int, draws: int, tol: float = 1e-9, b2=None) -
         raise ValueError(f"draws must be at least 1, got {draws}")
     rep = Report(f"shift-operator representation ({kind})")
     rng = random.Random(seed)
-    worst = {2: mp.mpf(0), 3: mp.mpf(0)}
     start = time.perf_counter()
-    for i in range(draws):
-        p = pantsrep.random_params(kind, rng)
-        if b2 is not None:
-            p = dataclasses.replace(p, b2=b2)
-        r = pantsrep.verify_pants_relations(p, kind, tol=tol)
-        for d in (2, 3):
-            worst[d] = worst_residual((worst[d], r[d]["residual"]))
+    if b2 is None:
+        slots = {2: [], 3: []}
+        for _ in range(draws):
+            draw = pantsrep.rational_draw(kind, rng)
+            for _, d, row in pantsrep.exact_slots(kind, *draw, pantsrep.SITES):
+                slots[d] += row.values()
+        sites = ", ".join(map(str, pantsrep.SITES))
+        verdict = {d: (not any(v), f"{sum(map(bool, v))} of {len(v)} slots nonzero "
+                       f"at sites {sites}") for d, v in slots.items()}
+    else:
+        worst = {2: mp.mpf(0), 3: mp.mpf(0)}
+        for _ in range(draws):
+            p = dataclasses.replace(pantsrep.random_params(kind, rng), b2=b2)
+            r = pantsrep.verify_pants_relations(p, kind, tol=tol)
+            for d in (2, 3):
+                worst[d] = worst_residual((worst[d], r[d]["residual"]))
+        verdict = {d: (bool(worst[d] < tol), f"worst residual {fmt_residual(worst[d])}")
+                   for d in (2, 3)}
     # each draw checks both degrees together, so both rows carry the loop's time
     elapsed = time.perf_counter() - start
     for d, tag in ((2, "shift-residual-quadratic"), (3, "shift-residual-cubic")):
-        ok = bool(worst[d] < tol)
+        ok, witness = verdict[d]
         rep.add(CheckResult(f"{kind}: relation degree {d} over {draws} draws",
-                            tag, "pass" if ok else "fail",
-                            f"worst residual {fmt_residual(worst[d])}", elapsed))
+                            tag, "pass" if ok else "fail", witness, elapsed))
 
     def precision(kind=kind):
         rng2 = random.Random(seed + 1)

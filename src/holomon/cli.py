@@ -283,13 +283,13 @@ def verify_mutation(surfaces, fmt, out):
 @click.option("--surface", "name", type=click.Choice(["c11", "c04"]), default="c04",
               show_default=True)
 @click.option("--b2", type=_Parsed("complex", _complex), default=None,
-              help="deformation parameter as 're,im'")
+              help="deformation parameter as 're,im' for numeric draws (exact without it)")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--draws", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--tol", type=_Parsed("tolerance", _tolerance), default=1e-9,
-              show_default=True)
+              show_default=True, help="relative residual bound of the --b2 rows")
 @click.option("--sites-csv", type=click.Path(), default=None,
-              help="also write per-site residuals (site, relation, residual)")
+              help="also write a numeric draw's per-site residuals (site, relation, residual)")
 @_fmt_opt
 @_out_opt
 def verify_pants(name, b2, seed, draws, tol, sites_csv, fmt, out):
@@ -299,7 +299,7 @@ def verify_pants(name, b2, seed, draws, tol, sites_csv, fmt, out):
             p = pantsrep.random_params(name, random.Random(seed))
             if b2 is not None:
                 p = dataclasses.replace(p, b2=b2)
-            table = pantsrep.residual_table(p, name)
+            table = pantsrep.residual_table(p, name, (2, 3), range(-2, 3))
     except ValueError as exc:
         # with the default b2 every draw is generic; a rejection is the user's b2
         if b2 is None:

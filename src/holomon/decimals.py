@@ -69,8 +69,8 @@ def to_decimal(x) -> Decimal:
 class Complex:
     """re + i im over two Decimals, rounded to the current decimal context.
 
-    The other operand of +, - and * is a Complex or an int; division
-    takes a Complex."""
+    The other operand of +, - and * is a Complex or an int; a Complex
+    divides by a Complex, and an int by a Complex."""
 
     __slots__ = ("re", "im")
 
@@ -112,6 +112,9 @@ class Complex:
         den = c * c + d * d
         return Complex((a * c + b * d) / den, (b * c - a * d) / den)
 
+    def __rtruediv__(self, other):
+        return Complex(Decimal(other), Decimal(0)) / self
+
     def __abs__(self):
         return self.norm2().sqrt()
 
@@ -119,19 +122,8 @@ class Complex:
         """re^2 + im^2, the squared modulus, with no square root."""
         return self.re * self.re + self.im * self.im
 
-    def sqrt(self) -> "Complex":
-        """The principal square root, on mpmath's branch: the negative real
-        axis, with either sign of a zero imaginary part, goes to
-        +i sqrt|re|; elsewhere the root's imaginary part has the sign of
-        im."""
-        re, im = self.re, self.im
-        if not im:
-            if re < 0:
-                return Complex(Decimal(0), (-re).sqrt())
-            return Complex(re.sqrt(), Decimal(0))
-        r = abs(self)
-        if re >= 0:
-            t = ((r + re) / 2).sqrt()
-            return Complex(t, im / (2 * t))
-        t = ((r - re) / 2).sqrt()
-        return Complex(abs(im) / (2 * t), t.copy_sign(im))
+
+def norm(values) -> Decimal:
+    """The Euclidean norm of ``Complex`` and int values."""
+    return sum((v.norm2() if type(v) is Complex else Decimal(v * v) for v in values),
+               Decimal(0)).sqrt()

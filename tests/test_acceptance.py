@@ -112,25 +112,25 @@ def test_criterion_5_quantum_mutation():
 
 
 def test_criterion_6_pants_representation():
-    """Relation residuals on basis vectors stay below 1e-9 relative for 20
-    generic draws per surface and fall when precision is raised."""
+    """Both relations hold exactly, every slot 0 at sites -2, 0 and 3, for
+    20 rational draws per surface, and on a complex draw the relative
+    residual falls when precision is raised."""
     ok = True
-    worst = mp.mpf(0)
     for kind in ("c04", "c11"):
         rng = random.Random(42)
         for _ in range(20):
-            p = pantsrep.random_params(kind, rng, digits=30)
-            rep = pantsrep.verify_pants_relations(p, kind, tol=1e-9)
-            worst = max(worst, rep[2]["residual"], rep[3]["residual"])
-            ok = ok and rep[2]["pass"] and rep[3]["pass"]
+            rows = pantsrep.exact_slots(kind, *pantsrep.rational_draw(kind, rng),
+                                        pantsrep.SITES)
+            ok = ok and len(rows) == 6 and all(slots and not any(slots.values())
+                                               for _, _, slots in rows)
     rng = random.Random(7)
     p25 = pantsrep.random_params("c04", rng, digits=25)
     p55 = pantsrep.RepParams(b2=p25.b2, boundary=p25.boundary, x0=p25.x0, digits=55)
     r25 = pantsrep.relation_residual(p25, "c04", 3, 0)
     r55 = pantsrep.relation_residual(p55, "c04", 3, 0)
     ok = ok and bool(r55 < r25 * mp.mpf(10) ** -20)
-    _criterion(6, f"shift-operator residuals <= 1e-9 over 40 draws "
-                  f"(worst {mp.nstr(worst, 3)}), falling with precision", ok)
+    _criterion(6, "shift-operator relations exact over 40 rational draws, "
+                  "residual falling with precision", ok)
 
 
 def test_criterion_7_level2_degeneration():

@@ -165,6 +165,14 @@ class TestVerifyCommands:
                                  "--draws", "2"])
         assert r.exit_code == 0
 
+    def test_pants_tol_is_read_only_with_b2(self, runner):
+        # the rows without --b2 are exact, and no bound makes them fail
+        args = ["verify", "pants-rep", "--surface", "c11", "--draws", "1", "--tol", "1e-300"]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0 and "0 of 9 slots nonzero" in r.output
+        r = runner.invoke(main, [*args, "--b2", "0.3,0.1"])
+        assert r.exit_code == 1 and "worst residual" in r.output
+
     @pytest.mark.parametrize("args", [
         ["--b2", "0,0"],                          # b2 = 0
         ["--b2", "1,0"],                          # q^4 = 1 on c04

@@ -136,12 +136,38 @@ def pairing_doubled(monkeypatch):
 
 
 def cubic_term_sign_flipped(monkeypatch):
-    """The sphere piece's boundary quadratic c_ij(L) with -L Li Lj: Lt's
-    double-shift bands change, and Lu, Lt carried by the half twist,
-    follows them.  The quadratic relation reads only the ratio of Lu's
-    bands to Lt's, so only the cubic relation can see it."""
+    """The sphere piece's boundary quadratic c_ij(L) with -L Li Lj: the
+    product P_n in Lt's -2 band changes, and Lu, Lt carried by the half
+    twist, follows it.  The quadratic relation reads only the ratio of
+    Lu's bands to Lt's, so only the cubic relation can see it."""
     monkeypatch.setattr(pantsrep, "c_factor",
                         lambda L, Li, Lj: L * L + Li * Li + Lj * Lj - L * Li * Lj - 4)
+
+
+def _lu_shift_bands_times(monkeypatch, factor):
+    """Every shift entry of Lu times factor(s), s = q^(1/4)."""
+    real = pantsrep.generator_tables
+
+    def tables(kind, s, x0, boundary, zero):
+        out = real(kind, s, x0, boundary, zero)
+        f = factor(s)
+        out["u"] = pantsrep.BandMatrix({m: (lambda n, band=band: band(n) * f) if m else band
+                                        for m, band in out["u"].bands.items()})
+        return out
+
+    monkeypatch.setattr(pantsrep, "generator_tables", tables)
+
+
+def twist_phase_squared(monkeypatch):
+    """The torus piece's Dehn twist with its phase q^(-1/2) squared: Lu's
+    shift entries are no longer Lt's times the twist's phase ratio."""
+    _lu_shift_bands_times(monkeypatch, lambda s: 1 / (s * s))
+
+
+def half_twist_phase_negated(monkeypatch):
+    """The sphere piece's half twist with its phase's sign flipped: Lu's
+    shift entries negated."""
+    _lu_shift_bands_times(monkeypatch, lambda s: -1)
 
 
 def quadratic_ts_sign_flipped(monkeypatch):
@@ -282,8 +308,10 @@ CONTROLS = [
     ("q-cubic", QUANTUM, relation_sign_flipped),
     ("shift-residual-quadratic", SHIFT, quadratic_ts_sign_flipped),
     ("shift-residual-quadratic", SHIFT_C04, quadratic_ts_sign_flipped_c04),
+    ("shift-residual-quadratic", SHIFT, twist_phase_squared),
     ("shift-residual-cubic", SHIFT, relation_sign_flipped),
     ("shift-residual-cubic", SHIFT_C04, cubic_term_sign_flipped),
+    ("shift-residual-cubic", SHIFT_C04, half_twist_phase_negated),
     ("tau-deformation", TAU, step_factor_off, WEIGHTED),
     ("tau-deformation", TAU, gamma_pair_deleted, WEIGHTED),
     ("tau-deformation", TAU, weight_steps_nan, WEIGHTED),

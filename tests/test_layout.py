@@ -11,7 +11,8 @@ one arithmetic, exact rationals, so neither imports mpmath.  Decimal
 arithmetic runs in a local context, so no library call changes the
 caller's, and no module reads mpmath's ambient precision: each number
 carries its own digits.  Only ``cli._emit`` opens a file to write, so
-every output file goes through one writer.
+every output file goes through one writer.  The shift operators take no
+square root: their gauge makes every entry rational.
 """
 
 import ast
@@ -275,3 +276,13 @@ def test_only_emit_opens_files_to_write():
                         if _called_name(node) == "open" and set(_mode(node)) & set("wax")
                         and (path.stem, owner) != ("cli", "_emit")]
     assert writers == []
+
+
+def test_shift_operators_take_no_square_root():
+    # a square root would bring back a branch to choose at every site
+    path = ROOT / "src" / "holomon" / "pantsrep.py"
+    assert "sqrt" not in {name for p, _, name in _identifiers() if p == path}
+    assert [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and isinstance(node.right.value, float)] == []
+    assert not hasattr(importlib.import_module("holomon.decimals").Complex, "sqrt")

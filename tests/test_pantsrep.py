@@ -12,17 +12,18 @@ import pytest
 
 from holomon import pantsrep
 from holomon.decimals import Complex, to_decimal, working
+from holomon.laurent import LaurentPoly, LaurentRational
 from holomon.pantsrep import (
     B_MOVE_WEIGHT_NOTE,
+    SITES,
     RepParams,
-    _relation_terms,
-    _residual,
-    _word_vectors,
     b_move_phase,
     c_factor,
     conformal_weight_of_length,
+    exact_slots,
     generator_tables,
     random_params,
+    rational_draw,
     relation_residual,
     residual_table,
     verify_pants_relations,
@@ -45,17 +46,27 @@ def params(kind):
     return params_c04() if kind == "c04" else params_c11()
 
 
-# the sites the verifier checks
-SITES = (-2, 0, 3)
-# the bandwidth of the widest relation word: two generators that each shift
-# by Lt's bandwidth
-REACH = {"c04": 4, "c11": 2}
+# Lt's bandwidth, and that of the widest relation word: two generators
+# that each shift by Lt's bandwidth
+SHIFT = {"c04": 2, "c11": 1}
+REACH = {kind: 2 * m for kind, m in SHIFT.items()}
 
 
 def as_mpc(z):
-    """A ``Complex`` table entry as an mpmath number at the current
-    precision."""
+    """A table entry, a ``Complex`` or the int 1 of a +shift band, as an
+    mpmath number at the current precision."""
+    if isinstance(z, int):
+        return mp.mpmathify(z)
     return mp.mpc(mp.mpmathify(z.re), mp.mpmathify(z.im))
+
+
+def decimal_tables(p, kind):
+    """The library's tables over ``Complex`` at ``p``, as the numeric entry
+    points build them; built and read inside ``mp.workdps(p.digits),
+    working(p.digits)``."""
+    boundary = {k: Complex.of(v) for k, v in p.boundary.items()}
+    return generator_tables(kind, Complex.of(p.s()), Complex.of(p.site(0)), boundary,
+                            lambda v: abs(v) < pantsrep._SINGULAR)
 
 
 class BandMatrix:
@@ -81,7 +92,7 @@ def tables(p, kind="c04", window=(-8, 8)):
     rows whose column lies in the window, every entry converted to mpmath."""
     lo, hi = window
     with mp.workdps(p.digits), working(p.digits):
-        built = generator_tables(p, kind, Complex.of(p.s()))
+        built = decimal_tables(p, kind)
         return {g: BandMatrix({m: {n: as_mpc(band(n))
                                    for n in range(max(lo, lo - m), min(hi, hi - m) + 1)}
                                for m, band in table.bands.items()})
@@ -367,25 +378,22 @@ class TestRelations:
             assert mp.isnan(worst_residual(values))
         assert worst_residual([mp.mpf(1), mp.mpf(3), mp.mpf(2)]) == 3
 
-    def test_read_order_independence(self):
+    def test_read_order_independence(self, monkeypatch):
         # every entry on sites -20..20 read first, far beyond the sites a
         # residual reads, leaves the residual the same to the bit
         for kind in ("c04", "c11"):
             p = params(kind)
+            want = {(d, site): relation_residual(p, kind, d, site)
+                    for d in (2, 3) for site in SITES}
             with mp.workdps(p.digits), working(p.digits):
-                s = Complex.of(p.s())
-                built = generator_tables(p, kind, s)
+                built = decimal_tables(p, kind)
                 for table in built.values():
                     for band in table.bands.values():
                         for n in range(-20, 21):
                             band(n)
-            for degree in (2, 3):
-                for site in SITES:
-                    with mp.workdps(p.digits), working(p.digits):
-                        terms = _relation_terms(p, kind, degree, s)
-                        vecs = _word_vectors(built, (w for _, w in terms), site)
-                        got = _residual(terms, vecs)
-                    assert relation_residual(p, kind, degree, site) == got
+            monkeypatch.setattr(pantsrep, "generator_tables", lambda *args: built)
+            assert {(d, site): relation_residual(p, kind, d, site) for d, site in want} == want
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", ["c04", "c11"])
     def test_work_per_residual_table(self, kind, monkeypatch):
@@ -396,7 +404,7 @@ class TestRelations:
         monkeypatch.setattr(pantsrep.BandMatrix, "matvec",
                             lambda self, vec: calls.append(1) or matvec(self, vec))
         p = params(kind)
-        residual_table(p, kind, SITES)
+        residual_table(p, kind, (2, 3), SITES)
         suffixes = {word[i:] for degree in (2, 3) for word in RELATIONS[(kind, degree)]
                     for i in range(len(word))}
         assert len(calls) == len(suffixes) * len(SITES)
@@ -419,13 +427,14 @@ class TestRelations:
         assert all(rep[d]["pass"] and rep[d]["residual"] < 1e-30 for d in (2, 3)), rep
 
     @pytest.mark.parametrize("kind, k, read", [
-        ("c04", 7, True), ("c04", -6, True), ("c04", 8, False), ("c04", -7, False),
-        ("c11", 5, True), ("c11", -4, True), ("c11", 6, False), ("c11", -5, False),
+        ("c04", 7, True), ("c04", -5, True), ("c04", 8, False), ("c04", -6, False),
+        ("c11", 5, True), ("c11", -3, True), ("c11", 6, False), ("c11", -4, False),
     ])
     def test_read_set(self, kind, k, read):
         # x0 = e^(i pi b2 k) puts the zero of 2 sinh(l/2) at site k: the
-        # relations at sites (-2, 0, 3) read sites -6..7 on c04 and -4..5 on
-        # c11, and a singular site is rejected exactly when it is read
+        # relations at sites (-2, 0, 3) read 2 sinh at sites -5..7 on c04 and
+        # -3..5 on c11 (the +shift bands, which reach the lowest rows, read
+        # none), and a singular site is rejected exactly when it is read
         p = params(kind)
         p = dataclasses.replace(p, x0=cmath.exp(1j * cmath.pi * p.b2 * k))
         if read:
@@ -434,6 +443,100 @@ class TestRelations:
         else:
             rep = verify_pants_relations(p, kind, 1e-9, sites=SITES)
             assert rep[2]["pass"] and rep[3]["pass"], rep
+
+
+class Symbolic(LaurentRational):
+    """The field of rational functions in named symbols, as quotients of
+    Laurent polynomials, with the subtraction and the int operands that the
+    generator tables use."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return type(self).from_const(self.num.nvars, other)
+        return super()._coerce(other)
+
+    def __sub__(self, other):
+        return self + (-1) * self._coerce(other)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+
+# the lowest and highest sites at which the relations at SITES read 2 sinh
+READ = {"c04": (-5, 7), "c11": (-3, 5)}
+
+
+class TestExactRelations:
+    """The same tables over Fractions and over rational functions."""
+
+    def test_c11_relations_are_identities(self):
+        # in Q(s, x0, L0); one site suffices, since x0 is a symbol and every
+        # site is x0 times a power of q
+        s, x0, L0 = (Symbolic(LaurentPoly.variable(3, i)) for i in range(3))
+        rows = exact_slots("c11", s, x0, {"L0": L0}, (0,))
+        assert [degree for _, degree, slots in rows if slots] == [2, 3]
+        assert all(v == 0 for _, _, slots in rows for v in slots.values())
+
+    def test_c04_relations_are_identities_in_x0(self):
+        # in Q(x0) at a rational s and boundary; all four L symbolic as well
+        # would take seconds
+        s, _, boundary = rational_draw("c04", random.Random(3))
+        rows = exact_slots("c04", s, Symbolic(LaurentPoly.variable(1, 0)), boundary, (0,))
+        assert [degree for _, degree, slots in rows if slots] == [2, 3]
+        assert all(v == 0 for _, _, slots in rows for v in slots.values())
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_exact_tables_match_the_mpmath_reference(self, kind):
+        # the Fraction tables at a rational point against the symmetric
+        # gauge's, with Lu solved from the quadratic relation, conjugated
+        # into the library's gauge; the point is b2 = -4i log(s)/pi
+        window = (min(SITES) - REACH[kind], max(SITES) + REACH[kind])
+        s, x0, boundary = rational_draw(kind, random.Random(5))
+
+        def mpf(v):
+            return mp.mpf(v.numerator) / v.denominator
+
+        with mp.workdps(60):
+            b2 = -4j * mp.log(mpf(s)) / mp.pi
+            p = RepParams(b2=b2, boundary={k: mpf(v) for k, v in boundary.items()}, x0=mpf(x0),
+                          digits=50)
+        built = generator_tables(kind, s, x0, boundary, lambda v: v == 0)
+        want = reference_tables(p, kind, window)
+        with mp.workdps(50):
+            want = gauged(want, kind)
+            for g in ("s", "t", "u"):
+                assert set(built[g].bands) == set(want[g].bands), g
+                for m, entries in want[g].bands.items():
+                    for n, v in entries.items():
+                        got = mpf(Fraction(built[g].bands[m](n)))
+                        assert abs(got - v) <= mp.mpf("1e-35") * abs(v), (g, m, n)
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_exactly_singular_site_is_named(self, kind):
+        # x0 = +-s^(4k) puts x_k = +-1: every division is by 2 sinh at some
+        # site, so the site is named before anything divides by zero
+        s, _, boundary = rational_draw(kind, random.Random(3))
+        lo, hi = READ[kind]
+        for k in range(lo, hi + 1):
+            for sign in (1, -1):
+                with pytest.raises(ValueError, match=f"lattice site {k} "):
+                    exact_slots(kind, s, sign * s ** (4 * k), boundary, SITES)
+
+    def test_seeded_draws_hit_no_singular_site(self):
+        # x0's denominator is a prime that divides neither part of s, so it
+        # stays in every site x0 s^(-4n), and no site is +-1
+        for kind in ("c04", "c11"):
+            for seed in range(51):
+                rng = random.Random(seed)
+                for _ in range(20):
+                    s, x0, _ = rational_draw(kind, rng)
+                    p = x0.denominator
+                    assert all(p % d for d in range(2, p)), (kind, seed)
+                    assert s.numerator % p and s.denominator % p, (kind, seed)
+                rows = exact_slots(kind, *rational_draw(kind, random.Random(seed)), SITES)
+                assert not any(any(slots.values()) for _, _, slots in rows), (kind, seed)
 
 
 class TestBMovePhase:
@@ -523,10 +626,14 @@ def band_product(a, b):
 
 
 def reference_tables(p, kind, window):
-    """{"s": Ls, "t": Lt, "u": Lu} with mpmath entries, each site from its
-    own exponential and every square root from ``mp.sqrt``; Lu is solved
-    from the quadratic relation, independently of the twist the library
-    builds it by."""
+    """{"s": Ls, "t": Lt, "u": Lu} in the symmetric gauge, with mpmath
+    entries: each site from its own exponential, and Lt's shift entries
+    sandwiched between square roots from ``mp.sqrt`` (on c04,
+    1/sqrt(2sinh) . sqrt(c12 c34)/(2sinh) . 1/sqrt(2sinh) at the row, the
+    middle and the column site; on c11, the square root of the
+    one-step-displaced length function over 2sinh).  Lu is solved from the
+    quadratic relation, independently of the twist the library builds it
+    by."""
     lo, hi = window
     with mp.workdps(p.digits):
         q = reference_q(p)
@@ -572,6 +679,21 @@ def reference_tables(p, kind, window):
         return out
 
 
+def gauged(ref, kind):
+    """The reference tables conjugated by the diagonal D with
+    D_(n+k)/D_n = Lt[n, n+k] for Lt's +shift k: the entry (n, n + m) times
+    D_n/D_(n+m), so Lt's +shift band becomes 1, the library's gauge."""
+    k = SHIFT[kind]
+    up = ref["t"].bands[k]
+
+    def ratio(m, n):
+        return 1 if m == 0 else 1 / up[n] if m > 0 else up[n + m]
+
+    return {g: BandMatrix({m: {n: v * ratio(m, n) for n, v in band.items()}
+                           for m, band in table.bands.items()})
+            for g, table in ref.items()}
+
+
 DRAW_SEEDS = (5, 6, 7)
 
 
@@ -588,6 +710,7 @@ class TestDecimalTables:
             p = random_params(kind, random.Random(seed), digits=digits)
             got, want = tables(p, kind, window), reference_tables(p, kind, window)
             with mp.workdps(digits):
+                want = gauged(want, kind)
                 for g in ("s", "t", "u"):
                     assert set(got[g].bands) == set(want[g].bands), g
                     for m, entries in want[g].bands.items():
@@ -596,32 +719,37 @@ class TestDecimalTables:
                             assert abs(got[g].bands[m][n] - v) <= tol * abs(v), (seed, g, m, n)
 
     @pytest.mark.parametrize("kind", ["c04", "c11"])
+    def test_bands_are_the_gauge_invariant_products(self, kind):
+        # +shift entries 1, and each -shift entry (n + k, n) the symmetric
+        # gauge's product Lt[n, n + k] Lt[n + k, n], no square root in it
+        window = (min(SITES) - REACH[kind], max(SITES) + REACH[kind])
+        k = SHIFT[kind]
+        for seed in DRAW_SEEDS:
+            p = random_params(kind, random.Random(seed), digits=30)
+            got = tables(p, kind, window)["t"].bands
+            ref = reference_tables(p, kind, window)["t"].bands
+            assert set(got) == {-k, 0, k} - ({0} if kind == "c11" else set())
+            assert all(v == 1 for v in got[k].values())
+            with mp.workdps(30):
+                for n, v in got[-k].items():
+                    want = ref[k][n - k] * ref[-k][n]
+                    assert abs(v - want) <= mp.mpf("1e-25") * abs(want), (seed, n)
+
+    @pytest.mark.parametrize("kind", ["c04", "c11"])
     @pytest.mark.parametrize("digits", [30, 55])
     def test_residual_rows_at_working_precision(self, kind, digits):
         for seed in DRAW_SEEDS:
             p = random_params(kind, random.Random(seed), digits=digits)
-            for site, degree, r in residual_table(p, kind, SITES):
+            for site, degree, r in residual_table(p, kind, (2, 3), SITES):
                 assert r < mp.mpf(10) ** (3 - digits), (seed, site, degree, r)
 
-    @pytest.mark.parametrize("z", [
-        mp.mpc(3, 4), mp.mpc(-3, 4), mp.mpc(-3, -4), mp.mpc(3, -4),   # the four quadrants
-        mp.mpc(4, 0), mp.mpc(0, 4), mp.mpc(0, -4), mp.mpc(0, 0),
-        mp.mpc(-1, "1e-21"), mp.mpc(-1, "-1e-21"),                   # either side of the cut
-        mp.mpc("1e-21", -1), mp.mpc("-2.5", "1e-40"),
-    ])
-    def test_sqrt_matches_mpmath(self, z):
+    def test_int_over_complex_and_norm(self):
+        # 1 / z, and the norm of Complex and int values (a +shift band's 1)
         with mp.workdps(30), working(30):
-            got = as_mpc(Complex.of(z).sqrt())
-            assert abs(got - mp.sqrt(z)) <= mp.mpf(10) ** -29 * abs(z) ** 0.5
-
-    @pytest.mark.parametrize("zero", ["0", "-0"])
-    def test_sqrt_on_the_cut_is_plus_i(self, zero):
-        # mpmath has no signed zero: on the negative real axis its root is
-        # +i sqrt|a|, and so is this one whatever the sign of the zero
-        with mp.workdps(30), working(30):
-            root = Complex(Decimal(-4), Decimal(zero)).sqrt()
-            assert (root.re, root.im) == (0, 2)
-            assert as_mpc(root) == mp.sqrt(mp.mpc(-4, 0))
+            for z in (mp.mpc(3, -4), mp.mpc("-0.25", "1e-20"), mp.mpc(0, 7)):
+                assert abs(as_mpc(1 / Complex.of(z)) - 1 / z) <= mp.mpf(10) ** -29 / abs(z)
+                got = mp.mpmathify(pantsrep.norm([Complex.of(z), 1, -2]))
+                assert abs(got - mp.sqrt(abs(z) ** 2 + 5)) <= mp.mpf(10) ** -29 * got
 
     def test_to_decimal_rounds_once(self):
         # an int over an int is divided once, so the Fraction path is the
@@ -679,7 +807,7 @@ class TestEdgeCases:
         # every bit
         degenerate = RepParams(b2=1.0, boundary={f"L{i}": 2.5 for i in range(1, 5)},
                                x0=1.3 + 0.2j, digits=30)
-        at_55 = (lambda: residual_table(params_c04(55), "c04"),
+        at_55 = (lambda: residual_table(params_c04(55), "c04", (2, 3), SITES),
                  lambda: relation_residual(params_c11(55), "c11", 3, 0))
         want = [run() for run in at_55]
         with decimal.localcontext() as caller:
@@ -688,12 +816,12 @@ class TestEdgeCases:
             caller.clear_flags()
             before = (caller.prec, dict(caller.traps), dict(caller.flags))
             assert [run() for run in at_55] == want
-            for run in (lambda: residual_table(params_c04(), "c04"),
+            for run in (lambda: residual_table(params_c04(), "c04", (2, 3), SITES),
                         lambda: relation_residual(params_c11(), "c11", 3, 0)):
                 assert run()
                 assert decimal.getcontext() is caller
                 assert (caller.prec, dict(caller.traps), dict(caller.flags)) == before
             with pytest.raises(ValueError, match="coefficient of u vanishes"):
-                residual_table(degenerate, "c04")
+                residual_table(degenerate, "c04", (2, 3), SITES)
             assert decimal.getcontext() is caller
             assert (caller.prec, dict(caller.traps), dict(caller.flags)) == before
