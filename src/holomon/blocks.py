@@ -8,16 +8,19 @@ carries the extra central-charge shift -c/24 in its prefactor exponent
 (a recorded convention).
 
 Every coefficient is exact: weights and central charge are taken as
-rationals, and the contractions run in integers (see
-``virasoro.contract``).
+rationals, the Gram matrices and the torus insertion's matrix elements are
+built in integers, each level over its own power of one unit (see
+``virasoro.VermaModule`` and ``PrimaryMatrixElements``), and the
+contractions run in integers (see ``virasoro.contract``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .virasoro import (GramSingularError, VermaModule, contract, partitions,
+from .virasoro import (GramSingularError, VermaModule, contract, partitions, rational,
                        solve_contraction)
 # the benchmark harness's name for virasoro.degenerate_weight
 from .virasoro import degenerate_weight as degenerate_weight_of  # noqa: F401
@@ -56,31 +59,50 @@ def three_point_rows(delta_out, h, delta_in, N: int) -> list:
 
 
 class PrimaryMatrixElements:
-    """Matrix elements of a primary insertion between two descendants of
-    the same module, by recursion on the left state."""
+    """Matrix elements of a primary insertion of weight h, an int or a
+    Fraction, between two descendants of the same module, by recursion on
+    the left state.
+
+    The recursion runs in integers over the unit w = lcm(u, den h), with u
+    the module's unit: the memo holds w^(|lam|+|mu|) times each element.
+    ``three_point_factor`` is linear, so on arguments scaled by w it
+    gives w times the factor."""
 
     def __init__(self, module: VermaModule, h):
         self.module = module
-        self.h = h
+        self.h = rational("h", h)
+        w = math.lcm(module.unit, h.denominator)
+        self.unit = w
+        self._wh = h.numerator * (w // h.denominator)  # w h
+        d = module.delta
+        self._wd = d.numerator * (w // d.denominator)  # w delta
         self._memo: dict = {}
 
-    def element(self, lam: tuple, mu: tuple):
+    def element(self, lam: tuple, mu: tuple) -> Fraction:
         """<L_{-lam} e | primary(1) | L_{-mu} e> normalized to 1 on (), ()."""
+        return Fraction(self._scaled(lam, mu), self.unit ** (sum(lam) + sum(mu)))
+
+    def _scaled(self, lam: tuple, mu: tuple) -> int:
+        """w^(|lam|+|mu|) times the element; memoized."""
         key = (lam, mu)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        d = self.module.delta
+        w, wd = self.unit, self._wd
         if not lam:
             # the three-point value of L_{-mu}, peeled as in three_point_rows
-            val = 1 if not mu else (three_point_factor(d, self.h, d, mu[0], sum(mu[1:]))
-                                    * self.element((), mu[1:]))
+            val = 1 if not mu else (
+                three_point_factor(wd, self._wh, wd, mu[0], w * sum(mu[1:]))
+                * w ** (mu[0] - 1) * self._scaled((), mu[1:]))
         else:
+            # apply_basis holds u^n times the action of L_n, and its image
+            # nu sits n levels below mu
             n, rest = lam[0], lam[1:]
-            val = (three_point_factor(d + sum(mu), self.h, d, n, sum(rest))
-                   * self.element(rest, mu))
+            val = (three_point_factor(wd + w * sum(mu), self._wh, wd, n, w * sum(rest))
+                   * w ** (n - 1) * self._scaled(rest, mu))
+            lift = (w // self.module.unit) ** n * w ** n
             for nu, v in self.module.apply_basis(n, mu).items():
-                val = val + v * self.element(rest, nu)
+                val += lift * v * self._scaled(rest, nu)
         self._memo[key] = val
         return val
 

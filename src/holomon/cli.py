@@ -46,9 +46,13 @@ class BadInput(click.ClickException):
 
 
 class _Boundary(click.Group):
-    """Turns every exception that escapes a command into an exit status."""
+    """Turns every exception that escapes a command into an exit status.
+    Commands print exact integers of any length, so the interpreter's
+    limit on int-to-str conversion is lifted while one runs."""
 
     def invoke(self, ctx):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
         try:
             return super().invoke(ctx)
         # click's Exit and Abort are RuntimeErrors: re-raise them before the catch-all
@@ -59,6 +63,8 @@ class _Boundary(click.Group):
         except Exception as exc:  # noqa: BLE001 - a bug, reported in one line
             click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(INTERNAL)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class _Parsed(click.ParamType):

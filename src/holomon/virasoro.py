@@ -4,7 +4,12 @@ level Gram matrices.
 States are dictionaries mapping ordered partitions (lambda_1 >= ... >=
 lambda_k, entries the indices of lowering generators) to coefficients.
 The commutator algebra reduces every generator action to this basis.
-Weights, central values and coefficients are exact rationals.  One
+Weights and central values are ints or Fractions, and a module builds
+everything in integers over one unit u = 2 lcm(den delta, den c): the
+action of L_n on a basis state is held times u^max(n,1) for n >= 0 (the
+action of L_-n has integer coefficients as it is), and the level-k Gram
+matrix times u^k.  Each scale is divided out once, when ``gram`` or
+``pairing`` returns an exact Fraction.  One
 elimination routine, ``contract``, takes every contraction through a
 (possibly singular) Gram matrix, in integers, fraction-free (Bareiss),
 with first-nonzero pivots, after clearing denominators: each right
@@ -39,27 +44,47 @@ def partition_count(k: int) -> int:
     return len(partitions(k))
 
 
+def rational(name: str, value):
+    """``value`` if it is an int or a Fraction; integer scaling would
+    silently truncate anything else."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+
+
 class VermaModule:
-    """Highest-weight module with weight ``delta`` and central value ``c``."""
+    """Highest-weight module with weight ``delta`` and central value ``c``,
+    both ints or Fractions, built in integers over the unit
+    ``unit`` = u = 2 lcm(den delta, den c): ``apply_basis`` holds u^max(n,1)
+    times the coefficients of L_n for n >= 0, and the coefficients
+    themselves, already integers, for n < 0; ``gram`` builds u^k G_k."""
 
     def __init__(self, delta, c):
-        self.delta = delta
-        self.c = c
+        self.delta = rational("delta", delta)
+        self.c = rational("c", c)
+        u = 2 * math.lcm(delta.denominator, c.denominator)
+        self.unit = u
+        self._udelta = delta.numerator * (u // delta.denominator)  # u delta
+        self._half_uc = c.numerator * (u // 2 // c.denominator)  # u c / 2
         self._memo: dict = {}
+        self._scaled_grams: list = [[[1]]]
         self._grams: list = [[[1]]]
 
     # -- generator action ---------------------------------------------------
 
     def apply_L(self, n: int, state: dict) -> dict:
-        """Act with the n-th generator on a basis-combination state."""
+        """Act with the n-th generator on a basis-combination state, scaled
+        as ``apply_basis``."""
         out: dict = {}
         for lam, coeff in state.items():
             add_into(out, self.apply_basis(n, lam), coeff)
         return out
 
     def apply_basis(self, n: int, lam: tuple) -> dict:
-        """The n-th generator on the basis state L_{-lam} e, memoized; the
-        returned dict is shared, so callers only read it."""
+        """The n-th generator on the basis state L_{-lam} e, in integers:
+        u^max(n,1) times the coefficients for n >= 0, the coefficients for
+        n < 0.  Memoized; the returned dict is shared, so callers only
+        read it."""
         key = (n, lam)
         hit = self._memo.get(key)
         if hit is not None:
@@ -69,8 +94,9 @@ class VermaModule:
         return result
 
     def _compute(self, n: int, lam: tuple) -> dict:
+        u = self.unit
         if n == 0:
-            return {lam: self.delta + sum(lam)}
+            return {lam: self._udelta + u * sum(lam)}
         if not lam:
             if n > 0:
                 return {}
@@ -84,22 +110,27 @@ class VermaModule:
             # L_{-m} L_{-head} = L_{-head} L_{-m} + (head - m) L_{-(m+head)}
             out = self.apply_L(-head, self.apply_basis(n, rest))
             return add_into(out, self.apply_basis(-(m + head), rest), head - m)
-        # n > 0: commute through the first lowering generator
+        # n > 0, scale u^n: commute through the first lowering generator
         # [L_n, L_{-head}] = (n + head) L_{n-head} + c/12 n(n^2-1) delta_{n,head}
-        out = add_into({}, self.apply_basis(n - head, rest), n + head)
+        # apply_basis(low) carries u^max(low,1) for low >= 0 and no scale below
+        low = n - head
+        lift = u ** (n - max(low, 1)) if low >= 0 else u ** n
+        out = add_into({}, self.apply_basis(low, rest), (n + head) * lift)
         if n == head:
             add_into(out, {rest: self._central(n)})
         for mu, v in self.apply_basis(n, rest).items():
             add_into(out, self.apply_basis(-head, mu), v)
         return out
 
-    def _central(self, n: int):
-        return self.c * Fraction(n * (n * n - 1), 12)
+    def _central(self, n: int) -> int:
+        """c n(n^2-1)/12 u^n, an integer since n(n^2-1)/6 is one."""
+        return self._half_uc * (n * (n * n - 1) // 6) * self.unit ** (n - 1)
 
     # -- pairing -----------------------------------------------------------
 
     def pairing(self, lam: tuple, mu: tuple):
-        """Invariant bilinear pairing <L_{-lam} e, L_{-mu} e>."""
+        """Invariant bilinear pairing <L_{-lam} e, L_{-mu} e>: the scaled
+        action of the parts of lam, divided by u^|lam| once."""
         if sum(lam) != sum(mu):
             return 0
         state = {mu: 1}
@@ -107,26 +138,30 @@ class VermaModule:
             state = self.apply_L(m, state)
             if not state:
                 return 0
-        return state.get((), 0)
+        return Fraction(state.get((), 0), self.unit ** sum(lam))
 
     def gram(self, level: int) -> list:
-        """Level Gram matrix, memoized on the module.  Missing levels are
-        built bottom-up from the levels below: <lam|mu> is the sum over nu
-        of (L_{lam_1} mu)_nu times <lam'|nu>, where lam' drops the first
-        part lam_1.  The upper triangle is computed and mirrored."""
-        grams = self._grams
+        """Level Gram matrix, exact, memoized on the module.  Missing levels
+        are built bottom-up in integers from the levels below: u^k <lam|mu>
+        is the sum over nu of u^lam_1 (L_{lam_1} mu)_nu times
+        u^(k-lam_1) <lam'|nu>, where lam' drops the first part lam_1.  The
+        upper triangle is computed and mirrored."""
+        scaled, grams = self._scaled_grams, self._grams
         while len(grams) <= level:
             k = len(grams)
             basis = partitions(k)
+            scale = self.unit ** k
+            H = [[0] * len(basis) for _ in basis]
             G = [[0] * len(basis) for _ in basis]
             for i, lam in enumerate(basis):
                 index = _index(k - lam[0])
-                below = grams[k - lam[0]][index[lam[1:]]]
+                below = scaled[k - lam[0]][index[lam[1:]]]
                 for j in range(i, len(basis)):
-                    val = 0
-                    for nu, a in self.apply_basis(lam[0], basis[j]).items():
-                        val = val + a * below[index[nu]]
-                    G[i][j] = G[j][i] = val
+                    v = sum(a * below[index[nu]]
+                            for nu, a in self.apply_basis(lam[0], basis[j]).items())
+                    H[i][j] = H[j][i] = v
+                    G[i][j] = G[j][i] = Fraction(v, scale)
+            scaled.append(H)
             grams.append(G)
         return grams[level]
 

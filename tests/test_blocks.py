@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from test_controls import three_point_factor_at_full_level
 
 from holomon.blocks import (
     BlockSeries,
@@ -136,6 +137,14 @@ class TestTorus1:
     def test_prefactor_exponent(self):
         blk = torus1_block(F(1, 3), F(7, 5), CC, N=0)
         assert blk.leading_exponent == F(7, 5) - CC / 24
+
+    def test_full_level_control_changes_the_torus_alone(self, monkeypatch):
+        # the vacuum-insertion row's control also breaks its torus half,
+        # whose matrix elements take the factor on arguments scaled by the unit
+        want = [partition_count(k) for k in range(9)]
+        assert torus1_block(0, F(7, 5), CC, 8).coeffs == want
+        three_point_factor_at_full_level(monkeypatch)
+        assert torus1_block(0, F(7, 5), CC, 8).coeffs != want
 
     def test_level1_trace(self):
         # one-dimensional level: <L_{-1}e|V_h|L_{-1}e> / (2 delta)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -14,13 +15,25 @@ from hypothesis import strategies as st
 
 from holomon import checks as checksuites
 from holomon import tau
-from holomon.blocks import sphere4_block
+from holomon.blocks import sphere4_block, torus1_block
 from holomon.cli import main
 from holomon.plotting import plot_svg
 from holomon.report import KNOWN_TAGS, CheckResult, Report, worst_residual
 
 # the bytes of `holomon verify all --seed 0 --format json`
 GOLDEN_VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all_seed0.json"
+
+# the bytes of `holomon block ...` for each golden file's arguments; the
+# sphere is the benchmark's seed-1 generic channel at order 10
+GOLDEN_BLOCKS = {
+    "block_sphere4_generic_order10.txt": [
+        "sphere4", "--weights", "1612/1575,-5/7,187/175,54360/41503,19/4",
+        "-c", "250/7", "--order", "10"],
+    "block_torus1_vacuum_order8.txt": [
+        "torus1", "--weights", "0,11/5", "-c", "250/7", "--order", "8"],
+    "block_torus1_order8.txt": [
+        "torus1", "--weights", "2/3,11/5", "-c", "250/7", "--order", "8"],
+}
 
 @pytest.fixture
 def runner():
@@ -328,6 +341,13 @@ class TestSeriesCommands:
         lines = r.output.splitlines()
         assert lines[0] == "# channel=torus1 leading_exponent=211/240"
         assert lines[1] == "0 1/1"
+
+    @pytest.mark.parametrize("name", list(GOLDEN_BLOCKS))
+    def test_block_coefficients_are_pinned(self, runner, name):
+        # every exact coefficient, byte for byte
+        r = runner.invoke(main, ["block", *GOLDEN_BLOCKS[name]])
+        assert r.exit_code == 0
+        assert r.stdout_bytes == GOLDEN_VERIFY_ALL.with_name(name).read_bytes()
 
     @pytest.mark.parametrize("args", [
         ["--weights", "1,2"],
@@ -648,6 +668,33 @@ class TestExitContract:
         assert time.perf_counter() - start < 10
         assert r.exit_code == 0, r.output
         assert "pole" not in r.output and "\n-1 1 (" in r.output
+
+    @pytest.mark.parametrize("build, args", [
+        (torus1_block, ["torus1", "--weights", "1e-900,1e-900", "--order", "3"]),
+        (sphere4_block, ["sphere4", "--weights", "1e-300,2/3,3/7,5/11,1e-200",
+                         "--order", "6"]),
+    ], ids=["torus1", "sphere4"])
+    def test_block_prints_numbers_past_the_str_limit(self, runner, build, args):
+        # coefficients of more than 4,300 digits are printed exactly, and
+        # the interpreter's int-to-str limit is back in place afterwards
+        limit = sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        r = runner.invoke(main, ["block", *args])
+        assert time.perf_counter() - start < 10
+        assert r.exit_code == 0, r.output
+        assert sys.get_int_max_str_digits() == limit
+        weights = [Fraction(w) for w in args[2].split(",")]
+        want = build(*weights, Fraction(25, 2), N=int(args[-1]))
+        head, *rows = r.output.splitlines()
+        sys.set_int_max_str_digits(0)
+        try:
+            exponent = Fraction(head.rpartition("=")[2])
+            got = [Fraction(row.split()[1]) for row in rows]
+            assert max(len(row) for row in rows) > 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert exponent == want.leading_exponent
+        assert got == want.coeffs
 
     def test_block_plot_overflow_exits_2(self, runner, tmp_path):
         # the partial sums are drawn as floats; the series is not printed

@@ -1,10 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holomon import blocks
+from holomon.sparse import add_into
 from holomon.virasoro import (
     GramSingularError,
     VermaModule,
@@ -73,10 +78,12 @@ class TestVerma:
         assert V.gram(0) == [[1]]
 
     def test_action_consistency(self):
-        # [L_1, L_{-2}] acting on the highest weight: 3 L_{-1}
+        # [L_1, L_{-2}] acting on the highest weight: 3 L_{-1}, held
+        # scaled by the unit u = 2 lcm(5, 1)
         V = VermaModule(F(2, 5), F(3))
-        out = V.apply_L(1, {(2,): 1})
-        assert out == {(1,): 3}
+        assert V.unit == 10
+        assert V.apply_L(1, {(2,): 1}) == {(1,): 3 * 10}
+        assert V.pairing((1,), (1,)) * 3 == V.pairing((1, 1), (2,))
 
     def test_central_term(self):
         # <L_{-2} e, L_{-2} e> includes c/2
@@ -433,3 +440,143 @@ class TestFractionFreeKernel:
         got = blocks.torus1_block(*args, N=8).coeffs
         assert got == fraction_blocks(blocks.torus1_block, *args, N=8).coeffs
         assert all(type(v) is F for v in got)
+
+
+class FractionVerma:
+    """Reference for the integer module: the generator action, the Gram
+    matrices and the insertion's matrix elements built one Fraction
+    operation at a time, unscaled."""
+
+    def __init__(self, delta, c):
+        self.delta, self.c = F(delta), F(c)
+        self._memo: dict = {}
+        self._grams: list = [[[1]]]
+
+    def apply_L(self, n, state):
+        out: dict = {}
+        for lam, coeff in state.items():
+            add_into(out, self.apply_basis(n, lam), coeff)
+        return out
+
+    def apply_basis(self, n, lam):
+        key = (n, lam)
+        if key not in self._memo:
+            self._memo[key] = self._compute(n, lam)
+        return self._memo[key]
+
+    def _compute(self, n, lam):
+        if n == 0:
+            return {lam: self.delta + sum(lam)}
+        if not lam:
+            return {} if n > 0 else {(-n,): 1}
+        head, rest = lam[0], lam[1:]
+        if n < 0:
+            m = -n
+            if m >= head:
+                return {(m,) + lam: 1}
+            out = self.apply_L(-head, self.apply_basis(n, rest))
+            return add_into(out, self.apply_basis(-(m + head), rest), head - m)
+        out = add_into({}, self.apply_basis(n - head, rest), n + head)
+        if n == head:
+            add_into(out, {rest: self.c * F(n * (n * n - 1), 12)})
+        for mu, v in self.apply_basis(n, rest).items():
+            add_into(out, self.apply_basis(-head, mu), v)
+        return out
+
+    def gram(self, level):
+        grams = self._grams
+        while len(grams) <= level:
+            k = len(grams)
+            basis = partitions(k)
+            index = {lam: i for i, lam in enumerate(basis)}
+            G = [[0] * len(basis) for _ in basis]
+            for i, lam in enumerate(basis):
+                below_basis = {nu: j for j, nu in enumerate(partitions(k - lam[0]))}
+                below = grams[k - lam[0]][below_basis[lam[1:]]]
+                for j in range(len(basis)):
+                    G[i][j] = sum(a * below[below_basis[nu]]
+                                  for nu, a in self.apply_basis(lam[0], basis[j]).items())
+            assert all(G[i][j] == G[j][i] for i in index.values() for j in index.values())
+            grams.append(G)
+        return grams[level]
+
+    def element(self, h, lam, mu, memo):
+        """<L_{-lam} e | primary(1) | L_{-mu} e>, normalized to 1 on (), ()."""
+        key = (lam, mu)
+        if key in memo:
+            return memo[key]
+        d = self.delta
+        if not lam:
+            val = F(1) if not mu else (blocks.three_point_factor(d, h, d, mu[0], sum(mu[1:]))
+                                       * self.element(h, (), mu[1:], memo))
+        else:
+            n, rest = lam[0], lam[1:]
+            val = (blocks.three_point_factor(d + sum(mu), h, d, n, sum(rest))
+                   * self.element(h, rest, mu, memo))
+            for nu, v in self.apply_basis(n, mu).items():
+                val += v * self.element(h, rest, nu, memo)
+        memo[key] = val
+        return val
+
+
+def _check_integer_module(delta, c, h, top):
+    """The integer module, action and matrix elements equal the Fraction
+    reference through level ``top``; the action is held scaled by u^max(n,1)
+    for n >= 0."""
+    V, ref = VermaModule(delta, c), FractionVerma(delta, c)
+    u = V.unit
+    assert u == 2 * math.lcm(F(delta).denominator, F(c).denominator)
+    for k in range(top + 1):
+        assert V.gram(k) == ref.gram(k), k
+        assert all(type(v) is F for row in V.gram(k) for v in row) or k == 0
+        for lam in partitions(k):
+            for n in range(-2, k + 1):
+                scale = u ** max(n, 1) if n >= 0 else 1
+                got = V.apply_basis(n, lam)
+                assert all(type(v) is int for v in got.values())
+                assert {nu: F(v, scale) for nu, v in got.items()} == ref.apply_basis(n, lam)
+    elements, memo = blocks.PrimaryMatrixElements(V, h), {}
+    assert elements.unit == math.lcm(u, F(h).denominator)
+    for k in range(top + 1):
+        for lam in partitions(k):
+            for j in range(max(0, k - 2), min(top, k + 2) + 1):
+                for mu in partitions(j):
+                    got = elements.element(lam, mu)
+                    assert got == ref.element(F(h), lam, mu, memo), (lam, mu)
+                    assert type(got) is F
+
+
+class TestIntegerModule:
+    """The Gram matrices, the basis action and the insertion's matrix
+    elements, built in integers over one scaled unit, against the Fraction
+    recursions they replace."""
+
+    @pytest.mark.parametrize("delta, c, h", [
+        (F(5, 101), F(7, 103), F(11, 107)),
+        (2, 1, F(3, 5)),
+        (F(7, 5), CC, 0),
+        (F(3, 4), F(1, 2), F(2, 9)),
+    ], ids=["coprime-primes", "integer-unit-2", "h-zero", "h-outside-unit"])
+    def test_equals_fraction_reference_through_level_8(self, delta, c, h):
+        _check_integer_module(delta, c, h, 8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+           st.fractions(min_value=-30, max_value=30, max_denominator=12),
+           st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    def test_random_rationals_through_level_5(self, delta, c, h):
+        _check_integer_module(delta, c, h, 5)
+
+    @pytest.mark.parametrize("delta, c", [(0.5, F(1)), (F(1, 2), mp.mpf(1)),
+                                          (F(1, 2), 1.0)])
+    def test_rejects_weights_that_are_not_rational(self, delta, c):
+        name, value = ("delta", delta) if not isinstance(delta, F) else ("c", c)
+        with pytest.raises(ValueError) as exc:
+            VermaModule(delta, c)
+        assert str(exc.value) == f"{name} must be an int or a Fraction, got {value!r}"
+
+    @pytest.mark.parametrize("h", [0.25, mp.mpf("0.25"), "1/4"])
+    def test_rejects_an_insertion_that_is_not_rational(self, h):
+        with pytest.raises(ValueError) as exc:
+            blocks.PrimaryMatrixElements(VermaModule(F(1, 2), 1), h)
+        assert str(exc.value) == f"h must be an int or a Fraction, got {h!r}"
