@@ -11,7 +11,8 @@ Every coefficient is exact: weights and central charge are taken as
 rationals, the Gram matrices and the torus insertion's matrix elements are
 built in integers, each level over its own power of one unit (see
 ``virasoro.VermaModule`` and ``PrimaryMatrixElements``), and the
-contractions run in integers (see ``virasoro.contract``).
+contractions run in integers, eliminating only the upper triangle of each
+symmetric Gram matrix (see ``virasoro.contract``).
 """
 
 from __future__ import annotations

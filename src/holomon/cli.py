@@ -87,8 +87,31 @@ def _finite(value):
     return value
 
 
+# a rational option's numerator and denominator may have at most this
+# many digits; the exact blocks and shift weights grow with them
+MAX_DIGITS = 1000
+
+
+def _rational(text: str) -> Fraction:
+    """A Fraction whose numerator and denominator have at most MAX_DIGITS
+    digits.  An exponent past len(text) + MAX_DIGITS, which gives any
+    nonzero mantissa more, is refused first, zero mantissas too, so that
+    Fraction never builds the huge 10**exponent."""
+    exponent = text.lower().partition("e")[2]
+    try:
+        out_of_range = abs(int(exponent)) > len(text) + MAX_DIGITS
+    except ValueError:  # no integer exponent: Fraction names a bad literal
+        out_of_range = False
+    if out_of_range:
+        raise ValueError(f"exponent {exponent.strip()} is out of range")
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS:
+        raise ValueError(f"numerator or denominator has more than {MAX_DIGITS} digits")
+    return value
+
+
 def _rationals(text: str) -> list:
-    return [Fraction(x) for x in text.split(",")]
+    return [_rational(x) for x in text.split(",")]
 
 
 def _real(text: str):
@@ -109,7 +132,7 @@ def _tolerance(value) -> float:
     return value
 
 
-RATIONAL = _Parsed("rational", Fraction)
+RATIONAL = _Parsed("rational", _rational)
 RATIONALS = _Parsed("rationals", _rationals)
 
 

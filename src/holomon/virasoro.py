@@ -11,10 +11,12 @@ action of L_-n has integer coefficients as it is), and the level-k Gram
 matrix times u^k.  Each scale is divided out once, when ``gram`` or
 ``pairing`` returns an exact Fraction.  One
 elimination routine, ``contract``, takes every contraction through a
-(possibly singular) Gram matrix, in integers, fraction-free (Bareiss),
-with first-nonzero pivots, after clearing denominators: each right
-column by its own lcm, each G-row by the lcm of its G entries alone,
-each left row by its own lcm.
+(possibly singular) symmetric Gram matrix, in integers, fraction-free
+(Bareiss), after clearing denominators: each right column by its own
+lcm, each G-row by the lcm of its G entries alone, each left row by its
+own lcm.  It pivots on the diagonal and keeps each G-row from its
+diagonal on, reading the entries below from their mirror images; a zero
+diagonal is mended by a congruence.
 """
 
 from __future__ import annotations
@@ -177,74 +179,120 @@ class GramSingularError(ValueError):
 
 
 def contract(G: list, left: list, right: list) -> list:
-    """The matrix left . G^(-1) . right, defined also for singular G when
-    the data factors through the quotient by the kernel.
+    """The matrix left . G^(-1) . right for a symmetric G, defined also for
+    singular G when the data factors through the quotient by the kernel.
 
     Forward elimination of the bordered matrix [[G, right], [left, 0]]
-    updates only the columns right of each pivot; afterwards the border
-    block holds -left . G^(-1) . right, the Schur complement.  A G-row
-    that eliminates to zero with a nonzero right part is inconsistent, and
-    a left row with a nonzero entry in a pivot-free column lies outside
-    the row space of G; both raise GramSingularError.
+    pivots on the diagonal of G; afterwards the border block holds
+    -left . G^(-1) . right, the Schur complement.  A G-row that
+    eliminates to zero with a nonzero right part is inconsistent, and a
+    left row with a nonzero entry in a pivot-free column lies outside the
+    row space of G; both raise GramSingularError.  A G that is not
+    symmetric raises ValueError.
 
     The entries, ints or Fractions, are eliminated in integers,
     fraction-free.  Denominators are cleared by three kinds of factor:
     each right column by the lcm c_b of its own denominators; each G-row
-    by the lcm of its G entries alone, which multiplies that row's right
-    part too and so leaves the contraction unchanged; and each left row
-    by the lcm s_a of its denominators.  A column's denominators thus
-    never enter the G-rows, nor through them the pivots.  The first
-    nonzero pivot is taken, and every row below it becomes
-    (p * row - f * pivot_row) // prev, with p the pivot, f the row's
-    entry in the pivot column and prev the pivot before (Bareiss).  Every
-    entry is then a minor of the scaled matrix, so each division is
-    exact, and the border entry (a, b) divides by prev * s_a * c_b at the
-    end.  The inputs are copied.
+    by the lcm s_i of its G entries alone, which multiplies that row's
+    right part too and so leaves the contraction unchanged; and each left
+    row by the lcm s_a of its denominators.  A column's denominators thus
+    never enter the G-rows, nor through them the pivots.  At pivot t,
+    each later row becomes (p * row - f * pivot_row) // prev, with p the
+    pivot, f the row's entry in column t and prev the pivot before
+    (Bareiss).  Every entry is then a minor of the scaled matrix, so each
+    division is exact; and since G is symmetric, the minor at (i, j) is
+    the one at (j, i) times s_i / s_j.  So a G-row i is kept from its
+    diagonal rightwards only, with its right part, and its f is read off
+    the pivot row (``_pivot_column``); left rows are kept whole.
+
+    There are no row swaps.  A zero diagonal at t with a nonzero entry
+    (t, j) is made nonzero by a congruence: index j is added into t, row
+    and column together, with the sign that keeps the new diagonal off
+    zero, and row t takes the scale lcm(s_t, s_j); left rows take the
+    column operation, right parts the row operation, and the contraction
+    is unchanged.  A row that is zero from its diagonal on leaves its
+    index free.  The border entry (a, b) divides by prev * s_a * c_b at
+    the end.  The inputs are copied.
     """
+    if list(map(tuple, G)) != list(zip(*G)):
+        raise ValueError("contract needs a symmetric Gram matrix")
     n = len(G)
     q = len(right[0]) if right else 0
     cols = [math.lcm(*(r[b].denominator for r in right)) for b in range(q)]
-    rows = []
+    rows, scales = [], []
     for g, r in zip(G, right, strict=True):
         s = math.lcm(*(v.denominator for v in g))
+        scales.append(s)
         rows.append([v.numerator * (s // v.denominator) for v in g]
                     + [v.numerator * (s * c // v.denominator)
                        for v, c in zip(r, cols, strict=True)])
-    scales = [math.lcm(*(v.denominator for v in l)) for l in left]
-    rows += [[v.numerator * (s // v.denominator) for v in l] + [0] * q
-             for l, s in zip(left, scales)]
+    left_scales = [math.lcm(*(v.denominator for v in l)) for l in left]
+    border = [[v.numerator * (s // v.denominator) for v in l] + [0] * q
+              for l, s in zip(left, left_scales)]
     free = []
-    rank = 0
     prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            free.append(col)
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        ptail = prow[col + 1:]
-        for row in rows[rank + 1:]:
-            f = row[col]
-            # rows with f == 0 are rescaled too, so every entry stays a minor
+    for t in range(n):
+        prow = rows[t]
+        if prow[t] == 0:
+            j = next((j for j in range(t + 1, n) if prow[j]), None)
+            if j is None:
+                free.append(t)
+                continue
+            prow = _add_index(rows, scales, border, t, j)
+        p = prow[t]
+        # G-rows from their diagonal on; rows with f == 0 are rescaled
+        # too, so every entry stays a minor
+        for i, f in enumerate(_pivot_column(prow, scales, t), t + 1):
+            row = rows[i]
             if f:
-                row[col + 1:] = [(p * a - f * b) // prev
-                                 for a, b in zip(row[col + 1:], ptail)]
+                row[i:] = [(p * a - f * b) // prev for a, b in zip(row[i:], prow[i:])]
             else:
-                row[col + 1:] = [p * a // prev for a in row[col + 1:]]
+                row[i:] = [p * a // prev for a in row[i:]]
+        ptail = prow[t + 1:]
+        for row in border:
+            f = row[t]
+            if f:
+                row[t + 1:] = [(p * a - f * b) // prev for a, b in zip(row[t + 1:], ptail)]
+            else:
+                row[t + 1:] = [p * a // prev for a in row[t + 1:]]
         prev = p
-        rows[rank] = None  # never read after its step; freeing it lowers peak memory
-        rank += 1
-    if any(v != 0 for row in rows[rank:n] for v in row[n:]):
+        rows[t] = None  # never read after its step; freeing it lowers peak memory
+    if any(v != 0 for t in free for v in rows[t][n:]):
         raise GramSingularError("inconsistent contraction through a "
                                 "singular Gram matrix")
-    if any(row[col] != 0 for row in rows[n:] for col in free):
+    if any(row[t] != 0 for row in border for t in free):
         raise GramSingularError("contraction does not factor through "
                                 "the singular Gram matrix")
-    # border rows are never swapped, so scales still match them
     return [[Fraction(-v, prev * s * c) for v, c in zip(row[n:], cols)]
-            for row, s in zip(rows[n:], scales)]
+            for row, s in zip(border, left_scales)]
+
+
+def _pivot_column(prow: list, scales: list, t: int) -> list:
+    """Column t below the diagonal, read off the pivot row t: the entry
+    (i, t) is prow[i] * s_i / s_t, exactly, since both are minors of the
+    same symmetric G and differ only by the row scales."""
+    st = scales[t]
+    return [a * s // st for a, s in zip(prow[t + 1:], scales[t + 1:])]
+
+
+def _add_index(rows: list, scales: list, border: list, t: int, j: int) -> list:
+    """Add index j into t by a congruence, row and column together, where
+    the diagonal at t is 0 and the entry (t, j) is not; returns the new
+    row t, whose scale is lcm(s_t, s_j) and whose diagonal is nonzero."""
+    st, sj = scales[t], scales[j]
+    s = math.lcm(st, sj)
+    ft, fj = s // st, s // sj
+    # row j from column t on: its entries left of its diagonal mirrored
+    # from column j of the rows above it
+    rj = [rows[k][j] * sj // scales[k] for k in range(t, j)] + rows[j][j:]
+    row = rows[t]
+    sign = -1 if fj * rj[j - t] == -2 * ft * row[j] else 1
+    row[t:] = [ft * a + sign * fj * b for a, b in zip(row[t:], rj)]
+    row[t] += sign * row[j]
+    scales[t] = s
+    for b in border:
+        b[t] += sign * b[j]
+    return row
 
 
 def solve_contraction(G: list, left: list, right: list):

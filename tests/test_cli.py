@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from holomon import checks as checksuites
 from holomon import tau
 from holomon.blocks import sphere4_block, torus1_block
-from holomon.cli import main
+from holomon.cli import MAX_DIGITS, _rational, main
 from holomon.plotting import plot_svg
 from holomon.report import KNOWN_TAGS, CheckResult, Report, worst_residual
 
@@ -658,6 +658,33 @@ class TestExitContract:
         assert r.exit_code == 2
         assert r.output.startswith("error: ") and r.output.count("\n") == 1
         assert "decimal arithmetic" in r.output
+
+    @pytest.mark.parametrize("args", [
+        # weights with 5,000-digit denominators, for an order-6 sphere
+        ["verify", "bpz", "--b2", "1e-5000", "--order", "1"],
+        # shift weights of a 5,000-digit lambda
+        ["tau", "--lam", "1e-5000", "--kappa", "1", "--order", "2"],
+        # 10^100000000 alone takes minutes to build
+        ["tau", "--lam", "1e-100000000", "--kappa", "1", "--order", "2"],
+        ["tau", "--lam", "2/5", "--kappa", "1", "--theta", "1e1000,1/3,1/5,1/7",
+         "--order", "2"],
+        ["block", "sphere4", "--weights", "1/3,1/5,1/7,1/11,1e-1001", "--order", "2"],
+    ], ids=["bpz-b2", "tau-lam", "tau-lam-exponent", "tau-theta", "block-weights"])
+    def test_rational_past_the_digit_bound_exits_2(self, runner, args):
+        start = time.perf_counter()
+        r = runner.invoke(main, args)
+        assert time.perf_counter() - start < 10
+        assert r.exit_code == 2
+        assert r.output.startswith("error: ") and r.output.count("\n") == 1
+
+    def test_digit_bound_is_exact(self):
+        # MAX_DIGITS digits above or below the bar pass, one more is refused
+        top = "9" * MAX_DIGITS
+        for text in (f"-{top}", f"1/{top}", "1e999", "1e-999", "0e-1000"):
+            assert _rational(text) == Fraction(text)
+        for text in (f"-1{top}", f"1/1{top}", "1e1000", "1e-1000", f"{top}.5", "0e-100000"):
+            with pytest.raises(ValueError):
+                _rational(text)
 
     def test_argument_next_to_a_huge_pole_is_no_pole(self, runner):
         # -10^200 + 1/3 (a Gamma argument of shift -1) rounds to an integer

@@ -274,6 +274,14 @@ def border_scale_kept(monkeypatch):
     monkeypatch.setattr(blocks, "contract", contract)
 
 
+
+def mirror_ratio_dropped(monkeypatch):
+    """contract's multipliers read off the pivot row without the ratio
+    s_i / s_t of the row scales: the entry (t, i) stands for (i, t), as
+    if every G-row had the same denominators."""
+    monkeypatch.setattr(virasoro, "_pivot_column",
+                        lambda prow, scales, t: prow[t + 1:len(scales)])
+
 def three_point_factor_at_full_level(monkeypatch):
     """The per-part factor of a descendant three-point value taken at the
     descendant's whole level, not the level below the peeled part; with a
@@ -325,6 +333,7 @@ CONTROLS = [
     ("degenerate-ode", BPZ, residual_reported_zero, "generic channel leaves a residual"),
     ("hypergeometric-match", BPZ, three_point_factor_at_full_level),
     ("hypergeometric-match", BPZ, border_scale_kept),
+    ("hypergeometric-match", BPZ, mirror_ratio_dropped),
     ("vacuum-insertion", BPZ, three_point_factor_at_full_level),
 ]
 

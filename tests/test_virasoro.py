@@ -181,7 +181,8 @@ class TestContract:
     def test_nonsingular_matches_sympy(self, seed):
         rng = random.Random(seed)
         n, p, q = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 3)
-        G = _rand_matrix(rng, n, n)
+        A = _rand_matrix(rng, n, n)
+        G = [[a + b for a, b in zip(row, col)] for row, col in zip(A, zip(*A))]
         if _sym(G).det() == 0:
             pytest.skip("random draw is singular")
         L, R = _rand_matrix(rng, p, n), _rand_matrix(rng, n, q)
@@ -255,8 +256,9 @@ class TestRecursiveGram:
 
 
 def fraction_contract(G, left, right):
-    """Reference for the exact branch of contract: the same bordered
-    elimination with the first nonzero pivot, in Fractions throughout."""
+    """Reference for contract: the bordered elimination of a general G,
+    with the first nonzero pivot of each column and row swaps, in
+    Fractions throughout."""
     n = len(G)
     q = len(right[0]) if right else 0
     rows = [[F(v) for v in list(g) + list(r)] for g, r in zip(G, right)] + \
@@ -333,12 +335,13 @@ class TestFractionFreeKernel:
             assert all(type(v) is F for row in got for v in row)
 
     def test_coprime_row_denominators(self):
-        # every G-row, right part and left row has its own prime denominator,
-        # and zero entries leave rows with nothing to eliminate at a pivot
-        G = [[F(1, 2), F(1, 2), F(0), F(3, 2)],
-             [F(0), F(2, 3), F(1, 3), F(0)],
-             [F(4, 5), F(0), F(0), F(1, 5)],
-             [F(0), F(0), F(6, 7), F(5, 7)]]
+        # every G-row has its own prime denominator (entry (i, j) is over
+        # the primes of rows i and j), as have the right parts and left
+        # rows, and zero entries leave rows with nothing to eliminate at a pivot
+        G = [[F(1, 2), F(1, 6), F(0), F(3, 14)],
+             [F(1, 6), F(2, 3), F(1, 15), F(0)],
+             [F(0), F(1, 15), F(0), F(1, 35)],
+             [F(3, 14), F(0), F(1, 35), F(5, 7)]]
         R = [[F(1, 11), F(0)], [F(0), F(2, 13)], [F(3, 17), F(1)], [F(0), F(0)]]
         L = [[F(1, 19), F(0), F(0), F(0)], [F(0), F(0), F(2, 23), F(1, 29)],
              [F(0), F(0), F(0), F(0)]]
@@ -441,6 +444,101 @@ class TestFractionFreeKernel:
         assert got == fraction_blocks(blocks.torus1_block, *args, N=8).coeffs
         assert all(type(v) is F for v in got)
 
+
+
+def _symmetric(rows):
+    """The symmetric matrix whose upper triangle is given row by row."""
+    n = len(rows)
+    return [[F(rows[min(i, j)][max(i, j) - min(i, j)]) for j in range(n)] for i in range(n)]
+
+
+def _same_as_references(G, L, R):
+    """contract agrees with fraction_contract, and with sympy when G is
+    invertible, both on the value and on the error raised."""
+    try:
+        want = fraction_contract(G, L, R)
+    except GramSingularError as exc:
+        with pytest.raises(GramSingularError) as got:
+            contract(G, L, R)
+        assert str(got.value) == str(exc)
+        return None
+    got = contract(G, L, R)
+    assert got == want
+    if _sym(G).det() != 0:
+        assert got == _frac(_sym(L) * _sym(G).inv() * _sym(R))
+    return got
+
+
+class TestSymmetricElimination:
+    """contract pivots on the diagonal and keeps each G-row from its
+    diagonal on; a zero diagonal is mended by a congruence."""
+
+    def test_swap_matrix(self):
+        # both diagonals are zero: index 1 is added into 0
+        G = [[F(0), F(1)], [F(1), F(0)]]
+        assert contract(G, _unit(2), _unit(2)) == G
+        _same_as_references(G, [[F(1, 3), F(2, 5)]], [[F(1, 7)], [F(3, 11)]])
+
+    @pytest.mark.parametrize("upper", [
+        [[0, 2, 1], [0, 3], [0]],
+        [[0, F(1, 2), F(1, 3)], [F(2, 5), F(1, 7)], [F(-1, 11)]],
+        # g_jj = -2 g_tj, so j is added into t with the sign -1
+        [[0, F(1, 6), F(1, 2)], [F(-1, 3), F(1, 5)], [F(1, 7)]],
+        [[F(1, 2), F(1, 3), F(1, 5)], [F(2, 9), F(1, 15)], [F(1, 7)]],
+    ], ids=["integer", "rational", "negative-sign", "zero-after-pivot"])
+    def test_three_by_three_zero_diagonal(self, upper):
+        G = _symmetric(upper)
+        assert _sym(G).det() != 0
+        L, R = _rand_matrix(random.Random(1), 2, 3), _rand_matrix(random.Random(2), 3, 2)
+        assert contract(G, _unit(3), _unit(3)) == _frac(_sym(G).inv())
+        _same_as_references(G, L, R)
+
+    def test_singular_with_zero_diagonal_trailing_block(self):
+        # after the first pivot the trailing block is [[0, 1, 1], [1, 0, 0],
+        # [1, 0, 0]] / 5: a zero diagonal, not zero, and singular
+        G = _symmetric([[F(1, 2), F(1, 3), 0, 0], [F(2, 9), F(1, 5), F(1, 5)], [0, 0], [0]])
+        assert _sym(G).rank() == 3
+        rng = random.Random(3)
+        Y, X = _rand_matrix(rng, 2, 4), _rand_matrix(rng, 4, 2)
+        L, R = _matmul(Y, G), _matmul(G, X)
+        assert _same_as_references(G, L, R) == _frac(_sym(Y) * _sym(G) * _sym(X))
+        kernel = _frac(_sym(G).nullspace()[0].T)[0]
+        bad_R = [[r[0] + e, r[1]] for r, e in zip(R, kernel)]
+        bad_L = [L[0], [a + e for a, e in zip(L[1], kernel)]]
+        with pytest.raises(GramSingularError, match="inconsistent"):
+            contract(G, L, bad_R)
+        with pytest.raises(GramSingularError, match="does not factor"):
+            contract(G, bad_L, R)
+        _same_as_references(G, L, bad_R)
+        _same_as_references(G, bad_L, R)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_symmetric(self, seed):
+        # diagonals zeroed at random, and a rank-deficient draw every other seed
+        rng = random.Random(200 + seed)
+        n = rng.randint(2, 7)
+        A = _rand_matrix(rng, n, n)
+        G = [[a + b for a, b in zip(row, col)] for row, col in zip(A, zip(*A))]
+        for i in range(n):
+            if rng.random() < 0.5:
+                G[i][i] = F(0)
+        if seed % 2:
+            B = _rand_matrix(rng, n, n - 1)
+            D = [[G[i][j] for j in range(n - 1)] for i in range(n - 1)]
+            G = _matmul(_matmul(B, D), [list(col) for col in zip(*B)])
+        L, R = _rand_matrix(rng, 2, n), _rand_matrix(rng, n, 3)
+        _same_as_references(G, L, R)
+        # data that factors through G always contracts
+        Y, X = _rand_matrix(rng, 2, n), _rand_matrix(rng, n, 2)
+        got = _same_as_references(G, _matmul(Y, G), _matmul(G, X))
+        assert got == _frac(_sym(Y) * _sym(G) * _sym(X))
+
+    def test_non_symmetric_raises(self):
+        G = [[F(1), F(2)], [F(3), F(4)]]
+        with pytest.raises(ValueError, match="symmetric"):
+            contract(G, _unit(2), _unit(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_contraction([[1, 0], [F(1, 2), 1]], [1, 0], [0, 1])
 
 class FractionVerma:
     """Reference for the integer module: the generator action, the Gram
