@@ -8,11 +8,13 @@ carries the extra central-charge shift -c/24 in its prefactor exponent
 (a recorded convention).
 
 Every coefficient is exact: weights and central charge are taken as
-rationals, the Gram matrices and the torus insertion's matrix elements are
+rationals, and the Gram matrices and the descendant three-point data are
 built in integers, each level over its own power of one unit (see
-``virasoro.VermaModule`` and ``PrimaryMatrixElements``), and the
+``virasoro.VermaModule`` and ``PrimaryMatrixElements``, whose () rows are
+the sphere's borders and whose matrix is the torus insertion).  The
 contractions run in integers, eliminating only the upper triangle of each
-symmetric Gram matrix (see ``virasoro.contract``).
+symmetric Gram matrix (see ``virasoro.contract``), and each coefficient
+divides by the powers of its borders' units once.
 """
 
 from __future__ import annotations
@@ -37,73 +39,53 @@ def three_point_factor(delta_out, h, delta_in, n: int, inner: int):
     return delta_in + inner + n * h - delta_out
 
 
-def three_point_rows(delta_out, h, delta_in, N: int) -> list:
-    """Normalized values of the primary insertion between a highest-weight
-    vector and each descendant L_{-lam} of weight delta_in, for every
-    partition lam of each level 0..N, in the order of ``partitions``.
-
-    Peeling one lowering generator at a time off the descendant gives
-    ``three_point_factor`` per part n at the level of the parts after it:
-    the entry of lam at level k is the factor of its first part n times
-    the entry of lam[1:], kept from level k - n."""
-    values = {(): 1}
-    rows = [[1]]
-    for k in range(1, N + 1):
-        row = []
-        for lam in partitions(k):
-            n = lam[0]
-            values[lam] = (three_point_factor(delta_out, h, delta_in, n, k - n)
-                           * values[lam[1:]])
-            row.append(values[lam])
-        rows.append(row)
-    return rows
-
-
 class PrimaryMatrixElements:
-    """Matrix elements of a primary insertion of weight h, an int or a
-    Fraction, between two descendants of the same module, by recursion on
-    the left state.
+    """Matrix elements <L_{-lam} left | primary_h(1) | L_{-mu} delta> of a
+    primary insertion of weight h between a descendant of weight ``left``
+    and one of the module's own weight delta, by recursion on the left
+    state; h and left are ints or Fractions.  Its () row at level k holds
+    the three-point values of the level-k descendants of delta.
 
-    The recursion runs in integers over the unit w = lcm(u, den h), with u
-    the module's unit: the memo holds w^(|lam|+|mu|) times each element.
-    ``three_point_factor`` is linear, so on arguments scaled by w it
-    gives w times the factor."""
+    The recursion runs in integers over the unit w = lcm(u, den h,
+    den left), with u the module's unit: ``scaled`` holds w^(|lam|+|mu|)
+    times each element.  ``three_point_factor`` is linear, so on arguments
+    scaled by w it gives w times the factor."""
 
-    def __init__(self, module: VermaModule, h):
+    def __init__(self, module: VermaModule, h, left):
         self.module = module
-        self.h = rational("h", h)
-        w = math.lcm(module.unit, h.denominator)
+        h, left = rational("h", h), rational("left", left)
+        w = math.lcm(module.unit, h.denominator, left.denominator)
         self.unit = w
-        self._wh = h.numerator * (w // h.denominator)  # w h
-        d = module.delta
-        self._wd = d.numerator * (w // d.denominator)  # w delta
+        # w h, w left and w delta
+        self._wh, self._wleft, self._wd = (v.numerator * (w // v.denominator)
+                                           for v in (h, left, module.delta))
         self._memo: dict = {}
 
-    def element(self, lam: tuple, mu: tuple) -> Fraction:
-        """<L_{-lam} e | primary(1) | L_{-mu} e> normalized to 1 on (), ()."""
-        return Fraction(self._scaled(lam, mu), self.unit ** (sum(lam) + sum(mu)))
+    def row(self, k: int) -> list:
+        """w^k times the three-point values of the level-k descendants,
+        in the order of ``partitions``."""
+        return [self.scaled((), mu) for mu in partitions(k)]
 
-    def _scaled(self, lam: tuple, mu: tuple) -> int:
-        """w^(|lam|+|mu|) times the element; memoized."""
+    def scaled(self, lam: tuple, mu: tuple) -> int:
+        """w^(|lam|+|mu|) times the element, 1 on (), (); memoized."""
         key = (lam, mu)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        w, wd = self.unit, self._wd
+        w, wh, wl, wd = self.unit, self._wh, self._wleft, self._wd
         if not lam:
-            # the three-point value of L_{-mu}, peeled as in three_point_rows
-            val = 1 if not mu else (
-                three_point_factor(wd, self._wh, wd, mu[0], w * sum(mu[1:]))
-                * w ** (mu[0] - 1) * self._scaled((), mu[1:]))
+            # peel one lowering generator L_{-n} off the right state
+            val = 1 if not mu else (three_point_factor(wl, wh, wd, mu[0], w * sum(mu[1:]))
+                                    * w ** (mu[0] - 1) * self.scaled((), mu[1:]))
         else:
             # apply_basis holds u^n times the action of L_n, and its image
             # nu sits n levels below mu
             n, rest = lam[0], lam[1:]
-            val = (three_point_factor(wd + w * sum(mu), self._wh, wd, n, w * sum(rest))
-                   * w ** (n - 1) * self._scaled(rest, mu))
+            val = (three_point_factor(wd + w * sum(mu), wh, wl, n, w * sum(rest))
+                   * w ** (n - 1) * self.scaled(rest, mu))
             lift = (w // self.module.unit) ** n * w ** n
             for nu, v in self.module.apply_basis(n, mu).items():
-                val += lift * v * self._scaled(rest, nu)
+                val += lift * v * self.scaled(rest, nu)
         self._memo[key] = val
         return val
 
@@ -144,16 +126,18 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int,
     Punctures sit at 0, q, 1 and infinity with rational weights d1, d2,
     d3, d4; the internal channel weight is d_beta.  Prefactor exponent is
     d_beta - d1 - d2; coefficient k contracts the level-k descendant
-    three-point rows through the inverse Gram matrix.  ``digits`` is
-    unread, since the series is exact; it stays while the benchmark
-    harness passes it.
+    three-point rows, held in integers as the () rows of two
+    ``PrimaryMatrixElements``, through the inverse Gram matrix.
+    ``digits`` is unread, since the series is exact; it stays while the
+    benchmark harness passes it.
     """
     d1, d2, d3, d4, d_beta, c = map(Fraction, (d1, d2, d3, d4, d_beta, c))
     module = VermaModule(d_beta, c)
-    lefts = three_point_rows(d4, d3, d_beta, N)
-    rights = three_point_rows(d1, d2, d_beta, N)
-    coeffs = [_contract(solve_contraction, module, k, left, right)
-              for k, (left, right) in enumerate(zip(lefts, rights))]
+    lefts = PrimaryMatrixElements(module, d3, d4)
+    rights = PrimaryMatrixElements(module, d2, d1)
+    scale = lefts.unit * rights.unit
+    coeffs = [_contract(solve_contraction, module, k, lefts.row(k), rights.row(k))
+              / scale ** k for k in range(N + 1)]
     return BlockSeries(
         leading_exponent=d_beta - d1 - d2,
         coeffs=coeffs,
@@ -168,15 +152,15 @@ def torus1_block(d0, d_beta, c, N: int, digits: int | None = None) -> BlockSerie
     ``digits`` is unread, as in ``sphere4_block``."""
     d0, d_beta, c = map(Fraction, (d0, d_beta, c))
     module = VermaModule(d_beta, c)
-    elements = PrimaryMatrixElements(module, d0)
+    elements = PrimaryMatrixElements(module, d0, d_beta)
     coeffs = []
     for k in range(N + 1):
-        # trace(G^-1 E) with E[i][j] = <lam_i| primary |lam_j>
+        # trace(G^-1 E) with E[i][j] = <lam_i| primary |lam_j>, held as w^(2k) E
         basis = partitions(k)
-        E = [[elements.element(lam, mu) for mu in basis] for lam in basis]
+        E = [[elements.scaled(lam, mu) for mu in basis] for lam in basis]
         unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
         GinvE = _contract(contract, module, k, unit, E)
-        coeffs.append(sum(GinvE[i][i] for i in range(len(basis))))
+        coeffs.append(sum(GinvE[i][i] for i in range(len(basis))) / elements.unit ** (2 * k))
     return BlockSeries(
         leading_exponent=d_beta - c / 24,
         coeffs=coeffs,

@@ -10,7 +10,6 @@ be targeted by some entry.
 """
 
 import functools
-import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -261,18 +260,12 @@ def central_term_doubled(monkeypatch):
 
 
 def border_scale_kept(monkeypatch):
-    """contract without its last division by each border row's scale: a
-    left row with denominators comes out multiplied by their lcm."""
-    real = virasoro.contract
-
-    def contract(G, left, right):
-        out = real(G, left, right)
-        scales = [math.lcm(*(Fraction(v).denominator for v in row)) for row in left]
-        return [[v * s for v in row] for row, s in zip(out, scales)]
-
-    monkeypatch.setattr(virasoro, "contract", contract)
-    monkeypatch.setattr(blocks, "contract", contract)
-
+    """Each sphere border row held at w^(2k) instead of w^k, as if its
+    scale counted the level on both sides: coefficient k divides out only
+    (w_L w_R)^k, so it comes out (w_L w_R)^k times too large."""
+    real = blocks.PrimaryMatrixElements.row
+    monkeypatch.setattr(blocks.PrimaryMatrixElements, "row",
+                        lambda self, k: [self.unit ** k * v for v in real(self, k)])
 
 
 def mirror_ratio_dropped(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_blocks import three_point_descendant
 
 from holomon import blocks
 from holomon.sparse import add_into
@@ -286,15 +287,6 @@ def fraction_contract(G, left, right):
     return [[-v for v in row[n:]] for row in rows[n:]]
 
 
-def three_point_descendant(delta_out, h, delta_in, lam: tuple):
-    """Reference three-point value of the descendant L_{-lam}, recomputed
-    per partition (the rows that ``blocks`` builds level by level)."""
-    if not lam:
-        return 1
-    return (blocks.three_point_factor(delta_out, h, delta_in, lam[0], sum(lam[1:]))
-            * three_point_descendant(delta_out, h, delta_in, lam[1:]))
-
-
 def _momentum_weight(p, r, b2):
     return (p * b2 + p + r + r / b2) - (p * p * b2 + 2 * p * r + r * r / b2)
 
@@ -375,10 +367,10 @@ class TestFractionFreeKernel:
         # unit left rows and the insertion's matrix elements as the right
         # side, each column over its own large prime
         V = VermaModule(F(7, 5), CC)
-        elements = blocks.PrimaryMatrixElements(V, F(2, 3))
+        elements = blocks.PrimaryMatrixElements(V, F(2, 3), F(7, 5))
         basis = partitions(4)
-        E = [[elements.element(lam, mu) / P for mu, P in zip(basis, PRIMES, strict=True)]
-             for lam in basis]
+        E = [[F(elements.scaled(lam, mu), elements.unit ** 8) / P
+              for mu, P in zip(basis, PRIMES, strict=True)] for lam in basis]
         unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
         G = V.gram(4)
         got = contract(G, unit, E)
@@ -598,29 +590,30 @@ class FractionVerma:
             grams.append(G)
         return grams[level]
 
-    def element(self, h, lam, mu, memo):
-        """<L_{-lam} e | primary(1) | L_{-mu} e>, normalized to 1 on (), ()."""
+    def element(self, h, left, lam, mu, memo):
+        """<L_{-lam} left | primary(1) | L_{-mu} e>, normalized to 1 on (), ()."""
         key = (lam, mu)
         if key in memo:
             return memo[key]
         d = self.delta
         if not lam:
-            val = F(1) if not mu else (blocks.three_point_factor(d, h, d, mu[0], sum(mu[1:]))
-                                       * self.element(h, (), mu[1:], memo))
+            val = F(1) if not mu else (
+                blocks.three_point_factor(left, h, d, mu[0], sum(mu[1:]))
+                * self.element(h, left, (), mu[1:], memo))
         else:
             n, rest = lam[0], lam[1:]
-            val = (blocks.three_point_factor(d + sum(mu), h, d, n, sum(rest))
-                   * self.element(h, rest, mu, memo))
+            val = (blocks.three_point_factor(d + sum(mu), h, left, n, sum(rest))
+                   * self.element(h, left, rest, mu, memo))
             for nu, v in self.apply_basis(n, mu).items():
-                val += v * self.element(h, rest, nu, memo)
+                val += v * self.element(h, left, rest, nu, memo)
         memo[key] = val
         return val
 
 
-def _check_integer_module(delta, c, h, top):
+def _check_integer_module(delta, c, h, left, top):
     """The integer module, action and matrix elements equal the Fraction
     reference through level ``top``; the action is held scaled by u^max(n,1)
-    for n >= 0."""
+    for n >= 0, and the matrix elements by w^(|lam|+|mu|)."""
     V, ref = VermaModule(delta, c), FractionVerma(delta, c)
     u = V.unit
     assert u == 2 * math.lcm(F(delta).denominator, F(c).denominator)
@@ -633,15 +626,17 @@ def _check_integer_module(delta, c, h, top):
                 got = V.apply_basis(n, lam)
                 assert all(type(v) is int for v in got.values())
                 assert {nu: F(v, scale) for nu, v in got.items()} == ref.apply_basis(n, lam)
-    elements, memo = blocks.PrimaryMatrixElements(V, h), {}
-    assert elements.unit == math.lcm(u, F(h).denominator)
+    elements, memo = blocks.PrimaryMatrixElements(V, h, left), {}
+    w = elements.unit
+    assert w == math.lcm(u, F(h).denominator, F(left).denominator)
     for k in range(top + 1):
         for lam in partitions(k):
             for j in range(max(0, k - 2), min(top, k + 2) + 1):
                 for mu in partitions(j):
-                    got = elements.element(lam, mu)
-                    assert got == ref.element(F(h), lam, mu, memo), (lam, mu)
-                    assert type(got) is F
+                    got = elements.scaled(lam, mu)
+                    assert type(got) is int
+                    want = ref.element(F(h), F(left), lam, mu, memo)
+                    assert F(got, w ** (k + j)) == want, (lam, mu)
 
 
 class TestIntegerModule:
@@ -649,21 +644,23 @@ class TestIntegerModule:
     elements, built in integers over one scaled unit, against the Fraction
     recursions they replace."""
 
-    @pytest.mark.parametrize("delta, c, h", [
-        (F(5, 101), F(7, 103), F(11, 107)),
-        (2, 1, F(3, 5)),
-        (F(7, 5), CC, 0),
-        (F(3, 4), F(1, 2), F(2, 9)),
+    # the torus takes left = delta; a sphere border takes another weight
+    @pytest.mark.parametrize("delta, c, h, left", [
+        (F(5, 101), F(7, 103), F(11, 107), F(13, 109)),
+        (2, 1, F(3, 5), 2),
+        (F(7, 5), CC, 0, F(7, 5)),
+        (F(3, 4), F(1, 2), F(2, 9), F(-5, 11)),
     ], ids=["coprime-primes", "integer-unit-2", "h-zero", "h-outside-unit"])
-    def test_equals_fraction_reference_through_level_8(self, delta, c, h):
-        _check_integer_module(delta, c, h, 8)
+    def test_equals_fraction_reference_through_level_8(self, delta, c, h, left):
+        _check_integer_module(delta, c, h, left, 8)
 
     @settings(max_examples=25, deadline=None)
     @given(st.fractions(min_value=-9, max_value=9, max_denominator=12),
            st.fractions(min_value=-30, max_value=30, max_denominator=12),
+           st.fractions(min_value=-9, max_value=9, max_denominator=12),
            st.fractions(min_value=-9, max_value=9, max_denominator=12))
-    def test_random_rationals_through_level_5(self, delta, c, h):
-        _check_integer_module(delta, c, h, 5)
+    def test_random_rationals_through_level_5(self, delta, c, h, left):
+        _check_integer_module(delta, c, h, left, 5)
 
     @pytest.mark.parametrize("delta, c", [(0.5, F(1)), (F(1, 2), mp.mpf(1)),
                                           (F(1, 2), 1.0)])
@@ -676,5 +673,11 @@ class TestIntegerModule:
     @pytest.mark.parametrize("h", [0.25, mp.mpf("0.25"), "1/4"])
     def test_rejects_an_insertion_that_is_not_rational(self, h):
         with pytest.raises(ValueError) as exc:
-            blocks.PrimaryMatrixElements(VermaModule(F(1, 2), 1), h)
+            blocks.PrimaryMatrixElements(VermaModule(F(1, 2), 1), h, F(1, 3))
         assert str(exc.value) == f"h must be an int or a Fraction, got {h!r}"
+
+    @pytest.mark.parametrize("left", [0.25, mp.mpf("0.25"), "1/4"])
+    def test_rejects_a_left_weight_that_is_not_rational(self, left):
+        with pytest.raises(ValueError) as exc:
+            blocks.PrimaryMatrixElements(VermaModule(F(1, 2), 1), F(1, 3), left)
+        assert str(exc.value) == f"left must be an int or a Fraction, got {left!r}"
