@@ -11,10 +11,12 @@ Every coefficient is exact: weights and central charge are taken as
 rationals, and the Gram matrices and the descendant three-point data are
 built in integers, each level over its own power of one unit (see
 ``virasoro.VermaModule`` and ``PrimaryMatrixElements``, whose () rows are
-the sphere's borders and whose matrix is the torus insertion).  The
-contractions run in integers, eliminating only the upper triangle of each
-symmetric Gram matrix (see ``virasoro.contract``), and each coefficient
-divides by the powers of its borders' units once.
+the sphere's borders and whose matrix is the torus insertion).  One
+integer kernel, ``virasoro.contract``, takes u^k G_k and those borders
+and returns one value per (left, right) pair: the sphere's one pair of
+() rows, and the torus's pairs (e_i, column i of the insertion), whose
+sum is the trace.  Each coefficient divides by the powers of its
+borders' units once.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .virasoro import (GramSingularError, VermaModule, contract, partitions, rational,
-                       solve_contraction)
+from .virasoro import GramSingularError, VermaModule, contract, partitions, rational
 # the benchmark harness's name for virasoro.degenerate_weight
 from .virasoro import degenerate_weight as degenerate_weight_of  # noqa: F401
 
@@ -109,10 +110,11 @@ class BlockSeries:
         return len(self.coeffs) - 1
 
 
-def _contract(contraction, module: VermaModule, k: int, left, right):
-    """contraction(G_k, left, right); a singular G_k names k and the weight."""
+def _contract(module: VermaModule, k: int, lefts, rights):
+    """contract(u^k G_k, u^k, lefts, rights); a singular G_k names k and
+    the weight."""
     try:
-        return contraction(module.gram(k), left, right)
+        return contract(module.scaled_gram(k), module.unit ** k, lefts, rights)
     except GramSingularError as exc:
         raise GramSingularError(
             f"level-{k} contraction failed at internal weight "
@@ -136,8 +138,8 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int,
     lefts = PrimaryMatrixElements(module, d3, d4)
     rights = PrimaryMatrixElements(module, d2, d1)
     scale = lefts.unit * rights.unit
-    coeffs = [_contract(solve_contraction, module, k, lefts.row(k), rights.row(k))
-              / scale ** k for k in range(N + 1)]
+    coeffs = [_contract(module, k, [lefts.row(k)], [rights.row(k)])[0] / scale ** k
+              for k in range(N + 1)]
     return BlockSeries(
         leading_exponent=d_beta - d1 - d2,
         coeffs=coeffs,
@@ -155,12 +157,12 @@ def torus1_block(d0, d_beta, c, N: int, digits: int | None = None) -> BlockSerie
     elements = PrimaryMatrixElements(module, d0, d_beta)
     coeffs = []
     for k in range(N + 1):
-        # trace(G^-1 E) with E[i][j] = <lam_i| primary |lam_j>, held as w^(2k) E
+        # trace(G^-1 E) with E[i][j] = <lam_i| primary |lam_j>, held as
+        # w^(2k) E: the pairs (e_i, column i of E)
         basis = partitions(k)
-        E = [[elements.scaled(lam, mu) for mu in basis] for lam in basis]
         unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
-        GinvE = _contract(contract, module, k, unit, E)
-        coeffs.append(sum(GinvE[i][i] for i in range(len(basis))) / elements.unit ** (2 * k))
+        columns = [[elements.scaled(lam, mu) for lam in basis] for mu in basis]
+        coeffs.append(sum(_contract(module, k, unit, columns)) / elements.unit ** (2 * k))
     return BlockSeries(
         leading_exponent=d_beta - c / 24,
         coeffs=coeffs,

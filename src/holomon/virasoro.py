@@ -8,13 +8,13 @@ Weights and central values are ints or Fractions, and a module builds
 everything in integers over one unit u = 2 lcm(den delta, den c): the
 action of L_n on a basis state is held times u^max(n,1) for n >= 0 (the
 action of L_-n has integer coefficients as it is), and the level-k Gram
-matrix times u^k.  Each scale is divided out once, when ``gram`` or
-``pairing`` returns an exact Fraction.  One
+matrix times u^k (``scaled_gram``).  Each scale is divided out once,
+when ``gram`` or ``pairing`` returns an exact Fraction.  One
 elimination routine, ``contract``, takes every contraction through a
-(possibly singular) symmetric Gram matrix, in integers, fraction-free
-(Bareiss), after clearing denominators: each right column by its own
-lcm, each G-row by the lcm of its G entries alone, each left row by its
-own lcm.  It pivots on the diagonal and keeps each G-row from its
+(possibly singular) symmetric Gram matrix: it is handed u^k G_k, u^k and
+integer borders, divides each G-row by the largest factor of u^k that
+it shares, and eliminates fraction-free (Bareiss), one value per (left,
+right) pair.  It pivots on the diagonal and keeps each G-row from its
 diagonal on, reading the entries below from their mirror images; a zero
 diagonal is mended by a congruence.
 """
@@ -59,7 +59,8 @@ class VermaModule:
     both ints or Fractions, built in integers over the unit
     ``unit`` = u = 2 lcm(den delta, den c): ``apply_basis`` holds u^max(n,1)
     times the coefficients of L_n for n >= 0, and the coefficients
-    themselves, already integers, for n < 0; ``gram`` builds u^k G_k."""
+    themselves, already integers, for n < 0; ``scaled_gram`` builds
+    u^k G_k."""
 
     def __init__(self, delta, c):
         self.delta = rational("delta", delta)
@@ -70,7 +71,7 @@ class VermaModule:
         self._half_uc = c.numerator * (u // 2 // c.denominator)  # u c / 2
         self._memo: dict = {}
         self._scaled_grams: list = [[[1]]]
-        self._grams: list = [[[1]]]
+        self._grams: dict = {}
 
     # -- generator action ---------------------------------------------------
 
@@ -142,30 +143,36 @@ class VermaModule:
                 return 0
         return Fraction(state.get((), 0), self.unit ** sum(lam))
 
-    def gram(self, level: int) -> list:
-        """Level Gram matrix, exact, memoized on the module.  Missing levels
-        are built bottom-up in integers from the levels below: u^k <lam|mu>
-        is the sum over nu of u^lam_1 (L_{lam_1} mu)_nu times
+    def scaled_gram(self, level: int) -> list:
+        """u^k G_k at level k, in ints, memoized on the module.  Missing
+        levels are built bottom-up from the levels below: u^k <lam|mu> is
+        the sum over nu of u^lam_1 (L_{lam_1} mu)_nu times
         u^(k-lam_1) <lam'|nu>, where lam' drops the first part lam_1.  The
         upper triangle is computed and mirrored."""
-        scaled, grams = self._scaled_grams, self._grams
-        while len(grams) <= level:
-            k = len(grams)
+        scaled = self._scaled_grams
+        while len(scaled) <= level:
+            k = len(scaled)
             basis = partitions(k)
-            scale = self.unit ** k
             H = [[0] * len(basis) for _ in basis]
-            G = [[0] * len(basis) for _ in basis]
             for i, lam in enumerate(basis):
                 index = _index(k - lam[0])
                 below = scaled[k - lam[0]][index[lam[1:]]]
                 for j in range(i, len(basis)):
-                    v = sum(a * below[index[nu]]
-                            for nu, a in self.apply_basis(lam[0], basis[j]).items())
-                    H[i][j] = H[j][i] = v
-                    G[i][j] = G[j][i] = Fraction(v, scale)
+                    H[i][j] = H[j][i] = sum(
+                        a * below[index[nu]]
+                        for nu, a in self.apply_basis(lam[0], basis[j]).items())
             scaled.append(H)
-            grams.append(G)
-        return grams[level]
+        return scaled[level]
+
+    def gram(self, level: int) -> list:
+        """Level Gram matrix, exact: ``scaled_gram`` divided by u^k,
+        memoized on the module."""
+        hit = self._grams.get(level)
+        if hit is None:
+            scale = self.unit ** level
+            hit = [[Fraction(v, scale) for v in row] for row in self.scaled_gram(level)]
+            self._grams[level] = hit
+        return hit
 
 
 @lru_cache(maxsize=None)
@@ -178,57 +185,51 @@ class GramSingularError(ValueError):
     """Raised when a needed level Gram matrix is not invertible."""
 
 
-def contract(G: list, left: list, right: list) -> list:
-    """The matrix left . G^(-1) . right for a symmetric G, defined also for
-    singular G when the data factors through the quotient by the kernel.
+def contract(H: list, scale: int, lefts: list, rights: list) -> list:
+    """One Fraction lefts[a] . G^(-1) . rights[a] per pair, for the
+    symmetric G = H / scale with H, scale and the borders ints, defined
+    also for singular G when the data factors through the quotient by the
+    kernel.
 
-    Forward elimination of the bordered matrix [[G, right], [left, 0]]
-    pivots on the diagonal of G; afterwards the border block holds
-    -left . G^(-1) . right, the Schur complement.  A G-row that
-    eliminates to zero with a nonzero right part is inconsistent, and a
-    left row with a nonzero entry in a pivot-free column lies outside the
-    row space of G; both raise GramSingularError.  A G that is not
-    symmetric raises ValueError.
+    Forward elimination of the bordered matrix [[G, rights], [lefts, 0]]
+    pivots on the diagonal of G; afterwards border row a holds, in right
+    column a, -lefts[a] . G^(-1) . rights[a], the Schur complement.  A
+    G-row that eliminates to zero with a nonzero right part is
+    inconsistent, and a left row with a nonzero entry in a pivot-free
+    column lies outside the row space of G; both raise GramSingularError.
+    A G that is not symmetric raises ValueError.
 
-    The entries, ints or Fractions, are eliminated in integers,
-    fraction-free.  Denominators are cleared by three kinds of factor:
-    each right column by the lcm c_b of its own denominators; each G-row
-    by the lcm s_i of its G entries alone, which multiplies that row's
-    right part too and so leaves the contraction unchanged; and each left
-    row by the lcm s_a of its denominators.  A column's denominators thus
-    never enter the G-rows, nor through them the pivots.  At pivot t,
-    each later row becomes (p * row - f * pivot_row) // prev, with p the
-    pivot, f the row's entry in column t and prev the pivot before
+    The elimination runs in integers, fraction-free.  G-row i is H_i
+    divided by d_i = gcd(scale, content of H_i), which is s_i G_i with
+    s_i = scale / d_i the lcm of the row's denominators; its right part is
+    multiplied by s_i, which leaves the contraction unchanged.  At pivot
+    t, each later row becomes (p * row - f * pivot_row) // prev, with p
+    the pivot, f the row's entry in column t and prev the pivot before
     (Bareiss).  Every entry is then a minor of the scaled matrix, so each
     division is exact; and since G is symmetric, the minor at (i, j) is
     the one at (j, i) times s_i / s_j.  So a G-row i is kept from its
     diagonal rightwards only, with its right part, and its f is read off
-    the pivot row (``_pivot_column``); left rows are kept whole.
+    the pivot row (``_pivot_column``); border row a is kept whole, with
+    right column a alone.
 
     There are no row swaps.  A zero diagonal at t with a nonzero entry
     (t, j) is made nonzero by a congruence: index j is added into t, row
     and column together, with the sign that keeps the new diagonal off
-    zero, and row t takes the scale lcm(s_t, s_j); left rows take the
+    zero, and row t takes the scale lcm(s_t, s_j); border rows take the
     column operation, right parts the row operation, and the contraction
     is unchanged.  A row that is zero from its diagonal on leaves its
-    index free.  The border entry (a, b) divides by prev * s_a * c_b at
-    the end.  The inputs are copied.
+    index free.  Each value divides by the last pivot at the end.  The
+    inputs are copied.
     """
-    if list(map(tuple, G)) != list(zip(*G)):
+    if list(map(tuple, H)) != list(zip(*H)):
         raise ValueError("contract needs a symmetric Gram matrix")
-    n = len(G)
-    q = len(right[0]) if right else 0
-    cols = [math.lcm(*(r[b].denominator for r in right)) for b in range(q)]
+    n = len(H)
     rows, scales = [], []
-    for g, r in zip(G, right, strict=True):
-        s = math.lcm(*(v.denominator for v in g))
-        scales.append(s)
-        rows.append([v.numerator * (s // v.denominator) for v in g]
-                    + [v.numerator * (s * c // v.denominator)
-                       for v, c in zip(r, cols, strict=True)])
-    left_scales = [math.lcm(*(v.denominator for v in l)) for l in left]
-    border = [[v.numerator * (s // v.denominator) for v in l] + [0] * q
-              for l, s in zip(left, left_scales)]
+    for i, h in enumerate(H):
+        d = math.gcd(scale, *h)
+        scales.append(scale // d)
+        rows.append([v // d for v in h] + [scales[i] * r[i] for r in rights])
+    border = [list(l) + [0] for l in lefts]
     free = []
     prev = 1
     for t in range(n):
@@ -248,13 +249,14 @@ def contract(G: list, left: list, right: list) -> list:
                 row[i:] = [(p * a - f * b) // prev for a, b in zip(row[i:], prow[i:])]
             else:
                 row[i:] = [p * a // prev for a in row[i:]]
-        ptail = prow[t + 1:]
-        for row in border:
+        ptail = prow[t + 1:n]
+        for a, row in enumerate(border):
             f = row[t]
             if f:
-                row[t + 1:] = [(p * a - f * b) // prev for a, b in zip(row[t + 1:], ptail)]
+                tail = ptail + [prow[n + a]]
+                row[t + 1:] = [(p * x - f * y) // prev for x, y in zip(row[t + 1:], tail)]
             else:
-                row[t + 1:] = [p * a // prev for a in row[t + 1:]]
+                row[t + 1:] = [p * x // prev for x in row[t + 1:]]
         prev = p
         rows[t] = None  # never read after its step; freeing it lowers peak memory
     if any(v != 0 for t in free for v in rows[t][n:]):
@@ -263,8 +265,7 @@ def contract(G: list, left: list, right: list) -> list:
     if any(row[t] != 0 for row in border for t in free):
         raise GramSingularError("contraction does not factor through "
                                 "the singular Gram matrix")
-    return [[Fraction(-v, prev * s * c) for v, c in zip(row[n:], cols)]
-            for row, s in zip(border, left_scales)]
+    return [Fraction(-row[n], prev) for row in border]
 
 
 def _pivot_column(prow: list, scales: list, t: int) -> list:
@@ -293,11 +294,6 @@ def _add_index(rows: list, scales: list, border: list, t: int, j: int) -> list:
     for b in border:
         b[t] += sign * b[j]
     return row
-
-
-def solve_contraction(G: list, left: list, right: list):
-    """Value of the vector contraction left . G^(-1) . right (see contract)."""
-    return contract(G, [left], [[v] for v in right])[0][0]
 
 
 def kac_determinant_level2(delta, c):

@@ -211,28 +211,27 @@ class TestBpz:
 
 
 def test_borders_reach_the_contraction_as_ints(monkeypatch):
-    # the three-point data is built once, in integers: every border that a
-    # fused bpz channel or a torus block hands to the contraction is an int
-    borders = []
+    # the Gram matrix and the three-point data are built once, in integers:
+    # the scaled Gram matrix and every border that a fused bpz channel or a
+    # torus block hands to the contraction are ints
+    calls = []
 
-    def spy(real):
-        def contraction(G, left, right):
-            borders.append((left, right))
-            return real(G, left, right)
-        return contraction
+    def contraction(H, scale, lefts, rights):
+        calls.append((H, lefts, rights))
+        return real(H, scale, lefts, rights)
 
-    monkeypatch.setattr(blocks, "contract", spy(blocks.contract))
-    monkeypatch.setattr(blocks, "solve_contraction", spy(blocks.solve_contraction))
+    real = blocks.contract
+    monkeypatch.setattr(blocks, "contract", contraction)
     d1, d3, d4 = (weight(F(1, 3), F(2, 5), B2), weight(F(1, 5), F(1, 7), B2),
                   weight(F(2, 7), F(3, 11), B2))
     sphere4_block(d1, degenerate_weight(B2), d3, d4, weight(F(-1, 6), F(2, 5), B2), CC, N=6)
-    assert len(borders) == 7
+    assert len(calls) == 7
     torus1_block(F(1, 3), F(7, 5), CC, N=6)
-    assert len(borders) == 14
-    for left, right in borders:
-        entries = [v for side in (left, right) for row in side
-                   for v in (row if isinstance(row, list) else [row])]
-        assert entries and all(type(v) is int for v in entries)
+    assert len(calls) == 14
+    for H, lefts, rights in calls:
+        for side in (H, lefts, rights):
+            entries = [v for row in side for v in row]
+            assert entries and all(type(v) is int for v in entries)
 
 
 class TestHypergeometric:

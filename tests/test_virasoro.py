@@ -21,7 +21,6 @@ from holomon.virasoro import (
     null_vector_level2,
     partition_count,
     partitions,
-    solve_contraction,
 )
 
 
@@ -117,44 +116,68 @@ class TestDegenerate:
         b2 = F(2, 5)
         V = VermaModule(F(9, 8), central_charge(b2))
         G = V.gram(2)
-        Ginv = contract(G, _unit(2), _unit(2))
+        Ginv = _block(G, _unit(2), _unit(2))
         assert _matmul(G, Ginv) == _unit(2)
 
     def test_inverse_fails_at_degenerate(self):
         b2 = F(2, 5)
         V = VermaModule(degenerate_weight(b2), central_charge(b2))
         with pytest.raises(GramSingularError):
-            contract(V.gram(2), _unit(2), _unit(2))
+            _block(V.gram(2), _unit(2), _unit(2))
 
 
 class TestSolveContraction:
+    """Contractions of one (left, right) pair of vectors."""
+
     def test_regular_case_matches_inverse(self):
         G = [[F(2), F(1)], [F(1), F(3)]]
         left, right = [F(1), F(2)], [F(3), F(4)]
         Ginv = [[F(3, 5), F(-1, 5)], [F(-1, 5), F(2, 5)]]  # adjugate over det 5
-        assert contract(G, _unit(2), _unit(2)) == Ginv
+        assert _block(G, _unit(2), _unit(2)) == Ginv
         want = sum(left[i] * Ginv[i][j] * right[j] for i in range(2) for j in range(2))
-        assert solve_contraction(G, left, right) == want
+        assert contract([[2, 1], [1, 3]], 1, [[1, 2]], [[3, 4]]) == [want]
 
     def test_consistent_singular(self):
         # left must annihilate the kernel direction (1, -1)
-        G = [[F(1), F(1)], [F(1), F(1)]]
-        assert solve_contraction(G, [F(1), F(1)], [F(2), F(2)]) == 2
+        assert contract([[1, 1], [1, 1]], 1, [[1, 1]], [[2, 2]]) == [2]
 
     def test_inconsistent_singular_raises(self):
-        G = [[F(1), F(1)], [F(1), F(1)]]
         with pytest.raises(GramSingularError):
-            solve_contraction(G, [F(1), F(0)], [F(1), F(2)])
+            contract([[1, 1], [1, 1]], 1, [[1, 0]], [[1, 2]])
 
     def test_kernel_detected(self):
-        G = [[F(1), F(1)], [F(1), F(1)]]
         with pytest.raises(GramSingularError):
             # left does not annihilate the kernel direction (1, -1)
-            solve_contraction(G, [F(1), F(0)], [F(1), F(1)])
+            contract([[1, 1], [1, 1]], 1, [[1, 0]], [[1, 1]])
 
 
 def _unit(n):
     return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _block(G, L, R):
+    """The full block L . G^(-1) . R of rational data through contract: G
+    scaled to (H, m) over the lcm m of its denominators, each left row and
+    each right column to ints over the lcm of its own, and every left row
+    paired with every right column in one call."""
+    H, m = _scaled(G)
+    lefts, s = _int_rows(L)
+    rights, c = _int_rows(list(zip(*R)))
+    q = len(rights)
+    pairs = contract(H, m, [l for l in lefts for _ in range(q)], rights * len(lefts))
+    return [[pairs[a * q + b] / (s[a] * c[b]) for b in range(q)] for a in range(len(lefts))]
+
+
+def _scaled(G):
+    """(H, m): G times the lcm m of its denominators, as ints, and m."""
+    m = math.lcm(*(F(v).denominator for row in G for v in row))
+    return [[int(F(v) * m) for v in row] for row in G], m
+
+
+def _int_rows(rows):
+    """Each row times the lcm of its denominators, as ints, and the lcms."""
+    scales = [math.lcm(*(F(v).denominator for v in row)) for row in rows]
+    return [[int(F(v) * s) for v in row] for row, s in zip(rows, scales)], scales
 
 
 def _matmul(A, B):
@@ -188,7 +211,7 @@ class TestContract:
             pytest.skip("random draw is singular")
         L, R = _rand_matrix(rng, p, n), _rand_matrix(rng, n, q)
         want = _frac(_sym(L) * _sym(G).inv() * _sym(R))
-        got = contract(G, L, R)
+        got = _block(G, L, R)
         assert got == want
         assert all(type(v) is F for row in got for v in row)
 
@@ -205,39 +228,41 @@ class TestContract:
         R, L = _matmul(G, X), _matmul(Y, G)
         # for L = Y G and R = G X the contraction is Y G X for any inverse
         want = _frac(_sym(Y) * _sym(G) * _sym(X))
-        assert contract(G, L, R) == want
+        assert _block(G, L, R) == want
         # a right side outside the column space is inconsistent
         bad_R = [row[:] for row in R]
         kernel = _frac(_sym(G).nullspace()[0].T)[0]
         for i in range(n):
             bad_R[i][0] += kernel[i]
         with pytest.raises(GramSingularError, match="inconsistent"):
-            contract(G, L, bad_R)
+            _block(G, L, bad_R)
         # a left side outside the row space does not factor
         bad_L = [row[:] for row in L]
         bad_L[1] = [a + b for a, b in zip(bad_L[1], kernel)]
         with pytest.raises(GramSingularError, match="does not factor"):
-            contract(G, bad_L, R)
+            _block(G, bad_L, R)
 
     def test_zero_rows_inconsistent_before_kernel(self):
         G = [[F(0), F(0)], [F(0), F(0)]]
         with pytest.raises(GramSingularError, match="inconsistent"):
-            contract(G, [[F(1), F(0)]], [[F(1)], [F(0)]])
-        assert contract(G, [[F(0), F(0)]], [[F(0)], [F(0)]]) == [[0]]
+            _block(G, [[F(1), F(0)]], [[F(1)], [F(0)]])
+        assert _block(G, [[F(0), F(0)]], [[F(0)], [F(0)]]) == [[0]]
 
     def test_int_input_gives_fractions(self):
-        got = contract([[1]], [[1]], [[1]])
-        assert got == [[1]] and type(got[0][0]) is F
-        assert type(solve_contraction([[2, 1], [1, 3]], [1, 0], [0, 1])) is F
+        got = contract([[1]], 1, [[1]], [[1]])
+        assert got == [1] and type(got[0]) is F
+        assert type(contract([[2, 1], [1, 3]], 1, [[1, 0]], [[0, 1]])[0]) is F
 
     def test_inputs_not_mutated(self):
         V = VermaModule(F(9, 8), F(3, 2))
-        G = V.gram(4)
-        before = [row[:] for row in G]
-        L, R = _rand_matrix(random.Random(7), 1, 5), _rand_matrix(random.Random(8), 5, 1)
+        G, H = V.gram(4), V.scaled_gram(4)
+        before = [row[:] for row in H]
+        rng = random.Random(7)
+        L, R = ([[rng.randint(-9, 9) for _ in range(5)] for _ in range(2)] for _ in range(2))
         L0, R0 = [row[:] for row in L], [row[:] for row in R]
-        contract(G, L, R)
-        assert V.gram(4) is G and G == before and L == L0 and R == R0
+        contract(H, V.unit ** 4, L, R)
+        assert V.scaled_gram(4) is H and H == before and L == L0 and R == R0
+        assert V.gram(4) is G
 
 
 class TestRecursiveGram:
@@ -287,6 +312,14 @@ def fraction_contract(G, left, right):
     return [[-v for v in row[n:]] for row in rows[n:]]
 
 
+def fraction_pairs(H, scale, lefts, rights):
+    """Reference for contract's pairs: the diagonal of fraction_contract
+    on G = H / scale, every left row against every right column."""
+    G = [[F(v, scale) for v in row] for row in H]
+    block = fraction_contract(G, lefts, [list(col) for col in zip(*rights)])
+    return [block[a][a] for a in range(len(lefts))]
+
+
 def _momentum_weight(p, r, b2):
     return (p * b2 + p + r + r / b2) - (p * p * b2 + 2 * p * r + r * r / b2)
 
@@ -302,10 +335,10 @@ PRIMES = [2 ** p - 1 for p in (127, 61, 89, 107, 521)]
 
 
 class TestFractionFreeKernel:
-    """contract eliminates in integers after three kinds of scale: each
-    right column by the lcm of its denominators, each G-row (with its right
-    part) by the lcm of its G entries, each left row by the lcm of its
-    denominators; sympy and the Fraction elimination are its oracles."""
+    """contract eliminates in integers, each G-row of H divided by the
+    largest factor of the scale that it shares, which scales it (with its
+    right part) by the lcm of its G entries' denominators; sympy and the
+    Fraction elimination are its oracles."""
 
     @pytest.mark.parametrize("d_beta", [F(9, 4), F(17, 4),
                                         _momentum_weight(F(1, 3) - F(1, 2), F(2, 5), B2)],
@@ -322,7 +355,7 @@ class TestFractionFreeKernel:
             R = [[three_point_descendant(d1, d2, d_beta, mu), F(int(i == 0))]
                  for i, mu in enumerate(basis)]
             want = _frac(_sym(L) * _sym(G).LUsolve(_sym(R)))
-            got = contract(G, L, R)
+            got = _block(G, L, R)
             assert got == want, k
             assert all(type(v) is F for row in got for v in row)
 
@@ -338,44 +371,24 @@ class TestFractionFreeKernel:
         L = [[F(1, 19), F(0), F(0), F(0)], [F(0), F(0), F(2, 23), F(1, 29)],
              [F(0), F(0), F(0), F(0)]]
         want = _frac(_sym(L) * _sym(G).inv() * _sym(R))
-        assert contract(G, L, R) == want == fraction_contract(G, L, R)
+        assert _block(G, L, R) == want == fraction_contract(G, L, R)
         assert want[0][0] != 0 and want[1][1] != 0
 
-    def test_border_denominator_divides_out(self):
-        # a right column or a left row divided by P scales its border
-        # entries by 1/P and nothing else
-        P = PRIMES[0]
-        V = VermaModule(F(9, 4), CC)
-        d1, d2 = _momentum_weight(F(2, 3), F(3, 5), B2), degenerate_weight(B2)
-        d3, d4 = _momentum_weight(F(1, 5), F(2, 7), B2), _momentum_weight(F(3, 7), F(4, 11), B2)
-        for k in (3, 5):
-            basis = partitions(k)
-            G = V.gram(k)
-            L = [[three_point_descendant(d4, d3, F(9, 4), lam) for lam in basis],
-                 [three_point_descendant(d1, d2, F(9, 4), lam) for lam in basis]]
-            R = [[three_point_descendant(d1, d2, F(9, 4), mu), F(int(i == 0))]
-                 for i, mu in enumerate(basis)]
-            old = contract(G, L, R)
-            R_P = [[r[0] / P, r[1]] for r in R]
-            L_P = [L[0], [v / P for v in L[1]]]
-            got = contract(G, L, R_P)
-            assert got == [[a / P, b] for a, b in old] == fraction_contract(G, L, R_P), k
-            got = contract(G, L_P, R)
-            assert got == [old[0], [v / P for v in old[1]]] == fraction_contract(G, L_P, R), k
-
-    def test_torus_shape_prime_columns(self):
+    def test_torus_shape(self):
         # unit left rows and the insertion's matrix elements as the right
-        # side, each column over its own large prime
+        # side: the full block, and its pairs (e_i, column i) as the torus
+        # hands them over
         V = VermaModule(F(7, 5), CC)
         elements = blocks.PrimaryMatrixElements(V, F(2, 3), F(7, 5))
         basis = partitions(4)
-        E = [[F(elements.scaled(lam, mu), elements.unit ** 8) / P
-              for mu, P in zip(basis, PRIMES, strict=True)] for lam in basis]
+        wE = [[elements.scaled(lam, mu) for mu in basis] for lam in basis]
+        E = [[F(v, elements.unit ** 8) for v in row] for row in wE]
         unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
         G = V.gram(4)
-        got = contract(G, unit, E)
+        got = _block(G, unit, E)
         assert got == fraction_contract(G, unit, E) == _frac(_sym(G).inv() * _sym(E))
-        assert all(v.denominator % P == 0 for row in got for v, P in zip(row, PRIMES) if v)
+        pairs = contract(V.scaled_gram(4), V.unit ** 4, unit, [list(col) for col in zip(*wE)])
+        assert [v / elements.unit ** 8 for v in pairs] == [got[i][i] for i in range(len(basis))]
 
     def test_degenerate_weight_singular_gram(self):
         # each draw runs twice: as drawn, and with every right column and
@@ -392,11 +405,11 @@ class TestFractionFreeKernel:
                 Y = [[v / d for v in row] for row, d in zip(Y0, dens[:2])]
                 X = [[v / d for v, d in zip(row, dens[2:4])] for row in X0]
                 L, R = _matmul(Y, G), _matmul(G, X)
-                assert contract(G, L, R) == fraction_contract(G, L, R) \
+                assert _block(G, L, R) == fraction_contract(G, L, R) \
                     == _frac(_sym(Y) * _sym(G) * _sym(X))
                 bad_R = [[r[0] + e / dens[4], r[1]] for r, e in zip(R, kernel)]
                 bad_L = [L[0], [a + e / dens[4] for a, e in zip(L[1], kernel)]]
-                for fn in (contract, fraction_contract):
+                for fn in (_block, fraction_contract):
                     with pytest.raises(GramSingularError) as exc:
                         fn(G, L, bad_R)
                     assert str(exc.value) == INCONSISTENT
@@ -407,7 +420,7 @@ class TestFractionFreeKernel:
     def test_int_input_matches_sympy(self):
         G = [[4, 2, 0], [2, 5, 3], [0, 3, 7]]
         L, R = [[1, 0, 2], [0, 3, 0]], [[1, 1], [0, 2], [5, 0]]
-        got = contract(G, L, R)
+        got = _block(G, L, R)
         assert got == _frac(_sym(L) * _sym(G).inv() * _sym(R))
         assert all(type(v) is F for row in got for v in row)
 
@@ -416,9 +429,7 @@ class TestFractionFreeKernel:
         """Build blocks through the Fraction reference instead of contract."""
         def with_reference(build, *args, **kw):
             with monkeypatch.context() as m:
-                m.setattr(blocks, "contract", fraction_contract)
-                m.setattr(blocks, "solve_contraction",
-                          lambda G, l, r: fraction_contract(G, [l], [[v] for v in r])[0][0])
+                m.setattr(blocks, "contract", fraction_pairs)
                 return build(*args, **kw)
         return with_reference
 
@@ -451,14 +462,40 @@ def _same_as_references(G, L, R):
         want = fraction_contract(G, L, R)
     except GramSingularError as exc:
         with pytest.raises(GramSingularError) as got:
-            contract(G, L, R)
+            _block(G, L, R)
         assert str(got.value) == str(exc)
         return None
-    got = contract(G, L, R)
+    got = _block(G, L, R)
     assert got == want
     if _sym(G).det() != 0:
         assert got == _frac(_sym(L) * _sym(G).inv() * _sym(R))
     return got
+
+
+# 3 x 3 Gram matrices with zero diagonals, by their upper triangles
+ZERO_DIAGONAL = {
+    "integer": [[0, 2, 1], [0, 3], [0]],
+    "rational": [[0, F(1, 2), F(1, 3)], [F(2, 5), F(1, 7)], [F(-1, 11)]],
+    # g_jj = -2 g_tj, so j is added into t with the sign -1
+    "negative-sign": [[0, F(1, 6), F(1, 2)], [F(-1, 3), F(1, 5)], [F(1, 7)]],
+    "zero-after-pivot": [[F(1, 2), F(1, 3), F(1, 5)], [F(2, 9), F(1, 15)], [F(1, 7)]],
+}
+
+
+def _random_symmetric(rng, rank_deficient):
+    """A random symmetric G with diagonals zeroed at random, of rank below
+    its size when asked."""
+    n = rng.randint(2, 7)
+    A = _rand_matrix(rng, n, n)
+    G = [[a + b for a, b in zip(row, col)] for row, col in zip(A, zip(*A))]
+    for i in range(n):
+        if rng.random() < 0.5:
+            G[i][i] = F(0)
+    if rank_deficient:
+        B = _rand_matrix(rng, n, n - 1)
+        D = [[G[i][j] for j in range(n - 1)] for i in range(n - 1)]
+        G = _matmul(_matmul(B, D), [list(col) for col in zip(*B)])
+    return G
 
 
 class TestSymmetricElimination:
@@ -468,21 +505,15 @@ class TestSymmetricElimination:
     def test_swap_matrix(self):
         # both diagonals are zero: index 1 is added into 0
         G = [[F(0), F(1)], [F(1), F(0)]]
-        assert contract(G, _unit(2), _unit(2)) == G
+        assert _block(G, _unit(2), _unit(2)) == G
         _same_as_references(G, [[F(1, 3), F(2, 5)]], [[F(1, 7)], [F(3, 11)]])
 
-    @pytest.mark.parametrize("upper", [
-        [[0, 2, 1], [0, 3], [0]],
-        [[0, F(1, 2), F(1, 3)], [F(2, 5), F(1, 7)], [F(-1, 11)]],
-        # g_jj = -2 g_tj, so j is added into t with the sign -1
-        [[0, F(1, 6), F(1, 2)], [F(-1, 3), F(1, 5)], [F(1, 7)]],
-        [[F(1, 2), F(1, 3), F(1, 5)], [F(2, 9), F(1, 15)], [F(1, 7)]],
-    ], ids=["integer", "rational", "negative-sign", "zero-after-pivot"])
+    @pytest.mark.parametrize("upper", list(ZERO_DIAGONAL.values()), ids=list(ZERO_DIAGONAL))
     def test_three_by_three_zero_diagonal(self, upper):
         G = _symmetric(upper)
         assert _sym(G).det() != 0
         L, R = _rand_matrix(random.Random(1), 2, 3), _rand_matrix(random.Random(2), 3, 2)
-        assert contract(G, _unit(3), _unit(3)) == _frac(_sym(G).inv())
+        assert _block(G, _unit(3), _unit(3)) == _frac(_sym(G).inv())
         _same_as_references(G, L, R)
 
     def test_singular_with_zero_diagonal_trailing_block(self):
@@ -498,9 +529,9 @@ class TestSymmetricElimination:
         bad_R = [[r[0] + e, r[1]] for r, e in zip(R, kernel)]
         bad_L = [L[0], [a + e for a, e in zip(L[1], kernel)]]
         with pytest.raises(GramSingularError, match="inconsistent"):
-            contract(G, L, bad_R)
+            _block(G, L, bad_R)
         with pytest.raises(GramSingularError, match="does not factor"):
-            contract(G, bad_L, R)
+            _block(G, bad_L, R)
         _same_as_references(G, L, bad_R)
         _same_as_references(G, bad_L, R)
 
@@ -508,16 +539,8 @@ class TestSymmetricElimination:
     def test_random_symmetric(self, seed):
         # diagonals zeroed at random, and a rank-deficient draw every other seed
         rng = random.Random(200 + seed)
-        n = rng.randint(2, 7)
-        A = _rand_matrix(rng, n, n)
-        G = [[a + b for a, b in zip(row, col)] for row, col in zip(A, zip(*A))]
-        for i in range(n):
-            if rng.random() < 0.5:
-                G[i][i] = F(0)
-        if seed % 2:
-            B = _rand_matrix(rng, n, n - 1)
-            D = [[G[i][j] for j in range(n - 1)] for i in range(n - 1)]
-            G = _matmul(_matmul(B, D), [list(col) for col in zip(*B)])
+        G = _random_symmetric(rng, seed % 2)
+        n = len(G)
         L, R = _rand_matrix(rng, 2, n), _rand_matrix(rng, n, 3)
         _same_as_references(G, L, R)
         # data that factors through G always contracts
@@ -528,9 +551,40 @@ class TestSymmetricElimination:
     def test_non_symmetric_raises(self):
         G = [[F(1), F(2)], [F(3), F(4)]]
         with pytest.raises(ValueError, match="symmetric"):
-            contract(G, _unit(2), _unit(2))
+            _block(G, _unit(2), _unit(2))
         with pytest.raises(ValueError, match="symmetric"):
-            solve_contraction([[1, 0], [F(1, 2), 1]], [1, 0], [0, 1])
+            contract([[2, 0], [1, 2]], 2, [[1, 0]], [[0, 1]])
+
+    @pytest.mark.parametrize("G", [_symmetric([[0, 1], [0]])]
+                             + [_symmetric(upper) for upper in ZERO_DIAGONAL.values()]
+                             + [_random_symmetric(random.Random(300 + seed), seed % 2)
+                                for seed in range(8)],
+                             ids=["swap", *ZERO_DIAGONAL, *(f"random-{i}" for i in range(8))])
+    def test_torus_pairs_sum_to_the_trace(self, G):
+        # the torus hands over the pairs (e_i, column i of E) and sums
+        # them: the trace of G^(-1) E, or the full block's error; the
+        # second E factors through G, so a singular G fails on its left
+        H, m = _scaled(G)
+        n = len(G)
+        rng = random.Random(n)
+
+        def draw():
+            return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        for E in (draw(), _matmul(H, draw())):
+            columns = [list(col) for col in zip(*E)]
+            try:
+                block = fraction_contract(G, unit, E)
+            except GramSingularError as exc:
+                with pytest.raises(GramSingularError) as got:
+                    contract(H, m, unit, columns)
+                assert str(got.value) == str(exc)
+                continue
+            assert sum(contract(H, m, unit, columns)) == sum(block[i][i] for i in range(n))
+            L = draw()
+            assert contract(H, m, L, columns) == \
+                [row[a] for a, row in enumerate(fraction_contract(G, L, E))]
 
 class FractionVerma:
     """Reference for the integer module: the generator action, the Gram
@@ -619,7 +673,10 @@ def _check_integer_module(delta, c, h, left, top):
     assert u == 2 * math.lcm(F(delta).denominator, F(c).denominator)
     for k in range(top + 1):
         assert V.gram(k) == ref.gram(k), k
-        assert all(type(v) is F for row in V.gram(k) for v in row) or k == 0
+        assert all(type(v) is F for row in V.gram(k) for v in row)
+        H = V.scaled_gram(k)
+        assert all(type(v) is int for row in H for v in row)
+        assert H == [[u ** k * v for v in row] for row in V.gram(k)], k
         for lam in partitions(k):
             for n in range(-2, k + 1):
                 scale = u ** max(n, 1) if n >= 0 else 1
