@@ -13,10 +13,11 @@ built in integers, each level over its own power of one unit (see
 ``virasoro.VermaModule`` and ``PrimaryMatrixElements``, whose () rows are
 the sphere's borders and whose matrix is the torus insertion).  One
 integer kernel, ``virasoro.contract``, takes u^k G_k and those borders
-and returns one value per (left, right) pair: the sphere's one pair of
-() rows, and the torus's pairs (e_i, column i of the insertion), whose
-sum is the trace.  Each coefficient divides by the powers of its
-borders' units once.
+and returns the sum over its (left, right) pairs as an integer numerator
+over its last pivot: the sphere's one pair of () rows, and the torus's
+pairs (e_i, column i of the insertion), whose sum is the trace.  Each
+coefficient is one Fraction, made in ``_coefficient``, whose denominator
+also carries the power of the borders' units.
 """
 
 from __future__ import annotations
@@ -110,15 +111,17 @@ class BlockSeries:
         return len(self.coeffs) - 1
 
 
-def _contract(module: VermaModule, k: int, lefts, rights):
-    """contract(u^k G_k, u^k, lefts, rights); a singular G_k names k and
-    the weight."""
+def _coefficient(module: VermaModule, k: int, lefts, rights, scale: int) -> Fraction:
+    """The level-k coefficient: the contraction of the int borders through
+    u^k G_k, over ``scale``, the power of the borders' units they carry;
+    a singular G_k names k and the weight."""
     try:
-        return contract(module.scaled_gram(k), module.unit ** k, lefts, rights)
+        num, den = contract(module.scaled_gram(k), module.unit ** k, lefts, rights)
     except GramSingularError as exc:
         raise GramSingularError(
             f"level-{k} contraction failed at internal weight "
             f"{module.delta}: {exc}") from exc
+    return Fraction(num, den * scale)
 
 
 def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int,
@@ -138,7 +141,7 @@ def sphere4_block(d1, d2, d3, d4, d_beta, c, N: int,
     lefts = PrimaryMatrixElements(module, d3, d4)
     rights = PrimaryMatrixElements(module, d2, d1)
     scale = lefts.unit * rights.unit
-    coeffs = [_contract(module, k, [lefts.row(k)], [rights.row(k)])[0] / scale ** k
+    coeffs = [_coefficient(module, k, [lefts.row(k)], [rights.row(k)], scale ** k)
               for k in range(N + 1)]
     return BlockSeries(
         leading_exponent=d_beta - d1 - d2,
@@ -162,7 +165,7 @@ def torus1_block(d0, d_beta, c, N: int, digits: int | None = None) -> BlockSerie
         basis = partitions(k)
         unit = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
         columns = [[elements.scaled(lam, mu) for lam in basis] for mu in basis]
-        coeffs.append(sum(_contract(module, k, unit, columns)) / elements.unit ** (2 * k))
+        coeffs.append(_coefficient(module, k, unit, columns, elements.unit ** (2 * k)))
     return BlockSeries(
         leading_exponent=d_beta - c / 24,
         coeffs=coeffs,

@@ -116,7 +116,7 @@ def _rationals(text: str) -> list:
 
 def _real(text: str):
     """A rational when written with '/', else a finite float."""
-    return Fraction(text) if "/" in text else _finite(float(text))
+    return _rational(text) if "/" in text else _finite(float(text))
 
 
 def _complex(text: str) -> complex:

@@ -25,6 +25,10 @@ from fractions import Fraction
 import mpmath as mp
 
 
+# products and powers of ints are exact in it
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 @contextmanager
 def working(digits: int):
     """A local decimal context two digits above ``digits``, to be entered
@@ -42,8 +46,7 @@ def to_decimal(x) -> Decimal:
     """An int, a Fraction or an mpf as a Decimal, rounded once to the
     current decimal context; NaN and the infinities map to their own kind,
     and an mpf outside the context's range, 10^Etiny to 10^Emax, raises
-    ValueError.  An mpf is q 10^e + r, 0 <= r < 10^e, with q two digits
-    longer than the context keeps, so no int outgrows 2^exp and 10^e."""
+    ValueError.  Either way one operation rounds the exact value."""
     if isinstance(x, (int, Fraction)):
         return Decimal(x.numerator) / x.denominator
     if mp.isnan(x):
@@ -58,12 +61,10 @@ def to_decimal(x) -> Decimal:
     if not etiny <= e10 <= emax:
         raise ValueError(f"a number of about 10^{e10} is outside the range of "
                          f"{prec}-digit decimal arithmetic (10^{etiny} to 10^{emax})")
-    e = max(e10 - prec - 3, min(exp, 0))        # e = exp keeps a short x exact
-    q, r = divmod((man << max(exp, 0)) * 10 ** max(-e, 0),
-                  10 ** max(e, 0) << max(-exp, 0))
-    if r:  # a last digit 1 for r is never a tie, so q rounds as x does
-        q, e = 10 * q + 1, e - 1
-    return Decimal(-q if sign else q).scaleb(e)
+    # 2^|exp| is built exactly in decimal, which multiplies long numbers
+    # fast; an int of a million digits converts in quadratic time
+    num = Decimal(-man if sign else man)
+    return num * _EXACT.power(2, exp) if exp >= 0 else num / _EXACT.power(2, -exp)
 
 
 class Complex:

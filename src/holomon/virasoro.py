@@ -11,12 +11,13 @@ action of L_-n has integer coefficients as it is), and the level-k Gram
 matrix times u^k (``scaled_gram``).  Each scale is divided out once,
 when ``gram`` or ``pairing`` returns an exact Fraction.  One
 elimination routine, ``contract``, takes every contraction through a
-(possibly singular) symmetric Gram matrix: it is handed u^k G_k, u^k and
-integer borders, divides each G-row by the largest factor of u^k that
-it shares, and eliminates fraction-free (Bareiss), one value per (left,
-right) pair.  It pivots on the diagonal and keeps each G-row from its
-diagonal on, reading the entries below from their mirror images; a zero
-diagonal is mended by a congruence.
+(possibly singular) symmetric Gram matrix, in integers only: it is
+handed u^k G_k, u^k and integer borders, divides each G-row by the
+largest factor of u^k that it shares, eliminates fraction-free
+(Bareiss), and returns the sum over its (left, right) pairs as one
+integer numerator over its last pivot.  It pivots on the diagonal and
+keeps each G-row from its diagonal on, reading the entries below from
+their mirror images; a zero diagonal is mended by a congruence.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class VermaModule:
         self._half_uc = c.numerator * (u // 2 // c.denominator)  # u c / 2
         self._memo: dict = {}
         self._scaled_grams: list = [[[1]]]
-        self._grams: dict = {}
 
     # -- generator action ---------------------------------------------------
 
@@ -165,14 +165,10 @@ class VermaModule:
         return scaled[level]
 
     def gram(self, level: int) -> list:
-        """Level Gram matrix, exact: ``scaled_gram`` divided by u^k,
-        memoized on the module."""
-        hit = self._grams.get(level)
-        if hit is None:
-            scale = self.unit ** level
-            hit = [[Fraction(v, scale) for v in row] for row in self.scaled_gram(level)]
-            self._grams[level] = hit
-        return hit
+        """Level Gram matrix, exact: ``scaled_gram`` divided by u^k, built
+        afresh on each call."""
+        scale = self.unit ** level
+        return [[Fraction(v, scale) for v in row] for row in self.scaled_gram(level)]
 
 
 @lru_cache(maxsize=None)
@@ -185,11 +181,11 @@ class GramSingularError(ValueError):
     """Raised when a needed level Gram matrix is not invertible."""
 
 
-def contract(H: list, scale: int, lefts: list, rights: list) -> list:
-    """One Fraction lefts[a] . G^(-1) . rights[a] per pair, for the
-    symmetric G = H / scale with H, scale and the borders ints, defined
-    also for singular G when the data factors through the quotient by the
-    kernel.
+def contract(H: list, scale: int, lefts: list, rights: list) -> tuple:
+    """The sum over a of lefts[a] . G^(-1) . rights[a] as two ints, a
+    numerator over the last pivot, for the symmetric G = H / scale with
+    H, scale and the borders ints, defined also for singular G when the
+    data factors through the quotient by the kernel.
 
     Forward elimination of the bordered matrix [[G, rights], [lefts, 0]]
     pivots on the diagonal of G; afterwards border row a holds, in right
@@ -218,8 +214,9 @@ def contract(H: list, scale: int, lefts: list, rights: list) -> list:
     zero, and row t takes the scale lcm(s_t, s_j); border rows take the
     column operation, right parts the row operation, and the contraction
     is unchanged.  A row that is zero from its diagonal on leaves its
-    index free.  Each value divides by the last pivot at the end.  The
-    inputs are copied.
+    index free.  The numerator is minus the sum of the border rows' right
+    entries, and the pair is not reduced (the pivot may be negative).
+    The inputs are copied.
     """
     if list(map(tuple, H)) != list(zip(*H)):
         raise ValueError("contract needs a symmetric Gram matrix")
@@ -245,10 +242,7 @@ def contract(H: list, scale: int, lefts: list, rights: list) -> list:
         # too, so every entry stays a minor
         for i, f in enumerate(_pivot_column(prow, scales, t), t + 1):
             row = rows[i]
-            if f:
-                row[i:] = [(p * a - f * b) // prev for a, b in zip(row[i:], prow[i:])]
-            else:
-                row[i:] = [p * a // prev for a in row[i:]]
+            row[i:] = [(p * a - f * b) // prev for a, b in zip(row[i:], prow[i:])]
         ptail = prow[t + 1:n]
         for a, row in enumerate(border):
             f = row[t]
@@ -265,7 +259,7 @@ def contract(H: list, scale: int, lefts: list, rights: list) -> list:
     if any(row[t] != 0 for row in border for t in free):
         raise GramSingularError("contraction does not factor through "
                                 "the singular Gram matrix")
-    return [Fraction(-row[n], prev) for row in border]
+    return -sum(row[n] for row in border), prev
 
 
 def _pivot_column(prow: list, scales: list, t: int) -> list:

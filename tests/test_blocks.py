@@ -213,12 +213,14 @@ class TestBpz:
 def test_borders_reach_the_contraction_as_ints(monkeypatch):
     # the Gram matrix and the three-point data are built once, in integers:
     # the scaled Gram matrix and every border that a fused bpz channel or a
-    # torus block hands to the contraction are ints
+    # torus block hands to the contraction are ints, and so are the
+    # numerator and denominator that each call returns
     calls = []
 
     def contraction(H, scale, lefts, rights):
-        calls.append((H, lefts, rights))
-        return real(H, scale, lefts, rights)
+        out = real(H, scale, lefts, rights)
+        calls.append((H, lefts, rights, out))
+        return out
 
     real = blocks.contract
     monkeypatch.setattr(blocks, "contract", contraction)
@@ -228,10 +230,11 @@ def test_borders_reach_the_contraction_as_ints(monkeypatch):
     assert len(calls) == 7
     torus1_block(F(1, 3), F(7, 5), CC, N=6)
     assert len(calls) == 14
-    for H, lefts, rights in calls:
+    for H, lefts, rights, out in calls:
         for side in (H, lefts, rights):
             entries = [v for row in side for v in row]
             assert entries and all(type(v) is int for v in entries)
+        assert len(out) == 2 and all(type(v) is int for v in out)
 
 
 class TestHypergeometric:

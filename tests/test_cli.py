@@ -669,7 +669,10 @@ class TestExitContract:
         ["tau", "--lam", "2/5", "--kappa", "1", "--theta", "1e1000,1/3,1/5,1/7",
          "--order", "2"],
         ["block", "sphere4", "--weights", "1/3,1/5,1/7,1/11,1e-1001", "--order", "2"],
-    ], ids=["bpz-b2", "tau-lam", "tau-lam-exponent", "tau-theta", "block-weights"])
+        # a rational kappa is bounded as every other rational option
+        ["tau", "--lam", "2/5", "--kappa", "1" + "0" * 1000 + "/3", "--order", "2"],
+    ], ids=["bpz-b2", "tau-lam", "tau-lam-exponent", "tau-theta", "block-weights",
+            "tau-kappa"])
     def test_rational_past_the_digit_bound_exits_2(self, runner, args):
         start = time.perf_counter()
         r = runner.invoke(main, args)

@@ -7,7 +7,8 @@ code (not in a comment or docstring) somewhere in ``src/holomon/*.py`` or
 and every option a function or a dataclass takes must be set by some call
 there, and left to its default by another.  Tests do not count: a function or option only a test uses checks
 nothing when ``holomon`` runs.  ``blocks.py`` and ``virasoro.py`` hold
-one arithmetic, exact rationals, so neither imports mpmath.  Decimal
+one arithmetic, exact rationals, so neither imports mpmath, and the
+contraction kernel in ``virasoro.py`` runs in ints, naming no Fraction.  Decimal
 arithmetic runs in a local context, so no library call changes the
 caller's, and no module reads mpmath's ambient precision: each number
 carries its own digits.  Only ``cli._emit`` opens a file to write, so
@@ -206,6 +207,21 @@ def _imported_modules(path) -> set:
 @pytest.mark.parametrize("name", ["blocks", "virasoro"])
 def test_block_arithmetic_imports_no_mpmath(name):
     assert "mpmath" not in _imported_modules(ROOT / "src" / "holomon" / f"{name}.py")
+
+
+def _names_in(path, function: str) -> set:
+    """Every name and attribute that a top-level function of a file reads
+    or calls."""
+    tree = ast.parse(path.read_text())
+    node = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+@pytest.mark.parametrize("function", ["contract", "_pivot_column", "_add_index"])
+def test_contraction_kernel_names_no_fraction(function):
+    assert "Fraction" not in _names_in(ROOT / "src" / "holomon" / "virasoro.py", function)
 
 
 def _called_name(node) -> str | None:

@@ -135,11 +135,11 @@ class TestSolveContraction:
         Ginv = [[F(3, 5), F(-1, 5)], [F(-1, 5), F(2, 5)]]  # adjugate over det 5
         assert _block(G, _unit(2), _unit(2)) == Ginv
         want = sum(left[i] * Ginv[i][j] * right[j] for i in range(2) for j in range(2))
-        assert contract([[2, 1], [1, 3]], 1, [[1, 2]], [[3, 4]]) == [want]
+        assert F(*contract([[2, 1], [1, 3]], 1, [[1, 2]], [[3, 4]])) == want
 
     def test_consistent_singular(self):
         # left must annihilate the kernel direction (1, -1)
-        assert contract([[1, 1], [1, 1]], 1, [[1, 1]], [[2, 2]]) == [2]
+        assert F(*contract([[1, 1], [1, 1]], 1, [[1, 1]], [[2, 2]])) == 2
 
     def test_inconsistent_singular_raises(self):
         with pytest.raises(GramSingularError):
@@ -158,14 +158,13 @@ def _unit(n):
 def _block(G, L, R):
     """The full block L . G^(-1) . R of rational data through contract: G
     scaled to (H, m) over the lcm m of its denominators, each left row and
-    each right column to ints over the lcm of its own, and every left row
-    paired with every right column in one call."""
+    each right column to ints over the lcm of its own, and each left row
+    paired with each right column in one call per pair."""
     H, m = _scaled(G)
     lefts, s = _int_rows(L)
     rights, c = _int_rows(list(zip(*R)))
-    q = len(rights)
-    pairs = contract(H, m, [l for l in lefts for _ in range(q)], rights * len(lefts))
-    return [[pairs[a * q + b] / (s[a] * c[b]) for b in range(q)] for a in range(len(lefts))]
+    return [[F(*contract(H, m, [l], [r])) / (sa * cb) for r, cb in zip(rights, c)]
+            for l, sa in zip(lefts, s)]
 
 
 def _scaled(G):
@@ -248,21 +247,24 @@ class TestContract:
             _block(G, [[F(1), F(0)]], [[F(1)], [F(0)]])
         assert _block(G, [[F(0), F(0)]], [[F(0)], [F(0)]]) == [[0]]
 
-    def test_int_input_gives_fractions(self):
+    def test_returns_two_ints(self):
+        # the sum over the pairs as a numerator over the last pivot, unreduced
         got = contract([[1]], 1, [[1]], [[1]])
-        assert got == [1] and type(got[0]) is F
-        assert type(contract([[2, 1], [1, 3]], 1, [[1, 0]], [[0, 1]])[0]) is F
+        assert got == (1, 1) and all(type(v) is int for v in got)
+        assert contract([[2]], 1, [[1]], [[2]]) == (2, 2)
+        # e_0 G^(-1) e_1 + e_1 G^(-1) e_0 = -2/5, over the last pivot det G
+        got = contract([[2, 1], [1, 3]], 1, [[1, 0], [0, 1]], [[0, 1], [1, 0]])
+        assert got == (-2, 5) and all(type(v) is int for v in got)
 
     def test_inputs_not_mutated(self):
         V = VermaModule(F(9, 8), F(3, 2))
-        G, H = V.gram(4), V.scaled_gram(4)
+        H = V.scaled_gram(4)
         before = [row[:] for row in H]
         rng = random.Random(7)
         L, R = ([[rng.randint(-9, 9) for _ in range(5)] for _ in range(2)] for _ in range(2))
         L0, R0 = [row[:] for row in L], [row[:] for row in R]
         contract(H, V.unit ** 4, L, R)
         assert V.scaled_gram(4) is H and H == before and L == L0 and R == R0
-        assert V.gram(4) is G
 
 
 class TestRecursiveGram:
@@ -276,9 +278,9 @@ class TestRecursiveGram:
 
     def test_levels_out_of_order(self):
         V, W = VermaModule(F(5, 3), F(1, 2)), VermaModule(F(5, 3), F(1, 2))
-        high = V.gram(7)
+        high = V.scaled_gram(7)
         assert [V.gram(k) for k in range(8)] == [W.gram(k) for k in range(8)]
-        assert V.gram(7) is high
+        assert V.scaled_gram(7) is high
 
 
 def fraction_contract(G, left, right):
@@ -313,11 +315,13 @@ def fraction_contract(G, left, right):
 
 
 def fraction_pairs(H, scale, lefts, rights):
-    """Reference for contract's pairs: the diagonal of fraction_contract
-    on G = H / scale, every left row against every right column."""
+    """Reference for contract: the sum of the diagonal of fraction_contract
+    on G = H / scale, every left row against every right column, as a
+    (numerator, denominator) pair."""
     G = [[F(v, scale) for v in row] for row in H]
     block = fraction_contract(G, lefts, [list(col) for col in zip(*rights)])
-    return [block[a][a] for a in range(len(lefts))]
+    total = F(sum(block[a][a] for a in range(len(lefts))))
+    return total.numerator, total.denominator
 
 
 def _momentum_weight(p, r, b2):
@@ -387,8 +391,11 @@ class TestFractionFreeKernel:
         G = V.gram(4)
         got = _block(G, unit, E)
         assert got == fraction_contract(G, unit, E) == _frac(_sym(G).inv() * _sym(E))
-        pairs = contract(V.scaled_gram(4), V.unit ** 4, unit, [list(col) for col in zip(*wE)])
-        assert [v / elements.unit ** 8 for v in pairs] == [got[i][i] for i in range(len(basis))]
+        H, m, columns = V.scaled_gram(4), V.unit ** 4, [list(col) for col in zip(*wE)]
+        diagonal = [got[i][i] for i in range(len(basis))]
+        assert [F(*contract(H, m, [e], [col])) / elements.unit ** 8
+                for e, col in zip(unit, columns)] == diagonal
+        assert F(*contract(H, m, unit, columns)) / elements.unit ** 8 == sum(diagonal)
 
     def test_degenerate_weight_singular_gram(self):
         # each draw runs twice: as drawn, and with every right column and
@@ -472,13 +479,16 @@ def _same_as_references(G, L, R):
     return got
 
 
-# 3 x 3 Gram matrices with zero diagonals, by their upper triangles
+# 3 x 3 Gram matrices with zero diagonals or zero entries below a pivot,
+# by their upper triangles
 ZERO_DIAGONAL = {
     "integer": [[0, 2, 1], [0, 3], [0]],
     "rational": [[0, F(1, 2), F(1, 3)], [F(2, 5), F(1, 7)], [F(-1, 11)]],
     # g_jj = -2 g_tj, so j is added into t with the sign -1
     "negative-sign": [[0, F(1, 6), F(1, 2)], [F(-1, 3), F(1, 5)], [F(1, 7)]],
     "zero-after-pivot": [[F(1, 2), F(1, 3), F(1, 5)], [F(2, 9), F(1, 15)], [F(1, 7)]],
+    # G-row 1 has f = 0 at the first pivot
+    "zero-below-pivot": [[2, 0, 1], [3, 0], [5]],
 }
 
 
@@ -581,9 +591,9 @@ class TestSymmetricElimination:
                     contract(H, m, unit, columns)
                 assert str(got.value) == str(exc)
                 continue
-            assert sum(contract(H, m, unit, columns)) == sum(block[i][i] for i in range(n))
+            assert F(*contract(H, m, unit, columns)) == sum(block[i][i] for i in range(n))
             L = draw()
-            assert contract(H, m, L, columns) == \
+            assert [F(*contract(H, m, [l], [col])) for l, col in zip(L, columns)] == \
                 [row[a] for a, row in enumerate(fraction_contract(G, L, E))]
 
 class FractionVerma:
