@@ -88,7 +88,8 @@ def _finite(value):
 
 
 # a rational option's numerator and denominator may have at most this
-# many digits; the exact blocks and shift weights grow with them
+# many digits, and `tau --digits` is at most this; the exact blocks, the
+# shift weights and the Gamma values of the weights grow with them
 MAX_DIGITS = 1000
 
 
@@ -412,7 +413,8 @@ def block(kind, weights, cc, order, out, plot):
               help="external momenta th0,tht,th1,thinf")
 @click.option("--order", type=click.IntRange(min=0), default=6, show_default=True)
 @click.option("--shifts", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--digits", type=click.IntRange(min=1), default=50, show_default=True)
+@click.option("--digits", type=click.IntRange(min=1, max=MAX_DIGITS), default=50,
+              show_default=True)
 @click.option("--normalization", type=click.Choice(["isomonodromic", "plain"]),
               default="isomonodromic", show_default=True)
 @click.option("--out", type=click.Path(), default=None)

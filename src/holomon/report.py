@@ -3,7 +3,7 @@
 Each check carries a stable identity tag from the registry below; reports
 serialize to text, JSON or CSV with a fixed field order and fixed float
 formatting, and `load_reports` reads back what `to_json` writes.
-Wall-clock runtimes are kept on the objects for interactive display but
+Wall-clock runtimes are kept on the objects, where the tests read them, but
 are excluded from serialized reports so that identical inputs produce
 identical bytes.  `worst_residual` is the one worst of several residuals
 that the suites and the CLI report, and a NaN among them wins.

@@ -182,7 +182,7 @@ def _step_factor(theta, u) -> tuple:
     ``_gamma_step``: Gamma(z + 1) = z Gamma(z) on each of its twelve
     Gamma values gives prod_a (a^2 - (u+1)^2) over
     (2u+1)^2 (2u+2)^4 (2u+3)^2, a over the pair sums.  Exact for rational
-    data."""
+    data; the denominator is 0 iff 2u is -1, -2 or -3."""
     v = u + 1
     num = 1
     for a in _pair_sums(theta):
@@ -194,24 +194,22 @@ def _step_factor(theta, u) -> tuple:
 def _up_chain(theta: tuple, s, n: int, digits: int) -> tuple:
     """(C(s + n) / C(s), C(s + n) / C(s + n - 1)) for n >= 1.
 
-    The first step is ``_gamma_step``; each later one is the step before
-    times ``_step_factor``.  Where that factor has a zero numerator or
-    denominator, or the step before is zero, a Gamma pole lies between
-    the two steps, so the step comes from ``_gamma_step`` again: a zero
-    weight stays exactly 0 and an infinite one raises ValueError.  The
-    chain runs ten digits above the working precision, so its rounding
-    errors (a few per step) stay below the working ulp."""
+    Gamma is evaluated once per chain, in its first step, ``_gamma_step``;
+    each later step is the step before times the exact ``_step_factor``.
+    A zero numerator makes that step, and every later one, exactly 0, as
+    a zero first step does.  A zero denominator (2 s an integer) puts a
+    Gamma pole between the two steps and raises ValueError.  The chain
+    runs ten digits above the working precision, so its rounding errors
+    (a few per step) stay below the working ulp."""
     with mp.workdps(digits + 10):
         if n == 1:
             step = _gamma_step(theta, s)
             return step, step
         ratio, step = _up_chain(theta, s, n - 1, digits)
-        u = s + n - 2
-        num, den = _step_factor(theta, u)
-        if num and den and step:
-            step = step * mp.mpmathify(num / den)
-        else:
-            step = _gamma_step(theta, u + 1)
+        num, den = _step_factor(theta, s + n - 2)
+        if not den:
+            raise ValueError(f"a Gamma pole lies between steps {n - 1} and {n} from {s}")
+        step = step * mp.mpmathify(num / den)
         return ratio * step, step
 
 
@@ -221,13 +219,13 @@ def weight_ratio(theta, lam, m: int, digits: int):
     C is the unit-central-charge three-point weight: the product over
     signs e, e' of G(1 + th_t + e th_0 + e' sigma) G(1 + th_1 + e th_inf
     + e' sigma), over G(1 + 2 sigma) G(1 - 2 sigma), with G the Barnes
-    function.  Its ratios never call G: see ``_up_chain``.
+    function.  Its ratios never call G: each is one ``_up_chain``.
 
     theta and lam are rational.  Memoized per (theta, lam, m, digits), so
     growing the shift range extends the chains instead of restarting
-    them.  Returns 0 where a Gamma pole sends the weight to zero; raises
-    ValueError where the weight is infinite or undefined (2 lam an
-    integer, or C(lam) = 0)."""
+    them.  Returns 0 where a zero first step or step factor sends the
+    weight to zero; raises ValueError where the weight is infinite or
+    undefined (2 lam an integer, or C(lam) = 0)."""
     if m == 0:
         return mp.mpf(1)
     theta = tuple(theta)

@@ -457,10 +457,10 @@ class TestSeriesCommands:
 
     @pytest.mark.parametrize("opt,value", [
         ("--shifts", "-1"), ("--order", "-1"), ("--digits", "0"), ("--digits", "-1"),
-        ("--lam", "1/0"), ("--theta", "1/0,2/7,3/11,5/13"), ("--kappa", "inf"),
-        ("--kappa", "nan"),
-    ], ids=["--shifts", "--order", "--digits-0", "--digits--1", "--lam-1/0",
-            "--theta-1/0", "--kappa-inf", "--kappa-nan"])
+        ("--digits", "1001"), ("--lam", "1/0"), ("--theta", "1/0,2/7,3/11,5/13"),
+        ("--kappa", "inf"), ("--kappa", "nan"),
+    ], ids=["--shifts", "--order", "--digits-0", "--digits--1", "--digits-1001",
+            "--lam-1/0", "--theta-1/0", "--kappa-inf", "--kappa-nan"])
     def test_tau_negative_sizes_exit_2(self, runner, opt, value):
         r = runner.invoke(main, ["tau", "--lam", "2/5", "--kappa", "13/10", opt, value])
         assert r.exit_code == 2
@@ -492,7 +492,7 @@ class TestSeriesCommands:
         assert default.output.endswith(
             "# deformation-equation residual (worst slot): 8.435e-52\n")
         lines = runner.invoke(main, ["tau", "--help"]).output.splitlines()
-        assert any("--digits" in line and "[default: 50; x>=1]" in line for line in lines)
+        assert any("--digits" in line and "[default: 50; 1<=x<=1000]" in line for line in lines)
 
     @pytest.mark.parametrize("doc", [
         {"checks": [{"name": "a", "tag": "no-such-tag", "status": "pass"}]},

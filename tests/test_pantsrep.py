@@ -3,6 +3,7 @@ import dataclasses
 import decimal
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
@@ -767,10 +768,13 @@ class TestDecimalTables:
     @pytest.mark.parametrize("e10", [-999999, -999990, 999990, 999999])
     def test_to_decimal_near_the_range_ends(self, e10):
         # inside the exponent range, and rounded to the working digits
-        # without an int of a million digits
+        # without an int of a million digits, whose conversion would take
+        # tens of seconds
         with mp.workdps(40), working(30):
             x = mp.mpf(f"1.2345678901234567890123456789012345e{e10}")
+            start = time.perf_counter()
             got = to_decimal(x)
+            assert time.perf_counter() - start < 5
             assert got.adjusted() == e10
             assert abs(mp.mpmathify(got) / x - 1) < mp.mpf(10) ** -31
 

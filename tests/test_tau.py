@@ -313,7 +313,8 @@ class TestRationalStep:
         THETA[1] + THETA[0],         # a zero weight from the first step on
         THETA[1] + THETA[0] - 2,     # a zero numerator at the third step
         F(-3, 2), F(-5, 2),          # a zero step, then a Gamma pole
-        F(1, 2), F(0)])              # a Gamma pole at the first step
+        F(1, 2), F(0),               # a Gamma pole at the first step
+        2 - THETA[1] - THETA[0]])    # a zero numerator at the third step down
     def test_zero_and_pole_outcomes_kept(self, lam):
         _clear_memo()
         for m in range(-5, 6):
@@ -362,6 +363,24 @@ class TestRationalStep:
             tau_series(THETA, F(3, 8), F(13, 10), N=6, M=3, digits=digits)
             assert sorted(s for _, s in calls) == [F(-3, 8), F(3, 8)]
             calls.clear()
+
+    @pytest.mark.parametrize("lam", [
+        THETA[1] + THETA[0], THETA[1] + THETA[0] - 2, 2 - THETA[1] - THETA[0]])
+    def test_one_gamma_step_per_chain_at_zero_weights(self, lam, monkeypatch):
+        # a zero step or factor numerator leaves every later step 0, with
+        # no Gamma value evaluated past each chain's first step
+        calls = []
+        real = tau_module._gamma_step
+
+        def counted(theta, s):
+            calls.append(s)
+            return real(theta, s)
+
+        monkeypatch.setattr(tau_module, "_gamma_step", counted)
+        _clear_memo()
+        for m in range(-5, 6):
+            weight_ratio(THETA, lam, m, 30)
+        assert sorted(calls) == sorted([lam, -lam])
 
 
 class TestPhaseApart:
