@@ -43,7 +43,13 @@ class LaurentPoly:
     _keyadd = property(lambda self: vec_add)
 
     def _new(self, terms: dict):
-        return type(self)(self._space, terms)
+        """The element of this ring with ``terms``, a map that holds no
+        zero (one that ``add``, ``convolve`` or negation built), taken
+        as it is: the constructor's filter is not run again."""
+        out = object.__new__(type(self))
+        out.nvars = self.nvars
+        out.terms = terms
+        return out
 
     def _const(self, c):
         return type(self).const(self._space, c)
@@ -119,7 +125,8 @@ class LaurentPoly:
     def __mul__(self, other):
         if type(other) is not type(self):
             if isinstance(other, self._SCALARS):
-                return self._new({e: other * v for e, v in self.terms.items()})
+                # a zero scalar makes zero products, which are dropped
+                return self._new({e: w for e, v in self.terms.items() if (w := other * v)})
             if not isinstance(other, LaurentPoly) or isinstance(self, other._SCALARS):
                 return NotImplemented
         self._check(other)

@@ -34,8 +34,12 @@ class SPoly(LaurentPoly):
     def __init__(self, terms: dict):
         self.terms = {k: v for k, v in terms.items() if v}
 
-    def _new(self, terms: dict) -> "SPoly":
-        return SPoly(terms)
+    @staticmethod
+    def _new(terms: dict) -> "SPoly":
+        """The SPoly of a map that holds no zero, unfiltered."""
+        out = object.__new__(SPoly)
+        out.terms = terms
+        return out
 
     @classmethod
     def const(cls, v) -> "SPoly":
@@ -49,7 +53,7 @@ class SPoly(LaurentPoly):
 
     def conj(self) -> "SPoly":
         """Substitute s -> 1/s."""
-        return SPoly({-e: v for e, v in self.terms.items()})
+        return SPoly._new({-e: v for e, v in self.terms.items()})
 
     def at_one(self):
         """Classical specialization s -> 1, in the coefficients' own ring

@@ -26,12 +26,14 @@ def _scale_arg(r: Quotient, s_exp: int) -> Quotient:
     """Substitute X -> s^(s_exp) X in a quotient of polynomials in X.
 
     The X^0 term is left as it is, so a central c(s) in r commutes with
-    the substitution."""
+    the substitution.  The coefficient of X^k takes the factor s^(s_exp k)
+    as a shift of its s-powers."""
     if not s_exp:
         return r
 
     def scale(p):
-        return SPoly({k: v * SPoly.s_power(s_exp * k) for k, v in p.terms.items()})
+        return SPoly._new({k: SPoly._new({e + s_exp * k: c for e, c in v.terms.items()})
+                           for k, v in p.terms.items()})
     return Quotient(scale(r.num), scale(r.den))
 
 
@@ -107,13 +109,10 @@ def verify_q_mutation_relations(n, e: int) -> dict:
     E = len(n)
     n2 = mutate_exchange_matrix(n, e)
     images = [quantum_mutation(n, e, t) for t in range(E)]
-    report = {}
-    for a in range(E):
-        for b in range(E):
-            lhs = images[a] * images[b]
-            rhs = (images[b] * images[a]).scaled(SPoly.s_power(8 * n2[a][b]))
-            report[(a, b)] = lhs == rhs
-    return report
+    # each ordered product once: the one for (b, a) is the right side of (a, b)
+    prods = {(a, b): images[a] * images[b] for a in range(E) for b in range(E)}
+    return {(a, b): prod == prods[b, a].scaled(SPoly.s_power(8 * n2[a][b]))
+            for (a, b), prod in prods.items()}
 
 
 def double_mutation_is_identity(n, e: int) -> bool:

@@ -2,9 +2,11 @@
 
 Basis monomials are indexed by half-integer exponent vectors (stored
 doubled); the product rule multiplies exponents additively and picks up
-q to the symplectic pairing, q = s^4.  Specializing s -> 1 recovers the
-commutative Laurent ring.  The deformed relations are read from the
-relation table in ``reference``, as they stand.
+q to the symplectic pairing, q = s^4.  The twist s^pairing is applied as
+a shift of the coefficients' s-exponents in ``sparse.weyl_convolve``, so
+each product builds one SPoly per result monomial.  Specializing s -> 1
+recovers the commutative Laurent ring.  The deformed relations are read
+from the relation table in ``reference``, as they stand.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from .laurent import LaurentPoly
 from .qcoeff import SPoly
 from .reference import relation_terms, word_sum
-from .sparse import convolve, pairing, vec_add
+from .sparse import pairing, weyl_convolve
 
 
 class QuantumTorusElement(LaurentPoly):
@@ -38,6 +40,11 @@ class QuantumTorusElement(LaurentPoly):
     def _space(self):
         return self.context
 
+    def _new(self, terms: dict) -> "QuantumTorusElement":
+        out = super()._new(terms)
+        out.context = self.context
+        return out
+
     @classmethod
     def const(cls, context, c) -> "QuantumTorusElement":
         E = len(context)
@@ -50,10 +57,9 @@ class QuantumTorusElement(LaurentPoly):
             return super().__mul__(other)
         self._check(other)
         n = self.context
-        # Weyl twist: q^<mu,nu> = s^(d1.n.d2)
-        return self._new(convolve(
-            self.terms, other.terms, vec_add,
-            lambda d1, d2: SPoly.s_power(pairing(d1, d2, n))))
+        # Weyl twist: q^<mu,nu> = s^(d1.n.d2), a shift of the s-powers
+        return self._new(weyl_convolve(
+            self.terms, other.terms, lambda d1, d2: pairing(d1, d2, n), SPoly._new))
 
     # only scalars, which are central, reach the reflected product
     __rmul__ = __mul__

@@ -7,7 +7,11 @@ two of them (the grade-wise series division in ``tau`` aside).  The key
 rule of a product is an argument: ``vec_add`` for exponent vectors,
 ``operator.add`` for powers of s.  A sum that comes out falsy is
 dropped on the spot, which covers ints, Fractions, mpmath numbers and
-SPoly coefficients alike.  Coefficients must commute.
+SPoly coefficients alike, so no result holds a zero.  Coefficients must
+commute.
+
+``weyl_convolve``, the quantum torus's product, applies the twist
+s^pairing as a shift of the coefficients' s-exponents.
 """
 
 from __future__ import annotations
@@ -57,6 +61,39 @@ def convolve(a: dict, b, keyadd, weight=None) -> dict:
             else:
                 out.pop(k, None)
     return out
+
+
+def weyl_convolve(a: dict, b: dict, twist, wrap) -> dict:
+    """Weyl product sum over exponent-vector keys whose coefficients are
+    polynomials in s (``terms`` maps an int power of s to a scalar):
+    (d1, c1) of ``a`` and (d2, c2) of ``b`` add c1 * c2 * s^twist(d1, d2)
+    at d1 + d2.
+
+    Each scalar pair a1, a2 adds a1 * a2 at the power e1 + e2 + twist of
+    one int-keyed map per result key, so ``twist`` runs once per monomial
+    pair and ``wrap`` once per nonempty map, which holds no zero.
+    """
+    acc: dict = {}
+    right = [(d2, c2.terms.items()) for d2, c2 in b.items()]
+    for d1, c1 in a.items():
+        left = c1.terms.items()
+        for d2, t2 in right:
+            shift = twist(d1, d2)
+            d = vec_add(d1, d2)
+            row = acc.get(d)
+            if row is None:
+                row = acc[d] = {}
+            for e1, a1 in left:
+                e1 += shift
+                for e2, a2 in t2:
+                    e = e1 + e2
+                    v = a1 * a2
+                    s = row[e] + v if e in row else v
+                    if s:
+                        row[e] = s
+                    else:
+                        row.pop(e, None)
+    return {d: wrap(row) for d, row in acc.items() if row}
 
 
 def vec_add(d1: tuple, d2: tuple) -> tuple:

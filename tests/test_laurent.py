@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from holomon.laurent import LaurentPoly, LaurentRational, Quotient
 from holomon.qcoeff import SPoly
+from holomon.qtorus import QuantumTorusElement
 
 
 def poly(nvars, terms):
@@ -87,6 +88,48 @@ class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     def test_truth_is_nonzero(self, p):
         assert bool(p) is not p.is_zero()
+
+
+def _zero_free(p) -> bool:
+    """Every stored coefficient is truthy, and so is every one stored
+    inside a coefficient that is itself a sparse polynomial."""
+    return all(c and (not isinstance(c, LaurentPoly) or _zero_free(c))
+               for c in p.terms.values())
+
+
+_N = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
+
+# a few elements of each sparse type, some sharing keys so that sums cancel
+SAMPLES = {
+    "LaurentPoly": [poly(2, {(1, 0): 2, (0, -1): Fraction(1, 3)}),
+                    poly(2, {(1, 0): -2, (2, 1): 1}),
+                    poly(2, {(0, 0): Fraction(-1, 2), (0, -1): 3})],
+    "SPoly": [SPoly({1: 2, -1: Fraction(1, 3)}), SPoly({1: -2, 0: 1}), SPoly({-1: 1, 2: -1})],
+    "QuantumTorusElement": [
+        QuantumTorusElement(_N, {(2, 0, 0): SPoly({1: 1}), (0, 2, 0): SPoly({0: 2, 4: -1})}),
+        QuantumTorusElement(_N, {(2, 0, 0): SPoly({1: -1}), (0, 0, 2): SPoly({-4: 1})}),
+        QuantumTorusElement(_N, {(0, 2, 0): SPoly({0: -2}), (2, 2, 0): SPoly({8: 1})})],
+    "SPoly over SPoly": [SPoly({0: SPoly({0: 1}), 1: SPoly({4: 2, -4: 1})}),
+                         SPoly({0: SPoly({0: -1}), -1: SPoly({4: 1})}),
+                         SPoly({1: SPoly({4: -2}), 2: SPoly({0: Fraction(1, 2)})})],
+}
+
+
+class TestZeroFree:
+    """Results that are built once, unfiltered, still hold no zero."""
+
+    @pytest.mark.parametrize("kind", SAMPLES)
+    def test_zero_products_and_differences_are_empty(self, kind):
+        for p in SAMPLES[kind]:
+            for zero in (p * 0, 0 * p, p * Fraction(0), p - p):
+                assert zero.terms == {}
+
+    @pytest.mark.parametrize("kind", SAMPLES)
+    def test_results_hold_only_truthy_coefficients(self, kind):
+        for p in SAMPLES[kind]:
+            for q in SAMPLES[kind]:
+                for result in (p + q, p - q, p * q, -p, p * 3):
+                    assert _zero_free(result), (p, q, result)
 
 
 class TestLaurentRational:

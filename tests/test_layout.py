@@ -8,7 +8,8 @@ and every option a function or a dataclass takes must be set by some call
 there, and left to its default by another.  Tests do not count: a function or option only a test uses checks
 nothing when ``holomon`` runs.  ``blocks.py`` and ``virasoro.py`` hold
 one arithmetic, exact rationals, so neither imports mpmath, and the
-contraction kernel in ``virasoro.py`` runs in ints, naming no Fraction.  Decimal
+contraction kernel in ``virasoro.py`` runs in ints, naming no Fraction, and
+the Weyl product's term loops live in ``holomon.sparse``.  Decimal
 arithmetic runs in a local context, so no library call changes the
 caller's, and no module reads mpmath's ambient precision: each number
 carries its own digits.  Only ``cli._emit`` opens a file to write, so
@@ -222,6 +223,16 @@ def _names_in(path, function: str) -> set:
 @pytest.mark.parametrize("function", ["contract", "_pivot_column", "_add_index"])
 def test_contraction_kernel_names_no_fraction(function):
     assert "Fraction" not in _names_in(ROOT / "src" / "holomon" / "virasoro.py", function)
+
+
+def test_weyl_product_loops_in_sparse():
+    """``QuantumTorusElement.__mul__`` runs no term loop of its own: the
+    Weyl product's loops live in ``holomon.sparse``."""
+    tree = ast.parse((ROOT / "src" / "holomon" / "qtorus.py").read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "QuantumTorusElement")
+    mul = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__mul__")
+    assert not [n for n in ast.walk(mul) if isinstance(n, (ast.For, ast.comprehension))]
 
 
 def _called_name(node) -> str | None:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from holomon.holonomy import mutate_coordinate
@@ -70,6 +72,40 @@ def _classical_of_image(img: QMutationImage, e: int) -> LaurentRational:
                            xpoly_to_laurent(img.rat.den))
 
 
+def _scale_arg_reference(r: Quotient, s_exp: int) -> tuple:
+    """X -> s^(s_exp) X with the coefficient of X^k multiplied by the
+    SPoly s^(s_exp k): the (num, den) term maps."""
+    def scale(p):
+        return SPoly({k: v * SPoly.s_power(s_exp * k) for k, v in p.terms.items()}).terms
+    return scale(r.num), scale(r.den)
+
+
+class TestScaleArg:
+    """The argument rescaling shifts s-powers as the SPoly product did."""
+
+    # negative powers of X_e, a central X^0 term and Fraction scalars
+    R = Quotient(SPoly({-2: SPoly({1: 3, -1: Fraction(1, 2)}), 0: SPoly({0: 2, 3: -1}),
+                        1: SPoly({4: 1})}),
+                 SPoly({0: SPoly({0: 1}), -1: SPoly({-4: 2}), 3: SPoly({2: -1, 0: 1})}))
+
+    @pytest.mark.parametrize("s_exp", [-8, -4, -1, 0, 4, 12])
+    def test_matches_s_power_product(self, s_exp):
+        got = qmutation._scale_arg(self.R, s_exp)
+        assert (got.num.terms, got.den.terms) == _scale_arg_reference(self.R, s_exp)
+        # the X^0 coefficient is central: it is left as it is
+        assert got.num.terms[0] == self.R.num.terms[0]
+
+    @pytest.mark.parametrize("name", ["c11", "c04", "c05"])
+    def test_matches_on_every_image(self, name):
+        n = _n(name)
+        for e in range(len(n)):
+            for t in range(len(n)):
+                rat = quantum_mutation(n, e, t).rat
+                for s_exp in (-8, 4):
+                    got = qmutation._scale_arg(rat, s_exp)
+                    assert (got.num.terms, got.den.terms) == _scale_arg_reference(rat, s_exp)
+
+
 class TestFlippedRelations:
     @pytest.mark.parametrize("name", ["c11", "c04", "c05"])
     def test_all_pairs_all_edges(self, name):
@@ -77,6 +113,20 @@ class TestFlippedRelations:
         for e in range(len(n)):
             report = verify_q_mutation_relations(n, e)
             assert all(report.values()), [k for k, v in report.items() if not v]
+
+    @pytest.mark.parametrize("name", ["c11", "c04", "c05"])
+    def test_report_matches_pairwise_products(self, name):
+        # every pair multiplied afresh, in the report's key order
+        n = _n(name)
+        for e in range(len(n)):
+            n2 = mutate_exchange_matrix(n, e)
+            images = [quantum_mutation(n, e, t) for t in range(len(n))]
+            want = {}
+            for a in range(len(n)):
+                for b in range(len(n)):
+                    rhs = (images[b] * images[a]).scaled(SPoly.s_power(8 * n2[a][b]))
+                    want[(a, b)] = images[a] * images[b] == rhs
+            assert list(verify_q_mutation_relations(n, e).items()) == list(want.items())
 
     def test_diagonal_pairs_trivial(self):
         n = _n("c11")

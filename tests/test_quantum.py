@@ -8,7 +8,8 @@ from holomon.laurent import LaurentPoly
 from holomon.qcoeff import SPoly
 from holomon.qtorus import QuantumTorusElement, q_relation, quantize_trace
 from holomon.reference import boundary_names, reference_setup
-from holomon.surfaces import exchange_matrix
+from holomon.sparse import convolve, pairing, vec_add
+from holomon.surfaces import exchange_matrix, reference_triangulation
 
 
 class TestQCoeff:
@@ -147,6 +148,68 @@ class TestWeylProduct:
         _, _, n = _context("c11")
         with pytest.raises(TypeError):
             generator(n, 0) * 0.5
+
+
+def _weyl_reference(a, b):
+    """The Weyl product as a twist-weighted product of SPolys: every term
+    pair multiplies its coefficients and s^pairing as whole SPolys."""
+    n = a.context
+    return QuantumTorusElement(n, convolve(
+        a.terms, b.terms, vec_add, lambda d1, d2: SPoly.s_power(pairing(d1, d2, n))))
+
+
+def _zero_free(p) -> bool:
+    """No zero SPoly is stored, and no zero scalar inside one."""
+    return all(c and all(c.terms.values()) for c in p.terms.values())
+
+
+class TestWeylKernel:
+    """The one-pass Weyl product equals the SPoly-weighted reference."""
+
+    @staticmethod
+    def _random(n, rng, scalar):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            d = tuple(rng.randint(-2, 2) for _ in range(len(n)))
+            terms[d] = SPoly({rng.randint(-4, 4): scalar(rng) for _ in range(rng.randint(1, 3))})
+        return QuantumTorusElement(n, terms)
+
+    @pytest.mark.parametrize("name", ["c11", "c04", "c05"])
+    @pytest.mark.parametrize("scalar", [lambda rng: rng.choice([-2, -1, 1, 3]),
+                                        lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4))],
+                             ids=["int", "Fraction"])
+    def test_matches_reference(self, name, scalar):
+        rng = random.Random(name)
+        n = exchange_matrix(reference_triangulation(name))
+        for _ in range(20):
+            a, b = self._random(n, rng, scalar), self._random(n, rng, scalar)
+            prod = a * b
+            assert prod == _weyl_reference(a, b)
+            assert _zero_free(prod)
+
+    @pytest.mark.parametrize("name", ["c11", "c04"])
+    def test_traces_match_reference(self, name):
+        ops = _quantized_operands(name)[3]
+        for x in ("s", "t", "u"):
+            for y in ("s", "t", "u"):
+                prod = ops[x] * ops[y]
+                assert prod == _weyl_reference(ops[x], ops[y]) and _zero_free(prod)
+
+    def test_cancelling_coefficients(self):
+        # (X0 + X1)(X0 - c X1): the two orders of X0 X1 carry s^P and s^-P
+        _, _, n = _context("c11")
+        x, y = generator(n, 0), generator(n, 1)
+        P = 4 * n[0][1]
+        assert P
+        cross = tuple(a + b for a, b in zip(next(iter(x.terms)), next(iter(y.terms))))
+        # c = s^(-2P) cancels the cross monomial outright, c = s^(-2P) + 1
+        # only the s^-P term of its coefficient
+        gone, part = x - y * SPoly.s_power(-2 * P), x - y * SPoly({-2 * P: 1, 0: 1})
+        assert cross not in ((x + y) * gone).terms
+        assert ((x + y) * part).terms[cross] == SPoly({P: -1})
+        for b in (gone, part):
+            assert (x + y) * b == _weyl_reference(x + y, b)
+            assert _zero_free((x + y) * b)
 
 
 def _quantized_operands(name):
